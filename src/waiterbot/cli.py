@@ -12,7 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from .furniture import Detection3D, FurnitureError, FurnitureLayer, FurnitureNotFound
+from .furniture import (
+    Detection3D,
+    FurnitureError,
+    FurnitureLayer,
+    FurnitureNotFound,
+    detections_from_json,
+)
 from .geometry import Pose2D
 from .grid import GridFormatError, inflate, load_grid
 from .layers import LayerFormatError, dump_layers, load_layers
@@ -42,22 +48,7 @@ def _read(path: str, kind: str) -> str:
 def _load_detection_log(path: str) -> list[list[Detection3D]]:
     try:
         doc = json.loads(_read(path, "detection log"))
-        frames = []
-        for entry in doc:
-            frame = entry["frame"]
-            frames.append(
-                [
-                    Detection3D(
-                        class_name=b["class"],
-                        center=tuple(b["center"]),
-                        dims=tuple(b["dims"]),
-                        yaw=b.get("yaw", 0.0),
-                        frame_id=frame,
-                    )
-                    for b in entry["boxes"]
-                ]
-            )
-        return frames
+        return [detections_from_json(entry["frame"], entry["boxes"]) for entry in doc]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CliError(f"bad detection log {path}: {e}", USAGE_EXIT) from None
 
@@ -122,7 +113,7 @@ def cmd_nav_goal(args) -> int:
     combined = layer.virtual_obstacles(grid)
     risk = inflate(combined, params.robot_radius)
     try:
-        goal = select_goal(combined, risk, target, robot, params, instances=layer.instances())
+        goal = select_goal(combined, risk, target, robot, params)
     except NoGoalError as e:
         raise CliError(f"no goal: {e}", DOMAIN_EXIT) from None
     print(f"cell: ({goal.cell.col}, {goal.cell.row})")
@@ -192,12 +183,7 @@ def cmd_repl(args) -> int:
     backend = _backend_for(args, registry, scenario.menu)
     sim = Simulation(scenario, RunConfig(mode=args.mode, seed=args.seed),
                      registry=registry, backend=backend)
-    # bring the world up: apply map-building events, skip scripted interactions
-    for ev in scenario.events:
-        if ev["type"] == "detections":
-            sim._apply_detections(ev)
-        elif ev["type"] == "human":
-            sim._apply_human(ev)
+    sim.warm_up()
     tables = [i.id for i in sim.layer.instances() if i.id != sim.layer.kitchen_id]
     sim.caller = args.table or (tables[0] if tables else None)
     print(f"serving table: {sim.caller}  (:quit to exit)")

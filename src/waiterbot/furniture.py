@@ -64,6 +64,20 @@ class Detection3D:
         return OrientedBox3(self.center, self.dims, self.yaw)
 
 
+def detections_from_json(frame: int, boxes: list[dict]) -> list[Detection3D]:
+    """One frame of JSON boxes (`class`, `center`, `dims`, optional `yaw`) as detections."""
+    return [
+        Detection3D(
+            class_name=b["class"],
+            center=tuple(b["center"]),
+            dims=tuple(b["dims"]),
+            yaw=b.get("yaw", 0.0),
+            frame_id=frame,
+        )
+        for b in boxes
+    ]
+
+
 @dataclass(frozen=True)
 class FurnitureTemplate:
     """Primitive boxes in unit space [0,1]^3, scaled componentwise on placement."""

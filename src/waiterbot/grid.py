@@ -136,11 +136,6 @@ class RiskField:
         r = np.ascontiguousarray(self.risk, dtype=np.int64)
         r.setflags(write=False)
         object.__setattr__(self, "risk", r)
-        # summed-area table for O(1) window sums, cached once
-        sat = np.zeros((r.shape[0] + 1, r.shape[1] + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(r, axis=0), axis=1, out=sat[1:, 1:])
-        sat.setflags(write=False)
-        object.__setattr__(self, "_sat", sat)
 
     @property
     def width(self) -> int:
@@ -179,15 +174,6 @@ def inflate(grid: GridMap, radius: float) -> RiskField:
     hit = ndimage.binary_dilation(seeds, structure=structure)
     risk = np.where(hit, RISK_MAX, 0).astype(np.int64)
     return RiskField(grid.resolution, grid.origin, risk)
-
-
-def neighborhood_cost(field: RiskField, c: CellIndex, r: int) -> int:
-    """Sum of risk over the (2r+1)^2 window centered at c, clipped to the map."""
-    if r < 0:
-        raise ValueError(f"window radius must be non-negative, got {r}")
-    if not (0 <= c.col < field.width and 0 <= c.row < field.height):
-        raise BoundsError(f"cell {c} outside {field.width}x{field.height} field")
-    return window_sum(field._sat, c.col, c.row, r)
 
 
 def window_sum(sat: np.ndarray, col: int, row: int, r: int) -> int:

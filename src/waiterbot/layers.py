@@ -102,11 +102,5 @@ def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
             )
         except (KeyError, TypeError) as e:
             raise LayerFormatError(f"bad human entry {entry!r}: {e}") from None
-        humans._humans[h.id] = h
-        humans.last_frame = max(humans.last_frame, h.last_seen)
-        if h.id.startswith("person_"):
-            try:
-                humans._next = max(humans._next, int(h.id.split("_", 1)[1]) + 1)
-            except ValueError:
-                pass
+        humans.restore(h)
     return layer, zones, humans

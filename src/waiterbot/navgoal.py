@@ -5,7 +5,13 @@ midpoints pushed out by robot radius + clearance), keep the one closest to
 the robot, then search the grid window around it.  Each cell's risk is
 augmented with a distance weight toward the candidate point, the weighted
 values are summed over a square neighborhood per cell, and the admissible
-cell (risk < 100, outside every footprint) with the lowest sum wins.
+cell (risk < 100) with the lowest sum wins.
+
+The risk field is the only admissibility rule.  It must be built from
+`FurnitureLayer.virtual_obstacles`, which marks OCCUPIED every cell whose
+center (`origin + (i + 0.5) * res`) passes the closed footprint test; those
+cells hold risk 100 at any inflation radius >= 0, so no goal can land inside
+a piece of furniture.
 
 `select_goal` is the fast path (summed-area table); `brute_force_goal` is the
 same contract as plain nested loops.  Both must return identical cells and
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .furniture import FurnitureInstance
-from .geometry import Pose2D, point_in_convex_polygon
+from .geometry import Pose2D
 from .grid import RISK_MAX, CellIndex, GridMap, RiskField, cell_to_world, integral_image, window_sum
 
 
@@ -100,11 +106,13 @@ def select_goal(
     target: FurnitureInstance,
     robot_pose: Pose2D,
     params: NavGoalParams,
-    instances: list[FurnitureInstance] | None = None,
 ) -> NavGoal:
-    """Lowest-cost admissible cell near the candidate point (summed-area fast path)."""
+    """Lowest-cost cell with risk < 100 near the candidate point (summed-area fast path).
+
+    `risk` must come from `virtual_obstacles` (see the module docstring): cells
+    inside any furniture footprint are then already at risk 100.
+    """
     px, py = select_candidate(candidate_points(target, params), robot_pose)
-    footprints = [inst.footprint() for inst in (instances if instances is not None else [target])]
     nr = params.cell_neighborhood(grid.resolution)
     whw = params.window_half_width
     res = grid.resolution
@@ -132,12 +140,9 @@ def select_goal(
         for col in cols:
             if risk.risk[row, col] >= RISK_MAX:
                 continue
-            center = (ox + (col + 0.5) * res, oy + (row + 0.5) * res)
-            if any(point_in_convex_polygon(center, fp) for fp in footprints):
-                continue
             cost = window_sum(sat, col - c0, row - r0, nr)
-            ddx = center[0] - px
-            ddy = center[1] - py
+            ddx = ox + (col + 0.5) * res - px
+            ddy = oy + (row + 0.5) * res - py
             key = (cost, math.sqrt(ddx * ddx + ddy * ddy), row * grid.width + col)
             if best is None or key < best:
                 best = key
@@ -153,11 +158,12 @@ def brute_force_goal(
     target: FurnitureInstance,
     robot_pose: Pose2D,
     params: NavGoalParams,
-    instances: list[FurnitureInstance] | None = None,
 ) -> NavGoal:
-    """Same contract as select_goal, as plain nested loops (reference oracle)."""
+    """Same contract as select_goal, as plain nested loops (reference oracle).
+
+    Same precondition: `risk` must come from `virtual_obstacles`.
+    """
     px, py = select_candidate(candidate_points(target, params), robot_pose)
-    footprints = [inst.footprint() for inst in (instances if instances is not None else [target])]
     nr = params.cell_neighborhood(grid.resolution)
     whw = params.window_half_width
     res = grid.resolution
@@ -180,8 +186,6 @@ def brute_force_goal(
             if abs(cx - px) > whw:
                 continue
             if int(risk.risk[row, col]) >= RISK_MAX:
-                continue
-            if any(point_in_convex_polygon((cx, cy), fp) for fp in footprints):
                 continue
             cost = 0
             for nrow in range(max(0, row - nr), min(grid.height - 1, row + nr) + 1):

@@ -100,6 +100,16 @@ class HumanLayer:
         self.last_frame = max(self.last_frame, obs.frame_id)
         return best_id
 
+    def restore(self, entity: HumanEntity) -> None:
+        """Put back a dumped record; later auto ids never reuse its person_<k>."""
+        self._humans[entity.id] = entity
+        self.last_frame = max(self.last_frame, entity.last_seen)
+        if entity.id.startswith("person_"):
+            try:
+                self._next = max(self._next, int(entity.id.split("_", 1)[1]) + 1)
+            except ValueError:
+                pass
+
     def get(self, human_id: str) -> HumanEntity:
         return self._humans[human_id]
 

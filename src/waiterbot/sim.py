@@ -13,13 +13,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .furniture import Detection3D, FurnitureLayer, FurnitureNotFound
+from .furniture import FurnitureLayer, FurnitureNotFound, detections_from_json
 from .geometry import Pose2D
 from .grid import RISK_MAX, CellIndex, GridMap, RiskField, inflate, load_grid, world_to_cell
 from .llm import Menu, RuleBackend
@@ -93,7 +93,7 @@ class Metrics:
         )
 
     def render(self) -> str:
-        acc = self.accuracy
+        acc = float(self.accuracy)
         return "\n".join(
             [
                 f"orders_total     {self.orders_total}",
@@ -101,7 +101,7 @@ class Metrics:
                 f"served_incorrect {self.served_incorrect}",
                 f"assisted         {self.assisted}",
                 f"collisions       {self.collisions}",
-                f"accuracy         {acc.numerator}/{acc.denominator} ({float(acc):.4f})",
+                f"accuracy         {self.served_correct}/{self.orders_total} ({acc:.4f})",
             ]
         )
 
@@ -305,17 +305,7 @@ class Simulation:
 
     def _apply_detections(self, ev: dict) -> None:
         frame = ev["frame"]
-        dets = [
-            Detection3D(
-                class_name=b["class"],
-                center=tuple(b["center"]),
-                dims=tuple(b["dims"]),
-                yaw=b.get("yaw", 0.0),
-                frame_id=frame,
-            )
-            for b in ev["boxes"]
-        ]
-        results = self.layer.track_frame(dets)
+        results = self.layer.track_frame(detections_from_json(frame, ev["boxes"]))
         if self.layer.kitchen_id is None:
             try:
                 self.layer.set_kitchen(self.scenario.kitchen_table)
@@ -339,6 +329,14 @@ class Simulation:
         )
         hid = self.humans.upsert(obs)
         self._log("human", id=hid, action=obs.action)
+
+    def warm_up(self) -> None:
+        """Apply every detection and human event of the scenario; serve no call."""
+        for ev in self.scenario.events:
+            if ev["type"] == "detections":
+                self._apply_detections(ev)
+            elif ev["type"] == "human":
+                self._apply_human(ev)
 
     # --- faults -----------------------------------------------------------
 
@@ -389,10 +387,7 @@ class Simulation:
             return failed(f"unknown table {table_id!r}")
         combined, risk = self._ensure_risk()
         try:
-            goal = select_goal(
-                combined, risk, target, self.robot_pose, self.scenario.nav_params,
-                instances=self.layer.instances(),
-            )
+            goal = select_goal(combined, risk, target, self.robot_pose, self.scenario.nav_params)
             path = plan_path(combined, risk, self.robot_cell, goal.cell)
         except (NoGoalError, PathError) as e:
             return failed(str(e))
@@ -448,25 +443,20 @@ class Simulation:
             return failed("gripper full")
         if self.perceived is None:
             return failed("nothing detected")
-        item = self.perceived
-        if self.location == self.layer.kitchen_id:
-            if self.kitchen_stock.get(item, 0) <= 0:
-                return failed("out of stock")
-            self.kitchen_stock[item] -= 1
-        elif self.location is not None and item in self.table_items.get(self.location, []):
-            self.table_items[self.location].remove(item)
-        else:
-            return failed("item not here")
-        self.carried = item
-        self.perceived = None
-        return OK
+        result = self._take(self.perceived)
+        if result.ok:
+            self.perceived = None
+        return result
 
     def _skill_hand_over(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
         if fault:
             return failed("hand-over fault")
         if self.carried is not None:
             return failed("gripper full")
-        item = inv.arg or ""
+        return self._take(inv.arg or "")
+
+    def _take(self, item: str) -> SkillResult:
+        """Move one `item` from the kitchen stock or the current table into the gripper."""
         if self.location == self.layer.kitchen_id:
             if self.kitchen_stock.get(item, 0) <= 0:
                 return failed("out of stock")
@@ -490,14 +480,8 @@ class Simulation:
         cloud = self._tabletop_cloud(table)
         seed = self.config.seed * 1_000_003 + self._placement_count
         self._placement_count += 1
-        params = RansacParams(
-            iterations=self.scenario.ransac.iterations,
-            inlier_eps=self.scenario.ransac.inlier_eps,
-            min_inlier_fraction=self.scenario.ransac.min_inlier_fraction,
-            seed=seed,
-        )
         try:
-            plane, inliers = ransac_plane(cloud, params)
+            plane, inliers = ransac_plane(cloud, replace(self.scenario.ransac, seed=seed))
             spot = find_placement(cloud, plane, inliers, object_radius=0.05)
         except PlacementError as e:
             return failed(str(e))

@@ -108,16 +108,15 @@ def _random_nav_instance(rng):
 
 def _goals_agree(grid, risk, layer, robot, params) -> bool:
     target = layer.get("t")
-    instances = layer.instances()
     try:
-        fast = select_goal(grid, risk, target, robot, params, instances=instances)
+        fast = select_goal(grid, risk, target, robot, params)
     except NoGoalError:
         try:
-            brute_force_goal(grid, risk, target, robot, params, instances=instances)
+            brute_force_goal(grid, risk, target, robot, params)
             return False
         except NoGoalError:
             return True
-    slow = brute_force_goal(grid, risk, target, robot, params, instances=instances)
+    slow = brute_force_goal(grid, risk, target, robot, params)
     return fast.cell == slow.cell and fast.cost == slow.cost
 
 

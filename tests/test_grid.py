@@ -10,12 +10,12 @@ from waiterbot.grid import (
     CellState,
     GridFormatError,
     GridMap,
-    RiskField,
     cell_to_world,
     inflate,
+    integral_image,
     load_grid,
-    neighborhood_cost,
     save_grid,
+    window_sum,
     world_to_cell,
 )
 
@@ -111,29 +111,24 @@ class TestInflate:
 
 
 class TestNeighborhoodCost:
+    """Clipped square-window sums through `window_sum(integral_image(values), ...)`."""
+
     def test_uniform_window(self):
-        field = RiskField(0.05, (0, 0), np.ones((5, 5), dtype=np.int64))
-        assert neighborhood_cost(field, CellIndex(2, 2), 1) == 9
+        sat = integral_image(np.ones((5, 5), dtype=np.int64))
+        assert window_sum(sat, 2, 2, 1) == 9
 
     def test_zero_radius_is_cell_value(self):
-        field = RiskField(0.05, (0, 0), np.arange(25).reshape(5, 5))
-        assert neighborhood_cost(field, CellIndex(3, 1), 0) == 8
-
-    def test_out_of_bounds_center(self):
-        field = RiskField(0.05, (0, 0), np.ones((5, 5), dtype=np.int64))
-        with pytest.raises(BoundsError):
-            neighborhood_cost(field, CellIndex(5, 0), 1)
+        sat = integral_image(np.arange(25).reshape(5, 5))
+        assert window_sum(sat, 3, 1, 0) == 8
 
     def test_matches_naive_loops_exhaustively(self):
         rng = np.random.default_rng(7)
         values = rng.integers(0, 100, size=(16, 16))
-        field = RiskField(0.05, (0, 0), values)
+        sat = integral_image(values)
         for r in (1, 2, 3):
             for row in range(16):
                 for col in range(16):
-                    assert neighborhood_cost(field, CellIndex(col, row), r) == naive_window_sum(
-                        values, col, row, r
-                    )
+                    assert window_sum(sat, col, row, r) == naive_window_sum(values, col, row, r)
 
 
 class TestSerialization:

@@ -89,10 +89,8 @@ class TestSelectGoal:
         layer = table_layer(1.0, 1.0)
         grid, risk = world(layer=layer)
         robot = Pose2D(0.2, 1.0)
-        goal = select_goal(grid, risk, layer.get("t"), robot, self.params(),
-                           instances=layer.instances())
-        oracle = brute_force_goal(grid, risk, layer.get("t"), robot, self.params(),
-                                  instances=layer.instances())
+        goal = select_goal(grid, risk, layer.get("t"), robot, self.params())
+        oracle = brute_force_goal(grid, risk, layer.get("t"), robot, self.params())
         assert goal.cell == oracle.cell and goal.cost == oracle.cost
         assert goal.pose.x < 1.0 - 0.5  # on the robot's side of the table
         assert risk.at(goal.cell) < RISK_MAX
@@ -123,8 +121,7 @@ class TestSelectGoal:
     def test_heading_points_at_furniture(self):
         layer = table_layer(1.0, 1.0)
         grid, risk = world(layer=layer)
-        goal = select_goal(grid, risk, layer.get("t"), Pose2D(0.2, 1.0), self.params(),
-                           instances=layer.instances())
+        goal = select_goal(grid, risk, layer.get("t"), Pose2D(0.2, 1.0), self.params())
         expected = math.atan2(1.0 - goal.pose.y, 1.0 - goal.pose.x)
         assert goal.pose.theta == pytest.approx(expected)
 
@@ -199,13 +196,57 @@ def test_fast_path_equals_brute_force_on_random_instances():
         grid, risk, layer, robot, params = random_instance(rng)
         target = layer.get("t")
         try:
-            fast = select_goal(grid, risk, target, robot, params, instances=layer.instances())
+            fast = select_goal(grid, risk, target, robot, params)
         except NoGoalError:
             with pytest.raises(NoGoalError):
-                brute_force_goal(grid, risk, target, robot, params, instances=layer.instances())
+                brute_force_goal(grid, risk, target, robot, params)
             continue
-        slow = brute_force_goal(grid, risk, target, robot, params, instances=layer.instances())
+        slow = brute_force_goal(grid, risk, target, robot, params)
         assert fast.cell == slow.cell
         assert fast.cost == slow.cost
         checked += 1
     assert checked > 150
+
+
+def random_multi_table_layout(rng, radius):
+    """2-6 rotated tables in a 3 m x 3 m room; risk from virtual_obstacles + inflate."""
+    res = 0.1
+    grid = GridMap(res, (0.0, 0.0), np.zeros((30, 30), dtype=np.uint8))
+    layer = FurnitureLayer()
+    for k in range(int(rng.integers(2, 7))):
+        dims = (float(rng.uniform(0.4, 1.0)), float(rng.uniform(0.4, 0.8)), 0.72)
+        center = (float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)), 0.36)
+        yaw = float(rng.uniform(-math.pi, math.pi))
+        layer.register(Detection3D("table", center, dims, yaw, 0), f"t{k}")
+    combined = layer.virtual_obstacles(grid)
+    robot = Pose2D(float(rng.uniform(0, 3.0)), float(rng.uniform(0, 3.0)))
+    params = NavGoalParams(
+        robot_radius=0.2,
+        clearance=float(rng.uniform(0.0, 0.3)),
+        alpha=float(rng.uniform(0.0, 20.0)),
+        window_half_width=float(rng.uniform(0.5, 1.2)),
+    )
+    return combined, inflate(combined, radius), layer, robot, params
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.2])
+def test_goals_stay_off_every_footprint_in_multi_table_layouts(radius):
+    # the risk field alone keeps goals out of every table, the target's and its neighbours'
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(25):
+        grid, risk, layer, robot, params = random_multi_table_layout(rng, radius)
+        footprints = [inst.footprint() for inst in layer.instances()]
+        for target in layer.instances():
+            try:
+                fast = select_goal(grid, risk, target, robot, params)
+            except NoGoalError:
+                with pytest.raises(NoGoalError):
+                    brute_force_goal(grid, risk, target, robot, params)
+                continue
+            slow = brute_force_goal(grid, risk, target, robot, params)
+            assert (fast.cell, fast.cost) == (slow.cell, slow.cost)
+            center = (fast.pose.x, fast.pose.y)
+            assert not any(point_in_convex_polygon(center, fp) for fp in footprints)
+            checked += 1
+    assert checked > 50

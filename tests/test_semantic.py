@@ -76,6 +76,15 @@ class TestHumanTracking:
         with pytest.raises(ValueError):
             layer.upsert(HumanObservation((1, 1, 0), 4))
 
+    def test_restore_keeps_auto_ids_and_frame_order(self):
+        layer = HumanLayer()
+        layer.restore(HumanEntity("person_4", (1.0, 1.0, 0.0), last_seen=7))
+        layer.restore(HumanEntity("guest", (5.0, 5.0, 0.0), last_seen=3))
+        assert layer.get("person_4").position == (1.0, 1.0, 0.0)
+        assert layer.upsert(HumanObservation((9, 9, 0), 7)) == "person_5"
+        with pytest.raises(ValueError):
+            layer.upsert(HumanObservation((9, 9, 0), 6))
+
 
 class TestDescribe:
     def test_paper_style_full_sentence(self, zones):

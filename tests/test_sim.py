@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import relaxation_path_cost
+from waiterbot.cli import dispatch
 from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, inflate
 from waiterbot.sim import (
     Metrics,
@@ -23,6 +25,7 @@ from waiterbot.tasks import SkillInvocation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_PATH = REPO_ROOT / "scenarios" / "restaurant_41.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def risk_free(w, h, res=0.1):
@@ -146,9 +149,7 @@ class TestScenarioLoading:
 def ready_sim():
     scenario = load_scenario(SCENARIO_PATH)
     sim = Simulation(scenario, RunConfig())
-    for ev in scenario.events:
-        if ev["type"] == "detections":
-            sim._apply_detections(ev)
+    sim.warm_up()
     return sim
 
 
@@ -204,9 +205,8 @@ class TestFullRun:
     def test_six_tables_one_kitchen(self, outcome):
         scenario = load_scenario(SCENARIO_PATH)
         sim = Simulation(scenario, RunConfig())
-        for ev in scenario.events:
-            if ev["type"] == "detections":
-                sim._apply_detections(ev)
+        sim.warm_up()
+        assert not any('"event": "call"' in line for line in sim.log)
         ids = [i.id for i in sim.layer.instances()]
         assert ids == [f"table_{k}" for k in range(6)]
         assert sim.layer.kitchen_id == "table_5"
@@ -260,3 +260,26 @@ def test_metrics_round_trip():
 
 def test_metrics_accuracy_empty():
     assert Metrics().accuracy == 0
+
+
+def pinned_log_digests() -> dict[str, str]:
+    lines = (GOLDEN / "restaurant_41_log.sha256").read_text().splitlines()
+    return dict(line.split() for line in lines)
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+def test_replay_log_bytes_are_pinned(mode, tmp_path, capsys):
+    # a refactor must leave the `run --log` bytes for seed 0 exactly as they are
+    log = tmp_path / "run.log"
+    args = ["run", "--scenario", str(SCENARIO_PATH), "--mode", mode, "--seed", "0", "--log", str(log)]
+    assert dispatch(args) == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == pinned_log_digests()[mode]
+
+
+@pytest.mark.parametrize("metrics,line", [
+    (Metrics(41, 41, 0, 0, 0), "accuracy         41/41 (1.0000)"),
+    (Metrics(41, 0, 41, 0, 0), "accuracy         0/41 (0.0000)"),
+    (Metrics(), "accuracy         0/0 (0.0000)"),
+])
+def test_metrics_render_keeps_the_denominator(metrics, line):
+    assert metrics.render().splitlines()[-1] == line
