@@ -21,9 +21,9 @@ def main() -> None:
     args = parser.parse_args()
 
     scenario = load_scenario(REPO_ROOT / "scenarios" / "restaurant_41.json")
-    t0 = time.time()
+    t0 = time.perf_counter()
     metrics, log = run(scenario, RunConfig(mode=args.mode, seed=args.seed))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if args.log:
         Path(args.log).write_text("\n".join(log) + "\n")
     print(metrics.render())

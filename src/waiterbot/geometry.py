@@ -184,22 +184,3 @@ def convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
-
-
-def point_segment_distance(p: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.sqrt((p[0] - ax) ** 2 + (p[1] - ay) ** 2)
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / seg2
-    t = max(0.0, min(1.0, t))
-    qx, qy = ax + t * dx, ay + t * dy
-    return math.sqrt((p[0] - qx) ** 2 + (p[1] - qy) ** 2)
-
-
-def point_polygon_edge_distance(p: tuple[float, float], poly: list[tuple[float, float]]) -> float:
-    """Distance from a point to the boundary of a polygon."""
-    n = len(poly)
-    return min(point_segment_distance(p, poly[i], poly[(i + 1) % n]) for i in range(n))

@@ -176,12 +176,16 @@ def inflate(grid: GridMap, radius: float) -> RiskField:
     return RiskField(grid.resolution, grid.origin, risk)
 
 
-def window_sum(sat: np.ndarray, col: int, row: int, r: int) -> int:
-    """Clipped square-window sum from a (h+1, w+1) summed-area table."""
+def window_sum(sat: np.ndarray, col, row, r: int):
+    """Clipped square-window sums from a (h+1, w+1) summed-area table (Crow 1984).
+
+    `col` and `row` are indices or integer arrays that broadcast against each
+    other (e.g. shapes (1, n) and (m, 1) for an m x n block of windows).
+    """
     h, w = sat.shape[0] - 1, sat.shape[1] - 1
-    r0, r1 = max(0, row - r), min(h - 1, row + r)
-    c0, c1 = max(0, col - r), min(w - 1, col + r)
-    return int(sat[r1 + 1, c1 + 1] - sat[r0, c1 + 1] - sat[r1 + 1, c0] + sat[r0, c0])
+    r0, r1 = np.maximum(0, row - r), np.minimum(h - 1, row + r) + 1
+    c0, c1 = np.maximum(0, col - r), np.minimum(w - 1, col + r) + 1
+    return sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]
 
 
 def integral_image(a: np.ndarray) -> np.ndarray:

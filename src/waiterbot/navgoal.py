@@ -5,7 +5,8 @@ midpoints pushed out by robot radius + clearance), keep the one closest to
 the robot, then search the grid window around it.  Each cell's risk is
 augmented with a distance weight toward the candidate point, the weighted
 values are summed over a square neighborhood per cell, and the admissible
-cell (risk < 100) with the lowest sum wins.
+cell (risk < 100) with the lowest sum wins; ties go to the cell closer to the
+candidate point, then to the lower row-major index.
 
 The risk field is the only admissibility rule.  It must be built from
 `FurnitureLayer.virtual_obstacles`, which marks OCCUPIED every cell whose
@@ -13,10 +14,12 @@ center (`origin + (i + 0.5) * res`) passes the closed footprint test; those
 cells hold risk 100 at any inflation radius >= 0, so no goal can land inside
 a piece of furniture.
 
-`select_goal` is the fast path (summed-area table); `brute_force_goal` is the
-same contract as plain nested loops.  Both must return identical cells and
-costs; the test suite enforces this exhaustively.  Keep the float expressions
-(`sqrt(dx*dx + dy*dy)`, half-even rounding) in sync between the two.
+`select_goal` scores the whole window at once: one summed-area table of the
+weighted values gives every clipped neighborhood sum (Crow 1984), and one
+`lexsort` over (cost, distance, index) picks the goal.  The test suite checks
+it exhaustively against a plain nested-loop oracle (`tests/oracles.py`); keep
+the float expressions (`sqrt(dx*dx + dy*dy)`, half-even rounding) in sync
+with it.
 """
 
 from __future__ import annotations
@@ -94,12 +97,6 @@ def _axis_indices(center: float, half_width: float, origin: float, resolution: f
     return [i for i in range(lo, hi + 1) if abs(origin + (i + 0.5) * resolution - center) <= half_width]
 
 
-def _goal_from(grid: GridMap, target: FurnitureInstance, col: int, row: int, cost: int) -> NavGoal:
-    cx, cy = cell_to_world(grid, CellIndex(col, row))
-    heading = math.atan2(target.pose.y - cy, target.pose.x - cx)
-    return NavGoal(CellIndex(col, row), Pose2D(cx, cy, heading), cost)
-
-
 def select_goal(
     grid: GridMap,
     risk: RiskField,
@@ -134,68 +131,18 @@ def select_goal(
     totals = risk.risk[r0 : r1 + 1, c0 : c1 + 1] + np.rint(params.alpha * dists).astype(np.int64)
     sat = integral_image(totals)
 
-    best: tuple[int, float, int] | None = None
-    best_cell = None
-    for row in rows:
-        for col in cols:
-            if risk.risk[row, col] >= RISK_MAX:
-                continue
-            cost = window_sum(sat, col - c0, row - r0, nr)
-            ddx = ox + (col + 0.5) * res - px
-            ddy = oy + (row + 0.5) * res - py
-            key = (cost, math.sqrt(ddx * ddx + ddy * ddy), row * grid.width + col)
-            if best is None or key < best:
-                best = key
-                best_cell = (col, row)
-    if best_cell is None:
+    # every window cell at once: (m, 1) rows against (1, n) columns
+    wr = np.asarray(rows)[:, None]
+    wc = np.asarray(cols)[None, :]
+    costs = window_sum(sat, wc - c0, wr - r0, nr)
+    dist = dists[wr - r0, wc - c0]
+    idx = wr * grid.width + wc
+    ok = risk.risk[wr, wc] < RISK_MAX
+    if not ok.any():
         raise NoGoalError("no admissible cell in the candidate window")
-    return _goal_from(grid, target, best_cell[0], best_cell[1], best[0])
-
-
-def brute_force_goal(
-    grid: GridMap,
-    risk: RiskField,
-    target: FurnitureInstance,
-    robot_pose: Pose2D,
-    params: NavGoalParams,
-) -> NavGoal:
-    """Same contract as select_goal, as plain nested loops (reference oracle).
-
-    Same precondition: `risk` must come from `virtual_obstacles`.
-    """
-    px, py = select_candidate(candidate_points(target, params), robot_pose)
-    nr = params.cell_neighborhood(grid.resolution)
-    whw = params.window_half_width
-    res = grid.resolution
-    ox, oy = grid.origin
-
-    def total(col: int, row: int) -> int:
-        cx = ox + (col + 0.5) * res
-        cy = oy + (row + 0.5) * res
-        dx, dy = cx - px, cy - py
-        return int(risk.risk[row, col]) + round(params.alpha * math.sqrt(dx * dx + dy * dy))
-
-    best = None
-    best_cell = None
-    for row in range(grid.height):
-        cy = oy + (row + 0.5) * res
-        if abs(cy - py) > whw:
-            continue
-        for col in range(grid.width):
-            cx = ox + (col + 0.5) * res
-            if abs(cx - px) > whw:
-                continue
-            if int(risk.risk[row, col]) >= RISK_MAX:
-                continue
-            cost = 0
-            for nrow in range(max(0, row - nr), min(grid.height - 1, row + nr) + 1):
-                for ncol in range(max(0, col - nr), min(grid.width - 1, col + nr) + 1):
-                    cost += total(ncol, nrow)
-            dx, dy = cx - px, cy - py
-            key = (cost, math.sqrt(dx * dx + dy * dy), row * grid.width + col)
-            if best is None or key < best:
-                best = key
-                best_cell = (col, row)
-    if best_cell is None:
-        raise NoGoalError("no admissible cell in the candidate window")
-    return _goal_from(grid, target, best_cell[0], best_cell[1], best[0])
+    costs, dist, idx = costs[ok], dist[ok], idx[ok]
+    best = np.lexsort((idx, dist, costs))[0]
+    row, col = divmod(int(idx[best]), grid.width)
+    cx, cy = cell_to_world(grid, CellIndex(col, row))
+    heading = math.atan2(target.pose.y - cy, target.pose.x - cx)
+    return NavGoal(CellIndex(col, row), Pose2D(cx, cy, heading), int(costs[best]))

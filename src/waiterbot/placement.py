@@ -1,10 +1,17 @@
 """Placement-area detection: RANSAC plane fit, then a clearance search.
 
 The plane is fit from 3-point hypotheses scored by inlier count and refined
-by a least-squares eigen refit over the winning inlier set.  Placement then
-rasterizes the inlier hull at 2 cm, marks cells occupied where off-plane
-points project from the band above the surface, and picks the free cell with
-the largest distance to the nearest occupied cell or hull edge.
+by a least-squares eigen refit over the winning inlier set.  All triples are
+drawn first, in the same `rng.choice` order as a per-hypothesis loop would,
+then scored in blocks of `HYPOTHESIS_BLOCK` with one distance matrix per block
+(batch scoring as in Nister 2005, *Preemptive RANSAC*).  The first hypothesis
+with the highest count wins: `argmax` inside a block, strict `>` across blocks.
+
+Placement then rasterizes the inlier hull at 2 cm, marks cells occupied where
+off-plane points project from the band above the surface, and picks the free
+cell with the largest distance to the nearest occupied cell or hull edge.  The
+raster is array code: one half-plane test and one point-segment distance per
+hull edge, broadcast over all cell centers.
 """
 
 from __future__ import annotations
@@ -15,11 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geometry import convex_hull, point_in_convex_polygon, point_polygon_edge_distance
+from .geometry import convex_hull
 
 OCCUPANCY_BAND_M = 0.30
 GRID_PITCH_M = 0.02
 CLEARANCE_MARGIN_M = 0.02
+# hypotheses scored per distance matrix: (n_pts x 32) floats keeps peak memory
+# low while amortizing the per-call overhead over the block
+HYPOTHESIS_BLOCK = 32
 
 
 class PlacementError(Exception):
@@ -120,23 +130,24 @@ def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.nda
         raise PlaneFitError(f"need at least 3 points, got {n_pts}")
 
     rng = np.random.default_rng(params.seed)
+    triples = np.array([rng.choice(n_pts, size=3, replace=False) for _ in range(params.iterations)])
     best_count = -1
     best_inliers: np.ndarray | None = None
-    for _ in range(params.iterations):
-        idx = rng.choice(n_pts, size=3, replace=False)
-        a, b, c = pts[idx]
+    for start in range(0, len(triples), HYPOTHESIS_BLOCK):
+        a, b, c = (pts[triples[start : start + HYPOTHESIS_BLOCK, k]] for k in range(3))
         n = np.cross(b - a, c - a)
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            continue
-        n = n / norm
-        d = -n @ a
-        dists = np.abs(pts @ n + d)
-        inliers = dists <= params.inlier_eps
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
+        norm = np.linalg.norm(n, axis=1)
+        degenerate = norm < 1e-12
+        n = n / np.where(degenerate, 1.0, norm)[:, None]
+        d = -np.einsum("ij,ij->i", n, a)
+        dists = pts @ n.T  # (n_pts, block), reused in place to keep the peak small
+        dists += d
+        inliers = np.abs(dists, out=dists) <= params.inlier_eps
+        counts = np.where(degenerate, -1, inliers.sum(axis=0))
+        j = int(np.argmax(counts))  # first best inside the block
+        if counts[j] > best_count:  # strict: an earlier block keeps a tie
+            best_count = int(counts[j])
+            best_inliers = inliers[:, j]
     if best_inliers is None:
         raise PlaneFitError("every sampled triple was degenerate")
     if best_count < params.min_inlier_fraction * n_pts:
@@ -157,6 +168,46 @@ def plane_basis(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = u / np.linalg.norm(u)
     v = np.cross(n, u)
     return u, v, n
+
+
+def _raster(
+    hull: list[tuple[float, float]], s_occ: np.ndarray, t_occ: np.ndarray, pitch: float
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of size `pitch` over the hull's bounding box, row = t, col = s.
+
+    Returns (s_lo, t_lo, occupied, in_hull, edge_dist): `occupied` marks cells
+    holding any (s_occ, t_occ) point, `in_hull` cell centers inside the closed
+    CCW hull, and `edge_dist` their distance to the nearest hull edge (0.0
+    outside).  Every array expression keeps the operand order of the scalar
+    formulas, so the masks match a per-cell loop exactly.  Squares are `d * d`:
+    Python's `d ** 2` goes through libm `pow`, which can be 1 ulp off the
+    product, so the distances may differ from a `** 2` loop in the last bit.
+    """
+    s_lo, t_lo = min(p[0] for p in hull), min(p[1] for p in hull)
+    n_cols = max(1, math.ceil((max(p[0] for p in hull) - s_lo) / pitch))
+    n_rows = max(1, math.ceil((max(p[1] for p in hull) - t_lo) / pitch))
+
+    occupied = np.zeros((n_rows, n_cols), dtype=bool)
+    cols = np.floor((s_occ - s_lo) / pitch)
+    rows = np.floor((t_occ - t_lo) / pitch)
+    keep = (cols >= 0) & (cols < n_cols) & (rows >= 0) & (rows < n_rows)
+    occupied[rows[keep].astype(np.intp), cols[keep].astype(np.intp)] = True
+
+    cs = (s_lo + (np.arange(n_cols) + 0.5) * pitch)[None, :]  # cell-center s, one row
+    ct = (t_lo + (np.arange(n_rows) + 0.5) * pitch)[:, None]  # cell-center t, one column
+    in_hull = np.ones((n_rows, n_cols), dtype=bool)
+    edge_dist = np.full((n_rows, n_cols), np.inf)
+    for i, (ax, ay) in enumerate(hull):
+        bx, by = hull[(i + 1) % len(hull)]
+        in_hull &= ~((bx - ax) * (ct - ay) - (by - ay) * (cs - ax) < 0.0)
+        dx, dy = bx - ax, by - ay
+        seg2 = dx * dx + dy * dy
+        tt = np.clip(((cs - ax) * dx + (ct - ay) * dy) / seg2, 0.0, 1.0)  # hull vertices are distinct
+        ex = cs - (ax + tt * dx)
+        ey = ct - (ay + tt * dy)
+        np.minimum(edge_dist, np.sqrt(ex * ex + ey * ey), out=edge_dist)
+    edge_dist[~in_hull] = 0.0
+    return s_lo, t_lo, occupied, in_hull, edge_dist
 
 
 def find_placement(
@@ -187,37 +238,18 @@ def find_placement(
     if len(hull) < 3:
         raise NoSpaceError("inlier hull is degenerate")
 
-    s_lo, t_lo = min(p[0] for p in hull), min(p[1] for p in hull)
-    n_cols = max(1, math.ceil((max(p[0] for p in hull) - s_lo) / pitch))
-    n_rows = max(1, math.ceil((max(p[1] for p in hull) - t_lo) / pitch))
-
-    occupied = np.zeros((n_rows, n_cols), dtype=bool)
     above = ~inlier_mask & (h > 0) & (h <= band)
-    for si, ti in zip(s[above], t[above]):
-        col = math.floor((si - s_lo) / pitch)
-        row = math.floor((ti - t_lo) / pitch)
-        if 0 <= col < n_cols and 0 <= row < n_rows:
-            occupied[row, col] = True
-
-    in_hull = np.zeros((n_rows, n_cols), dtype=bool)
-    edge_dist = np.zeros((n_rows, n_cols), dtype=np.float64)
-    for row in range(n_rows):
-        for col in range(n_cols):
-            cs = s_lo + (col + 0.5) * pitch
-            ct = t_lo + (row + 0.5) * pitch
-            if point_in_convex_polygon((cs, ct), hull):
-                in_hull[row, col] = True
-                edge_dist[row, col] = point_polygon_edge_distance((cs, ct), hull)
+    s_lo, t_lo, occupied, in_hull, edge_dist = _raster(hull, s[above], t[above], pitch)
 
     if occupied.any():
         obstacle_dist = ndimage.distance_transform_edt(~occupied) * pitch
     else:
-        obstacle_dist = np.full((n_rows, n_cols), np.inf)
+        obstacle_dist = np.full(occupied.shape, np.inf)
     clearance = np.minimum(obstacle_dist, edge_dist)
     clearance[~in_hull | occupied] = -1.0
 
     flat = int(np.argmax(clearance))  # row-major argmax = row-major tie-break
-    row, col = divmod(flat, n_cols)
+    row, col = divmod(flat, occupied.shape[1])
     if clearance[row, col] < object_radius + margin:
         raise NoSpaceError(
             f"best clearance {clearance[row, col]:.3f} m below "

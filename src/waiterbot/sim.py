@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .furniture import FurnitureLayer, FurnitureNotFound, detections_from_json
+from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound, detections_from_json
 from .geometry import Pose2D
 from .grid import RISK_MAX, CellIndex, GridMap, RiskField, inflate, load_grid, world_to_cell
 from .llm import Menu, RuleBackend
@@ -144,7 +144,9 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     last_t = -math.inf
     for i, ev in enumerate(events):
         t = _require(ev, i, "t")
-        if not isinstance(t, (int, float)) or t < last_t:
+        if not isinstance(t, (int, float)) or not math.isfinite(t):
+            raise ScenarioError(f"event {i}: t must be a finite number, got {t!r}")
+        if t < last_t:
             raise ScenarioError(f"event {i}: timestamps must be non-decreasing")
         last_t = t
         kind = _require(ev, i, "type")
@@ -165,7 +167,9 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
                 _require(ev, i, "text")
         elif kind == "fault":
             _require(ev, i, "skill")
-            _require(ev, i, "trigger")
+            trigger = _require(ev, i, "trigger")
+            if not isinstance(trigger, int) or isinstance(trigger, bool) or trigger < 0:
+                raise ScenarioError(f"event {i}: trigger must be a non-negative integer, got {trigger!r}")
             mode = ev.get("mode", "fail")
             if mode not in ("fail", "wrong_item"):
                 raise ScenarioError(f"event {i}: unknown fault mode {mode!r}")
@@ -250,6 +254,33 @@ def path_cost(path: list[CellIndex]) -> float:
     for a, b in zip(path, path[1:]):
         total += SQRT2 if (a.col != b.col and a.row != b.row) else 1.0
     return total
+
+
+def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
+    """Synthetic exact tabletop grid plus a 3 x 3 point cluster per item on the table.
+
+    Points come i-major (then j), then item by item; the float expressions are
+    those of the per-point loop in `tests/oracles.py`, so the cloud is bit-equal.
+    """
+    w, d, h = table.dims
+    top_z = table.base_z + h
+    c, s = math.cos(table.pose.theta), math.sin(table.pose.theta)
+
+    def world(lx, ly, z):
+        x = table.pose.x + c * lx - s * ly
+        y = table.pose.y + s * lx + c * ly
+        return np.column_stack([x.ravel(), y.ravel(), np.full(x.size, z)])
+
+    nx = max(4, int(w / 0.05))
+    ny = max(4, int(d / 0.05))
+    lx, ly = np.meshgrid(-w / 2 + (np.arange(nx) + 0.5) * w / nx,
+                         -d / 2 + (np.arange(ny) + 0.5) * d / ny, indexing="ij")
+    k = np.arange(n_items)[:, None, None]
+    step = 0.02 * np.arange(3)
+    item_lx = (-w / 2 + 0.12 + 0.18 * (k % 4)) + step[None, :, None]
+    item_ly = (-d / 2 + 0.12 + 0.18 * (k // 4)) + step[None, None, :]
+    item_lx, item_ly = np.broadcast_arrays(item_lx, item_ly)
+    return np.vstack([world(lx, ly, top_z), world(item_lx, item_ly, top_z + 0.06)])
 
 
 class Simulation:
@@ -477,7 +508,7 @@ class Simulation:
             table = self.layer.get(self.location)
         except FurnitureNotFound:
             return failed("nowhere to place")
-        cloud = self._tabletop_cloud(table)
+        cloud = tabletop_cloud(table, len(self.table_items.get(table.id, [])))
         seed = self.config.seed * 1_000_003 + self._placement_count
         self._placement_count += 1
         try:
@@ -487,36 +518,6 @@ class Simulation:
             return failed(str(e))
         self._log("placement", table=self.location, point=[round(v, 4) for v in spot])
         return OK
-
-    def _tabletop_cloud(self, table) -> np.ndarray:
-        """Synthetic exact tabletop grid plus one cluster per item on the table."""
-        w, d, h = table.dims
-        top_z = table.base_z + h
-        c, s = math.cos(table.pose.theta), math.sin(table.pose.theta)
-        points = []
-        nx = max(4, int(w / 0.05))
-        ny = max(4, int(d / 0.05))
-        for i in range(nx):
-            for j in range(ny):
-                lx = -w / 2 + (i + 0.5) * w / nx
-                ly = -d / 2 + (j + 0.5) * d / ny
-                points.append(
-                    (table.pose.x + c * lx - s * ly, table.pose.y + s * lx + c * ly, top_z)
-                )
-        items = self.table_items.get(table.id, [])
-        for k, _item in enumerate(items):
-            lx = -w / 2 + 0.12 + 0.18 * (k % 4)
-            ly = -d / 2 + 0.12 + 0.18 * (k // 4)
-            for di in range(3):
-                for dj in range(3):
-                    points.append(
-                        (
-                            table.pose.x + c * (lx + 0.02 * di) - s * (ly + 0.02 * dj),
-                            table.pose.y + s * (lx + 0.02 * di) + c * (ly + 0.02 * dj),
-                            top_z + 0.06,
-                        )
-                    )
-        return np.asarray(points, dtype=np.float64)
 
     def _skill_place(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
         if fault:

@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 
-from waiterbot.grid import RISK_MAX, CellState
+from waiterbot.geometry import Pose2D, point_in_convex_polygon
+from waiterbot.grid import RISK_MAX, CellIndex, CellState, cell_to_world
+from waiterbot.navgoal import NavGoal, NoGoalError, candidate_points, select_candidate
+from waiterbot.placement import InsufficientSupportError, Plane, PlaneFitError, _refit
 
 
 def naive_inflate(grid, radius: float) -> np.ndarray:
@@ -70,8 +73,6 @@ def relaxation_path_cost(risk: np.ndarray, start, goal) -> float | None:
 
 def naive_clearance(occupied: np.ndarray, hull, pitch: float, s_lo: float, t_lo: float) -> np.ndarray:
     """Per-cell min distance to any occupied cell center or hull edge; -1 outside."""
-    from waiterbot.geometry import point_in_convex_polygon, point_polygon_edge_distance
-
     n_rows, n_cols = occupied.shape
     occ_centers = [
         (s_lo + (col + 0.5) * pitch, t_lo + (row + 0.5) * pitch)
@@ -95,3 +96,150 @@ def naive_clearance(occupied: np.ndarray, hull, pitch: float, s_lo: float, t_lo:
                     best = d
             out[row, col] = best
     return out
+
+
+def point_segment_distance(p: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
+    ax, ay = a
+    bx, by = b
+    dx, dy = bx - ax, by - ay
+    seg2 = dx * dx + dy * dy
+    if seg2 == 0.0:
+        return math.sqrt((p[0] - ax) ** 2 + (p[1] - ay) ** 2)
+    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / seg2
+    t = max(0.0, min(1.0, t))
+    qx, qy = ax + t * dx, ay + t * dy
+    return math.sqrt((p[0] - qx) ** 2 + (p[1] - qy) ** 2)
+
+
+def point_polygon_edge_distance(p: tuple[float, float], poly: list[tuple[float, float]]) -> float:
+    """Distance from a point to the boundary of a polygon."""
+    n = len(poly)
+    return min(point_segment_distance(p, poly[i], poly[(i + 1) % n]) for i in range(n))
+
+
+def scalar_raster(hull, s_occ, t_occ, pitch: float):
+    """Per-point and per-cell loop with the contract of `placement._raster`."""
+    s_lo, t_lo = min(p[0] for p in hull), min(p[1] for p in hull)
+    n_cols = max(1, math.ceil((max(p[0] for p in hull) - s_lo) / pitch))
+    n_rows = max(1, math.ceil((max(p[1] for p in hull) - t_lo) / pitch))
+
+    occupied = np.zeros((n_rows, n_cols), dtype=bool)
+    for si, ti in zip(s_occ, t_occ):
+        col = math.floor((si - s_lo) / pitch)
+        row = math.floor((ti - t_lo) / pitch)
+        if 0 <= col < n_cols and 0 <= row < n_rows:
+            occupied[row, col] = True
+
+    in_hull = np.zeros((n_rows, n_cols), dtype=bool)
+    edge_dist = np.zeros((n_rows, n_cols), dtype=np.float64)
+    for row in range(n_rows):
+        for col in range(n_cols):
+            cs = s_lo + (col + 0.5) * pitch
+            ct = t_lo + (row + 0.5) * pitch
+            if point_in_convex_polygon((cs, ct), hull):
+                in_hull[row, col] = True
+                edge_dist[row, col] = point_polygon_edge_distance((cs, ct), hull)
+    return s_lo, t_lo, occupied, in_hull, edge_dist
+
+
+def loop_ransac_plane(cloud, params):
+    """`ransac_plane` with one hypothesis scored at a time."""
+    pts = np.asarray(cloud, dtype=np.float64)
+    n_pts = len(pts)
+    rng = np.random.default_rng(params.seed)
+    best_count = -1
+    best_inliers = None
+    for _ in range(params.iterations):
+        idx = rng.choice(n_pts, size=3, replace=False)
+        a, b, c = pts[idx]
+        n = np.cross(b - a, c - a)
+        norm = np.linalg.norm(n)
+        if norm < 1e-12:
+            continue
+        n = n / norm
+        d = -n @ a
+        inliers = np.abs(pts @ n + d) <= params.inlier_eps
+        count = int(inliers.sum())
+        if count > best_count:
+            best_count = count
+            best_inliers = inliers
+    if best_inliers is None:
+        raise PlaneFitError("every sampled triple was degenerate")
+    if best_count < params.min_inlier_fraction * n_pts:
+        raise InsufficientSupportError(f"{best_count}/{n_pts} inliers")
+    inlier_idx = np.flatnonzero(best_inliers)
+    n, d = _refit(pts[inlier_idx])
+    return Plane((float(n[0]), float(n[1]), float(n[2])), d), inlier_idx
+
+
+def loop_tabletop_cloud(table, n_items: int) -> np.ndarray:
+    """`sim.tabletop_cloud` point by point."""
+    w, d, h = table.dims
+    top_z = table.base_z + h
+    c, s = math.cos(table.pose.theta), math.sin(table.pose.theta)
+    points = []
+    nx = max(4, int(w / 0.05))
+    ny = max(4, int(d / 0.05))
+    for i in range(nx):
+        for j in range(ny):
+            lx = -w / 2 + (i + 0.5) * w / nx
+            ly = -d / 2 + (j + 0.5) * d / ny
+            points.append((table.pose.x + c * lx - s * ly, table.pose.y + s * lx + c * ly, top_z))
+    for k in range(n_items):
+        lx = -w / 2 + 0.12 + 0.18 * (k % 4)
+        ly = -d / 2 + 0.12 + 0.18 * (k // 4)
+        for di in range(3):
+            for dj in range(3):
+                points.append(
+                    (
+                        table.pose.x + c * (lx + 0.02 * di) - s * (ly + 0.02 * dj),
+                        table.pose.y + s * (lx + 0.02 * di) + c * (ly + 0.02 * dj),
+                        top_z + 0.06,
+                    )
+                )
+    return np.asarray(points, dtype=np.float64)
+
+
+def brute_force_goal(grid, risk, target, robot_pose, params) -> NavGoal:
+    """`select_goal`'s contract as plain nested loops over the whole map.
+
+    Same precondition: `risk` must come from `virtual_obstacles`.
+    """
+    px, py = select_candidate(candidate_points(target, params), robot_pose)
+    nr = params.cell_neighborhood(grid.resolution)
+    whw = params.window_half_width
+    res = grid.resolution
+    ox, oy = grid.origin
+
+    def total(col: int, row: int) -> int:
+        cx = ox + (col + 0.5) * res
+        cy = oy + (row + 0.5) * res
+        dx, dy = cx - px, cy - py
+        return int(risk.risk[row, col]) + round(params.alpha * math.sqrt(dx * dx + dy * dy))
+
+    best = None
+    best_cell = None
+    for row in range(grid.height):
+        cy = oy + (row + 0.5) * res
+        if abs(cy - py) > whw:
+            continue
+        for col in range(grid.width):
+            cx = ox + (col + 0.5) * res
+            if abs(cx - px) > whw:
+                continue
+            if int(risk.risk[row, col]) >= RISK_MAX:
+                continue
+            cost = 0
+            for nrow in range(max(0, row - nr), min(grid.height - 1, row + nr) + 1):
+                for ncol in range(max(0, col - nr), min(grid.width - 1, col + nr) + 1):
+                    cost += total(ncol, nrow)
+            dx, dy = cx - px, cy - py
+            key = (cost, math.sqrt(dx * dx + dy * dy), row * grid.width + col)
+            if best is None or key < best:
+                best = key
+                best_cell = CellIndex(col, row)
+    if best_cell is None:
+        raise NoGoalError("no admissible cell in the candidate window")
+    cx, cy = cell_to_world(grid, best_cell)
+    heading = math.atan2(target.pose.y - cy, target.pose.x - cx)
+    return NavGoal(best_cell, Pose2D(cx, cy, heading), best[0])

@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import naive_inflate
+from oracles import brute_force_goal, naive_inflate
 from waiterbot.cli import dispatch
 from waiterbot.furniture import Detection3D, FurnitureLayer, TrackStatus
 from waiterbot.geometry import OrientedBox3, Pose2D, iou_3d
 from waiterbot.grid import GridMap, inflate, load_grid, save_grid
 from waiterbot.layers import dump_layers, load_layers
 from waiterbot.llm import Menu, MenuItem
-from waiterbot.navgoal import NavGoalParams, NoGoalError, brute_force_goal, select_goal
+from waiterbot.navgoal import NavGoalParams, NoGoalError, select_goal
 from waiterbot.placement import RansacParams, load_cloud, ransac_plane, save_cloud
 from waiterbot.sim import Metrics, RunConfig, load_scenario, run
 from waiterbot.tasks import OK, Outcome, ParsedTask, Pipeline, default_registry, execute, failed, render_trace

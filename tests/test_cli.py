@@ -148,6 +148,34 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, ["run", "--scenario", "no_such.json"])
         assert code == 2
 
+    def _run_mutated(self, capsys, tmp_path, mutate):
+        doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
+        doc["world"]["grid_file"] = str(SCENARIOS / doc["world"]["grid_file"])
+        index = mutate(doc["events"])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["run", "--scenario", path])
+        return code, out, err, index
+
+    def test_nan_timestamp_exits_2(self, capsys, tmp_path):
+        def mutate(events):
+            events[3]["t"] = float("nan")  # written as NaN, which json.loads accepts
+            return 3
+
+        code, out, err, index = self._run_mutated(capsys, tmp_path, mutate)
+        assert code == 2
+        assert f"event {index}" in err and out == ""
+
+    def test_string_fault_trigger_exits_2(self, capsys, tmp_path):
+        def mutate(events):
+            index = next(i for i, ev in enumerate(events) if ev["type"] == "fault")
+            events[index]["trigger"] = str(events[index]["trigger"])
+            return index
+
+        code, out, err, index = self._run_mutated(capsys, tmp_path, mutate)
+        assert code == 2
+        assert f"event {index}" in err and out == ""
+
     def test_unknown_flag_exits_2(self, capsys):
         code = dispatch(["run", "--scenario", str(SCENARIOS / "restaurant_41.json"), "--warp"])
         capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import point_polygon_edge_distance
 from waiterbot.geometry import (
     OrientedBox3,
     Pose2D,
@@ -13,7 +14,6 @@ from waiterbot.geometry import (
     iou_3d,
     normalize_angle,
     point_in_convex_polygon,
-    point_polygon_edge_distance,
     polygon_area,
     rect_corners,
 )

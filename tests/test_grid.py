@@ -130,6 +130,18 @@ class TestNeighborhoodCost:
                 for col in range(16):
                     assert window_sum(sat, col, row, r) == naive_window_sum(values, col, row, r)
 
+    def test_index_arrays_broadcast_to_a_block_of_windows(self):
+        rng = np.random.default_rng(8)
+        values = rng.integers(0, 100, size=(9, 13))
+        sat = integral_image(values)
+        rows = np.array([0, 2, 3, 8])[:, None]
+        cols = np.array([1, 5, 12])[None, :]
+        block = window_sum(sat, cols, rows, 2)
+        assert block.shape == (4, 3)
+        for i, row in enumerate(rows[:, 0]):
+            for j, col in enumerate(cols[0]):
+                assert block[i, j] == naive_window_sum(values, int(col), int(row), 2)
+
 
 class TestSerialization:
     def test_two_by_two_document(self):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brute_force_goal
 from waiterbot.furniture import Detection3D, FurnitureLayer
 from waiterbot.geometry import Pose2D, point_in_convex_polygon
 from waiterbot.grid import RISK_MAX, GridMap, inflate
 from waiterbot.navgoal import (
     NavGoalParams,
     NoGoalError,
-    brute_force_goal,
     candidate_points,
     select_candidate,
     select_goal,

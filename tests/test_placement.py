@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import naive_clearance
+from waiterbot import placement
+from waiterbot.furniture import Detection3D, FurnitureLayer
 from waiterbot.geometry import convex_hull
 from waiterbot.placement import (
     InsufficientSupportError,
@@ -18,6 +21,7 @@ from waiterbot.placement import (
     ransac_plane,
     save_cloud,
 )
+from waiterbot.sim import tabletop_cloud
 
 
 def flat_cloud(z=1.0, nx=22, ny=18, half_w=0.55, half_d=0.45):
@@ -202,3 +206,96 @@ class TestCloudIO:
         with pytest.raises(PlacementError) as err:
             load_cloud("0 0 zero\n")
         assert "line 1" in str(err.value)
+
+
+def tabletops():
+    """(table, n_items): banquet-size and restaurant-size tables, rotated, 0-8 items."""
+    rng = np.random.default_rng(11)
+    for dims in ((2.4, 1.4, 0.72), (1.2, 0.8, 0.72)):
+        for n_items in range(9):
+            layer = FurnitureLayer()
+            center = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)), dims[2] / 2)
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            layer.register(Detection3D("table", center, dims, yaw, 0), "t")
+            yield layer.get("t"), n_items
+
+
+def criterion_6_cloud(trial):
+    """The noisy plane-plus-clutter cloud of acceptance criterion 6."""
+    rng = np.random.default_rng(5000 + trial)
+    xy = rng.uniform(-0.6, 0.6, (420, 2))
+    inliers = np.column_stack([xy, 0.74 + rng.normal(0, 0.002, 420)])
+    outliers = np.column_stack([rng.uniform(-1, 1, 180), rng.uniform(-1, 1, 180), rng.uniform(0, 1, 180)])
+    return np.vstack([inliers, outliers])
+
+
+class TestArrayCodeMatchesLoops:
+    """The array code in placement and sim against the per-cell loops in oracles."""
+
+    def test_tabletop_cloud_bit_identical(self):
+        for table, n_items in tabletops():
+            fast = tabletop_cloud(table, n_items)
+            slow = oracles.loop_tabletop_cloud(table, n_items)
+            assert fast.shape == slow.shape
+            assert fast.tobytes() == slow.tobytes()
+
+    def test_raster_and_point_match_scalar_loop(self, monkeypatch):
+        vectorised = placement._raster
+        cells = 0
+
+        def checked(hull, s_occ, t_occ, pitch):
+            nonlocal cells
+            fast = vectorised(hull, s_occ, t_occ, pitch)
+            slow = oracles.scalar_raster(hull, s_occ, t_occ, pitch)
+            assert fast[:2] == slow[:2]
+            assert np.array_equal(fast[2], slow[2])  # occupied
+            assert np.array_equal(fast[3], slow[3])  # in_hull
+            assert np.abs(fast[4] - slow[4]).max() <= 1e-12
+            cells += fast[2].size
+            return fast
+
+        for table, n_items in tabletops():
+            cloud = tabletop_cloud(table, n_items)
+            plane, inliers = ransac_plane(cloud, RansacParams(seed=n_items))
+            monkeypatch.setattr(placement, "_raster", checked)
+            point = find_placement(cloud, plane, inliers, object_radius=0.05)
+            monkeypatch.setattr(placement, "_raster", oracles.scalar_raster)
+            assert find_placement(cloud, plane, inliers, object_radius=0.05) == point
+        assert cells > 100_000
+
+    def test_raster_marks_occupied_cells_and_drops_outside_points(self):
+        hull = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        s_occ = np.array([0.05, 0.5, -0.3, 1.5, 0.999])
+        t_occ = np.array([0.05, 0.5, 0.5, 0.5, 0.999])
+        fast = placement._raster(hull, s_occ, t_occ, 0.1)
+        slow = oracles.scalar_raster(hull, s_occ, t_occ, 0.1)
+        assert np.array_equal(fast[2], slow[2])
+        assert np.flatnonzero(fast[2]).tolist() == [0, 55, 99]
+
+    def test_ransac_same_plane_and_inliers_as_loop(self):
+        clouds = [(criterion_6_cloud(trial), RansacParams(seed=trial)) for trial in range(100)]
+        clouds += [(tabletop_cloud(table, n), RansacParams(seed=n)) for table, n in tabletops()]
+        for cloud, params in clouds:
+            plane, inliers = ransac_plane(cloud, params)
+            loop_plane, loop_inliers = oracles.loop_ransac_plane(cloud, params)
+            assert plane == loop_plane
+            assert np.array_equal(inliers, loop_inliers)
+
+    @pytest.mark.parametrize("iterations", [1, 31, 32, 33, 200])
+    def test_ransac_first_best_tie_break(self, iterations):
+        # two parallel planes with equal point counts: every hypothesis drawn
+        # from one plane ties, so the plane of the first such draw must win
+        lower = flat_cloud(z=0.0, nx=10, ny=10)
+        cloud = np.vstack([lower, lower + np.array([0.0, 0.0, 1.0])])
+        params_list = [RansacParams(iterations=iterations, seed=s, min_inlier_fraction=0.4)
+                       for s in range(20)]
+        for params in params_list:
+            try:
+                loop = oracles.loop_ransac_plane(cloud, params)
+            except PlacementError as e:
+                with pytest.raises(type(e)):
+                    ransac_plane(cloud, params)
+                continue
+            plane, inliers = ransac_plane(cloud, params)
+            assert plane == loop[0]
+            assert np.array_equal(inliers, loop[1])
