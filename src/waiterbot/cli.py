@@ -145,7 +145,7 @@ def _backend_for(args, registry, menu):
     if args.backend == "rules":
         return None  # Pipeline defaults to the rule backend
     try:
-        config = BackendConfig(mode="remote", endpoint=args.endpoint, model=args.model)
+        config = BackendConfig(endpoint=args.endpoint, model=args.model)
     except ValueError as e:
         raise CliError(str(e), USAGE_EXIT) from None
     prompts = build_prompts("A small restaurant with customer tables and one kitchen table.",

@@ -1,21 +1,20 @@
-"""Semi-dynamic furniture layer: template-scaled instances tracked by 3D IoU.
+"""Semi-dynamic furniture layer: boxes tracked by 3D IoU, read as plan-view footprints.
 
-Detections carry a class label, a 3D center, dims and yaw.  Each class has a
-unit-cube template whose primitives are scaled by the detected dims, so a
-"table" keeps a free gap under its top slab in the collision world.  Tracking
+Detections carry a class label, a 3D center, dims and yaw.  Tracking
 associates detections to existing instances greedily by descending 3D IoU
-(threshold 0.1); unmatched detections get fresh `<class>_<k>` ids that are
-never reused.
+(threshold 0.1); unmatched detections get fresh `<class>_<k>` ids.  Instances
+are never removed, so an id names one piece of furniture for the whole run.
+Navigation reads the layer only through `virtual_obstacles`, which marks the
+grid cells under each footprint occupied.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .geometry import (
-    Box3,
     OrientedBox3,
     Pose2D,
     iou_3d,
@@ -79,68 +78,12 @@ def detections_from_json(frame: int, boxes: list[dict]) -> list[Detection3D]:
 
 
 @dataclass(frozen=True)
-class FurnitureTemplate:
-    """Primitive boxes in unit space [0,1]^3, scaled componentwise on placement."""
-
-    class_name: str
-    primitives: tuple[Box3, ...]
-
-    def __post_init__(self) -> None:
-        if not self.primitives:
-            raise ValueError("template needs at least one primitive")
-        for p in self.primitives:
-            if min(p.min_corner) < 0 or max(p.max_corner) > 1:
-                raise ValueError(f"primitive {p} outside the unit cube")
-
-
-def default_templates() -> dict[str, FurnitureTemplate]:
-    """Table = top slab + 4 corner legs; chair = seat + 4 legs + backrest."""
-    leg = 0.1
-    table_legs = [
-        Box3((x, y, 0.0), (x + leg, y + leg, 0.9))
-        for x in (0.0, 1.0 - leg)
-        for y in (0.0, 1.0 - leg)
-    ]
-    table = FurnitureTemplate("table", (Box3((0, 0, 0.9), (1, 1, 1)), *table_legs))
-    chair_legs = [
-        Box3((x, y, 0.0), (x + leg, y + leg, 0.45))
-        for x in (0.0, 1.0 - leg)
-        for y in (0.0, 1.0 - leg)
-    ]
-    chair = FurnitureTemplate(
-        "chair",
-        (Box3((0, 0, 0.45), (1, 1, 0.55)), *chair_legs, Box3((0, 0.9, 0.55), (1, 1, 1))),
-    )
-    return {"table": table, "chair": chair}
-
-
-def solid_template(class_name: str) -> FurnitureTemplate:
-    """Fallback for classes without a shaped template: one full box."""
-    return FurnitureTemplate(class_name, (Box3((0, 0, 0), (1, 1, 1)),))
-
-
-def scale_template(template: FurnitureTemplate, dims: tuple[float, float, float]) -> list[Box3]:
-    """Scale unit-space primitives componentwise by (w, d, h)."""
-    if min(dims) <= 0:
-        raise ValueError(f"dims must be positive, got {dims}")
-    w, d, h = dims
-    return [
-        Box3(
-            (p.min_corner[0] * w, p.min_corner[1] * d, p.min_corner[2] * h),
-            (p.max_corner[0] * w, p.max_corner[1] * d, p.max_corner[2] * h),
-        )
-        for p in template.primitives
-    ]
-
-
-@dataclass(frozen=True)
 class FurnitureInstance:
     id: str
     class_name: str
     pose: Pose2D
     base_z: float
     dims: tuple[float, float, float]
-    template: FurnitureTemplate
     last_seen: int
 
     def box(self) -> OrientedBox3:
@@ -151,44 +94,14 @@ class FurnitureInstance:
         """Full plan-view rectangle (w x d at the instance pose)."""
         return rect_corners(self.pose.x, self.pose.y, self.dims[0], self.dims[1], self.pose.theta)
 
-    def scaled_primitives(self) -> list[Box3]:
-        return scale_template(self.template, self.dims)
 
-    def world_primitives(self) -> list[OrientedBox3]:
-        """One oriented box per template primitive, placed at the instance pose."""
-        c, s = math.cos(self.pose.theta), math.sin(self.pose.theta)
-        w, d, _ = self.dims
-        out = []
-        for p in self.scaled_primitives():
-            ex, ey, ez = p.extents
-            # primitive center in the instance frame, plan origin at footprint center
-            lx = (p.min_corner[0] + p.max_corner[0]) / 2.0 - w / 2.0
-            ly = (p.min_corner[1] + p.max_corner[1]) / 2.0 - d / 2.0
-            lz = (p.min_corner[2] + p.max_corner[2]) / 2.0
-            out.append(
-                OrientedBox3(
-                    (
-                        self.pose.x + c * lx - s * ly,
-                        self.pose.y + s * lx + c * ly,
-                        self.base_z + lz,
-                    ),
-                    (ex, ey, ez),
-                    self.pose.theta,
-                )
-            )
-        return out
-
-
-def _instance_from(detection: Detection3D, instance_id: str,
-                   templates: dict[str, FurnitureTemplate]) -> FurnitureInstance:
-    template = templates.get(detection.class_name) or solid_template(detection.class_name)
+def _instance_from(detection: Detection3D, instance_id: str) -> FurnitureInstance:
     return FurnitureInstance(
         id=instance_id,
         class_name=detection.class_name,
         pose=Pose2D(detection.center[0], detection.center[1], detection.yaw),
         base_z=detection.center[2] - detection.dims[2] / 2.0,
         dims=detection.dims,
-        template=template,
         last_seen=detection.frame_id,
     )
 
@@ -196,10 +109,8 @@ def _instance_from(detection: Detection3D, instance_id: str,
 class FurnitureLayer:
     """Single-writer store of tracked furniture; reads hand out frozen instances."""
 
-    def __init__(self, templates: dict[str, FurnitureTemplate] | None = None):
-        self.templates = dict(templates) if templates is not None else default_templates()
+    def __init__(self) -> None:
         self._instances: dict[str, FurnitureInstance] = {}
-        self._used_ids: set[str] = set()
         self._class_counts: dict[str, int] = {}
         self.last_frame = -1
         self.kitchen_id: str | None = None
@@ -207,7 +118,7 @@ class FurnitureLayer:
     def _auto_id(self, class_name: str) -> str:
         k = self._class_counts.get(class_name, 0)
         candidate = f"{class_name}_{k}"
-        while candidate in self._used_ids:
+        while candidate in self._instances:
             k += 1
             candidate = f"{class_name}_{k}"
         self._class_counts[class_name] = k + 1
@@ -217,10 +128,9 @@ class FurnitureLayer:
         """Register one detection, with an explicit id or an auto-assigned one."""
         if instance_id is None:
             instance_id = self._auto_id(detection.class_name)
-        elif instance_id in self._used_ids:
+        elif instance_id in self._instances:
             raise FurnitureError(f"id {instance_id!r} already used")
-        self._used_ids.add(instance_id)
-        self._instances[instance_id] = _instance_from(detection, instance_id, self.templates)
+        self._instances[instance_id] = _instance_from(detection, instance_id)
         self.last_frame = max(self.last_frame, detection.frame_id)
         return instance_id
 
@@ -259,23 +169,12 @@ class FurnitureLayer:
         for di, det in enumerate(detections):
             iid = assigned.get(di)
             if iid is not None:
-                old = self._instances[iid]
-                self._instances[iid] = replace(
-                    _instance_from(det, iid, self.templates), template=old.template
-                )
+                self._instances[iid] = _instance_from(det, iid)
                 results.append((iid, TrackStatus.MATCHED))
             else:
                 results.append((self.register(det), TrackStatus.NEW))
         self.last_frame = frame_id
         return results
-
-    def delete(self, instance_id: str) -> None:
-        """Remove an instance; its id stays reserved forever."""
-        if instance_id not in self._instances:
-            raise FurnitureNotFound(instance_id)
-        del self._instances[instance_id]
-        if self.kitchen_id == instance_id:
-            self.kitchen_id = None
 
     def get(self, instance_id: str) -> FurnitureInstance:
         try:
@@ -308,10 +207,3 @@ class FurnitureLayer:
                     if point_in_convex_polygon(center, poly):
                         cells[row, col] = CellState.OCCUPIED
         return grid.with_cells(cells)
-
-    def export_collision_world(self) -> list[OrientedBox3]:
-        """All scaled primitives of all instances, world-placed, ordered by id."""
-        out: list[OrientedBox3] = []
-        for inst in self.instances():
-            out.extend(inst.world_primitives())
-        return out

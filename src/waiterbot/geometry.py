@@ -33,23 +33,6 @@ class Pose2D:
 
 
 @dataclass(frozen=True)
-class Box3:
-    """Axis-aligned box given by min/max corners (used for template primitives)."""
-
-    min_corner: tuple[float, float, float]
-    max_corner: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        for lo, hi in zip(self.min_corner, self.max_corner):
-            if not lo < hi:
-                raise ValueError(f"degenerate box: {self.min_corner}..{self.max_corner}")
-
-    @property
-    def extents(self) -> tuple[float, float, float]:
-        return tuple(hi - lo for lo, hi in zip(self.min_corner, self.max_corner))
-
-
-@dataclass(frozen=True)
 class OrientedBox3:
     """3D box with a yaw-only rotation: center, full dims (w, d, h), yaw."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -89,16 +89,6 @@ class GridMap:
 
     def in_bounds(self, c: CellIndex) -> bool:
         return 0 <= c.col < self.width and 0 <= c.row < self.height
-
-    def state(self, c: CellIndex) -> CellState:
-        if not self.in_bounds(c):
-            raise BoundsError(f"cell {c} outside {self.width}x{self.height} map")
-        return CellState(self.cells[c.row, c.col])
-
-    def indices(self) -> Iterator[CellIndex]:
-        for row in range(self.height):
-            for col in range(self.width):
-                yield CellIndex(col, row)
 
     def with_cells(self, cells: np.ndarray) -> "GridMap":
         return GridMap(self.resolution, self.origin, cells)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .furniture import Detection3D, FurnitureLayer
+from .furniture import Detection3D, FurnitureError, FurnitureLayer
 from .semantic import HumanEntity, HumanLayer, Zone
 
 
@@ -76,11 +76,14 @@ def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
                 frame_id=entry.get("last_seen", 0),
             )
             layer.register(det, entry["id"])
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError, FurnitureError) as e:
             raise LayerFormatError(f"bad furniture entry {entry!r}: {e}") from None
     kitchen = doc.get("kitchen")
     if kitchen is not None:
-        layer.set_kitchen(kitchen)
+        try:
+            layer.set_kitchen(kitchen)
+        except (FurnitureError, TypeError):
+            raise LayerFormatError(f"kitchen {kitchen!r} is not among the furniture entries") from None
 
     zones = []
     for entry in doc.get("zones", []):
@@ -100,7 +103,7 @@ def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
                 attributes=dict(entry.get("attributes", {})),
                 last_seen=entry.get("last_seen", 0),
             )
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise LayerFormatError(f"bad human entry {entry!r}: {e}") from None
         humans.restore(h)
     return layer, zones, humans

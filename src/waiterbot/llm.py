@@ -1,10 +1,10 @@
 """Utterance parsing and response backends.
 
-Three interchangeable modes: `rules` (deterministic pattern table, no
-network), `remote` (OpenAI-style chat-completions endpoint) and `stub`
-(scripted transport for tests).  All parse output flows through one line
-grammar, `task=<name>; slots=<k:v,...>`, so the remote and rule paths are
-drop-in replacements for each other.
+Two interchangeable backends: `RuleBackend` (deterministic pattern table, no
+network) and `RemoteBackend` (OpenAI-style chat-completions endpoint, reached
+through a transport that tests replace with `StubTransport`).  All parse
+output flows through one line grammar, `task=<name>; slots=<k:v,...>`, so the
+remote and rule paths are drop-in replacements for each other.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ class TransportError(Exception):
 
 @dataclass(frozen=True)
 class BackendConfig:
-    mode: str = "rules"  # rules | remote | stub
-    endpoint: str = ""
-    model: str = ""
+    endpoint: str
+    model: str
     temperature: float = 0.0
     timeout_s: float = 10.0
     max_retries: int = 3  # retries after the first attempt
@@ -45,10 +44,8 @@ class BackendConfig:
     backoff_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.mode not in ("rules", "remote", "stub"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "remote" and (not self.endpoint or not self.model):
-            raise ValueError("remote mode requires endpoint and model")
+        if not self.endpoint or not self.model:
+            raise ValueError("the remote backend requires endpoint and model")
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be in [0, 2]")
 
@@ -125,12 +122,8 @@ class StubTransport:
 
 def complete(config: BackendConfig, messages: list[dict[str, str]],
              transport=None, sleep=time.sleep) -> str:
-    """One chat completion; bounded retries with exponential backoff."""
-    if config.mode == "rules":
-        raise BackendError("rules mode has no completion endpoint")
+    """One chat completion via `transport` (default `HttpTransport`); exponential-backoff retries."""
     if transport is None:
-        if config.mode == "stub":
-            raise BackendError("stub mode needs an explicit transport")
         transport = HttpTransport()
     url = config.endpoint.rstrip("/") + "/v1/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -240,8 +233,6 @@ def parse_understand_line(text: str, registry) -> "ParsedTask":
 class RuleBackend:
     """Offline backend; understanding and responses from fixed rules."""
 
-    mode = "rules"
-
     def __init__(self, registry, menu: Menu):
         self.registry = registry
         self.menu = menu
@@ -269,8 +260,6 @@ class RuleBackend:
 
 class RemoteBackend:
     """Chat-completions backend built on a prompt pair with a shared base."""
-
-    mode = "remote"
 
     def __init__(self, config: BackendConfig, prompts, transport=None):
         self.config = config

@@ -44,19 +44,14 @@ class NavGoalParams:
     clearance: float = 0.2
     alpha: float = 10.0  # risk units added per meter of distance to the candidate
     window_half_width: float = 1.5
-    neighborhood_radius: int | None = None  # cells; default ceil(robot_radius/res)
 
     def __post_init__(self) -> None:
         if min(self.robot_radius, self.clearance, self.alpha, self.window_half_width) < 0:
             raise ValueError("parameters must be non-negative")
         if self.window_half_width < self.robot_radius:
             raise ValueError("window_half_width must cover the robot radius")
-        if self.neighborhood_radius is not None and self.neighborhood_radius < 0:
-            raise ValueError("neighborhood_radius must be non-negative")
 
     def cell_neighborhood(self, resolution: float) -> int:
-        if self.neighborhood_radius is not None:
-            return self.neighborhood_radius
         return math.ceil(self.robot_radius / resolution)
 
 

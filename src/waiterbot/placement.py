@@ -60,9 +60,6 @@ class Plane:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"normal must be unit length, |n| = {norm}")
 
-    def signed_distance(self, p) -> float:
-        return self.normal[0] * p[0] + self.normal[1] * p[1] + self.normal[2] * p[2] + self.d
-
 
 @dataclass(frozen=True)
 class RansacParams:
@@ -94,6 +91,8 @@ def load_cloud(text: str) -> np.ndarray:
             points.append([float(v) for v in parts])
         except ValueError:
             raise PlacementError(f"line {i}: non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, points[-1])):
+            raise PlacementError(f"line {i}: non-finite value in {line!r}")
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 

@@ -79,6 +79,8 @@ class HumanLayer:
 
     def upsert(self, obs: HumanObservation) -> str:
         """Update the nearest record within the gate, or create person_<k>."""
+        if obs.action not in ACTIONS:
+            raise ValueError(f"unknown action {obs.action!r}")
         if obs.frame_id < self.last_frame:
             raise ValueError(f"frame {obs.frame_id} older than {self.last_frame}")
         best_id, best_dist = None, ASSOCIATION_GATE_M

@@ -21,11 +21,11 @@ import numpy as np
 
 from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound, detections_from_json
 from .geometry import Pose2D
-from .grid import RISK_MAX, CellIndex, GridMap, RiskField, inflate, load_grid, world_to_cell
+from .grid import RISK_MAX, BoundsError, CellIndex, GridMap, RiskField, inflate, load_grid, world_to_cell
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
 from .placement import PlacementError, RansacParams, find_placement, ransac_plane
-from .semantic import HumanObservation, HumanLayer, Zone
+from .semantic import ACTIONS, HumanObservation, HumanLayer, Zone
 from .tasks import (
     OK,
     Outcome,
@@ -125,10 +125,28 @@ def _require(event: dict, index: int, key: str):
     return event[key]
 
 
+def _require_count(event: dict, index: int, key: str) -> None:
+    value = _require(event, index, key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ScenarioError(f"event {index}: {key} must be a non-negative integer, got {value!r}")
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _finite3(value) -> bool:
+    # one isfinite over the sum: a NaN or inf anywhere makes it non-finite
+    try:
+        return len(value) == 3 and math.isfinite(value[0] + value[1] + value[2])
+    except (TypeError, KeyError, OverflowError):
+        return False
+
+
 def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     try:
         world = doc["world"]
-        grid_text = (base_dir / world["grid_file"]).read_text()
+        grid = load_grid((base_dir / world["grid_file"]).read_text())
         menu = Menu.from_json(world["menu"])
         zones = [Zone(z["name"], tuple(z["p1"]), tuple(z["p2"])) for z in world.get("zones", [])]
         kitchen = world["kitchen_table"]
@@ -137,14 +155,17 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         stock = dict(world.get("stock", {}))
         nav_params = NavGoalParams(**world.get("nav_params", {}))
         ransac = RansacParams(**world.get("ransac", {}))
+        world_to_cell(grid, (robot_start.x, robot_start.y))
     except (KeyError, TypeError, ValueError, OSError) as e:
         raise ScenarioError(f"bad world section: {e}") from None
+    except BoundsError:
+        raise ScenarioError(f"world.robot_start {rs!r} lies outside the grid") from None
 
     events = doc.get("events", [])
     last_t = -math.inf
     for i, ev in enumerate(events):
         t = _require(ev, i, "t")
-        if not isinstance(t, (int, float)) or not math.isfinite(t):
+        if not _finite(t):
             raise ScenarioError(f"event {i}: t must be a finite number, got {t!r}")
         if t < last_t:
             raise ScenarioError(f"event {i}: timestamps must be non-decreasing")
@@ -153,28 +174,33 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         if kind not in EVENT_TYPES:
             raise ScenarioError(f"event {i}: unknown type {kind!r}")
         if kind == "detections":
-            _require(ev, i, "frame")
+            _require_count(ev, i, "frame")
             for b in _require(ev, i, "boxes"):
                 for key in ("class", "center", "dims"):
                     if key not in b:
                         raise ScenarioError(f"event {i}: box missing {key!r}")
+                if not (_finite3(b["center"]) and _finite3(b["dims"]) and _finite(b.get("yaw", 0.0))):
+                    raise ScenarioError(f"event {i}: box center, dims need 3 finite numbers, yaw one")
+                if min(b["dims"]) <= 0:
+                    raise ScenarioError(f"event {i}: box dims must be positive, got {b['dims']!r}")
         elif kind == "human":
-            _require(ev, i, "frame")
-            _require(ev, i, "position")
+            _require_count(ev, i, "frame")
+            if not _finite3(_require(ev, i, "position")):
+                raise ScenarioError(f"event {i}: human position must be three finite numbers")
+            if ev.get("action", "unknown") not in ACTIONS:
+                raise ScenarioError(f"event {i}: unknown human action {ev['action']!r}")
         elif kind in ("call", "utterance"):
             _require(ev, i, "table")
-            if kind == "utterance":
-                _require(ev, i, "text")
+            if kind == "utterance" and not isinstance(_require(ev, i, "text"), str):
+                raise ScenarioError(f"event {i}: utterance text must be a string")
         elif kind == "fault":
             _require(ev, i, "skill")
-            trigger = _require(ev, i, "trigger")
-            if not isinstance(trigger, int) or isinstance(trigger, bool) or trigger < 0:
-                raise ScenarioError(f"event {i}: trigger must be a non-negative integer, got {trigger!r}")
+            _require_count(ev, i, "trigger")
             mode = ev.get("mode", "fail")
             if mode not in ("fail", "wrong_item"):
                 raise ScenarioError(f"event {i}: unknown fault mode {mode!r}")
     return Scenario(
-        grid=load_grid(grid_text),
+        grid=grid,
         zones=zones,
         menu=menu,
         kitchen_table=kitchen,
@@ -247,13 +273,6 @@ def plan_path(grid: GridMap, risk: RiskField, start: CellIndex, goal: CellIndex)
         path_idx.append(parent[path_idx[-1]])
     path_idx.reverse()
     return [CellIndex(i % w, i // w) for i in path_idx]
-
-
-def path_cost(path: list[CellIndex]) -> float:
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        total += SQRT2 if (a.col != b.col and a.row != b.row) else 1.0
-    return total
 
 
 def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:

@@ -6,6 +6,7 @@ independent route.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +43,72 @@ def naive_window_sum(values: np.ndarray, col: int, row: int, r: int) -> int:
     for nrow in range(max(0, row - r), min(h - 1, row + r) + 1):
         for ncol in range(max(0, col - r), min(w - 1, col + r) + 1):
             total += int(values[nrow, ncol])
+    return total
+
+
+def _exact(points) -> list[tuple[Fraction, Fraction]]:
+    return [(Fraction(x), Fraction(y)) for x, y in points]
+
+
+def exact_clip(subject, clip) -> list[tuple[Fraction, Fraction]]:
+    """Sutherland-Hodgman clip (Sutherland & Hodgman 1974) against a convex CCW
+    polygon, in exact rational arithmetic on the float vertices."""
+    out = _exact(subject)
+    clip = _exact(clip)
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
+        ex, ey = bx - ax, by - ay
+
+        def side(p):
+            return ex * (p[1] - ay) - ey * (p[0] - ax)
+
+        inp, out = out, []
+        for prev, cur in zip(inp[-1:] + inp[:-1], inp):
+            sp, sc = side(prev), side(cur)
+            if (sp >= 0) != (sc >= 0):
+                t = sp / (sp - sc)
+                out.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if sc >= 0:
+                out.append(cur)
+    return out
+
+
+def exact_area(poly) -> Fraction:
+    """Shoelace area (absolute value), exact."""
+    pts = _exact(poly)
+    return abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))) / 2
+
+
+def exact_point_in_convex_polygon(p, poly) -> bool:
+    """Closed containment in a CCW convex polygon, exact."""
+    (px, py), = _exact([p])
+    pts = _exact(poly)
+    return all((bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0
+               for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]))
+
+
+def exact_iou_3d(a, b) -> Fraction:
+    """3D IoU of two yaw-oriented boxes, taken as their float footprint corners
+    and float z intervals, with no rounding after that."""
+    (alo, ahi), (blo, bhi) = _exact([a.z_interval, b.z_interval])
+    dz = min(ahi, bhi) - max(alo, blo)
+    if dz <= 0:
+        return Fraction(0)
+    inter = exact_area(exact_clip(a.footprint(), b.footprint())) * dz
+    if inter == 0:
+        return Fraction(0)
+    return inter / (exact_area(a.footprint()) * (ahi - alo) + exact_area(b.footprint()) * (bhi - blo) - inter)
+
+
+def all_cells(grid) -> list[CellIndex]:
+    """Every cell index of the grid, row-major."""
+    return [CellIndex(col, row) for row in range(grid.height) for col in range(grid.width)]
+
+
+def path_cost(path: list[CellIndex]) -> float:
+    """Length of an 8-connected cell path: 1 per straight step, sqrt(2) per diagonal."""
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        total += math.sqrt(2.0) if (a.col != b.col and a.row != b.row) else 1.0
     return total
 
 

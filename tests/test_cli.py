@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from waiterbot.cli import dispatch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -111,6 +113,16 @@ class TestPlaceCommand:
         cloud.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, ["place", "--cloud", cloud, "--radius", "0.05"])
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_exits_2(self, capsys, tmp_path, value):
+        cloud = tmp_path / "cloud.txt"
+        lines = (SCENARIOS / "tabletop_cloud.txt").read_text().splitlines()
+        lines[4] = f"1.0 {value} 0.7"
+        cloud.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, ["place", "--cloud", cloud, "--radius", "0.05"])
+        assert code == 2
+        assert "line 5" in err and out == ""
 
     def test_seed_changes_nothing_on_clean_data(self, capsys):
         _, out_a, _ = run_cli(
@@ -223,6 +235,89 @@ class TestMetricsDiff:
         code, out, _ = run_cli(capsys, ["metrics", "diff", a, b])
         assert code == 1
         assert "served_correct: 37 != 36" in out
+
+
+def _first(events, kind):
+    return next(i for i, ev in enumerate(events) if ev["type"] == kind)
+
+
+def _box(field, value):
+    def mutate(doc):
+        doc["events"][0]["boxes"][1][field] = value
+        return "event 0"
+    return mutate
+
+
+def _event(kind, field, value):
+    def mutate(doc):
+        i = _first(doc["events"], kind)
+        doc["events"][i][field] = value
+        return f"event {i}"
+    return mutate
+
+
+def _robot_start(doc):
+    doc["world"]["robot_start"] = [60.0, 4.0, 0.0]  # the grid is 12 m wide
+    return "world.robot_start"
+
+
+def _layer_dims(doc):
+    doc["furniture"][1]["dims"]["w"] = 0.0
+    return "'table_1'"
+
+
+def _layer_duplicate_id(doc):
+    doc["furniture"][1]["id"] = "table_0"
+    return "id 'table_0' already used"
+
+
+def _layer_kitchen(doc):
+    doc["kitchen"] = "sofa_9"
+    return "kitchen 'sofa_9'"
+
+
+def _layer_human_action(doc):
+    doc["humans"].append({"id": "person_0", "position": [1.0, 1.0, 0.0], "action": "dancing"})
+    return "'person_0'"
+
+
+MALFORMED_INPUTS = {
+    "box center with two values": ("run", _box("center", [5.0, 2.0])),
+    "box center with NaN": ("run", _box("center", [float("nan"), 2.0, 0.36])),
+    "box dims of zero": ("run", _box("dims", [1.2, 0.0, 0.72])),
+    "string box yaw": ("run", _box("yaw", "north")),
+    "string detection frame": ("run", _event("detections", "frame", "0")),
+    "unknown human action": ("run", _event("human", "action", "dancing")),
+    "human position with two values": ("run", _event("human", "position", [2.8, 2.6])),
+    "integer utterance text": ("run", _event("utterance", "text", 42)),
+    "robot start outside the grid": ("run", _robot_start),
+    "layer furniture dims of zero": ("layers", _layer_dims),
+    "layer duplicate furniture id": ("layers", _layer_duplicate_id),
+    "layer kitchen not in furniture": ("layers", _layer_kitchen),
+    "layer unknown human action": ("layers", _layer_human_action),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
+    """Each malformed scenario or layer dump ends with exit 2, names the bad
+    event or entry, and prints no traceback."""
+    target, mutate = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    if target == "run":
+        doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
+        doc["world"]["grid_file"] = str(SCENARIOS / doc["world"]["grid_file"])
+        argv = ["run", "--scenario", path]
+    else:
+        doc = json.loads((GOLDEN / "six_tables_layers.json").read_text())
+        argv = ["map", "dump", "--layers", path]
+    named = mutate(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert named in err
+    assert out == ""
+    assert "Traceback" not in out + err
 
 
 def test_module_entry_point_runs():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import all_cells, exact_point_in_convex_polygon
 from waiterbot.furniture import (
     Detection3D,
     FrameOrderError,
@@ -10,11 +11,7 @@ from waiterbot.furniture import (
     FurnitureLayer,
     FurnitureNotFound,
     TrackStatus,
-    default_templates,
-    scale_template,
-    solid_template,
 )
-from waiterbot.geometry import point_in_convex_polygon
 from waiterbot.grid import CellState, GridMap, cell_to_world
 
 
@@ -24,30 +21,6 @@ def det(cx, cy, cls="table", dims=(1.2, 0.8, 0.72), yaw=0.0, frame=0):
 
 def empty_grid(w=40, h=40, res=0.1):
     return GridMap(res, (0.0, 0.0), np.zeros((h, w), dtype=np.uint8))
-
-
-class TestTemplates:
-    def test_identity_scale(self):
-        template = default_templates()["table"]
-        scaled = scale_template(template, (1.0, 1.0, 1.0))
-        assert [p.min_corner for p in scaled] == [p.min_corner for p in template.primitives]
-        assert [p.max_corner for p in scaled] == [p.max_corner for p in template.primitives]
-
-    def test_table_slab_spans_plan(self):
-        slab = scale_template(default_templates()["table"], (1.2, 0.8, 0.7))[0]
-        assert slab.extents[0] == pytest.approx(1.2)
-        assert slab.extents[1] == pytest.approx(0.8)
-
-    def test_scaled_extents_match_template_times_dims(self):
-        template = default_templates()["chair"]
-        dims = (0.45, 0.5, 0.95)
-        for scaled, unit in zip(scale_template(template, dims), template.primitives):
-            for axis in range(3):
-                assert scaled.extents[axis] == pytest.approx(unit.extents[axis] * dims[axis], abs=1e-9)
-
-    def test_non_positive_dims_rejected(self):
-        with pytest.raises(ValueError):
-            scale_template(default_templates()["table"], (1.0, 0.0, 1.0))
 
 
 class TestTracking:
@@ -116,13 +89,6 @@ class TestTracking:
             assert iid not in seen
             seen.add(iid)
 
-    def test_ids_never_reused_after_delete(self):
-        layer = FurnitureLayer()
-        layer.track_frame([det(0, 0, frame=0)])
-        layer.delete("table_0")
-        result = layer.track_frame([det(0, 0, frame=1)])
-        assert result == [("table_1", TrackStatus.NEW)]
-
     def test_explicit_id_supported_and_protected(self):
         layer = FurnitureLayer()
         layer.register(det(0, 0), "counter")
@@ -174,15 +140,13 @@ class TestVirtualObstacles:
         assert rows.min() == 15 and rows.max() == 24
 
     def test_rotated_footprint_matches_point_in_polygon_oracle(self):
-        shapely_geom = pytest.importorskip("shapely.geometry")
         layer = FurnitureLayer()
         layer.track_frame([Detection3D("table", (2.03, 2.01, 0.5), (1.0, 1.0, 1.0), math.pi / 4, 0)])
         grid = empty_grid()
         out = layer.virtual_obstacles(grid)
-        poly = shapely_geom.Polygon(layer.get("table_0").footprint())
-        for c in grid.indices():
-            center = cell_to_world(grid, c)
-            expected = poly.covers(shapely_geom.Point(center))
+        footprint = layer.get("table_0").footprint()
+        for c in all_cells(grid):
+            expected = exact_point_in_convex_polygon(cell_to_world(grid, c), footprint)
             assert (out.cells[c.row, c.col] == CellState.OCCUPIED) == expected
 
     def test_idempotent_and_monotone(self):
@@ -195,39 +159,3 @@ class TestVirtualObstacles:
         more = layer.virtual_obstacles(grid)
         freed = (once.cells == CellState.OCCUPIED) & (more.cells != CellState.OCCUPIED)
         assert not freed.any()
-
-
-class TestCollisionWorld:
-    def test_table_exports_five_boxes_with_gap(self):
-        layer = FurnitureLayer()
-        layer.track_frame([det(0, 0, dims=(1.2, 0.8, 0.72))])
-        boxes = layer.export_collision_world()
-        assert len(boxes) == 5
-        slab = boxes[0]
-        assert slab.z_interval[0] == pytest.approx(0.9 * 0.72)
-        legs = boxes[1:]
-        assert all(leg.z_interval[1] == pytest.approx(0.9 * 0.72) for leg in legs)
-        # under-slab space away from the legs stays empty
-        probe = (0.0, 0.0, 0.36)
-        for box in boxes:
-            lo, hi = box.z_interval
-            inside_z = lo <= probe[2] <= hi
-            inside_fp = point_in_convex_polygon(probe[:2], box.footprint())
-            assert not (inside_z and inside_fp)
-
-    def test_empty_layer_exports_nothing(self):
-        assert FurnitureLayer().export_collision_world() == []
-
-    def test_two_instances_concatenate_by_id(self):
-        layer = FurnitureLayer()
-        layer.track_frame([det(0, 0), det(5, 5)])
-        boxes = layer.export_collision_world()
-        assert len(boxes) == 10
-        assert boxes[0].center[0] == pytest.approx(0.0)
-        assert boxes[5].center[0] == pytest.approx(5.0)
-
-    def test_solid_fallback_for_unknown_class(self):
-        layer = FurnitureLayer()
-        layer.track_frame([det(0, 0, cls="sofa")])
-        assert len(layer.export_collision_world()) == 1
-        assert solid_template("sofa").class_name == "sofa"

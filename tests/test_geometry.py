@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import point_polygon_edge_distance
+from oracles import exact_iou_3d, exact_point_in_convex_polygon, point_polygon_edge_distance
 from waiterbot.geometry import (
     OrientedBox3,
     Pose2D,
@@ -79,21 +80,25 @@ def test_iou_symmetric_and_bounded():
         assert iou_3d(b, a) == pytest.approx(v, abs=1e-9)
 
 
-def test_iou_agrees_with_shapely_on_random_pairs():
-    shapely_geom = pytest.importorskip("shapely.geometry")
+def test_exact_oracles_on_hand_computed_cases():
+    a = OrientedBox3((0.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
+    half = OrientedBox3((0.5, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
+    low = OrientedBox3((0.0, 0.0, 0.25), (1.0, 1.0, 0.5), 0.0)
+    far = OrientedBox3((3.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
+    assert exact_iou_3d(a, a) == 1
+    assert exact_iou_3d(a, half) == Fraction(1, 3)
+    assert exact_iou_3d(a, low) == Fraction(1, 2)
+    assert exact_iou_3d(a, far) == 0
+    square = rect_corners(0.0, 0.0, 2.0, 2.0, 0.0)
+    assert exact_point_in_convex_polygon((1.0, 1.0), square)  # corner: closed test
+    assert not exact_point_in_convex_polygon((1.0, 1.0 + 2**-40), square)
+
+
+def test_iou_agrees_with_exact_oracle_on_random_pairs():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         a, b = _random_box(rng), _random_box(rng)
-        mine = iou_3d(a, b)
-        pa = shapely_geom.Polygon(a.footprint())
-        pb = shapely_geom.Polygon(b.footprint())
-        alo, ahi = a.z_interval
-        blo, bhi = b.z_interval
-        dz = max(0.0, min(ahi, bhi) - max(alo, blo))
-        inter = pa.intersection(pb).area * dz
-        union = pa.area * a.dims[2] + pb.area * b.dims[2] - inter
-        expected = inter / union if inter > 0 else 0.0
-        assert mine == pytest.approx(expected, abs=1e-9)
+        assert iou_3d(a, b) == pytest.approx(float(exact_iou_3d(a, b)), abs=1e-9)
 
 
 @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=3, max_size=40))

@@ -2,7 +2,6 @@ import pytest
 
 from waiterbot.llm import (
     BackendConfig,
-    BackendError,
     BackendUnavailable,
     Menu,
     MenuItem,
@@ -113,7 +112,7 @@ class TestUnderstandLine:
 
 class TestComplete:
     def config(self, **kw):
-        defaults = dict(mode="stub", backoff_s=0.0)
+        defaults = dict(endpoint="http://llm.local", model="demo", backoff_s=0.0)
         defaults.update(kw)
         return BackendConfig(**defaults)
 
@@ -144,9 +143,20 @@ class TestComplete:
             complete(self.config(max_retries=2), [], transport=stub)
         assert len(stub.requests) == 3  # 1 attempt + 2 retries
 
-    def test_rules_mode_has_no_endpoint(self):
-        with pytest.raises(BackendError):
-            complete(BackendConfig(mode="rules"), [])
+    def test_without_transport_posts_over_http(self, monkeypatch):
+        import waiterbot.llm as llm_module
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return StubTransport.reply("ok")
+
+        urls = []
+        monkeypatch.setattr(llm_module.requests, "post",
+                            lambda url, **kwargs: urls.append(url) or Response())
+        assert complete(self.config(), []) == "ok"
+        assert urls == ["http://llm.local/v1/chat/completions"]
 
     def test_bearer_token_from_env(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "sekrit")
@@ -156,11 +166,11 @@ class TestComplete:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            BackendConfig(mode="remote")  # endpoint+model required
+            BackendConfig(endpoint="http://llm.local", model="")  # endpoint+model required
         with pytest.raises(ValueError):
-            BackendConfig(temperature=3.0)
+            BackendConfig(endpoint="", model="demo")
         with pytest.raises(ValueError):
-            BackendConfig(mode="psychic")
+            BackendConfig(endpoint="http://llm.local", model="demo", temperature=3.0)
 
 
 class TestRuleBackendOffline:
@@ -168,14 +178,14 @@ class TestRuleBackendOffline:
         import waiterbot.llm as llm_module
 
         def poisoned_post(*args, **kwargs):
-            raise AssertionError("rules/stub modes must never touch the network")
+            raise AssertionError("the rule backend and a stub transport must never touch the network")
 
         monkeypatch.setattr(llm_module.requests, "post", poisoned_post)
         backend = RuleBackend(registry, menu)
         backend.understand("bring me a cola")
         backend.respond("bring me a cola")
         stub = StubTransport([StubTransport.reply("ok")])
-        complete(BackendConfig(mode="stub", backoff_s=0.0), [], transport=stub)
+        complete(BackendConfig("http://llm.local", "demo", backoff_s=0.0), [], transport=stub)
 
     def test_understand_emits_wire_line(self, menu, registry):
         line = RuleBackend(registry, menu).understand("bring me a cola")
@@ -198,7 +208,7 @@ class TestRemoteBackendIntegration:
                 StubTransport.reply("One cola, coming right up!"),
             ]
         )
-        config = BackendConfig(mode="stub", endpoint="http://llm.local", model="demo",
+        config = BackendConfig(endpoint="http://llm.local", model="demo",
                                backoff_s=0.0)
         prompts = build_prompts("Five tables.", registry, menu)
         backend = RemoteBackend(config, prompts, transport=stub)
@@ -218,7 +228,7 @@ class TestRemoteBackendIntegration:
         from waiterbot.tasks import Pipeline, build_prompts
 
         stub = StubTransport([TransportError("down")] * 8)
-        config = BackendConfig(mode="stub", endpoint="http://llm.local", model="demo",
+        config = BackendConfig(endpoint="http://llm.local", model="demo",
                                max_retries=1, backoff_s=0.0)
         backend = RemoteBackend(config, build_prompts("env", registry, menu), transport=stub)
         pipe = Pipeline(registry, menu, backend, mode="sequential")

@@ -33,8 +33,6 @@ class TestParams:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             NavGoalParams(robot_radius=-0.1)
-        with pytest.raises(ValueError):
-            NavGoalParams(neighborhood_radius=-1)
 
     def test_window_must_cover_robot(self):
         with pytest.raises(ValueError):
@@ -42,7 +40,6 @@ class TestParams:
 
     def test_neighborhood_defaults_from_resolution(self):
         assert NavGoalParams(robot_radius=0.25).cell_neighborhood(0.1) == 3
-        assert NavGoalParams(neighborhood_radius=1).cell_neighborhood(0.1) == 1
 
 
 class TestCandidatePoints:
@@ -148,7 +145,7 @@ class TestBruteForceContract:
         grid = GridMap(0.1, (0.0, 0.0), cells)
         risk = inflate(grid, 0.0)
         params = NavGoalParams(robot_radius=0.0, clearance=0.35, alpha=10.0,
-                               window_half_width=0.5, neighborhood_radius=1)
+                               window_half_width=0.5)
         goal = brute_force_goal(grid, risk, layer.get("t"), Pose2D(0.15, 1.05), params)
         assert (goal.cell.col, goal.cell.row) == (1, 10)
 

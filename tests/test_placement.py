@@ -128,7 +128,7 @@ class TestFindPlacement:
         cloud = flat_cloud()
         plane, inliers = ransac_plane(cloud, RansacParams(seed=0))
         p = find_placement(cloud, plane, inliers, object_radius=0.05)
-        assert abs(plane.signed_distance(p)) <= 1e-6
+        assert abs(np.dot(plane.normal, p) + plane.d) <= 1e-6
 
     def test_empty_table_matches_naive_clearance_oracle(self):
         cloud = flat_cloud()

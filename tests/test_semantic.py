@@ -76,6 +76,14 @@ class TestHumanTracking:
         with pytest.raises(ValueError):
             layer.upsert(HumanObservation((1, 1, 0), 4))
 
+    def test_unknown_action_rejected_and_record_untouched(self):
+        layer = HumanLayer()
+        layer.upsert(HumanObservation((1.0, 1.0, 0), 0, action="sitting"))
+        with pytest.raises(ValueError):
+            layer.upsert(HumanObservation((1.0, 1.0, 0), 1, action="dancing"))
+        assert layer.get("person_0").action == "sitting"
+        assert layer.last_frame == 0
+
     def test_restore_keeps_auto_ids_and_frame_order(self):
         layer = HumanLayer()
         layer.restore(HumanEntity("person_4", (1.0, 1.0, 0.0), last_seen=7))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import relaxation_path_cost
+from oracles import all_cells, path_cost, relaxation_path_cost
 from waiterbot.cli import dispatch
 from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, inflate
 from waiterbot.sim import (
@@ -17,7 +17,6 @@ from waiterbot.sim import (
     Simulation,
     load_scenario,
     parse_scenario,
-    path_cost,
     plan_path,
     run,
 )
@@ -85,7 +84,7 @@ class TestPlanPath:
             cells = (rng.random((size, size)) < 0.25).astype(np.uint8)
             grid = GridMap(0.1, (0.0, 0.0), cells)
             risk = inflate(grid, 0.0)
-            free = [c for c in grid.indices() if risk.at(c) < RISK_MAX]
+            free = [c for c in all_cells(grid) if risk.at(c) < RISK_MAX]
             if len(free) < 2:
                 continue
             picks = rng.choice(len(free), size=min(6, len(free)), replace=False)
