@@ -110,10 +110,9 @@ def cmd_nav_goal(args) -> int:
     except FurnitureNotFound:
         raise CliError(f"unknown furniture id {args.furniture!r}", DOMAIN_EXIT) from None
     params = NavGoalParams()
-    combined = layer.virtual_obstacles(grid)
-    risk = inflate(combined, params.robot_radius)
+    risk = inflate(layer.virtual_obstacles(grid), params.robot_radius)
     try:
-        goal = select_goal(combined, risk, target, robot, params)
+        goal = select_goal(risk, target, robot, params)
     except NoGoalError as e:
         raise CliError(f"no goal: {e}", DOMAIN_EXIT) from None
     print(f"cell: ({goal.cell.col}, {goal.cell.row})")
@@ -162,10 +161,7 @@ def cmd_run(args) -> int:
     backend = _backend_for(args, registry, scenario.menu)
     sim = Simulation(scenario, RunConfig(mode=args.mode, seed=args.seed),
                      registry=registry, backend=backend)
-    try:
-        metrics, log = sim.run()
-    except ScenarioError as e:
-        raise CliError(str(e), DOMAIN_EXIT) from None
+    metrics, log = sim.run()
     if args.log:
         Path(args.log).write_text("\n".join(log) + "\n")
     if args.metrics_out:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .geometry import (
     OrientedBox3,
     Pose2D,
@@ -22,7 +24,7 @@ from .geometry import (
     point_in_convex_polygon,
     rect_corners,
 )
-from .grid import CellIndex, CellState, GridMap, cell_to_world
+from .grid import CellState, GridMap
 
 IOU_MATCH_THRESHOLD = 0.1
 
@@ -128,11 +130,15 @@ class FurnitureLayer:
         """Register one detection, with an explicit id or an auto-assigned one."""
         if instance_id is None:
             instance_id = self._auto_id(detection.class_name)
-        elif instance_id in self._instances:
-            raise FurnitureError(f"id {instance_id!r} already used")
-        self._instances[instance_id] = _instance_from(detection, instance_id)
-        self.last_frame = max(self.last_frame, detection.frame_id)
+        self.restore(_instance_from(detection, instance_id))
         return instance_id
+
+    def restore(self, instance: FurnitureInstance) -> None:
+        """Add an instance under its own id, e.g. one read back from a layer dump."""
+        if instance.id in self._instances:
+            raise FurnitureError(f"id {instance.id!r} already used")
+        self._instances[instance.id] = instance
+        self.last_frame = max(self.last_frame, instance.last_seen)
 
     def track_frame(self, detections: list[Detection3D]) -> list[tuple[str, TrackStatus]]:
         """Associate one frame of detections; returns (id, MATCHED|NEW) per detection."""
@@ -192,18 +198,19 @@ class FurnitureLayer:
     def virtual_obstacles(self, grid: GridMap) -> GridMap:
         """Copy of `grid` with every cell center inside a footprint set OCCUPIED."""
         cells = grid.cells.copy()
-        cells.setflags(write=True)
+        res, (ox, oy) = grid.resolution, grid.origin
         for inst in self.instances():
             poly = inst.footprint()
             xs = [p[0] for p in poly]
             ys = [p[1] for p in poly]
-            c0 = max(0, math.floor((min(xs) - grid.origin[0]) / grid.resolution) - 1)
-            r0 = max(0, math.floor((min(ys) - grid.origin[1]) / grid.resolution) - 1)
-            c1 = min(grid.width - 1, math.floor((max(xs) - grid.origin[0]) / grid.resolution) + 1)
-            r1 = min(grid.height - 1, math.floor((max(ys) - grid.origin[1]) / grid.resolution) + 1)
-            for row in range(r0, r1 + 1):
-                for col in range(c0, c1 + 1):
-                    center = cell_to_world(grid, CellIndex(col, row))
-                    if point_in_convex_polygon(center, poly):
-                        cells[row, col] = CellState.OCCUPIED
+            c0 = max(0, math.floor((min(xs) - ox) / res) - 1)
+            r0 = max(0, math.floor((min(ys) - oy) / res) - 1)
+            c1 = min(grid.width - 1, math.floor((max(xs) - ox) / res) + 1)
+            r1 = min(grid.height - 1, math.floor((max(ys) - oy) / res) + 1)
+            if c0 > c1 or r0 > r1:
+                continue  # footprint window misses the map
+            cx = ox + (np.arange(c0, c1 + 1) + 0.5) * res
+            cy = oy + (np.arange(r0, r1 + 1) + 0.5) * res
+            inside = point_in_convex_polygon((cx[None, :], cy[:, None]), poly)
+            cells[r0 : r1 + 1, c0 : c1 + 1][inside] = CellState.OCCUPIED
         return grid.with_cells(cells)

@@ -122,15 +122,14 @@ def intersection_area(a: list[tuple[float, float]], b: list[tuple[float, float]]
     return polygon_area(clip_polygon(a, b))
 
 
-def point_in_convex_polygon(p: tuple[float, float], poly: list[tuple[float, float]]) -> bool:
-    """Closed containment test for a CCW convex polygon."""
-    n = len(poly)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < 0.0:
-            return False
-    return True
+def point_in_convex_polygon(p, poly: list[tuple[float, float]]):
+    """Closed containment test for a CCW convex polygon; `p` is an (x, y) pair of
+    floats (gives a bool) or of broadcasting numpy arrays (gives a bool array)."""
+    x, y = p
+    inside = True
+    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+        inside &= (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0.0
+    return inside
 
 
 def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:

@@ -104,16 +104,6 @@ def world_to_cell(grid: GridMap, p: tuple[float, float]) -> CellIndex:
     return c
 
 
-def cell_to_world(grid: GridMap, c: CellIndex) -> tuple[float, float]:
-    """Center of cell c in world coordinates."""
-    if not grid.in_bounds(c):
-        raise BoundsError(f"cell {c} outside {grid.width}x{grid.height} map")
-    return (
-        grid.origin[0] + (c.col + 0.5) * grid.resolution,
-        grid.origin[1] + (c.row + 0.5) * grid.resolution,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class RiskField:
     """Per-cell risk on the same geometry as the source grid (0 or 100 here)."""

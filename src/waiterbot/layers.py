@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .furniture import Detection3D, FurnitureError, FurnitureLayer
+from .furniture import FurnitureError, FurnitureInstance, FurnitureLayer
+from .geometry import Pose2D
 from .semantic import HumanEntity, HumanLayer, Zone
 
 
@@ -64,18 +65,19 @@ def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
     layer = FurnitureLayer()
     for entry in doc.get("furniture", []):
         try:
-            det = Detection3D(
+            dims = (entry["dims"]["w"], entry["dims"]["d"], entry["dims"]["h"])
+            last_seen = entry.get("last_seen", 0)
+            if min(dims) <= 0 or last_seen < 0:
+                raise ValueError("dims must be positive and last_seen non-negative")
+            pose = entry["pose"]
+            layer.restore(FurnitureInstance(
+                id=entry["id"],
                 class_name=entry["class"],
-                center=(
-                    entry["pose"]["x"],
-                    entry["pose"]["y"],
-                    entry["base_z"] + entry["dims"]["h"] / 2.0,
-                ),
-                dims=(entry["dims"]["w"], entry["dims"]["d"], entry["dims"]["h"]),
-                yaw=entry["pose"]["theta"],
-                frame_id=entry.get("last_seen", 0),
-            )
-            layer.register(det, entry["id"])
+                pose=Pose2D(pose["x"], pose["y"], pose["theta"]),
+                base_z=entry["base_z"],
+                dims=dims,
+                last_seen=last_seen,
+            ))
         except (KeyError, TypeError, ValueError, FurnitureError) as e:
             raise LayerFormatError(f"bad furniture entry {entry!r}: {e}") from None
     kitchen = doc.get("kitchen")
@@ -89,7 +91,7 @@ def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
     for entry in doc.get("zones", []):
         try:
             zones.append(Zone(entry["name"], tuple(entry["p1"]), tuple(entry["p2"])))
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise LayerFormatError(f"bad zone entry {entry!r}: {e}") from None
 
     humans = HumanLayer()

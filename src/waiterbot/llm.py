@@ -62,6 +62,8 @@ class Menu:
     def __init__(self, items: list[MenuItem]):
         seen = set()
         for item in items:
+            if not isinstance(item.name, str):
+                raise ValueError(f"menu item name must be a string, got {item.name!r}")
             key = item.name.strip().casefold()
             if key in seen:
                 raise ValueError(f"duplicate menu item {item.name!r}")

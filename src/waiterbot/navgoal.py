@@ -8,11 +8,11 @@ values are summed over a square neighborhood per cell, and the admissible
 cell (risk < 100) with the lowest sum wins; ties go to the cell closer to the
 candidate point, then to the lower row-major index.
 
-The risk field is the only admissibility rule.  It must be built from
-`FurnitureLayer.virtual_obstacles`, which marks OCCUPIED every cell whose
-center (`origin + (i + 0.5) * res`) passes the closed footprint test; those
-cells hold risk 100 at any inflation radius >= 0, so no goal can land inside
-a piece of furniture.
+The risk field is the only map read and the only admissibility rule.
+Precondition: `risk` is `inflate(layer.virtual_obstacles(grid), r)`, r >= 0.
+`virtual_obstacles` marks OCCUPIED every cell whose center (`origin + (i +
+0.5) * res`) passes the closed footprint test, so those cells hold risk 100
+and no goal can land inside a piece of furniture.
 
 `select_goal` scores the whole window at once: one summed-area table of the
 weighted values gives every clipped neighborhood sum (Crow 1984), and one
@@ -31,7 +31,7 @@ import numpy as np
 
 from .furniture import FurnitureInstance
 from .geometry import Pose2D
-from .grid import RISK_MAX, CellIndex, GridMap, RiskField, cell_to_world, integral_image, window_sum
+from .grid import RISK_MAX, CellIndex, RiskField, integral_image, window_sum
 
 
 class NoGoalError(Exception):
@@ -46,6 +46,9 @@ class NavGoalParams:
     window_half_width: float = 1.5
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.robot_radius, self.clearance, self.alpha,
+                                       self.window_half_width))):
+            raise ValueError("parameters must be finite")
         if min(self.robot_radius, self.clearance, self.alpha, self.window_half_width) < 0:
             raise ValueError("parameters must be non-negative")
         if self.window_half_width < self.robot_radius:
@@ -93,7 +96,6 @@ def _axis_indices(center: float, half_width: float, origin: float, resolution: f
 
 
 def select_goal(
-    grid: GridMap,
     risk: RiskField,
     target: FurnitureInstance,
     robot_pose: Pose2D,
@@ -101,23 +103,23 @@ def select_goal(
 ) -> NavGoal:
     """Lowest-cost cell with risk < 100 near the candidate point (summed-area fast path).
 
-    `risk` must come from `virtual_obstacles` (see the module docstring): cells
-    inside any furniture footprint are then already at risk 100.
+    `risk` must be `inflate(layer.virtual_obstacles(grid), r)` (see the module
+    docstring): cells inside any furniture footprint are then at risk 100.
     """
     px, py = select_candidate(candidate_points(target, params), robot_pose)
-    nr = params.cell_neighborhood(grid.resolution)
+    nr = params.cell_neighborhood(risk.resolution)
     whw = params.window_half_width
-    res = grid.resolution
-    ox, oy = grid.origin
+    res = risk.resolution
+    ox, oy = risk.origin
 
-    cols = _axis_indices(px, whw, ox, res, grid.width)
-    rows = _axis_indices(py, whw, oy, res, grid.height)
+    cols = _axis_indices(px, whw, ox, res, risk.width)
+    rows = _axis_indices(py, whw, oy, res, risk.height)
     if not cols or not rows:
         raise NoGoalError("candidate window misses the map")
 
     # weighted totals over the window plus the neighborhood margin
-    r0, r1 = max(0, rows[0] - nr), min(grid.height - 1, rows[-1] + nr)
-    c0, c1 = max(0, cols[0] - nr), min(grid.width - 1, cols[-1] + nr)
+    r0, r1 = max(0, rows[0] - nr), min(risk.height - 1, rows[-1] + nr)
+    c0, c1 = max(0, cols[0] - nr), min(risk.width - 1, cols[-1] + nr)
     xs = ox + (np.arange(c0, c1 + 1) + 0.5) * res
     ys = oy + (np.arange(r0, r1 + 1) + 0.5) * res
     dx = xs[None, :] - px
@@ -131,13 +133,13 @@ def select_goal(
     wc = np.asarray(cols)[None, :]
     costs = window_sum(sat, wc - c0, wr - r0, nr)
     dist = dists[wr - r0, wc - c0]
-    idx = wr * grid.width + wc
+    idx = wr * risk.width + wc
     ok = risk.risk[wr, wc] < RISK_MAX
     if not ok.any():
         raise NoGoalError("no admissible cell in the candidate window")
     costs, dist, idx = costs[ok], dist[ok], idx[ok]
     best = np.lexsort((idx, dist, costs))[0]
-    row, col = divmod(int(idx[best]), grid.width)
-    cx, cy = cell_to_world(grid, CellIndex(col, row))
+    row, col = divmod(int(idx[best]), risk.width)
+    cx, cy = float(xs[col - c0]), float(ys[row - r0])
     heading = math.atan2(target.pose.y - cy, target.pose.x - cx)
     return NavGoal(CellIndex(col, row), Pose2D(cx, cy, heading), int(costs[best]))

@@ -10,8 +10,8 @@ with the highest count wins: `argmax` inside a block, strict `>` across blocks.
 Placement then rasterizes the inlier hull at 2 cm, marks cells occupied where
 off-plane points project from the band above the surface, and picks the free
 cell with the largest distance to the nearest occupied cell or hull edge.  The
-raster is array code: one half-plane test and one point-segment distance per
-hull edge, broadcast over all cell centers.
+raster is array code: `point_in_convex_polygon` and one point-segment
+distance per hull edge, broadcast over all cell centers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geometry import convex_hull
+from .geometry import convex_hull, point_in_convex_polygon
 
 OCCUPANCY_BAND_M = 0.30
 GRID_PITCH_M = 0.02
@@ -69,6 +69,8 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.iterations, int) or isinstance(self.iterations, bool):
+            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.inlier_eps <= 0:
@@ -194,11 +196,10 @@ def _raster(
 
     cs = (s_lo + (np.arange(n_cols) + 0.5) * pitch)[None, :]  # cell-center s, one row
     ct = (t_lo + (np.arange(n_rows) + 0.5) * pitch)[:, None]  # cell-center t, one column
-    in_hull = np.ones((n_rows, n_cols), dtype=bool)
+    in_hull = point_in_convex_polygon((cs, ct), hull)
     edge_dist = np.full((n_rows, n_cols), np.inf)
     for i, (ax, ay) in enumerate(hull):
         bx, by = hull[(i + 1) % len(hull)]
-        in_hull &= ~((bx - ax) * (ct - ay) - (by - ay) * (cs - ax) < 0.0)
         dx, dy = bx - ax, by - ay
         seg2 = dx * dx + dy * dy
         tt = np.clip(((cs - ax) * dx + (ct - ay) * dy) / seg2, 0.0, 1.0)  # hull vertices are distinct

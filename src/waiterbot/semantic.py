@@ -29,6 +29,9 @@ class Zone:
     p2: tuple[float, float]
 
     def __post_init__(self) -> None:
+        for p in (self.p1, self.p2):
+            if len(p) != 2 or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in p):
+                raise ValueError(f"zone {self.name!r} corners must be two finite numbers, got {p!r}")
         if self.p1[0] == self.p2[0] or self.p1[1] == self.p2[1]:
             raise ValueError(f"zone {self.name!r} has zero area")
 

@@ -21,13 +21,15 @@ import numpy as np
 
 from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound, detections_from_json
 from .geometry import Pose2D
-from .grid import RISK_MAX, BoundsError, CellIndex, GridMap, RiskField, inflate, load_grid, world_to_cell
+from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, RiskField, inflate,
+                   load_grid, world_to_cell)
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
 from .placement import PlacementError, RansacParams, find_placement, ransac_plane
 from .semantic import ACTIONS, HumanObservation, HumanLayer, Zone
 from .tasks import (
     OK,
+    SKILL_KINDS,
     Outcome,
     ParsedTask,
     Pipeline,
@@ -143,26 +145,57 @@ def _finite3(value) -> bool:
         return False
 
 
-def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
+def _world(world: dict, key: str, build, *default):
+    """`build(world[key])`, or `build(*default)` when the key is absent; a
+    failure is a ScenarioError naming `world.<key>`."""
+    if key not in world and not default:
+        raise ScenarioError(f"world.{key}: missing")
     try:
-        world = doc["world"]
-        grid = load_grid((base_dir / world["grid_file"]).read_text())
-        menu = Menu.from_json(world["menu"])
-        zones = [Zone(z["name"], tuple(z["p1"]), tuple(z["p2"])) for z in world.get("zones", [])]
-        kitchen = world["kitchen_table"]
-        rs = world["robot_start"]
-        robot_start = Pose2D(rs[0], rs[1], rs[2] if len(rs) > 2 else 0.0)
-        stock = dict(world.get("stock", {}))
-        nav_params = NavGoalParams(**world.get("nav_params", {}))
-        ransac = RansacParams(**world.get("ransac", {}))
-        world_to_cell(grid, (robot_start.x, robot_start.y))
-    except (KeyError, TypeError, ValueError, OSError) as e:
-        raise ScenarioError(f"bad world section: {e}") from None
+        return build(world.get(key, *default))
+    except (KeyError, TypeError, ValueError, OSError, GridFormatError) as e:
+        raise ScenarioError(f"world.{key}: {type(e).__name__}: {e}") from None
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _robot_start(grid: GridMap, rs) -> Pose2D:
+    if not (isinstance(rs, list) and len(rs) in (2, 3) and all(map(_finite, rs))):
+        raise ValueError(f"must be 2 or 3 finite numbers, got {rs!r}")
+    try:
+        world_to_cell(grid, (rs[0], rs[1]))
     except BoundsError:
-        raise ScenarioError(f"world.robot_start {rs!r} lies outside the grid") from None
+        raise ValueError(f"{rs!r} lies outside the grid") from None
+    return Pose2D(*rs)
+
+
+def _stock(doc) -> dict[str, int]:
+    stock = dict(doc)
+    for item, count in stock.items():
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"{item!r} count must be a non-negative integer, got {count!r}")
+    return stock
+
+
+def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
+    world = doc.get("world") if isinstance(doc, dict) else None
+    if not isinstance(world, dict):
+        raise ScenarioError("world: missing or not an object")
+    grid = _world(world, "grid_file", lambda f: load_grid((base_dir / f).read_text()))
+    menu = _world(world, "menu", Menu.from_json)
+    zones = _world(world, "zones", lambda zs: [Zone(z["name"], tuple(z["p1"]), tuple(z["p2"])) for z in zs], [])
+    kitchen = _world(world, "kitchen_table", _string)
+    robot_start = _world(world, "robot_start", lambda rs: _robot_start(grid, rs))
+    stock = _world(world, "stock", _stock, {})
+    nav_params = _world(world, "nav_params", lambda kw: NavGoalParams(**kw), {})
+    ransac = _world(world, "ransac", lambda kw: RansacParams(**kw), {})
 
     events = doc.get("events", [])
     last_t = -math.inf
+    last_detection_frame = last_human_frame = -1
     for i, ev in enumerate(events):
         t = _require(ev, i, "t")
         if not _finite(t):
@@ -175,6 +208,10 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
             raise ScenarioError(f"event {i}: unknown type {kind!r}")
         if kind == "detections":
             _require_count(ev, i, "frame")
+            if ev["frame"] <= last_detection_frame:
+                raise ScenarioError(f"event {i}: detection frame {ev['frame']} not newer "
+                                    f"than {last_detection_frame}")
+            last_detection_frame = ev["frame"]
             for b in _require(ev, i, "boxes"):
                 for key in ("class", "center", "dims"):
                     if key not in b:
@@ -185,16 +222,21 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
                     raise ScenarioError(f"event {i}: box dims must be positive, got {b['dims']!r}")
         elif kind == "human":
             _require_count(ev, i, "frame")
+            if ev["frame"] < last_human_frame:
+                raise ScenarioError(f"event {i}: human frame {ev['frame']} older than {last_human_frame}")
+            last_human_frame = ev["frame"]
             if not _finite3(_require(ev, i, "position")):
                 raise ScenarioError(f"event {i}: human position must be three finite numbers")
             if ev.get("action", "unknown") not in ACTIONS:
                 raise ScenarioError(f"event {i}: unknown human action {ev['action']!r}")
         elif kind in ("call", "utterance"):
-            _require(ev, i, "table")
+            if not isinstance(_require(ev, i, "table"), str):
+                raise ScenarioError(f"event {i}: table must be a string id, got {ev['table']!r}")
             if kind == "utterance" and not isinstance(_require(ev, i, "text"), str):
                 raise ScenarioError(f"event {i}: utterance text must be a string")
         elif kind == "fault":
-            _require(ev, i, "skill")
+            if _require(ev, i, "skill") not in SKILL_KINDS:
+                raise ScenarioError(f"event {i}: unknown fault skill {ev['skill']!r}")
             _require_count(ev, i, "trigger")
             mode = ev.get("mode", "fail")
             if mode not in ("fail", "wrong_item"):
@@ -223,13 +265,13 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(doc, path.parent)
 
 
-def plan_path(grid: GridMap, risk: RiskField, start: CellIndex, goal: CellIndex) -> list[CellIndex]:
+def plan_path(risk: RiskField, start: CellIndex, goal: CellIndex) -> list[CellIndex]:
     """Shortest 8-connected path over cells with risk < 100 (A*, octile heuristic)."""
     if risk.at(start) >= RISK_MAX or risk.at(goal) >= RISK_MAX:
         raise PathError("start or goal cell is inside the risk region")
     if start == goal:
         return [start]
-    w, h = grid.width, grid.height
+    w, h = risk.width, risk.height
     r = risk.risk
 
     def heuristic(col: int, row: int) -> float:
@@ -336,7 +378,6 @@ class Simulation:
         self.faults: list[dict] = []
         self.t = 0.0
         self._risk: RiskField | None = None
-        self._combined: GridMap | None = None
         self._placement_count = 0
 
     # --- logging ---------------------------------------------------------
@@ -347,11 +388,11 @@ class Simulation:
 
     # --- map bookkeeping --------------------------------------------------
 
-    def _ensure_risk(self) -> tuple[GridMap, RiskField]:
+    def _ensure_risk(self) -> RiskField:
         if self._risk is None:
-            self._combined = self.layer.virtual_obstacles(self.scenario.grid)
-            self._risk = inflate(self._combined, self.scenario.nav_params.robot_radius)
-        return self._combined, self._risk
+            self._risk = inflate(self.layer.virtual_obstacles(self.scenario.grid),
+                                 self.scenario.nav_params.robot_radius)
+        return self._risk
 
     def _apply_detections(self, ev: dict) -> None:
         frame = ev["frame"]
@@ -435,10 +476,10 @@ class Simulation:
             target = self.layer.get(table_id)
         except FurnitureNotFound:
             return failed(f"unknown table {table_id!r}")
-        combined, risk = self._ensure_risk()
+        risk = self._ensure_risk()
         try:
-            goal = select_goal(combined, risk, target, self.robot_pose, self.scenario.nav_params)
-            path = plan_path(combined, risk, self.robot_cell, goal.cell)
+            goal = select_goal(risk, target, self.robot_pose, self.scenario.nav_params)
+            path = plan_path(risk, self.robot_cell, goal.cell)
         except (NoGoalError, PathError) as e:
             return failed(str(e))
         violations = sum(1 for c in path if risk.at(c) >= RISK_MAX)
@@ -584,6 +625,9 @@ class Simulation:
     def _serve_call(self, table_id: str, index: int, consumed: set[int]) -> None:
         if table_id not in {i.id for i in self.layer.instances()}:
             raise ScenarioError(f"event {index}: call references unknown table {table_id!r}")
+        if self.layer.kitchen_id is None:
+            raise ScenarioError(f"event {index}: world.kitchen_table "
+                                f"{self.scenario.kitchen_table!r} is not a tracked instance")
         self.caller = table_id
         self._log("call", table=table_id)
         approach = self.simulate_skill(SkillInvocation("navigate", "caller_table"))

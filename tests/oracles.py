@@ -10,10 +10,49 @@ from fractions import Fraction
 
 import numpy as np
 
-from waiterbot.geometry import Pose2D, point_in_convex_polygon
-from waiterbot.grid import RISK_MAX, CellIndex, CellState, cell_to_world
+from waiterbot.geometry import Pose2D
+from waiterbot.grid import RISK_MAX, BoundsError, CellIndex, CellState
 from waiterbot.navgoal import NavGoal, NoGoalError, candidate_points, select_candidate
 from waiterbot.placement import InsufficientSupportError, Plane, PlaneFitError, _refit
+
+
+def cell_to_world(grid, c: CellIndex) -> tuple[float, float]:
+    """Center of cell c in world coordinates."""
+    if not grid.in_bounds(c):
+        raise BoundsError(f"cell {c} outside {grid.width}x{grid.height} map")
+    return (
+        grid.origin[0] + (c.col + 0.5) * grid.resolution,
+        grid.origin[1] + (c.row + 0.5) * grid.resolution,
+    )
+
+
+def inside_convex(p: tuple[float, float], poly) -> bool:
+    """Closed containment in a CCW convex polygon, one float point, one edge at a time."""
+    n = len(poly)
+    for i in range(n):
+        ax, ay = poly[i]
+        bx, by = poly[(i + 1) % n]
+        if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < 0.0:
+            return False
+    return True
+
+
+def loop_virtual_obstacles(layer, grid):
+    """`FurnitureLayer.virtual_obstacles` cell by cell over each footprint's window."""
+    cells = grid.cells.copy()
+    for inst in layer.instances():
+        poly = inst.footprint()
+        xs = [p[0] for p in poly]
+        ys = [p[1] for p in poly]
+        c0 = max(0, math.floor((min(xs) - grid.origin[0]) / grid.resolution) - 1)
+        r0 = max(0, math.floor((min(ys) - grid.origin[1]) / grid.resolution) - 1)
+        c1 = min(grid.width - 1, math.floor((max(xs) - grid.origin[0]) / grid.resolution) + 1)
+        r1 = min(grid.height - 1, math.floor((max(ys) - grid.origin[1]) / grid.resolution) + 1)
+        for row in range(r0, r1 + 1):
+            for col in range(c0, c1 + 1):
+                if inside_convex(cell_to_world(grid, CellIndex(col, row)), poly):
+                    cells[row, col] = CellState.OCCUPIED
+    return grid.with_cells(cells)
 
 
 def naive_inflate(grid, radius: float) -> np.ndarray:
@@ -154,7 +193,7 @@ def naive_clearance(occupied: np.ndarray, hull, pitch: float, s_lo: float, t_lo:
                 continue
             cs = s_lo + (col + 0.5) * pitch
             ct = t_lo + (row + 0.5) * pitch
-            if not point_in_convex_polygon((cs, ct), hull):
+            if not inside_convex((cs, ct), hull):
                 continue
             best = point_polygon_edge_distance((cs, ct), hull)
             for os_, ot in occ_centers:
@@ -203,7 +242,7 @@ def scalar_raster(hull, s_occ, t_occ, pitch: float):
         for col in range(n_cols):
             cs = s_lo + (col + 0.5) * pitch
             ct = t_lo + (row + 0.5) * pitch
-            if point_in_convex_polygon((cs, ct), hull):
+            if inside_convex((cs, ct), hull):
                 in_hull[row, col] = True
                 edge_dist[row, col] = point_polygon_edge_distance((cs, ct), hull)
     return s_lo, t_lo, occupied, in_hull, edge_dist
@@ -267,16 +306,16 @@ def loop_tabletop_cloud(table, n_items: int) -> np.ndarray:
     return np.asarray(points, dtype=np.float64)
 
 
-def brute_force_goal(grid, risk, target, robot_pose, params) -> NavGoal:
+def brute_force_goal(risk, target, robot_pose, params) -> NavGoal:
     """`select_goal`'s contract as plain nested loops over the whole map.
 
-    Same precondition: `risk` must come from `virtual_obstacles`.
+    Same precondition: `risk` must be `inflate(layer.virtual_obstacles(grid), r)`.
     """
     px, py = select_candidate(candidate_points(target, params), robot_pose)
-    nr = params.cell_neighborhood(grid.resolution)
+    nr = params.cell_neighborhood(risk.resolution)
     whw = params.window_half_width
-    res = grid.resolution
-    ox, oy = grid.origin
+    res = risk.resolution
+    ox, oy = risk.origin
 
     def total(col: int, row: int) -> int:
         cx = ox + (col + 0.5) * res
@@ -285,28 +324,28 @@ def brute_force_goal(grid, risk, target, robot_pose, params) -> NavGoal:
         return int(risk.risk[row, col]) + round(params.alpha * math.sqrt(dx * dx + dy * dy))
 
     best = None
-    best_cell = None
-    for row in range(grid.height):
+    best_cell = best_center = None
+    for row in range(risk.height):
         cy = oy + (row + 0.5) * res
         if abs(cy - py) > whw:
             continue
-        for col in range(grid.width):
+        for col in range(risk.width):
             cx = ox + (col + 0.5) * res
             if abs(cx - px) > whw:
                 continue
             if int(risk.risk[row, col]) >= RISK_MAX:
                 continue
             cost = 0
-            for nrow in range(max(0, row - nr), min(grid.height - 1, row + nr) + 1):
-                for ncol in range(max(0, col - nr), min(grid.width - 1, col + nr) + 1):
+            for nrow in range(max(0, row - nr), min(risk.height - 1, row + nr) + 1):
+                for ncol in range(max(0, col - nr), min(risk.width - 1, col + nr) + 1):
                     cost += total(ncol, nrow)
             dx, dy = cx - px, cy - py
-            key = (cost, math.sqrt(dx * dx + dy * dy), row * grid.width + col)
+            key = (cost, math.sqrt(dx * dx + dy * dy), row * risk.width + col)
             if best is None or key < best:
                 best = key
-                best_cell = CellIndex(col, row)
+                best_cell, best_center = CellIndex(col, row), (cx, cy)
     if best_cell is None:
         raise NoGoalError("no admissible cell in the candidate window")
-    cx, cy = cell_to_world(grid, best_cell)
+    cx, cy = best_center
     heading = math.atan2(target.pose.y - cy, target.pose.x - cx)
     return NavGoal(best_cell, Pose2D(cx, cy, heading), best[0])

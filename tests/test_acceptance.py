@@ -108,14 +108,14 @@ def _random_nav_instance(rng):
 def _goals_agree(grid, risk, layer, robot, params) -> bool:
     target = layer.get("t")
     try:
-        fast = select_goal(grid, risk, target, robot, params)
+        fast = select_goal(risk, target, robot, params)
     except NoGoalError:
         try:
-            brute_force_goal(grid, risk, target, robot, params)
+            brute_force_goal(risk, target, robot, params)
             return False
         except NoGoalError:
             return True
-    slow = brute_force_goal(grid, risk, target, robot, params)
+    slow = brute_force_goal(risk, target, robot, params)
     return fast.cell == slow.cell and fast.cost == slow.cost
 
 

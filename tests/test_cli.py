@@ -42,6 +42,16 @@ class TestMapCommands:
         doc = json.loads(out_file.read_text())
         assert [e["id"] for e in doc["furniture"]] == [f"table_{k}" for k in range(6)]
 
+    def test_dump_keeps_hand_written_base_z(self, capsys, tmp_path):
+        doc = json.loads((GOLDEN / "six_tables_layers.json").read_text())
+        doc["furniture"][0]["base_z"] = 1.49  # 1.49 + 1.87 / 2 - 1.87 / 2 != 1.49 in floats
+        doc["furniture"][0]["dims"]["h"] = 1.87
+        layers = tmp_path / "layers.json"
+        layers.write_text(json.dumps(doc, indent=2) + "\n")
+        code, out, _ = run_cli(capsys, ["map", "dump", "--layers", layers])
+        assert code == 0
+        assert out == layers.read_text()
+
     def test_dump_round_trips(self, capsys, tmp_path):
         layers = tmp_path / "layers.json"
         layers.write_text((GOLDEN / "six_tables_layers.json").read_text())
@@ -256,9 +266,33 @@ def _event(kind, field, value):
     return mutate
 
 
+def _second_frame(kind, frame):
+    def mutate(doc):
+        i = [j for j, ev in enumerate(doc["events"]) if ev["type"] == kind][1]
+        doc["events"][i]["frame"] = frame
+        return f"event {i}"
+    return mutate
+
+
+def _world_at(*path, value):
+    def mutate(doc):
+        node = doc["world"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return f"world.{path[0]}"
+    return mutate
+
+
 def _robot_start(doc):
     doc["world"]["robot_start"] = [60.0, 4.0, 0.0]  # the grid is 12 m wide
     return "world.robot_start"
+
+
+def _unknown_kitchen(doc):
+    # parses; the run stops at the first call, which has no kitchen to fetch from
+    doc["world"]["kitchen_table"] = "sofa_9"
+    return f"event {_first(doc['events'], 'call')}: world.kitchen_table 'sofa_9'"
 
 
 def _layer_dims(doc):
@@ -276,6 +310,11 @@ def _layer_kitchen(doc):
     return "kitchen 'sofa_9'"
 
 
+def _layer_zero_area_zone(doc):
+    doc["zones"].append({"name": "bar", "p1": [1.0, 1.0], "p2": [1.0, 2.0]})
+    return "zone entry {'name': 'bar'"
+
+
 def _layer_human_action(doc):
     doc["humans"].append({"id": "person_0", "position": [1.0, 1.0, 0.0], "action": "dancing"})
     return "'person_0'"
@@ -291,10 +330,26 @@ MALFORMED_INPUTS = {
     "human position with two values": ("run", _event("human", "position", [2.8, 2.6])),
     "integer utterance text": ("run", _event("utterance", "text", 42)),
     "robot start outside the grid": ("run", _robot_start),
+    "repeated detection frame": ("run", _second_frame("detections", 0)),
+    "human frame older than the previous one": ("run", _second_frame("human", 1)),
+    "list call table": ("run", _event("call", "table", ["table_0"])),
+    "list utterance table": ("run", _event("utterance", "table", ["table_0"])),
+    "unknown fault skill": ("run", _event("fault", "skill", "fly")),
+    "call to an untracked table": ("run", _event("call", "table", "table_99")),
+    "non-numeric zone corner": ("run", _world_at("zones", 0, "p1", value=["a", 1])),
+    "string stock count": ("run", _world_at("stock", "cola", value="x")),
+    "negative stock count": ("run", _world_at("stock", "cola", value=-3)),
+    "integer menu name": ("run", _world_at("menu", 0, "name", value=7)),
+    "single-value robot start": ("run", _world_at("robot_start", value=[6.0])),
+    "NaN robot radius": ("run", _world_at("nav_params", "robot_radius", value=float("nan"))),
+    "fractional RANSAC iterations": ("run", _world_at("ransac", value={"iterations": 2.5})),
+    "list kitchen table": ("run", _world_at("kitchen_table", value=["table_5"])),
+    "untracked kitchen table": ("run", _unknown_kitchen),
     "layer furniture dims of zero": ("layers", _layer_dims),
     "layer duplicate furniture id": ("layers", _layer_duplicate_id),
     "layer kitchen not in furniture": ("layers", _layer_kitchen),
     "layer unknown human action": ("layers", _layer_human_action),
+    "layer zone of zero area": ("layers", _layer_zero_area_zone),
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import all_cells, exact_point_in_convex_polygon
+from oracles import all_cells, cell_to_world, exact_point_in_convex_polygon, loop_virtual_obstacles
 from waiterbot.furniture import (
     Detection3D,
     FrameOrderError,
@@ -12,7 +12,7 @@ from waiterbot.furniture import (
     FurnitureNotFound,
     TrackStatus,
 )
-from waiterbot.grid import CellState, GridMap, cell_to_world
+from waiterbot.grid import CellState, GridMap
 
 
 def det(cx, cy, cls="table", dims=(1.2, 0.8, 0.72), yaw=0.0, frame=0):
@@ -148,6 +148,19 @@ class TestVirtualObstacles:
         for c in all_cells(grid):
             expected = exact_point_in_convex_polygon(cell_to_world(grid, c), footprint)
             assert (out.cells[c.row, c.col] == CellState.OCCUPIED) == expected
+
+    def test_equals_cell_loop_for_rotated_tables_clipped_at_the_edge(self):
+        rng = np.random.default_rng(29)
+        grid = GridMap(0.05, (-0.3, 0.2), (rng.random((60, 80)) < 0.05).astype(np.uint8))
+        for _ in range(60):
+            layer = FurnitureLayer()
+            for k in range(int(rng.integers(1, 6))):
+                # the map spans x -0.3..3.7, y 0.2..3.2: some tables are clipped, some miss it
+                center = (float(rng.uniform(-1.2, 5.2)), float(rng.uniform(-1.0, 4.4)), 0.36)
+                dims = (float(rng.uniform(0.3, 1.6)), float(rng.uniform(0.3, 1.2)), 0.72)
+                yaw = float(rng.uniform(-math.pi, math.pi))
+                layer.register(Detection3D("table", center, dims, yaw, 0), f"t{k}")
+            assert layer.virtual_obstacles(grid) == loop_virtual_obstacles(layer, grid)
 
     def test_idempotent_and_monotone(self):
         layer = FurnitureLayer()

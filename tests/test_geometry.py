@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_iou_3d, exact_point_in_convex_polygon, point_polygon_edge_distance
+from oracles import exact_iou_3d, exact_point_in_convex_polygon, inside_convex, point_polygon_edge_distance
 from waiterbot.geometry import (
     OrientedBox3,
     Pose2D,
@@ -46,6 +46,23 @@ def test_point_in_polygon_boundary_is_inside():
     assert point_in_convex_polygon((1.0, 0.0), square)
     assert point_in_convex_polygon((0.0, 0.0), square)
     assert not point_in_convex_polygon((1.01, 0.0), square)
+
+
+def test_point_in_polygon_arrays_match_scalar_calls():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        poly = rect_corners(*(float(v) for v in rng.uniform(-1, 1, 2)),
+                            *(float(v) for v in rng.uniform(0.1, 2.0, 2)),
+                            float(rng.uniform(-math.pi, math.pi)))
+        # random points plus the corners and edge midpoints, on or within an ulp of the boundary
+        mids = [((ax + bx) / 2, (ay + by) / 2) for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1])]
+        xs = np.concatenate([rng.uniform(-2.5, 2.5, 60), [p[0] for p in poly + mids]])
+        ys = np.concatenate([rng.uniform(-2.5, 2.5, 60), [p[1] for p in poly + mids]])
+        scalar = [inside_convex((x, y), poly) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert scalar == [point_in_convex_polygon((x, y), poly) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert point_in_convex_polygon((xs, ys), poly).tolist() == scalar
+        block = point_in_convex_polygon((xs[None, :], ys[:40, None]), poly)
+        assert block.tolist() == [[inside_convex((x, y), poly) for x in xs.tolist()] for y in ys[:40].tolist()]
 
 
 def test_intersection_area_disjoint_and_nested():

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_cells, naive_inflate, naive_window_sum
+from oracles import all_cells, cell_to_world, naive_inflate, naive_window_sum
 from waiterbot.grid import (
     BoundsError,
     CellIndex,
     CellState,
     GridFormatError,
     GridMap,
-    cell_to_world,
     inflate,
     integral_image,
     load_grid,

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from waiterbot.furniture import Detection3D, FurnitureLayer
@@ -26,6 +28,18 @@ def test_dump_load_dump_byte_identical():
     text = dump_layers(furniture, zones, humans)
     again = dump_layers(*load_layers(text))
     assert again == text
+
+
+def test_hand_written_base_z_and_height_survive_load():
+    # base_z + h / 2 - h / 2 is not base_z for many pairs, e.g. 1.49 and 1.87
+    furniture, zones, humans = populated_layers()
+    doc = json.loads(dump_layers(furniture, zones, humans))
+    for base_z in [k / 100 for k in range(0, 200, 3)]:
+        for h in [k / 100 for k in range(10, 250, 7)]:
+            doc["furniture"][1]["base_z"] = base_z
+            doc["furniture"][1]["dims"]["h"] = h
+            text = json.dumps(doc, indent=2) + "\n"
+            assert dump_layers(*load_layers(text)) == text
 
 
 def test_sections_present_and_ordered():

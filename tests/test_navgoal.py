@@ -34,6 +34,12 @@ class TestParams:
         with pytest.raises(ValueError):
             NavGoalParams(robot_radius=-0.1)
 
+    @pytest.mark.parametrize("field", ["robot_radius", "clearance", "alpha", "window_half_width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            NavGoalParams(**{field: value})
+
     def test_window_must_cover_robot(self):
         with pytest.raises(ValueError):
             NavGoalParams(robot_radius=0.5, window_half_width=0.3)
@@ -86,8 +92,8 @@ class TestSelectGoal:
         layer = table_layer(1.0, 1.0)
         grid, risk = world(layer=layer)
         robot = Pose2D(0.2, 1.0)
-        goal = select_goal(grid, risk, layer.get("t"), robot, self.params())
-        oracle = brute_force_goal(grid, risk, layer.get("t"), robot, self.params())
+        goal = select_goal(risk, layer.get("t"), robot, self.params())
+        oracle = brute_force_goal(risk, layer.get("t"), robot, self.params())
         assert goal.cell == oracle.cell and goal.cost == oracle.cost
         assert goal.pose.x < 1.0 - 0.5  # on the robot's side of the table
         assert risk.at(goal.cell) < RISK_MAX
@@ -99,7 +105,7 @@ class TestSelectGoal:
         grid, risk = world(layer=None)  # obstacle-free: all costs equal at alpha=0
         robot = Pose2D(0.0, 1.0)
         params = self.params(alpha=0.0)
-        goal = select_goal(grid, risk, layer.get("t"), robot, params)
+        goal = select_goal(risk, layer.get("t"), robot, params)
         px, py = (1.0 - 0.5 - 0.45, 1.0)  # west candidate point
         best = min(
             (math.dist((c.pose.x, c.pose.y), (px, py)) for c in [goal]),
@@ -113,19 +119,19 @@ class TestSelectGoal:
         grid = GridMap(0.1, (0.0, 0.0), cells)
         risk = inflate(grid, 0.25)
         with pytest.raises(NoGoalError):
-            select_goal(grid, risk, layer.get("t"), Pose2D(0.1, 0.1), self.params())
+            select_goal(risk, layer.get("t"), Pose2D(0.1, 0.1), self.params())
 
     def test_heading_points_at_furniture(self):
         layer = table_layer(1.0, 1.0)
         grid, risk = world(layer=layer)
-        goal = select_goal(grid, risk, layer.get("t"), Pose2D(0.2, 1.0), self.params())
+        goal = select_goal(risk, layer.get("t"), Pose2D(0.2, 1.0), self.params())
         expected = math.atan2(1.0 - goal.pose.y, 1.0 - goal.pose.x)
         assert goal.pose.theta == pytest.approx(expected)
 
     def test_determinism(self):
         layer = table_layer(1.0, 1.2)
         grid, risk = world(layer=layer)
-        args = (grid, risk, layer.get("t"), Pose2D(1.9, 0.3, 0.5), self.params())
+        args = (risk, layer.get("t"), Pose2D(1.9, 0.3, 0.5), self.params())
         assert select_goal(*args) == select_goal(*args)
 
 
@@ -134,7 +140,7 @@ class TestBruteForceContract:
         layer = table_layer(1.0, 1.0)
         grid, risk = world(layer=None)
         params = NavGoalParams(robot_radius=0.25, clearance=0.2, alpha=5.0, window_half_width=0.8)
-        goal = brute_force_goal(grid, risk, layer.get("t"), Pose2D(0.0, 1.0), params)
+        goal = brute_force_goal(risk, layer.get("t"), Pose2D(0.0, 1.0), params)
         # candidate point is (0.05, 1.0); the containing cell wins
         assert goal.cell.col == 0 and goal.cell.row in (9, 10)
 
@@ -146,7 +152,7 @@ class TestBruteForceContract:
         risk = inflate(grid, 0.0)
         params = NavGoalParams(robot_radius=0.0, clearance=0.35, alpha=10.0,
                                window_half_width=0.5)
-        goal = brute_force_goal(grid, risk, layer.get("t"), Pose2D(0.15, 1.05), params)
+        goal = brute_force_goal(risk, layer.get("t"), Pose2D(0.15, 1.05), params)
         assert (goal.cell.col, goal.cell.row) == (1, 10)
 
     def test_alpha_scaling_preserves_argmin_on_zero_risk(self):
@@ -155,8 +161,8 @@ class TestBruteForceContract:
         robot = Pose2D(0.3, 0.4)
         base = NavGoalParams(robot_radius=0.2, clearance=0.2, alpha=4.0, window_half_width=0.9)
         scaled = NavGoalParams(robot_radius=0.2, clearance=0.2, alpha=12.0, window_half_width=0.9)
-        g1 = select_goal(grid, risk, layer.get("t"), robot, base)
-        g2 = select_goal(grid, risk, layer.get("t"), robot, scaled)
+        g1 = select_goal(risk, layer.get("t"), robot, base)
+        g2 = select_goal(risk, layer.get("t"), robot, scaled)
         assert g1.cell == g2.cell
 
 
@@ -193,12 +199,12 @@ def test_fast_path_equals_brute_force_on_random_instances():
         grid, risk, layer, robot, params = random_instance(rng)
         target = layer.get("t")
         try:
-            fast = select_goal(grid, risk, target, robot, params)
+            fast = select_goal(risk, target, robot, params)
         except NoGoalError:
             with pytest.raises(NoGoalError):
-                brute_force_goal(grid, risk, target, robot, params)
+                brute_force_goal(risk, target, robot, params)
             continue
-        slow = brute_force_goal(grid, risk, target, robot, params)
+        slow = brute_force_goal(risk, target, robot, params)
         assert fast.cell == slow.cell
         assert fast.cost == slow.cost
         checked += 1
@@ -236,12 +242,12 @@ def test_goals_stay_off_every_footprint_in_multi_table_layouts(radius):
         footprints = [inst.footprint() for inst in layer.instances()]
         for target in layer.instances():
             try:
-                fast = select_goal(grid, risk, target, robot, params)
+                fast = select_goal(risk, target, robot, params)
             except NoGoalError:
                 with pytest.raises(NoGoalError):
-                    brute_force_goal(grid, risk, target, robot, params)
+                    brute_force_goal(risk, target, robot, params)
                 continue
-            slow = brute_force_goal(grid, risk, target, robot, params)
+            slow = brute_force_goal(risk, target, robot, params)
             assert (fast.cell, fast.cost) == (slow.cell, slow.cost)
             center = (fast.pose.x, fast.pose.y)
             assert not any(point_in_convex_polygon(center, fp) for fp in footprints)

@@ -35,13 +35,13 @@ def risk_free(w, h, res=0.1):
 class TestPlanPath:
     def test_straight_corridor(self):
         grid, risk = risk_free(10, 3)
-        path = plan_path(grid, risk, CellIndex(0, 1), CellIndex(9, 1))
+        path = plan_path(risk, CellIndex(0, 1), CellIndex(9, 1))
         assert path[0] == CellIndex(0, 1) and path[-1] == CellIndex(9, 1)
         assert path_cost(path) == pytest.approx(9.0)
 
     def test_start_equals_goal(self):
         grid, risk = risk_free(5, 5)
-        assert plan_path(grid, risk, CellIndex(2, 2), CellIndex(2, 2)) == [CellIndex(2, 2)]
+        assert plan_path(risk, CellIndex(2, 2), CellIndex(2, 2)) == [CellIndex(2, 2)]
 
     def test_walled_off_goal_unreachable(self):
         cells = np.zeros((7, 7), dtype=np.uint8)
@@ -49,7 +49,7 @@ class TestPlanPath:
         grid = GridMap(0.1, (0.0, 0.0), cells)
         risk = inflate(grid, 0.0)
         with pytest.raises(PathError):
-            plan_path(grid, risk, CellIndex(0, 0), CellIndex(6, 6))
+            plan_path(risk, CellIndex(0, 0), CellIndex(6, 6))
 
     def test_inadmissible_endpoint_rejected(self):
         cells = np.zeros((5, 5), dtype=np.uint8)
@@ -57,11 +57,11 @@ class TestPlanPath:
         grid = GridMap(0.1, (0.0, 0.0), cells)
         risk = inflate(grid, 0.0)
         with pytest.raises(PathError):
-            plan_path(grid, risk, CellIndex(0, 0), CellIndex(4, 4))
+            plan_path(risk, CellIndex(0, 0), CellIndex(4, 4))
 
     def test_diagonal_costs_sqrt2(self):
         grid, risk = risk_free(6, 6)
-        path = plan_path(grid, risk, CellIndex(0, 0), CellIndex(5, 5))
+        path = plan_path(risk, CellIndex(0, 0), CellIndex(5, 5))
         assert path_cost(path) == pytest.approx(5 * math.sqrt(2))
 
     def test_path_cells_stay_admissible(self):
@@ -72,7 +72,7 @@ class TestPlanPath:
         grid = GridMap(0.1, (0.0, 0.0), cells)
         risk = inflate(grid, 0.0)
         try:
-            path = plan_path(grid, risk, CellIndex(0, 0), CellIndex(19, 19))
+            path = plan_path(risk, CellIndex(0, 0), CellIndex(19, 19))
         except PathError:
             return
         assert all(risk.at(c) < RISK_MAX for c in path)
@@ -93,7 +93,7 @@ class TestPlanPath:
                     a, b = free[a_idx], free[b_idx]
                     expected = relaxation_path_cost(risk.risk, a, b)
                     try:
-                        got = path_cost(plan_path(grid, risk, a, b))
+                        got = path_cost(plan_path(risk, a, b))
                     except PathError:
                         got = None
                     if expected is None:
