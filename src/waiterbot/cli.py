@@ -12,14 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .furniture import (
-    Detection3D,
-    FurnitureError,
-    FurnitureLayer,
-    FurnitureNotFound,
-    detections_from_json,
-)
-from .geometry import Pose2D
+from .furniture import FrameOrderError, FurnitureError, FurnitureLayer, FurnitureNotFound, detections_from_json
+from .geometry import Pose2D, finite_tuple
 from .grid import GridFormatError, inflate, load_grid
 from .layers import LayerFormatError, dump_layers, load_layers
 from .llm import BackendConfig, RemoteBackend
@@ -38,29 +32,28 @@ class CliError(Exception):
         self.code = code
 
 
-def _read(path: str, kind: str) -> str:
+def _load(path: str, kind: str, parse, error: type[Exception]):
+    """`parse` of the text at `path`; a read or parse failure exits 2 naming the file."""
     try:
-        return Path(path).read_text()
-    except OSError as e:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {kind} {path}: {e}", USAGE_EXIT) from None
-
-
-def _load_detection_log(path: str) -> list[list[Detection3D]]:
-    try:
-        doc = json.loads(_read(path, "detection log"))
-        return [detections_from_json(entry["frame"], entry["boxes"]) for entry in doc]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise CliError(f"bad detection log {path}: {e}", USAGE_EXIT) from None
+    except error as e:
+        raise CliError(f"bad {kind} {path}: {e}", USAGE_EXIT) from None
 
 
 def cmd_map_build(args) -> int:
-    try:
-        load_grid(_read(args.grid, "grid"))  # validates geometry early
-    except GridFormatError as e:
-        raise CliError(f"bad grid {args.grid}: {e}", USAGE_EXIT) from None
+    _load(args.grid, "grid", load_grid, GridFormatError)  # validates geometry early
+    log = _load(args.detections, "detection log", json.loads, json.JSONDecodeError)
+    if not isinstance(log, list):
+        raise CliError(f"bad detection log {args.detections}: top level must be a list", USAGE_EXIT)
     layer = FurnitureLayer()
-    for dets in _load_detection_log(args.detections):
-        layer.track_frame(dets)
+    for i, entry in enumerate(log):
+        try:
+            layer.track_frame(detections_from_json(entry["frame"], entry["boxes"]))
+        except (KeyError, TypeError, ValueError, FrameOrderError) as e:
+            raise CliError(f"bad detection log {args.detections}: entry {i}: {type(e).__name__}: {e}",
+                           USAGE_EXIT) from None
     if args.kitchen:
         try:
             layer.set_kitchen(args.kitchen)
@@ -76,34 +69,21 @@ def cmd_map_build(args) -> int:
 
 
 def cmd_map_dump(args) -> int:
-    try:
-        layer, zones, humans = load_layers(_read(args.layers, "layer dump"))
-    except LayerFormatError as e:
-        raise CliError(f"bad layer dump {args.layers}: {e}", USAGE_EXIT) from None
+    layer, zones, humans = _load(args.layers, "layer dump", load_layers, LayerFormatError)
     print(dump_layers(layer, zones, humans), end="")
     return 0
 
 
 def _parse_pose(text: str) -> Pose2D:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"pose must be x,y,theta — got {text!r}", USAGE_EXIT)
     try:
-        x, y, theta = (float(p) for p in parts)
+        return Pose2D(*finite_tuple([float(p) for p in text.split(",")], 3, "pose"))
     except ValueError:
-        raise CliError(f"pose must be numeric — got {text!r}", USAGE_EXIT) from None
-    return Pose2D(x, y, theta)
+        raise CliError(f"pose must be three finite numbers x,y,theta — got {text!r}", USAGE_EXIT) from None
 
 
 def cmd_nav_goal(args) -> int:
-    try:
-        grid = load_grid(_read(args.map, "grid"))
-    except GridFormatError as e:
-        raise CliError(f"bad grid {args.map}: {e}", USAGE_EXIT) from None
-    try:
-        layer, _, _ = load_layers(_read(args.layers, "layer dump"))
-    except LayerFormatError as e:
-        raise CliError(f"bad layer dump {args.layers}: {e}", USAGE_EXIT) from None
+    grid = _load(args.map, "grid", load_grid, GridFormatError)
+    layer, _, _ = _load(args.layers, "layer dump", load_layers, LayerFormatError)
     robot = _parse_pose(args.robot)
     try:
         target = layer.get(args.furniture)
@@ -122,10 +102,7 @@ def cmd_nav_goal(args) -> int:
 
 
 def cmd_place(args) -> int:
-    try:
-        cloud = load_cloud(_read(args.cloud, "cloud"))
-    except PlacementError as e:
-        raise CliError(f"bad cloud {args.cloud}: {e}", USAGE_EXIT) from None
+    cloud = _load(args.cloud, "cloud", load_cloud, PlacementError)
     params = RansacParams(seed=args.seed)
     try:
         plane, inliers = ransac_plane(cloud, params)
@@ -152,16 +129,15 @@ def _backend_for(args, registry, menu):
     return RemoteBackend(config, prompts)
 
 
-def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as e:
-        raise CliError(str(e), USAGE_EXIT) from None
+def _simulation(args) -> Simulation:
+    scenario = load_scenario(args.scenario)  # a ScenarioError exits 2 through dispatch
     registry = default_registry()
-    backend = _backend_for(args, registry, scenario.menu)
-    sim = Simulation(scenario, RunConfig(mode=args.mode, seed=args.seed),
-                     registry=registry, backend=backend)
-    metrics, log = sim.run()
+    return Simulation(scenario, RunConfig(mode=args.mode, seed=args.seed), registry=registry,
+                      backend=_backend_for(args, registry, scenario.menu))
+
+
+def cmd_run(args) -> int:
+    metrics, log = _simulation(args).run()
     if args.log:
         Path(args.log).write_text("\n".join(log) + "\n")
     if args.metrics_out:
@@ -171,14 +147,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_repl(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as e:
-        raise CliError(str(e), USAGE_EXIT) from None
-    registry = default_registry()
-    backend = _backend_for(args, registry, scenario.menu)
-    sim = Simulation(scenario, RunConfig(mode=args.mode, seed=args.seed),
-                     registry=registry, backend=backend)
+    sim = _simulation(args)
     sim.warm_up()
     tables = [i.id for i in sim.layer.instances() if i.id != sim.layer.kitchen_id]
     sim.caller = args.table or (tables[0] if tables else None)
@@ -199,18 +168,13 @@ def cmd_repl(args) -> int:
         print(f"robot> {response}")
         slots = ", ".join(f"{k}={parsed.slots[k]}" for k in sorted(parsed.slots))
         print(f"task: {parsed.name}({slots}) confidence={parsed.confidence:.2f}")
-        outcome = execute(parsed, registry, sim.simulate_skill)
+        outcome = execute(parsed, sim.registry, sim.simulate_skill)
         print(render_trace(outcome))
     return 0
 
 
 def cmd_metrics_diff(args) -> int:
-    docs = []
-    for path in (args.a, args.b):
-        try:
-            docs.append(json.loads(_read(path, "metrics")))
-        except json.JSONDecodeError as e:
-            raise CliError(f"bad metrics file {path}: {e}", USAGE_EXIT) from None
+    docs = [_load(path, "metrics file", json.loads, json.JSONDecodeError) for path in (args.a, args.b)]
     keys = sorted(set(docs[0]) | set(docs[1]))
     same = True
     for key in keys:
@@ -255,25 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.set_defaults(func=cmd_place)
 
     p_run = sub.add_parser("run", help="replay a scenario and print metrics")
-    p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--mode", choices=("parallel", "sequential"), default="parallel")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--log", default=None, help="write the event log to this file")
     p_run.add_argument("--metrics-out", default=None, help="write metrics JSON to this file")
-    p_run.add_argument("--backend", choices=("rules", "remote"), default="rules")
-    p_run.add_argument("--endpoint", default="")
-    p_run.add_argument("--model", default="")
     p_run.set_defaults(func=cmd_run)
-
     p_repl = sub.add_parser("repl", help="interactive utterances against a scenario world")
-    p_repl.add_argument("--scenario", required=True)
     p_repl.add_argument("--table", default=None)
-    p_repl.add_argument("--mode", choices=("parallel", "sequential"), default="parallel")
-    p_repl.add_argument("--seed", type=int, default=0)
-    p_repl.add_argument("--backend", choices=("rules", "remote"), default="rules")
-    p_repl.add_argument("--endpoint", default="")
-    p_repl.add_argument("--model", default="")
     p_repl.set_defaults(func=cmd_repl)
+    for p in (p_run, p_repl):  # the scenario, pipeline and backend options both share
+        p.add_argument("--scenario", required=True)
+        p.add_argument("--mode", choices=("parallel", "sequential"), default="parallel")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--backend", choices=("rules", "remote"), default="rules")
+        p.add_argument("--endpoint", default="")
+        p.add_argument("--model", default="")
 
     p_metrics = sub.add_parser("metrics", help="metrics file tools")
     metrics_sub = p_metrics.add_subparsers(dest="metrics_command", required=True)

@@ -13,13 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import (
     OrientedBox3,
     Pose2D,
+    check_count,
+    check_string,
+    finite_tuple,
     iou_3d,
+    is_finite,
     normalize_angle,
     point_in_convex_polygon,
     rect_corners,
@@ -48,6 +53,8 @@ class TrackStatus(Enum):
 
 @dataclass(frozen=True)
 class Detection3D:
+    """One detected box; the only place its fields are checked."""
+
     class_name: str
     center: tuple[float, float, float]
     dims: tuple[float, float, float]
@@ -55,38 +62,52 @@ class Detection3D:
     frame_id: int
 
     def __post_init__(self) -> None:
-        if min(self.dims) <= 0:
-            raise ValueError(f"dims must be positive, got {self.dims}")
-        if self.frame_id < 0:
-            raise ValueError("frame_id must be non-negative")
+        check_string(self.class_name, "class")
+        object.__setattr__(self, "center", finite_tuple(self.center, 3, "center"))
+        object.__setattr__(self, "dims", _positive_dims(self.dims))
+        if not is_finite(self.yaw):
+            raise ValueError(f"yaw must be a finite number, got {self.yaw!r}")
+        check_count(self.frame_id, "frame")
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
     def box(self) -> OrientedBox3:
         return OrientedBox3(self.center, self.dims, self.yaw)
 
 
-def detections_from_json(frame: int, boxes: list[dict]) -> list[Detection3D]:
+def _positive_dims(dims) -> tuple[float, float, float]:
+    dims = finite_tuple(dims, 3, "dims")
+    if min(dims) <= 0:
+        raise ValueError(f"dims must be positive, got {dims}")
+    return dims
+
+
+def detections_from_json(frame: int, boxes: list[dict]) -> tuple[Detection3D, ...]:
     """One frame of JSON boxes (`class`, `center`, `dims`, optional `yaw`) as detections."""
-    return [
-        Detection3D(
-            class_name=b["class"],
-            center=tuple(b["center"]),
-            dims=tuple(b["dims"]),
-            yaw=b.get("yaw", 0.0),
-            frame_id=frame,
-        )
+    if not isinstance(boxes, list):
+        raise ValueError(f"boxes must be a list, got {boxes!r}")
+    return tuple(
+        Detection3D(b["class"], b["center"], b["dims"], b.get("yaw", 0.0), frame)
         for b in boxes
-    ]
+    )
 
 
 @dataclass(frozen=True)
 class FurnitureInstance:
+    """A tracked piece of furniture; the only place its fields are checked."""
+
     id: str
     class_name: str
     pose: Pose2D
     base_z: float
     dims: tuple[float, float, float]
     last_seen: int
+
+    def __post_init__(self) -> None:
+        check_string(self.id, "id")
+        check_string(self.class_name, "class")
+        finite_tuple((self.pose.x, self.pose.y, self.pose.theta, self.base_z), 4, "pose and base_z")
+        object.__setattr__(self, "dims", _positive_dims(self.dims))
+        check_count(self.last_seen, "last_seen")
 
     def box(self) -> OrientedBox3:
         cz = self.base_z + self.dims[2] / 2.0
@@ -126,13 +147,6 @@ class FurnitureLayer:
         self._class_counts[class_name] = k + 1
         return candidate
 
-    def register(self, detection: Detection3D, instance_id: str | None = None) -> str:
-        """Register one detection, with an explicit id or an auto-assigned one."""
-        if instance_id is None:
-            instance_id = self._auto_id(detection.class_name)
-        self.restore(_instance_from(detection, instance_id))
-        return instance_id
-
     def restore(self, instance: FurnitureInstance) -> None:
         """Add an instance under its own id, e.g. one read back from a layer dump."""
         if instance.id in self._instances:
@@ -140,7 +154,7 @@ class FurnitureLayer:
         self._instances[instance.id] = instance
         self.last_frame = max(self.last_frame, instance.last_seen)
 
-    def track_frame(self, detections: list[Detection3D]) -> list[tuple[str, TrackStatus]]:
+    def track_frame(self, detections: Sequence[Detection3D]) -> list[tuple[str, TrackStatus]]:
         """Associate one frame of detections; returns (id, MATCHED|NEW) per detection."""
         if not detections:
             return []
@@ -174,11 +188,12 @@ class FurnitureLayer:
         results: list[tuple[str, TrackStatus]] = []
         for di, det in enumerate(detections):
             iid = assigned.get(di)
-            if iid is not None:
-                self._instances[iid] = _instance_from(det, iid)
-                results.append((iid, TrackStatus.MATCHED))
+            if iid is None:
+                iid = self._auto_id(det.class_name)
+                results.append((iid, TrackStatus.NEW))
             else:
-                results.append((self.register(det), TrackStatus.NEW))
+                results.append((iid, TrackStatus.MATCHED))
+            self._instances[iid] = _instance_from(det, iid)
         self.last_frame = frame_id
         return results
 

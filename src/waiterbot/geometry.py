@@ -1,7 +1,9 @@
 """Plan-view geometry helpers: poses, oriented boxes, convex polygon math.
 
 Everything here is pure and deterministic; the tracker, the grid projection
-and the navigation-goal search all share these primitives.
+and the navigation-goal search all share these primitives.  The field checks
+at the top (finite numbers, counts, strings) are the ones every input record
+uses in its constructor.
 """
 
 from __future__ import annotations
@@ -10,6 +12,32 @@ import math
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+
+
+def is_finite(x) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def finite_tuple(value, n: int, name: str) -> tuple:
+    """`value` as a tuple of `n` finite numbers; ValueError naming `name` otherwise."""
+    v = tuple(value) if isinstance(value, (list, tuple)) else ()
+    if len(v) != n or not all(map(is_finite, v)):
+        raise ValueError(f"{name} must be {n} finite numbers, got {value!r}")
+    return v
+
+
+def check_count(value, name: str) -> None:
+    """ValueError naming `name` unless `value` is a non-negative integer (not a bool)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def check_string(value, name: str) -> str:
+    """`value` itself; ValueError naming `name` unless it is a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+    return value
 
 
 def normalize_angle(theta: float) -> float:
@@ -41,8 +69,7 @@ class OrientedBox3:
     yaw: float
 
     def __post_init__(self) -> None:
-        if min(self.dims) <= 0:
-            raise ValueError(f"dims must be positive, got {self.dims}")
+        # dims are checked by the records that build boxes (Detection3D, FurnitureInstance)
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
     def footprint(self) -> list[tuple[float, float]]:

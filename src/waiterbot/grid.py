@@ -45,7 +45,10 @@ class CellState(IntEnum):
 
 
 GLYPHS = {CellState.FREE: ".", CellState.OCCUPIED: "#", CellState.UNKNOWN: "?"}
-STATES = {g: s for s, g in GLYPHS.items()}
+# code point -> cell state; every code point from _NO_STATE up is no glyph
+_NO_STATE = 255
+_GLYPH_STATE = np.full(_NO_STATE + 1, _NO_STATE, dtype=np.uint8)
+_GLYPH_STATE[[ord(g) for g in GLYPHS.values()]] = list(GLYPHS)
 
 
 class CellIndex(NamedTuple):
@@ -129,29 +132,15 @@ class RiskField:
         return int(self.risk[c.row, c.col])
 
 
-def disc_offsets(radius: float, resolution: float) -> list[tuple[int, int]]:
-    """Integer (dcol, drow) offsets whose center-to-center distance is <= radius."""
-    reach = math.floor(radius / resolution) + 1
-    out = []
-    for dr in range(-reach, reach + 1):
-        for dc in range(-reach, reach + 1):
-            if math.sqrt((dc * resolution) ** 2 + (dr * resolution) ** 2) <= radius:
-                out.append((dc, dr))
-    return out
-
-
 def inflate(grid: GridMap, radius: float) -> RiskField:
     """Risk field with 100 within `radius` of any OCCUPIED/UNKNOWN cell center."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    seeds = grid.cells != CellState.FREE
-    offsets = disc_offsets(radius, grid.resolution)
-    reach = max(abs(v) for off in offsets for v in off) if offsets else 0
-    size = 2 * reach + 1
-    structure = np.zeros((size, size), dtype=bool)
-    for dc, dr in offsets:
-        structure[dr + reach, dc + reach] = True
-    hit = ndimage.binary_dilation(seeds, structure=structure)
+    # the cell offsets whose center-to-center distance is <= radius
+    reach = math.floor(radius / grid.resolution) + 1
+    d = np.arange(-reach, reach + 1) * grid.resolution
+    disc = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) <= radius
+    hit = ndimage.binary_dilation(grid.cells != CellState.FREE, structure=disc)
     risk = np.where(hit, RISK_MAX, 0).astype(np.int64)
     return RiskField(grid.resolution, grid.origin, risk)
 
@@ -207,14 +196,16 @@ def load_grid(text: str) -> GridMap:
         raise GridFormatError("non-positive dimensions or resolution", 1)
     if len(lines) - 1 != height:
         raise GridFormatError(f"expected {height} rows, found {len(lines) - 1}", len(lines))
-    cells = np.empty((height, width), dtype=np.uint8)
-    for i, row_text in enumerate(lines[1:]):
-        lineno = i + 2
-        if len(row_text) != width:
-            raise GridFormatError(f"row has {len(row_text)} glyphs, expected {width}", lineno)
-        for j, g in enumerate(row_text):
-            state = STATES.get(g)
-            if state is None:
-                raise GridFormatError(f"unknown glyph {g!r}", lineno)
-            cells[i, j] = state
-    return GridMap(resolution, origin, cells)
+    rows = lines[1:]
+    # the first error in line order wins: glyphs are looked up only in the
+    # rows before the first row of the wrong length
+    short = next((i for i, row in enumerate(rows) if len(row) != width), height)
+    codes = np.frombuffer("".join(rows[:short]).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    cells = _GLYPH_STATE[np.minimum(codes, _NO_STATE)]
+    bad = np.flatnonzero(cells == _NO_STATE)
+    if bad.size:
+        row, col = divmod(int(bad[0]), width)
+        raise GridFormatError(f"unknown glyph {rows[row][col]!r}", row + 2)
+    if short < height:
+        raise GridFormatError(f"row has {len(rows[short])} glyphs, expected {width}", short + 2)
+    return GridMap(resolution, origin, cells.reshape(height, width))

@@ -53,6 +53,31 @@ def dump_layers(furniture: FurnitureLayer, zones: list[Zone] | None = None,
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _furniture(entry) -> FurnitureInstance:
+    pose, dims = entry["pose"], entry["dims"]
+    return FurnitureInstance(entry["id"], entry["class"], Pose2D(pose["x"], pose["y"], pose["theta"]),
+                             entry["base_z"], (dims["w"], dims["d"], dims["h"]), entry.get("last_seen", 0))
+
+
+def _human(entry) -> HumanEntity:
+    return HumanEntity(entry["id"], entry["position"], entry.get("action", "unknown"), entry.get("name"),
+                       entry.get("attributes", {}), entry.get("last_seen", 0))
+
+
+def _each(doc: dict, key: str, kind: str, build) -> list:
+    """`build(entry)` for every entry of `doc[key]`; a failure names the entry."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise LayerFormatError(f"{key} must be a list, got {entries!r}")
+    out = []
+    for entry in entries:
+        try:
+            out.append(build(entry))
+        except (KeyError, TypeError, ValueError, FurnitureError) as e:
+            raise LayerFormatError(f"bad {kind} entry {entry!r}: {e}") from None
+    return out
+
+
 def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
     """Rebuild the three layers from a dump document."""
     try:
@@ -63,49 +88,14 @@ def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
         raise LayerFormatError("top level must be an object")
 
     layer = FurnitureLayer()
-    for entry in doc.get("furniture", []):
-        try:
-            dims = (entry["dims"]["w"], entry["dims"]["d"], entry["dims"]["h"])
-            last_seen = entry.get("last_seen", 0)
-            if min(dims) <= 0 or last_seen < 0:
-                raise ValueError("dims must be positive and last_seen non-negative")
-            pose = entry["pose"]
-            layer.restore(FurnitureInstance(
-                id=entry["id"],
-                class_name=entry["class"],
-                pose=Pose2D(pose["x"], pose["y"], pose["theta"]),
-                base_z=entry["base_z"],
-                dims=dims,
-                last_seen=last_seen,
-            ))
-        except (KeyError, TypeError, ValueError, FurnitureError) as e:
-            raise LayerFormatError(f"bad furniture entry {entry!r}: {e}") from None
+    _each(doc, "furniture", "furniture", lambda e: layer.restore(_furniture(e)))
     kitchen = doc.get("kitchen")
     if kitchen is not None:
         try:
             layer.set_kitchen(kitchen)
         except (FurnitureError, TypeError):
             raise LayerFormatError(f"kitchen {kitchen!r} is not among the furniture entries") from None
-
-    zones = []
-    for entry in doc.get("zones", []):
-        try:
-            zones.append(Zone(entry["name"], tuple(entry["p1"]), tuple(entry["p2"])))
-        except (KeyError, TypeError, ValueError) as e:
-            raise LayerFormatError(f"bad zone entry {entry!r}: {e}") from None
-
+    zones = _each(doc, "zones", "zone", lambda e: Zone(e["name"], e["p1"], e["p2"]))
     humans = HumanLayer()
-    for entry in doc.get("humans", []):
-        try:
-            h = HumanEntity(
-                id=entry["id"],
-                position=tuple(entry["position"]),
-                action=entry.get("action", "unknown"),
-                name=entry.get("name"),
-                attributes=dict(entry.get("attributes", {})),
-                last_seen=entry.get("last_seen", 0),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise LayerFormatError(f"bad human entry {entry!r}: {e}") from None
-        humans.restore(h)
+    _each(doc, "humans", "human", lambda e: humans.restore(_human(e)))
     return layer, zones, humans

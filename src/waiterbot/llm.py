@@ -2,7 +2,7 @@
 
 Two interchangeable backends: `RuleBackend` (deterministic pattern table, no
 network) and `RemoteBackend` (OpenAI-style chat-completions endpoint, reached
-through a transport that tests replace with `StubTransport`).  All parse
+through `HttpTransport` or any object with the same `post` method).  All parse
 output flows through one line grammar, `task=<name>; slots=<k:v,...>`, so the
 remote and rule paths are drop-in replacements for each other.
 """
@@ -57,9 +57,11 @@ class MenuItem:
 
 
 class Menu:
-    """Item names must be unique after case-folding and trimming."""
+    """At least one item; names must be unique after case-folding and trimming."""
 
     def __init__(self, items: list[MenuItem]):
+        if not items:
+            raise ValueError("the menu must list at least one item")
         seen = set()
         for item in items:
             if not isinstance(item.name, str):
@@ -99,27 +101,6 @@ class HttpTransport:
             return resp.json()
         except ValueError as e:
             raise ProtocolError(f"non-JSON body: {e}") from None
-
-
-class StubTransport:
-    """Scripted transport: pops canned bodies (or exceptions) and records requests."""
-
-    def __init__(self, script: list[Any]):
-        self.script = list(script)
-        self.requests: list[dict[str, Any]] = []
-
-    def post(self, url, headers, body, timeout):
-        self.requests.append({"url": url, "headers": headers, "body": body})
-        if not self.script:
-            raise TransportError("script exhausted")
-        item = self.script.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-    @staticmethod
-    def reply(content: str) -> dict[str, Any]:
-        return {"choices": [{"message": {"content": content}}]}
 
 
 def complete(config: BackendConfig, messages: list[dict[str, str]],

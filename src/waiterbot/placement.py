@@ -73,8 +73,8 @@ class RansacParams:
             raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.inlier_eps <= 0:
-            raise ValueError("inlier_eps must be positive")
+        if not self.inlier_eps > 0:  # false for NaN too
+            raise ValueError(f"inlier_eps must be positive, got {self.inlier_eps!r}")
         if not 0.0 <= self.min_inlier_fraction <= 1.0:
             raise ValueError("min_inlier_fraction must be in [0, 1]")
 
@@ -96,13 +96,6 @@ def load_cloud(text: str) -> np.ndarray:
         if not all(map(math.isfinite, points[-1])):
             raise PlacementError(f"line {i}: non-finite value in {line!r}")
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
-
-
-def save_cloud(points: np.ndarray) -> str:
-    return "".join(
-        f"{float(x)!r} {float(y)!r} {float(z)!r}\n"
-        for x, y, z in np.asarray(points, dtype=np.float64)
-    )
 
 
 def _orient(n: np.ndarray) -> np.ndarray:

@@ -9,7 +9,11 @@ into one sentence.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
+
+from .geometry import check_count, check_string, finite_tuple
 
 ACTIONS = ("sitting", "standing", "walking", "waving", "unknown")
 ASSOCIATION_GATE_M = 0.5
@@ -29,9 +33,9 @@ class Zone:
     p2: tuple[float, float]
 
     def __post_init__(self) -> None:
-        for p in (self.p1, self.p2):
-            if len(p) != 2 or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in p):
-                raise ValueError(f"zone {self.name!r} corners must be two finite numbers, got {p!r}")
+        check_string(self.name, "zone name")
+        object.__setattr__(self, "p1", finite_tuple(self.p1, 2, f"zone {self.name!r} corner"))
+        object.__setattr__(self, "p2", finite_tuple(self.p2, 2, f"zone {self.name!r} corner"))
         if self.p1[0] == self.p2[0] or self.p1[1] == self.p2[1]:
             raise ValueError(f"zone {self.name!r} has zero area")
 
@@ -49,6 +53,18 @@ def zone_at(zones: list[Zone], p: tuple[float, float]) -> str | None:
     return None
 
 
+def _check_human(h) -> None:
+    """The one validity rule of a human record, observed or tracked."""
+    object.__setattr__(h, "position", finite_tuple(h.position, 3, "position"))
+    if h.action not in ACTIONS:
+        raise ValueError(f"unknown action {h.action!r}")
+    if h.name is not None:
+        check_string(h.name, "name")
+    if not (isinstance(h.attributes, Mapping)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in h.attributes.items())):
+        raise ValueError(f"attributes must be an object of strings, got {h.attributes!r}")
+
+
 @dataclass
 class HumanEntity:
     id: str
@@ -59,8 +75,9 @@ class HumanEntity:
     last_seen: int = 0
 
     def __post_init__(self) -> None:
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}")
+        check_string(self.id, "id")
+        _check_human(self)
+        check_count(self.last_seen, "last_seen")
 
 
 @dataclass(frozen=True)
@@ -69,7 +86,12 @@ class HumanObservation:
     frame_id: int
     action: str = "unknown"
     name: str | None = None
-    attributes: dict[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _check_human(self)
+        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
+        check_count(self.frame_id, "frame")
 
 
 class HumanLayer:
@@ -82,8 +104,6 @@ class HumanLayer:
 
     def upsert(self, obs: HumanObservation) -> str:
         """Update the nearest record within the gate, or create person_<k>."""
-        if obs.action not in ACTIONS:
-            raise ValueError(f"unknown action {obs.action!r}")
         if obs.frame_id < self.last_frame:
             raise ValueError(f"frame {obs.frame_id} older than {self.last_frame}")
         best_id, best_dist = None, ASSOCIATION_GATE_M
@@ -107,6 +127,8 @@ class HumanLayer:
 
     def restore(self, entity: HumanEntity) -> None:
         """Put back a dumped record; later auto ids never reuse its person_<k>."""
+        if entity.id in self._humans:
+            raise ValueError(f"id {entity.id!r} already used")
         self._humans[entity.id] = entity
         self.last_frame = max(self.last_frame, entity.last_seen)
         if entity.id.startswith("person_"):

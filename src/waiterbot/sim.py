@@ -6,6 +6,11 @@ risk-field navigation goals, grid path planning, the understand/respond
 pipeline and the task executor with simulated skills.  Runs are fully
 deterministic for a fixed seed; the emitted line log is byte-stable so two
 replays can be diffed directly.
+
+`load_scenario` builds every event once into an immutable record whose
+constructor checks it (`DetectionFrame` of `Detection3D`s, `HumanObservation`,
+`Fault`, `Call`, `Utterance`), so one parsed `Scenario` can be replayed any
+number of times and `Simulation` never reads raw JSON.
 """
 
 from __future__ import annotations
@@ -13,20 +18,22 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound, detections_from_json
-from .geometry import Pose2D
+from .furniture import Detection3D, FurnitureInstance, FurnitureLayer, FurnitureNotFound, detections_from_json
+from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite
 from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, RiskField, inflate,
                    load_grid, world_to_cell)
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
 from .placement import PlacementError, RansacParams, find_placement, ransac_plane
-from .semantic import ACTIONS, HumanObservation, HumanLayer, Zone
+from .semantic import HumanLayer, HumanObservation, Zone
 from .tasks import (
     OK,
     SKILL_KINDS,
@@ -43,7 +50,7 @@ from .tasks import (
 
 SQRT2 = math.sqrt(2.0)
 
-EVENT_TYPES = ("detections", "human", "call", "utterance", "fault")
+FAULT_MODES = ("fail", "wrong_item")
 
 
 class ScenarioError(Exception):
@@ -84,16 +91,6 @@ class Metrics:
             "accuracy": f"{self.accuracy.numerator}/{self.accuracy.denominator}",
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Metrics":
-        return cls(
-            orders_total=doc["orders_total"],
-            served_correct=doc["served_correct"],
-            served_incorrect=doc["served_incorrect"],
-            assisted=doc["assisted"],
-            collisions=doc["collisions"],
-        )
-
     def render(self) -> str:
         acc = float(self.accuracy)
         return "\n".join(
@@ -108,41 +105,75 @@ class Metrics:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
+class DetectionFrame:
+    """A `detections` event: one frame of boxes."""
+
+    frame: int
+    boxes: tuple[Detection3D, ...]
+
+    def __post_init__(self) -> None:
+        check_count(self.frame, "frame")
+
+
+@dataclass(frozen=True)
+class Fault:
+    """A `fault` event: force the `trigger`-th `skill` invocation to misbehave."""
+
+    skill: str
+    trigger: int
+    mode: str = "fail"
+
+    def __post_init__(self) -> None:
+        if self.skill not in SKILL_KINDS:
+            raise ValueError(f"unknown fault skill {self.skill!r}")
+        check_count(self.trigger, "trigger")
+        if self.mode not in FAULT_MODES:
+            raise ValueError(f"unknown fault mode {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class Call:
+    table: str
+
+    def __post_init__(self) -> None:
+        check_string(self.table, "table")
+
+
+@dataclass(frozen=True)
+class Utterance:
+    table: str
+    text: str
+
+    def __post_init__(self) -> None:
+        check_string(self.table, "table")
+        check_string(self.text, "text")
+
+
+Record = DetectionFrame | HumanObservation | Fault | Call | Utterance
+
+# one builder per event type; each record's constructor checks its own fields
+EVENT_BUILDERS = {
+    "detections": lambda ev: DetectionFrame(ev["frame"], detections_from_json(ev["frame"], ev["boxes"])),
+    "human": lambda ev: HumanObservation(ev["position"], ev["frame"], ev.get("action", "unknown"),
+                                         ev.get("name"), ev.get("attributes", {})),
+    "fault": lambda ev: Fault(ev["skill"], ev["trigger"], ev.get("mode", "fail")),
+    "call": lambda ev: Call(ev["table"]),
+    "utterance": lambda ev: Utterance(ev["table"], ev["text"]),
+}
+
+
+@dataclass(frozen=True)
 class Scenario:
     grid: GridMap
-    zones: list[Zone]
+    zones: tuple[Zone, ...]
     menu: Menu
     kitchen_table: str
     robot_start: Pose2D
-    stock: dict[str, int]
+    stock: Mapping[str, int]
     nav_params: NavGoalParams
     ransac: RansacParams
-    events: list[dict]
-
-
-def _require(event: dict, index: int, key: str):
-    if key not in event:
-        raise ScenarioError(f"event {index}: missing field {key!r}")
-    return event[key]
-
-
-def _require_count(event: dict, index: int, key: str) -> None:
-    value = _require(event, index, key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ScenarioError(f"event {index}: {key} must be a non-negative integer, got {value!r}")
-
-
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
-def _finite3(value) -> bool:
-    # one isfinite over the sum: a NaN or inf anywhere makes it non-finite
-    try:
-        return len(value) == 3 and math.isfinite(value[0] + value[1] + value[2])
-    except (TypeError, KeyError, OverflowError):
-        return False
+    events: tuple[tuple[float, Record], ...]  # (t, record), t non-decreasing
 
 
 def _world(world: dict, key: str, build, *default):
@@ -156,28 +187,56 @@ def _world(world: dict, key: str, build, *default):
         raise ScenarioError(f"world.{key}: {type(e).__name__}: {e}") from None
 
 
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"must be a string, got {value!r}")
-    return value
-
-
 def _robot_start(grid: GridMap, rs) -> Pose2D:
-    if not (isinstance(rs, list) and len(rs) in (2, 3) and all(map(_finite, rs))):
+    if not (isinstance(rs, list) and len(rs) in (2, 3)):
         raise ValueError(f"must be 2 or 3 finite numbers, got {rs!r}")
+    pose = Pose2D(*finite_tuple(rs, len(rs), "robot_start"))
     try:
-        world_to_cell(grid, (rs[0], rs[1]))
+        world_to_cell(grid, (pose.x, pose.y))
     except BoundsError:
         raise ValueError(f"{rs!r} lies outside the grid") from None
-    return Pose2D(*rs)
+    return pose
 
 
-def _stock(doc) -> dict[str, int]:
+def _stock(doc) -> Mapping[str, int]:
     stock = dict(doc)
     for item, count in stock.items():
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise ValueError(f"{item!r} count must be a non-negative integer, got {count!r}")
-    return stock
+        check_count(count, f"{item!r} count")
+    return MappingProxyType(stock)
+
+
+def _events(events) -> tuple[tuple[float, Record], ...]:
+    """Each event built once into its record, plus the checks that span events."""
+    if not isinstance(events, list):
+        raise ScenarioError(f"events: must be a list, got {events!r}")
+    out = []
+    last_t = -math.inf
+    last_detection_frame = last_human_frame = -1
+    for i, ev in enumerate(events):
+        try:
+            if not isinstance(ev, dict):
+                raise ValueError(f"must be an object, got {ev!r}")
+            t, kind = ev["t"], ev["type"]
+            if not is_finite(t):
+                raise ValueError(f"t must be a finite number, got {t!r}")
+            if t < last_t:
+                raise ValueError("timestamps must be non-decreasing")
+            if kind not in EVENT_BUILDERS:
+                raise ValueError(f"unknown type {kind!r}")
+            record = EVENT_BUILDERS[kind](ev)
+            if kind == "detections":
+                if record.frame <= last_detection_frame:
+                    raise ValueError(f"detection frame {record.frame} not newer than {last_detection_frame}")
+                last_detection_frame = record.frame
+            elif kind == "human":
+                if record.frame_id < last_human_frame:
+                    raise ValueError(f"human frame {record.frame_id} older than {last_human_frame}")
+                last_human_frame = record.frame_id
+        except (KeyError, TypeError, ValueError) as e:
+            raise ScenarioError(f"event {i}: {type(e).__name__}: {e}") from None
+        last_t = t
+        out.append((float(t), record))
+    return tuple(out)
 
 
 def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
@@ -185,72 +244,16 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     if not isinstance(world, dict):
         raise ScenarioError("world: missing or not an object")
     grid = _world(world, "grid_file", lambda f: load_grid((base_dir / f).read_text()))
-    menu = _world(world, "menu", Menu.from_json)
-    zones = _world(world, "zones", lambda zs: [Zone(z["name"], tuple(z["p1"]), tuple(z["p2"])) for z in zs], [])
-    kitchen = _world(world, "kitchen_table", _string)
-    robot_start = _world(world, "robot_start", lambda rs: _robot_start(grid, rs))
-    stock = _world(world, "stock", _stock, {})
-    nav_params = _world(world, "nav_params", lambda kw: NavGoalParams(**kw), {})
-    ransac = _world(world, "ransac", lambda kw: RansacParams(**kw), {})
-
-    events = doc.get("events", [])
-    last_t = -math.inf
-    last_detection_frame = last_human_frame = -1
-    for i, ev in enumerate(events):
-        t = _require(ev, i, "t")
-        if not _finite(t):
-            raise ScenarioError(f"event {i}: t must be a finite number, got {t!r}")
-        if t < last_t:
-            raise ScenarioError(f"event {i}: timestamps must be non-decreasing")
-        last_t = t
-        kind = _require(ev, i, "type")
-        if kind not in EVENT_TYPES:
-            raise ScenarioError(f"event {i}: unknown type {kind!r}")
-        if kind == "detections":
-            _require_count(ev, i, "frame")
-            if ev["frame"] <= last_detection_frame:
-                raise ScenarioError(f"event {i}: detection frame {ev['frame']} not newer "
-                                    f"than {last_detection_frame}")
-            last_detection_frame = ev["frame"]
-            for b in _require(ev, i, "boxes"):
-                for key in ("class", "center", "dims"):
-                    if key not in b:
-                        raise ScenarioError(f"event {i}: box missing {key!r}")
-                if not (_finite3(b["center"]) and _finite3(b["dims"]) and _finite(b.get("yaw", 0.0))):
-                    raise ScenarioError(f"event {i}: box center, dims need 3 finite numbers, yaw one")
-                if min(b["dims"]) <= 0:
-                    raise ScenarioError(f"event {i}: box dims must be positive, got {b['dims']!r}")
-        elif kind == "human":
-            _require_count(ev, i, "frame")
-            if ev["frame"] < last_human_frame:
-                raise ScenarioError(f"event {i}: human frame {ev['frame']} older than {last_human_frame}")
-            last_human_frame = ev["frame"]
-            if not _finite3(_require(ev, i, "position")):
-                raise ScenarioError(f"event {i}: human position must be three finite numbers")
-            if ev.get("action", "unknown") not in ACTIONS:
-                raise ScenarioError(f"event {i}: unknown human action {ev['action']!r}")
-        elif kind in ("call", "utterance"):
-            if not isinstance(_require(ev, i, "table"), str):
-                raise ScenarioError(f"event {i}: table must be a string id, got {ev['table']!r}")
-            if kind == "utterance" and not isinstance(_require(ev, i, "text"), str):
-                raise ScenarioError(f"event {i}: utterance text must be a string")
-        elif kind == "fault":
-            if _require(ev, i, "skill") not in SKILL_KINDS:
-                raise ScenarioError(f"event {i}: unknown fault skill {ev['skill']!r}")
-            _require_count(ev, i, "trigger")
-            mode = ev.get("mode", "fail")
-            if mode not in ("fail", "wrong_item"):
-                raise ScenarioError(f"event {i}: unknown fault mode {mode!r}")
     return Scenario(
         grid=grid,
-        zones=zones,
-        menu=menu,
-        kitchen_table=kitchen,
-        robot_start=robot_start,
-        stock=stock,
-        nav_params=nav_params,
-        ransac=ransac,
-        events=list(events),
+        menu=_world(world, "menu", Menu.from_json),
+        zones=_world(world, "zones", lambda zs: tuple(Zone(z["name"], z["p1"], z["p2"]) for z in zs), []),
+        kitchen_table=_world(world, "kitchen_table", lambda v: check_string(v, "kitchen_table")),
+        robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
+        stock=_world(world, "stock", _stock, {}),
+        nav_params=_world(world, "nav_params", lambda kw: NavGoalParams(**kw), {}),
+        ransac=_world(world, "ransac", lambda kw: RansacParams(**kw), {}),
+        events=_events(doc.get("events", [])),
     )
 
 
@@ -375,7 +378,7 @@ class Simulation:
         self.placed_at_caller: str | None = None
 
         self.skill_counts: dict[str, int] = {}
-        self.faults: list[dict] = []
+        self.faults: list[Fault] = []  # armed and not yet fired
         self.t = 0.0
         self._risk: RiskField | None = None
         self._placement_count = 0
@@ -394,9 +397,8 @@ class Simulation:
                                  self.scenario.nav_params.robot_radius)
         return self._risk
 
-    def _apply_detections(self, ev: dict) -> None:
-        frame = ev["frame"]
-        results = self.layer.track_frame(detections_from_json(frame, ev["boxes"]))
+    def _apply_detections(self, ev: DetectionFrame) -> None:
+        results = self.layer.track_frame(ev.boxes)
         if self.layer.kitchen_id is None:
             try:
                 self.layer.set_kitchen(self.scenario.kitchen_table)
@@ -405,47 +407,33 @@ class Simulation:
         self._risk = None
         self._log(
             "detections",
-            frame=frame,
+            frame=ev.frame,
             tracks=[[iid, status.value] for iid, status in results],
             kitchen=self.layer.kitchen_id,
         )
 
-    def _apply_human(self, ev: dict) -> None:
-        obs = HumanObservation(
-            position=tuple(ev["position"]),
-            frame_id=ev["frame"],
-            action=ev.get("action", "unknown"),
-            name=ev.get("name"),
-            attributes=dict(ev.get("attributes", {})),
-        )
+    def _apply_human(self, obs: HumanObservation) -> None:
         hid = self.humans.upsert(obs)
         self._log("human", id=hid, action=obs.action)
 
     def warm_up(self) -> None:
         """Apply every detection and human event of the scenario; serve no call."""
-        for ev in self.scenario.events:
-            if ev["type"] == "detections":
+        for _, ev in self.scenario.events:
+            if isinstance(ev, DetectionFrame):
                 self._apply_detections(ev)
-            elif ev["type"] == "human":
+            elif isinstance(ev, HumanObservation):
                 self._apply_human(ev)
 
     # --- faults -----------------------------------------------------------
 
-    def _arm_fault(self, ev: dict) -> None:
-        fault = {
-            "skill": ev["skill"],
-            "trigger": ev["trigger"],
-            "mode": ev.get("mode", "fail"),
-            "fired": False,
-        }
+    def _arm_fault(self, fault: Fault) -> None:
         self.faults.append(fault)
-        self._log("fault_armed", skill=fault["skill"], trigger=fault["trigger"], mode=fault["mode"])
+        self._log("fault_armed", skill=fault.skill, trigger=fault.trigger, mode=fault.mode)
 
-    def _match_fault(self, kind: str, count: int) -> dict | None:
-        for fault in self.faults:
-            if not fault["fired"] and fault["skill"] == kind and fault["trigger"] == count:
-                fault["fired"] = True
-                return fault
+    def _match_fault(self, kind: str, count: int) -> Fault | None:
+        for k, fault in enumerate(self.faults):
+            if fault.skill == kind and fault.trigger == count:
+                return self.faults.pop(k)
         return None
 
     # --- skills -----------------------------------------------------------
@@ -466,7 +454,7 @@ class Simulation:
             return self.caller
         return arg
 
-    def _skill_navigate(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
+    def _skill_navigate(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
         if fault:
             return failed("navigation fault")
         table_id = self._resolve_table(inv.arg)
@@ -503,11 +491,11 @@ class Simulation:
             return sorted(k for k, v in self.kitchen_stock.items() if v > 0)
         return list(self.table_items.get(self.location, []))
 
-    def _skill_detect(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
-        if fault and fault["mode"] == "fail":
+    def _skill_detect(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
+        if fault and fault.mode == "fail":
             return failed("not found")
         wanted = inv.arg or ""
-        if fault and fault["mode"] == "wrong_item":
+        if fault and fault.mode == "wrong_item":
             names = self.scenario.menu.names()
             pool = [n for n in names if n != wanted] or names
             idx = names.index(wanted) if wanted in names else 0
@@ -524,7 +512,7 @@ class Simulation:
             return OK
         return failed("not found")
 
-    def _skill_grasp(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
+    def _skill_grasp(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
         if fault:
             return failed("grasp fault")
         if self.carried is not None:
@@ -539,7 +527,7 @@ class Simulation:
             self.perceived = None
         return result
 
-    def _skill_hand_over(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
+    def _skill_hand_over(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
         if fault:
             return failed("hand-over fault")
         if self.carried is not None:
@@ -559,7 +547,7 @@ class Simulation:
         self.carried = item
         return OK
 
-    def _skill_find_placement(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
+    def _skill_find_placement(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
         if fault:
             return failed("no space")
         if self.location is None:
@@ -579,7 +567,7 @@ class Simulation:
         self._log("placement", table=self.location, point=[round(v, 4) for v in spot])
         return OK
 
-    def _skill_place(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
+    def _skill_place(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
         if fault:
             return failed("place fault")
         if self.carried is None:
@@ -596,7 +584,7 @@ class Simulation:
         self.carried = None
         return OK
 
-    def _skill_speak(self, inv: SkillInvocation, fault: dict | None) -> SkillResult:
+    def _skill_speak(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
         if fault:
             return failed("speech fault")
         arg = inv.arg or ""
@@ -617,9 +605,9 @@ class Simulation:
 
     def _next_utterance(self, table_id: str, after: int, consumed: set[int]) -> tuple[int, str] | None:
         for j in range(after + 1, len(self.scenario.events)):
-            ev = self.scenario.events[j]
-            if ev["type"] == "utterance" and ev["table"] == table_id and j not in consumed:
-                return j, ev["text"]
+            ev = self.scenario.events[j][1]
+            if isinstance(ev, Utterance) and ev.table == table_id and j not in consumed:
+                return j, ev.text
         return None
 
     def _serve_call(self, table_id: str, index: int, consumed: set[int]) -> None:
@@ -675,20 +663,18 @@ class Simulation:
     def run(self) -> tuple[Metrics, list[str]]:
         self._log("run_start", mode=self.config.mode, seed=self.config.seed)
         consumed: set[int] = set()
-        for i, ev in enumerate(self.scenario.events):
-            self.t = float(ev["t"])
-            kind = ev["type"]
-            if kind == "detections":
+        for i, (t, ev) in enumerate(self.scenario.events):
+            self.t = t
+            if isinstance(ev, DetectionFrame):
                 self._apply_detections(ev)
-            elif kind == "human":
+            elif isinstance(ev, HumanObservation):
                 self._apply_human(ev)
-            elif kind == "fault":
+            elif isinstance(ev, Fault):
                 self._arm_fault(ev)
-            elif kind == "call":
-                self._serve_call(ev["table"], i, consumed)
-            elif kind == "utterance":
-                if i not in consumed:
-                    self._log("utterance_ignored", table=ev["table"])
+            elif isinstance(ev, Call):
+                self._serve_call(ev.table, i, consumed)
+            elif i not in consumed:
+                self._log("utterance_ignored", table=ev.table)
         self._log("run_end", **self.metrics.to_dict())
         return self.metrics, self.log
 

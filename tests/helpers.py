@@ -1,0 +1,46 @@
+"""Test doubles and fixtures-as-functions that the program itself never needs."""
+
+from typing import Any
+
+import numpy as np
+
+from waiterbot.furniture import FurnitureInstance
+from waiterbot.geometry import Pose2D, normalize_angle
+from waiterbot.llm import TransportError
+
+
+class StubTransport:
+    """Scripted transport: pops canned bodies (or exceptions) and records requests."""
+
+    def __init__(self, script: list[Any]):
+        self.script = list(script)
+        self.requests: list[dict[str, Any]] = []
+
+    def post(self, url, headers, body, timeout):
+        self.requests.append({"url": url, "headers": headers, "body": body})
+        if not self.script:
+            raise TransportError("script exhausted")
+        item = self.script.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    @staticmethod
+    def reply(content: str) -> dict[str, Any]:
+        return {"choices": [{"message": {"content": content}}]}
+
+
+def save_cloud(points: np.ndarray) -> str:
+    """The text form `placement.load_cloud` reads, with every float written exactly."""
+    return "".join(
+        f"{float(x)!r} {float(y)!r} {float(z)!r}\n"
+        for x, y, z in np.asarray(points, dtype=np.float64)
+    )
+
+
+def table(instance_id: str, center, dims, yaw: float = 0.0) -> FurnitureInstance:
+    """A table under an explicit id, placed where a box detection at `center` puts it."""
+    # a detection normalizes its yaw and the pose normalizes it again
+    pose = Pose2D(center[0], center[1], normalize_angle(yaw))
+    return FurnitureInstance(instance_id, "table", pose,
+                             center[2] - dims[2] / 2.0, dims, 0)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import save_cloud, table
 from oracles import brute_force_goal, exact_iou_3d, naive_inflate
 from waiterbot.cli import dispatch
 from waiterbot.furniture import Detection3D, FurnitureLayer, TrackStatus
@@ -23,7 +24,7 @@ from waiterbot.grid import GridMap, inflate, load_grid, save_grid
 from waiterbot.layers import dump_layers, load_layers
 from waiterbot.llm import Menu, MenuItem
 from waiterbot.navgoal import NavGoalParams, NoGoalError, select_goal
-from waiterbot.placement import RansacParams, load_cloud, ransac_plane, save_cloud
+from waiterbot.placement import RansacParams, load_cloud, ransac_plane
 from waiterbot.sim import Metrics, RunConfig, load_scenario, run
 from waiterbot.tasks import OK, Outcome, ParsedTask, Pipeline, default_registry, execute, failed, render_trace
 
@@ -91,8 +92,7 @@ def _random_nav_instance(rng):
     cx = float(rng.uniform(0.75, w * res - 0.75))
     cy = float(rng.uniform(0.75, h * res - 0.75))
     dims = (float(rng.uniform(0.6, 1.3)), float(rng.uniform(0.5, 1.0)), 0.72)
-    layer.register(Detection3D("table", (cx, cy, 0.36), dims,
-                               float(rng.uniform(-math.pi, math.pi)), 0), "t")
+    layer.restore(table("t", (cx, cy, 0.36), dims, float(rng.uniform(-math.pi, math.pi))))
     combined = layer.virtual_obstacles(grid)
     risk = inflate(combined, 0.2)
     robot = Pose2D(float(rng.uniform(0, w * res)), float(rng.uniform(0, h * res)))
@@ -133,7 +133,7 @@ def test_criterion_3_nav_goal_oracle_equivalence(capsys):
     cells = (np.random.default_rng(7).random((12, 12)) < 0.1).astype(np.uint8)
     grid12 = GridMap(0.1, (0.0, 0.0), cells)
     layer12 = FurnitureLayer()
-    layer12.register(Detection3D("table", (0.6, 0.6, 0.36), (0.6, 0.5, 0.72), 0.3, 0), "t")
+    layer12.restore(table("t", (0.6, 0.6, 0.36), (0.6, 0.5, 0.72), 0.3))
     combined12 = layer12.virtual_obstacles(grid12)
     risk12 = inflate(combined12, 0.1)
     params12 = NavGoalParams(robot_radius=0.1, clearance=0.1, alpha=7.0, window_half_width=0.5)
@@ -355,17 +355,17 @@ def test_criterion_9_determinism_and_formats(capsys, tmp_path):
     cloud = rng.uniform(-1, 1, (30, 3))
     cloud_ok = np.array_equal(load_cloud(save_cloud(cloud)), cloud)
 
-    # metrics round trip
-    m = Metrics(41, 37, 4, 7, 0)
-    metrics_ok = Metrics.from_dict(json.loads(json.dumps(m.to_dict()))) == m
-
-    # full-run replay: byte-identical logs through the CLI
+    # full-run replay: byte-identical logs through the CLI, and the metrics
+    # file it writes reads back as the scripted aggregates
     log_a, log_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    metrics_file = tmp_path / "m.json"
     buf = io.StringIO()
     with redirect_stdout(buf):
-        dispatch(["run", "--scenario", str(SCENARIO), "--seed", "3", "--log", str(log_a)])
+        dispatch(["run", "--scenario", str(SCENARIO), "--seed", "3", "--log", str(log_a),
+                  "--metrics-out", str(metrics_file)])
         dispatch(["run", "--scenario", str(SCENARIO), "--seed", "3", "--log", str(log_b)])
     replay_ok = log_a.read_text() == log_b.read_text() and log_a.read_text()
+    metrics_ok = json.loads(metrics_file.read_text()) == Metrics(41, 37, 4, 7, 0).to_dict()
 
     ok = bool(grid_ok and dump_ok and cloud_ok and metrics_ok and replay_ok)
     with capsys.disabled():

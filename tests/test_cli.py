@@ -69,6 +69,16 @@ class TestMapCommands:
         assert code == 2
         assert "bad grid" in err
 
+    def test_build_non_utf8_grid_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.grid"
+        bad.write_bytes(b"gridmap v1 2 1 0.1 0 0\n\xff.\n")
+        code, out, err = run_cli(
+            capsys,
+            ["map", "build", "--grid", bad, "--detections", SCENARIOS / "six_tables.json"],
+        )
+        assert code == 2
+        assert f"cannot read grid {bad}" in err and out == ""
+
 
 class TestNavGoalCommand:
     def test_matches_golden(self, capsys, tmp_path):
@@ -102,6 +112,17 @@ class TestNavGoalCommand:
              "--furniture", "table_0", "--robot", "nope"],
         )
         assert code == 2
+
+    def test_non_finite_pose_exits_2(self, capsys, tmp_path):
+        layers = tmp_path / "layers.json"
+        layers.write_text((GOLDEN / "six_tables_layers.json").read_text())
+        code, out, err = run_cli(
+            capsys,
+            ["nav-goal", "--map", SCENARIOS / "restaurant.grid", "--layers", layers,
+             "--furniture", "table_0", "--robot", "nan,2.0,0.0"],
+        )
+        assert code == 2
+        assert "'nan,2.0,0.0'" in err and out == ""
 
 
 class TestPlaceCommand:
@@ -320,6 +341,45 @@ def _layer_human_action(doc):
     return "'person_0'"
 
 
+def _layer_human_position(doc):
+    doc["humans"].append({"id": "person_0", "position": [float("nan"), 1.0, 0.0]})
+    return "'person_0'"
+
+
+def _layer_furniture(*path, value, named="'table_1'"):
+    def mutate(doc):
+        node = doc["furniture"][1]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return named
+    return mutate
+
+
+def _layer_duplicate_human(doc):
+    doc["humans"] = [{"id": "person_0", "position": [1.0, 1.0, 0.0]},
+                     {"id": "person_0", "position": [5.0, 5.0, 0.0]}]
+    return "id 'person_0' already used"
+
+
+def _log_repeated_frame(doc):
+    doc[1]["frame"] = doc[0]["frame"]
+    return "entry 1"
+
+
+def _non_object_event(doc):
+    doc["events"] = ["t"]
+    return "event 0"
+
+
+def _log_box(field, value):
+    # the second box of the detection log's second entry
+    def mutate(doc):
+        doc[1]["boxes"][1][field] = value
+        return "entry 1"
+    return mutate
+
+
 MALFORMED_INPUTS = {
     "box center with two values": ("run", _box("center", [5.0, 2.0])),
     "box center with NaN": ("run", _box("center", [float("nan"), 2.0, 0.36])),
@@ -345,6 +405,21 @@ MALFORMED_INPUTS = {
     "fractional RANSAC iterations": ("run", _world_at("ransac", value={"iterations": 2.5})),
     "list kitchen table": ("run", _world_at("kitchen_table", value=["table_5"])),
     "untracked kitchen table": ("run", _unknown_kitchen),
+    "NaN RANSAC inlier_eps": ("run", _world_at("ransac", value={"inlier_eps": float("nan")})),
+    "integer human attributes": ("run", _event("human", "attributes", 5)),
+    "list box class": ("run", _box("class", ["table"])),
+    "integer human name": ("run", _event("human", "name", 7)),
+    "non-object event": ("run", _non_object_event),
+    "empty menu": ("run", _world_at("menu", value=[])),
+    "log box center with NaN": ("build", _log_box("center", [float("nan"), 2.0, 0.36])),
+    "log box center with two values": ("build", _log_box("center", [5.0, 2.0])),
+    "log list box class": ("build", _log_box("class", ["table"])),
+    "log repeated frame": ("build", _log_repeated_frame),
+    "layer NaN pose x": ("layers", _layer_furniture("pose", "x", value=float("nan"))),
+    "layer NaN dims w": ("layers", _layer_furniture("dims", "w", value=float("nan"))),
+    "layer integer furniture id": ("layers", _layer_furniture("id", value=7, named="'id': 7")),
+    "layer NaN human position": ("layers", _layer_human_position),
+    "layer duplicate human id": ("layers", _layer_duplicate_human),
     "layer furniture dims of zero": ("layers", _layer_dims),
     "layer duplicate furniture id": ("layers", _layer_duplicate_id),
     "layer kitchen not in furniture": ("layers", _layer_kitchen),
@@ -355,14 +430,17 @@ MALFORMED_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
-    """Each malformed scenario or layer dump ends with exit 2, names the bad
-    event or entry, and prints no traceback."""
+    """Each malformed scenario, detection log or layer dump ends with exit 2,
+    names the bad event or entry, and prints no traceback."""
     target, mutate = MALFORMED_INPUTS[case]
     path = tmp_path / "input.json"
     if target == "run":
         doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
         doc["world"]["grid_file"] = str(SCENARIOS / doc["world"]["grid_file"])
         argv = ["run", "--scenario", path]
+    elif target == "build":
+        doc = json.loads((SCENARIOS / "six_tables.json").read_text())
+        argv = ["map", "build", "--grid", SCENARIOS / "restaurant.grid", "--detections", path]
     else:
         doc = json.loads((GOLDEN / "six_tables_layers.json").read_text())
         argv = ["map", "dump", "--layers", path]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import table
 from oracles import all_cells, cell_to_world, exact_point_in_convex_polygon, loop_virtual_obstacles
 from waiterbot.furniture import (
     Detection3D,
@@ -91,14 +92,14 @@ class TestTracking:
 
     def test_explicit_id_supported_and_protected(self):
         layer = FurnitureLayer()
-        layer.register(det(0, 0), "counter")
+        layer.restore(table("counter", (0, 0, 0.36), (1.2, 0.8, 0.72)))
         with pytest.raises(FurnitureError):
-            layer.register(det(3, 3), "counter")
+            layer.restore(table("counter", (3, 3, 0.36), (1.2, 0.8, 0.72)))
         assert layer.get("counter").class_name == "table"
 
     def test_auto_ids_skip_explicit_collisions(self):
         layer = FurnitureLayer()
-        layer.register(det(0, 0), "table_0")
+        layer.restore(table("table_0", (0, 0, 0.36), (1.2, 0.8, 0.72)))
         result = layer.track_frame([det(6, 6, frame=1)])
         assert result == [("table_1", TrackStatus.NEW)]
 
@@ -159,7 +160,7 @@ class TestVirtualObstacles:
                 center = (float(rng.uniform(-1.2, 5.2)), float(rng.uniform(-1.0, 4.4)), 0.36)
                 dims = (float(rng.uniform(0.3, 1.6)), float(rng.uniform(0.3, 1.2)), 0.72)
                 yaw = float(rng.uniform(-math.pi, math.pi))
-                layer.register(Detection3D("table", center, dims, yaw, 0), f"t{k}")
+                layer.restore(table(f"t{k}", center, dims, yaw))
             assert layer.virtual_obstacles(grid) == loop_virtual_obstacles(layer, grid)
 
     def test_idempotent_and_monotone(self):
@@ -168,7 +169,7 @@ class TestVirtualObstacles:
         grid = empty_grid()
         once = layer.virtual_obstacles(grid)
         assert layer.virtual_obstacles(once) == once
-        layer.register(det(3.0, 3.0), "extra")
+        layer.restore(table("extra", (3.0, 3.0, 0.36), (1.2, 0.8, 0.72)))
         more = layer.virtual_obstacles(grid)
         freed = (once.cells == CellState.OCCUPIED) & (more.cells != CellState.OCCUPIED)
         assert not freed.any()

@@ -171,6 +171,19 @@ class TestSerialization:
             load_grid(doc)
         assert err.value.line == 3
 
+    def test_first_bad_line_wins_over_later_glyphs(self):
+        # a short row on line 3 comes before the unknown glyph on line 4
+        doc = "gridmap v1 3 3 0.1 0.0 0.0\n...\n..\n.X.\n"
+        with pytest.raises(GridFormatError) as err:
+            load_grid(doc)
+        assert err.value.line == 3 and "row has 2 glyphs" in str(err.value)
+
+    def test_non_ascii_glyph_names_line_and_glyph(self):
+        for glyph in ("é", "Ā", "█", "\U0001f37d"):
+            with pytest.raises(GridFormatError) as err:
+                load_grid(f"gridmap v1 3 2 0.1 0.0 0.0\n...\n.{glyph}.\n")
+            assert err.value.line == 3 and f"unknown glyph {glyph!r}" in str(err.value)
+
     def test_malformed_header(self):
         with pytest.raises(GridFormatError) as err:
             load_grid("gridmap v2 1 1 0.1 0 0\n.\n")

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import StubTransport
 from waiterbot.llm import (
     BackendConfig,
     BackendUnavailable,
@@ -7,7 +8,6 @@ from waiterbot.llm import (
     MenuItem,
     ProtocolError,
     RuleBackend,
-    StubTransport,
     TransportError,
     complete,
     format_understand_line,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import table
 from oracles import brute_force_goal
-from waiterbot.furniture import Detection3D, FurnitureLayer
+from waiterbot.furniture import FurnitureLayer
 from waiterbot.geometry import Pose2D, point_in_convex_polygon
 from waiterbot.grid import RISK_MAX, GridMap, inflate
 from waiterbot.navgoal import (
@@ -18,7 +19,7 @@ from waiterbot.navgoal import (
 
 def table_layer(cx=1.0, cy=1.0, dims=(1.0, 1.0, 0.7), yaw=0.0):
     layer = FurnitureLayer()
-    layer.register(Detection3D("table", (cx, cy, dims[2] / 2), dims, yaw, 0), "t")
+    layer.restore(table("t", (cx, cy, dims[2] / 2), dims, yaw))
     return layer
 
 
@@ -178,7 +179,7 @@ def random_instance(rng):
     cy = float(rng.uniform(margin, h * res - margin))
     dims = (float(rng.uniform(0.6, 1.3)), float(rng.uniform(0.5, 1.0)), 0.72)
     yaw = float(rng.uniform(-math.pi, math.pi))
-    layer.register(Detection3D("table", (cx, cy, 0.36), dims, yaw, 0), "t")
+    layer.restore(table("t", (cx, cy, 0.36), dims, yaw))
     combined = layer.virtual_obstacles(grid)
     risk = inflate(combined, 0.2)
     robot = Pose2D(float(rng.uniform(0, w * res)), float(rng.uniform(0, h * res)),
@@ -220,7 +221,7 @@ def random_multi_table_layout(rng, radius):
         dims = (float(rng.uniform(0.4, 1.0)), float(rng.uniform(0.4, 0.8)), 0.72)
         center = (float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)), 0.36)
         yaw = float(rng.uniform(-math.pi, math.pi))
-        layer.register(Detection3D("table", center, dims, yaw, 0), f"t{k}")
+        layer.restore(table(f"t{k}", center, dims, yaw))
     combined = layer.virtual_obstacles(grid)
     robot = Pose2D(float(rng.uniform(0, 3.0)), float(rng.uniform(0, 3.0)))
     params = NavGoalParams(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import save_cloud, table
 from oracles import naive_clearance
 from waiterbot import placement
-from waiterbot.furniture import Detection3D, FurnitureLayer
 from waiterbot.geometry import convex_hull
 from waiterbot.placement import (
     InsufficientSupportError,
@@ -19,7 +19,6 @@ from waiterbot.placement import (
     load_cloud,
     plane_basis,
     ransac_plane,
-    save_cloud,
 )
 from waiterbot.sim import tabletop_cloud
 
@@ -213,11 +212,9 @@ def tabletops():
     rng = np.random.default_rng(11)
     for dims in ((2.4, 1.4, 0.72), (1.2, 0.8, 0.72)):
         for n_items in range(9):
-            layer = FurnitureLayer()
             center = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)), dims[2] / 2)
             yaw = float(rng.uniform(-math.pi, math.pi))
-            layer.register(Detection3D("table", center, dims, yaw, 0), "t")
-            yield layer.get("t"), n_items
+            yield table("t", center, dims, yaw), n_items
 
 
 def criterion_6_cloud(trial):

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +255,10 @@ class TestFullRun:
 def test_metrics_round_trip():
     m = Metrics(41, 37, 4, 7, 0)
     doc = m.to_dict()
-    assert doc["accuracy"] == "37/41"
-    assert Metrics.from_dict(doc) == m
+    assert json.loads(json.dumps(doc)) == doc == {
+        "orders_total": 41, "served_correct": 37, "served_incorrect": 4,
+        "assisted": 7, "collisions": 0, "accuracy": "37/41",
+    }
 
 
 def test_metrics_accuracy_empty():
@@ -273,6 +277,26 @@ def test_replay_log_bytes_are_pinned(mode, tmp_path, capsys):
     args = ["run", "--scenario", str(SCENARIO_PATH), "--mode", mode, "--seed", "0", "--log", str(log)]
     assert dispatch(args) == 0
     assert hashlib.sha256(log.read_bytes()).hexdigest() == pinned_log_digests()[mode]
+
+
+# the sha256 that `bench/run.py --seed 3` prints for the generated workloads,
+# replayed in the pipeline mode the benchmark gives each of them
+GENERATED_LOG_SHA256 = {
+    ("busy_floor", "parallel"): "457fef3c3b07c1f087207a66eca2ad7b19ea5acc5fb972c03ed7f554c06484d2",
+    ("banquet", "sequential"): "ee473792072c8281ba1d1d61109f719d1d520e90c6bb454a62d5663d6cbd1d1b",
+}
+
+
+@pytest.mark.parametrize("workload,mode", sorted(GENERATED_LOG_SHA256))
+def test_generated_workload_log_bytes_are_pinned(workload, mode, tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
+    spec.loader.exec_module(gen)
+    scenario = load_scenario(gen.write(gen.GENERATORS[workload](3), tmp_path))
+    _, log = run(scenario, RunConfig(mode=mode, seed=0))
+    digest = hashlib.sha256(("\n".join(log) + "\n").encode()).hexdigest()
+    assert digest == GENERATED_LOG_SHA256[workload, mode]
 
 
 @pytest.mark.parametrize("metrics,line", [
