@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -129,6 +129,38 @@ def _instance_from(detection: Detection3D, instance_id: str) -> FurnitureInstanc
     )
 
 
+def match_pairs(detections: Sequence[Detection3D],
+                instances: Iterable[FurnitureInstance]) -> list[tuple[float, int, str]]:
+    """Every same-class (-IoU, detection index, instance id) with IoU >= 0.1, sorted.
+
+    Sorted ascending, the list is the greedy matching order: descending IoU,
+    then detection index, then id.  A pair whose plan-view discs (centred on
+    each box, radius half the footprint diagonal) are disjoint has disjoint
+    footprints and so IoU 0; the exact `iou_3d` runs only on the other pairs.
+    """
+    by_class: dict[str, list] = {}
+    for inst in instances:
+        box = inst.box()
+        by_class.setdefault(inst.class_name, []).append((inst.id, box, *box.center[:2], _disc_radius(box)))
+    pairs = []
+    for di, det in enumerate(detections):
+        dbox = det.box()
+        x, y = dbox.center[:2]
+        r = _disc_radius(dbox)
+        for iid, ibox, ix, iy, ir in by_class.get(det.class_name, ()):
+            if math.hypot(x - ix, y - iy) > r + ir:
+                continue
+            v = iou_3d(dbox, ibox)
+            if v >= IOU_MATCH_THRESHOLD:
+                pairs.append((-v, di, iid))
+    pairs.sort()
+    return pairs
+
+
+def _disc_radius(box: OrientedBox3) -> float:
+    return 0.5 * math.hypot(box.dims[0], box.dims[1])
+
+
 class FurnitureLayer:
     """Single-writer store of tracked furniture; reads hand out frozen instances."""
 
@@ -165,21 +197,10 @@ class FurnitureLayer:
         if frame_id <= self.last_frame:
             raise FrameOrderError(f"frame {frame_id} not newer than {self.last_frame}")
 
-        # all candidate pairs above threshold, matched greedily by descending IoU
-        pairs = []
-        for di, det in enumerate(detections):
-            dbox = det.box()
-            for inst in self._instances.values():
-                if inst.class_name != det.class_name:
-                    continue
-                v = iou_3d(dbox, inst.box())
-                if v >= IOU_MATCH_THRESHOLD:
-                    pairs.append((-v, di, inst.id))
-        pairs.sort()
-
+        # greedy by descending IoU: each pair takes a still-free detection and instance
         assigned: dict[int, str] = {}
         taken: set[str] = set()
-        for _, di, iid in pairs:
+        for _, di, iid in match_pairs(detections, self._instances.values()):
             if di in assigned or iid in taken:
                 continue
             assigned[di] = iid

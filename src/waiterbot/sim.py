@@ -48,8 +48,6 @@ from .tasks import (
     failed,
 )
 
-SQRT2 = math.sqrt(2.0)
-
 FAULT_MODES = ("fail", "wrong_item")
 
 
@@ -239,6 +237,12 @@ def _events(events) -> tuple[tuple[float, Record], ...]:
     return tuple(out)
 
 
+def _ransac(kw) -> RansacParams:
+    if "seed" in kw:
+        raise ValueError("seed is not a scenario setting: each placement is seeded from the run's --seed")
+    return RansacParams(**kw)
+
+
 def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     world = doc.get("world") if isinstance(doc, dict) else None
     if not isinstance(world, dict):
@@ -252,7 +256,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
         stock=_world(world, "stock", _stock, {}),
         nav_params=_world(world, "nav_params", lambda kw: NavGoalParams(**kw), {}),
-        ransac=_world(world, "ransac", lambda kw: RansacParams(**kw), {}),
+        ransac=_world(world, "ransac", _ransac, {}),
         events=_events(doc.get("events", [])),
     )
 
@@ -268,56 +272,92 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(doc, path.parent)
 
 
+def _step_costs(cells: int) -> tuple[int, int]:
+    """Integer (straight, diagonal) step costs of `plan_path` on a grid of `cells`."""
+    step = 20 * cells * cells
+    return step, math.isqrt(2 * step * step)
+
+
 def plan_path(risk: RiskField, start: CellIndex, goal: CellIndex) -> list[CellIndex]:
-    """Shortest 8-connected path over cells with risk < 100 (A*, octile heuristic)."""
+    """Shortest 8-connected path over cells with risk < 100 (A*, octile heuristic).
+
+    A straight step costs 1 and a diagonal sqrt(2); a diagonal may pass between
+    two blocked orthogonal neighbours.  The search runs on integers
+    (`_step_costs`): a straight step costs `step` = 20 * cells**2, a diagonal
+    `diag` = isqrt(2 * step**2), and the heuristic is the octile distance in
+    those costs.  The heuristic is consistent, since it is the exact path cost
+    on the same grid without obstacles.
+
+    The integer costs order every pair of values as the real costs do.  Every
+    g, h and f value is the cost of m straight and k diagonal steps with
+    m + k <= K = 2 * cells: a tree path has fewer than `cells` steps and the
+    heuristic at most max(w, h).  Two different real values m + k*sqrt(2)
+    differ by at least 1 / ((1 + sqrt(2)) * K), because
+    |dm + dk*sqrt(2)| = |dm**2 - 2*dk**2| / |dm - dk*sqrt(2)|, the numerator
+    is a non-zero integer and the denominator is at most (1 + sqrt(2)) * K.
+    Each integer cost is step * (m + k*sqrt(2)) less a rounding error in
+    [0, k), so two integer costs keep the real order whenever
+    step > 2 * (1 + sqrt(2)) * K**2 = 8 * (1 + sqrt(2)) * cells**2, which
+    20 * cells**2 exceeds.  Equal real values have equal (m, k), since sqrt(2)
+    is irrational, and so equal integer costs: every tie stays a tie.  Hence
+    the path is optimal in the real costs, and every optimal path has the same
+    numbers of straight and diagonal steps, whichever one the search returns.
+
+    Among open cells of equal f the one nearest the goal (least h) is expanded
+    first, then the lower cell index.  The free mask is built once per call as
+    bytes with a blocked one-cell border, so the neighbour loop needs no bounds
+    checks and reads no numpy scalars.
+    """
     if risk.at(start) >= RISK_MAX or risk.at(goal) >= RISK_MAX:
         raise PathError("start or goal cell is inside the risk region")
     if start == goal:
         return [start]
     w, h = risk.width, risk.height
-    r = risk.risk
+    step, diag = _step_costs(w * h)
+    pw = w + 2  # row stride of the padded mask
+    padded = np.zeros((h + 2, pw), dtype=bool)
+    padded[1:-1, 1:-1] = risk.risk < RISK_MAX
+    free = padded.tobytes()
+    moves = [(dr * pw + dc, diag if dc and dr else step)
+             for dc in (-1, 0, 1) for dr in (-1, 0, 1) if dc or dr]
+    goal_col, goal_row = goal.col + 1, goal.row + 1
 
-    def heuristic(col: int, row: int) -> float:
-        dx, dy = abs(col - goal.col), abs(row - goal.row)
-        return (dx + dy) + (SQRT2 - 2.0) * min(dx, dy)
+    def heuristic(idx: int) -> int:
+        row, col = divmod(idx, pw)
+        dx, dy = abs(col - goal_col), abs(row - goal_row)
+        return (dy - dx) * step + dx * diag if dx < dy else (dx - dy) * step + dy * diag
 
-    start_idx = start.row * w + start.col
-    goal_idx = goal.row * w + goal.col
-    dist = {start_idx: 0.0}
+    start_idx = (start.row + 1) * pw + start.col + 1
+    goal_idx = goal_row * pw + goal_col
+    dist = {start_idx: 0}
     parent: dict[int, int] = {}
-    heap = [(heuristic(start.col, start.row), start_idx)]
-    done = set()
+    h0 = heuristic(start_idx)
+    heap = [(h0, h0, start_idx)]
     while heap:
-        f, idx = heapq.heappop(heap)
-        if idx in done:
-            continue
+        f, hx, idx = heapq.heappop(heap)
+        g = f - hx
+        if g > dist[idx]:
+            continue  # superseded by a cheaper entry
         if idx == goal_idx:
             break
-        done.add(idx)
-        row, col = divmod(idx, w)
-        g = dist[idx]
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                if dc == 0 and dr == 0:
-                    continue
-                nc, nr_ = col + dc, row + dr
-                if not (0 <= nc < w and 0 <= nr_ < h):
-                    continue
-                if r[nr_, nc] >= RISK_MAX:
-                    continue
-                nidx = nr_ * w + nc
-                ng = g + (SQRT2 if dc and dr else 1.0)
-                if ng < dist.get(nidx, math.inf):
-                    dist[nidx] = ng
-                    parent[nidx] = idx
-                    heapq.heappush(heap, (ng + heuristic(nc, nr_), nidx))
+        for offset, cost in moves:
+            nidx = idx + offset
+            if not free[nidx]:
+                continue
+            ng = g + cost
+            old = dist.get(nidx)
+            if old is None or ng < old:
+                dist[nidx] = ng
+                parent[nidx] = idx
+                nh = heuristic(nidx)
+                heapq.heappush(heap, (ng + nh, nh, nidx))
     if goal_idx not in dist:
         raise PathError(f"goal {goal} unreachable from {start}")
     path_idx = [goal_idx]
     while path_idx[-1] != start_idx:
         path_idx.append(parent[path_idx[-1]])
     path_idx.reverse()
-    return [CellIndex(i % w, i // w) for i in path_idx]
+    return [CellIndex(i % pw - 1, i // pw - 1) for i in path_idx]
 
 
 def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
@@ -611,8 +651,10 @@ class Simulation:
         return None
 
     def _serve_call(self, table_id: str, index: int, consumed: set[int]) -> None:
-        if table_id not in {i.id for i in self.layer.instances()}:
-            raise ScenarioError(f"event {index}: call references unknown table {table_id!r}")
+        try:
+            self.layer.get(table_id)
+        except FurnitureNotFound:
+            raise ScenarioError(f"event {index}: call references unknown table {table_id!r}") from None
         if self.layer.kitchen_id is None:
             raise ScenarioError(f"event {index}: world.kitchen_table "
                                 f"{self.scenario.kitchen_table!r} is not a tracked instance")

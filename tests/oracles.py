@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from waiterbot.geometry import Pose2D
+from waiterbot.furniture import IOU_MATCH_THRESHOLD
+from waiterbot.geometry import Pose2D, iou_3d
 from waiterbot.grid import RISK_MAX, BoundsError, CellIndex, CellState
 from waiterbot.navgoal import NavGoal, NoGoalError, candidate_points, select_candidate
 from waiterbot.placement import InsufficientSupportError, Plane, PlaneFitError, _refit
@@ -53,6 +54,19 @@ def loop_virtual_obstacles(layer, grid):
                 if inside_convex(cell_to_world(grid, CellIndex(col, row)), poly):
                     cells[row, col] = CellState.OCCUPIED
     return grid.with_cells(cells)
+
+
+def loop_match_pairs(detections, instances) -> list[tuple[float, int, str]]:
+    """`furniture.match_pairs` with the exact IoU on every same-class pair."""
+    pairs = []
+    for di, det in enumerate(detections):
+        for inst in instances:
+            if inst.class_name != det.class_name:
+                continue
+            v = iou_3d(det.box(), inst.box())
+            if v >= IOU_MATCH_THRESHOLD:
+                pairs.append((-v, di, inst.id))
+    return sorted(pairs)
 
 
 def naive_inflate(grid, radius: float) -> np.ndarray:

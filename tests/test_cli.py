@@ -406,6 +406,7 @@ MALFORMED_INPUTS = {
     "list kitchen table": ("run", _world_at("kitchen_table", value=["table_5"])),
     "untracked kitchen table": ("run", _unknown_kitchen),
     "NaN RANSAC inlier_eps": ("run", _world_at("ransac", value={"inlier_eps": float("nan")})),
+    "RANSAC seed": ("run", _world_at("ransac", value={"seed": 12345})),
     "integer human attributes": ("run", _event("human", "attributes", 5)),
     "list box class": ("run", _box("class", ["table"])),
     "integer human name": ("run", _event("human", "name", 7)),

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from helpers import table
-from oracles import all_cells, cell_to_world, exact_point_in_convex_polygon, loop_virtual_obstacles
+from oracles import (all_cells, cell_to_world, exact_point_in_convex_polygon, loop_match_pairs,
+                     loop_virtual_obstacles)
 from waiterbot.furniture import (
     Detection3D,
     FrameOrderError,
     FurnitureError,
+    FurnitureInstance,
     FurnitureLayer,
     FurnitureNotFound,
     TrackStatus,
+    match_pairs,
 )
+from waiterbot.geometry import Pose2D
 from waiterbot.grid import CellState, GridMap
 
 
@@ -102,6 +106,49 @@ class TestTracking:
         layer.restore(table("table_0", (0, 0, 0.36), (1.2, 0.8, 0.72)))
         result = layer.track_frame([det(6, 6, frame=1)])
         assert result == [("table_1", TrackStatus.NEW)]
+
+
+class TestMatchPairs:
+    """The disc broad phase leaves the pair list of the all-pairs loop unchanged."""
+
+    def test_random_rotated_layouts(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            instances = [
+                FurnitureInstance(f"{cls}_{k}", cls,
+                                  Pose2D(float(rng.uniform(0, 4)), float(rng.uniform(0, 3)),
+                                         float(rng.uniform(-math.pi, math.pi))),
+                                  float(rng.uniform(0.0, 0.3)),
+                                  (float(rng.uniform(0.2, 1.6)), float(rng.uniform(0.2, 1.2)), 0.72), 0)
+                for k, cls in enumerate(rng.choice(["table", "chair"], size=int(rng.integers(0, 12))))
+            ]
+            detections = [
+                Detection3D(str(cls), (float(rng.uniform(0, 4)), float(rng.uniform(0, 3)), 0.4),
+                            (float(rng.uniform(0.2, 1.6)), float(rng.uniform(0.2, 1.2)), 0.72),
+                            float(rng.uniform(-math.pi, math.pi)), 1)
+                for cls in rng.choice(["table", "chair"], size=int(rng.integers(0, 12)))
+            ]
+            assert match_pairs(detections, instances) == loop_match_pairs(detections, instances)
+
+    def test_touching_boxes_and_touching_discs(self):
+        side = 0.8
+        instances = [
+            table("a", (1.0, 1.0, 0.36), (side, side, 0.72)),
+            # a square turned 45 degrees has its corners on the axes through its centre,
+            # so two such squares whose discs touch along an axis touch at one corner
+            table("b", (4.0, 1.0, 0.36), (side, side, 0.72), math.pi / 4),
+        ]
+        detections = [
+            det(1.0, 1.0, dims=(side, side, 0.72)),  # IoU 1
+            det(1.0 + side, 1.0, dims=(side, side, 0.72)),  # shares an edge with a
+            det(1.0 + side / 2, 1.0 + side, dims=(side, side, 0.72)),  # shares half an edge
+            det(4.0 + side * math.sqrt(2), 1.0, dims=(side, side, 0.72), yaw=math.pi / 4),
+            det(4.0, 1.0 - side * math.sqrt(2), dims=(side, side, 0.72), yaw=-math.pi / 4),
+            det(4.0 + side / 2, 1.0, dims=(side, side, 0.72), yaw=math.pi / 4),  # overlaps b
+        ]
+        got = match_pairs(detections, instances)
+        assert got == loop_match_pairs(detections, instances)
+        assert [(di, iid) for _, di, iid in got] == [(0, "a"), (5, "b")]
 
 
 class TestQueries:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_cells, path_cost, relaxation_path_cost
 from waiterbot.cli import dispatch
@@ -17,6 +19,7 @@ from waiterbot.sim import (
     RunConfig,
     ScenarioError,
     Simulation,
+    _step_costs,
     load_scenario,
     parse_scenario,
     plan_path,
@@ -102,6 +105,76 @@ class TestPlanPath:
                         assert got is None
                     else:
                         assert got == pytest.approx(expected, abs=1e-9)
+
+
+def check_path(risk, path, start, goal):
+    """Endpoints, 8-adjacent steps and admissible cells."""
+    assert path[0] == start and path[-1] == goal
+    for a, b in zip(path, path[1:]):
+        assert max(abs(a.col - b.col), abs(a.row - b.row)) == 1
+    assert all(risk.at(c) < RISK_MAX for c in path)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.04, 0.1, 0.3])
+def test_plan_path_is_optimal_on_random_grids(density):
+    """Optimal against the relaxation oracle up to 60 x 60; sparse grids have dense f-ties."""
+    rng = np.random.default_rng(round(density * 100) + 17)
+    for w, h in [(60, 60), (60, 23), (17, 45), (8, 5)]:
+        cells = (rng.random((h, w)) < density).astype(np.uint8) * CellState.OCCUPIED
+        risk = inflate(GridMap(0.1, (0.0, 0.0), cells), 0.0)
+        free = np.argwhere(risk.risk < RISK_MAX)
+        for _ in range(2):
+            (r0, c0), (r1, c1) = free[rng.choice(len(free), size=2, replace=False)]
+            start, goal = CellIndex(int(c0), int(r0)), CellIndex(int(c1), int(r1))
+            expected = relaxation_path_cost(risk.risk, start, goal)
+            if expected is None:
+                with pytest.raises(PathError):
+                    plan_path(risk, start, goal)
+                continue
+            path = plan_path(risk, start, goal)
+            check_path(risk, path, start, goal)
+            assert path_cost(path) == pytest.approx(expected, abs=1e-9)
+
+
+# the largest grid the bound is checked for: 360 x 240 cells, f-values of at most
+# 2 * cells steps.  PELL holds (p, q) with p**2 - 2 * q**2 = +-1, the closest
+# approaches of p straight steps to q diagonal ones.
+CELLS = 360 * 240
+BOUND = 2 * CELLS
+PELL = [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70), (239, 169), (577, 408),
+        (1393, 985), (3363, 2378), (8119, 5741), (19601, 13860), (47321, 33461), (114243, 80782)]
+
+
+@st.composite
+def step_counts(draw):
+    m = draw(st.integers(0, BOUND))
+    return m, draw(st.integers(0, BOUND - m))
+
+
+@st.composite
+def near_ties(draw):
+    p, q = draw(st.sampled_from(PELL))
+    m0 = draw(st.integers(0, BOUND - p))
+    k0 = draw(st.integers(0, BOUND - p - m0))
+    return (m0 + p, k0), (m0, k0 + q)
+
+
+def exact_sign(dm: int, dk: int) -> int:
+    """Sign of dm + dk * sqrt(2), in integers."""
+    if dm >= 0 and dk >= 0 or dm <= 0 and dk <= 0:
+        return (dm + dk > 0) - (dm + dk < 0)
+    # opposite signs: compare dm**2 with 2 * dk**2
+    larger = dm * dm > 2 * dk * dk
+    return (1 if larger else -1) * (1 if dm > 0 else -1)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(st.tuples(step_counts(), step_counts()), near_ties()))
+def test_integer_step_costs_keep_the_exact_order(pair):
+    (m1, k1), (m2, k2) = pair
+    step, diag = _step_costs(CELLS)
+    diff = (m1 * step + k1 * diag) - (m2 * step + k2 * diag)
+    assert (diff > 0) - (diff < 0) == exact_sign(m1 - m2, k1 - k2)
 
 
 class TestScenarioLoading:
