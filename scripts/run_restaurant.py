@@ -8,7 +8,7 @@ import argparse
 import time
 from pathlib import Path
 
-from waiterbot.sim import RunConfig, load_scenario, run
+from waiterbot.sim import RunConfig, Simulation, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,7 +22,7 @@ def main() -> None:
 
     scenario = load_scenario(REPO_ROOT / "scenarios" / "restaurant_41.json")
     t0 = time.perf_counter()
-    metrics, log = run(scenario, RunConfig(mode=args.mode, seed=args.seed))
+    metrics, log = Simulation(scenario, RunConfig(mode=args.mode, seed=args.seed)).run()
     elapsed = time.perf_counter() - t0
     if args.log:
         Path(args.log).write_text("\n".join(log) + "\n")

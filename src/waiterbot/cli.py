@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -119,7 +120,7 @@ def cmd_place(args) -> int:
 
 def _backend_for(args, registry, menu):
     if args.backend == "rules":
-        return None  # Pipeline defaults to the rule backend
+        return None  # Simulation builds the rule backend over its registry and menu
     try:
         config = BackendConfig(endpoint=args.endpoint, model=args.model)
     except ValueError as e:
@@ -175,6 +176,9 @@ def cmd_repl(args) -> int:
 
 def cmd_metrics_diff(args) -> int:
     docs = [_load(path, "metrics file", json.loads, json.JSONDecodeError) for path in (args.a, args.b)]
+    for path, doc in zip((args.a, args.b), docs):
+        if not isinstance(doc, dict):
+            raise CliError(f"bad metrics file {path}: top level must be an object", USAGE_EXIT)
     keys = sorted(set(docs[0]) | set(docs[1]))
     same = True
     for key in keys:
@@ -186,6 +190,23 @@ def cmd_metrics_diff(args) -> int:
         print("metrics identical")
         return 0
     return DOMAIN_EXIT
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: `convert(text)` if `ok` holds for it, else a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")  # numpy seeds are >= 0
+_radius = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number greater than 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_place = sub.add_parser("place", help="fit a surface and pick a placement point")
     p_place.add_argument("--cloud", required=True)
-    p_place.add_argument("--radius", type=float, required=True)
-    p_place.add_argument("--seed", type=int, default=0)
+    p_place.add_argument("--radius", type=_radius, required=True)
+    p_place.add_argument("--seed", type=_seed, default=0)
     p_place.set_defaults(func=cmd_place)
 
     p_run = sub.add_parser("run", help="replay a scenario and print metrics")
@@ -228,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_run, p_repl):  # the scenario, pipeline and backend options both share
         p.add_argument("--scenario", required=True)
         p.add_argument("--mode", choices=("parallel", "sequential"), default="parallel")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--backend", choices=("rules", "remote"), default="rules")
         p.add_argument("--endpoint", default="")
         p.add_argument("--model", default="")

@@ -81,14 +81,21 @@ def _positive_dims(dims) -> tuple[float, float, float]:
     return dims
 
 
+def _detection(frame: int, box) -> Detection3D:
+    if not isinstance(box, dict):
+        raise ValueError(f"box must be an object, got {box!r}")
+    rest = dict(box)  # each key is taken out as it is read; any left are unknown
+    detection = Detection3D(rest.pop("class"), rest.pop("center"), rest.pop("dims"), rest.pop("yaw", 0.0), frame)
+    if rest:
+        raise ValueError(f"unknown box key {next(iter(rest))!r}")
+    return detection
+
+
 def detections_from_json(frame: int, boxes: list[dict]) -> tuple[Detection3D, ...]:
     """One frame of JSON boxes (`class`, `center`, `dims`, optional `yaw`) as detections."""
     if not isinstance(boxes, list):
         raise ValueError(f"boxes must be a list, got {boxes!r}")
-    return tuple(
-        Detection3D(b["class"], b["center"], b["dims"], b.get("yaw", 0.0), frame)
-        for b in boxes
-    )
+    return tuple(_detection(frame, b) for b in boxes)
 
 
 @dataclass(frozen=True)

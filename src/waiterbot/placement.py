@@ -204,17 +204,11 @@ def _raster(
 
 
 def find_placement(
-    cloud: np.ndarray,
-    plane: Plane,
-    inliers: np.ndarray,
-    object_radius: float,
-    pitch: float = GRID_PITCH_M,
-    band: float = OCCUPANCY_BAND_M,
-    margin: float = CLEARANCE_MARGIN_M,
+    cloud: np.ndarray, plane: Plane, inliers: np.ndarray, object_radius: float
 ) -> tuple[float, float, float]:
     """Free point on the plane with the largest clearance (>= radius + margin)."""
-    if object_radius <= 0:
-        raise ValueError("object_radius must be positive")
+    if not object_radius > 0:  # false for NaN too
+        raise ValueError(f"object_radius must be positive, got {object_radius!r}")
     pts = np.asarray(cloud, dtype=np.float64)
     u, v, n = plane_basis(plane)
     origin3 = -plane.d * n  # a point on the plane
@@ -231,11 +225,11 @@ def find_placement(
     if len(hull) < 3:
         raise NoSpaceError("inlier hull is degenerate")
 
-    above = ~inlier_mask & (h > 0) & (h <= band)
-    s_lo, t_lo, occupied, in_hull, edge_dist = _raster(hull, s[above], t[above], pitch)
+    above = ~inlier_mask & (h > 0) & (h <= OCCUPANCY_BAND_M)
+    s_lo, t_lo, occupied, in_hull, edge_dist = _raster(hull, s[above], t[above], GRID_PITCH_M)
 
     if occupied.any():
-        obstacle_dist = ndimage.distance_transform_edt(~occupied) * pitch
+        obstacle_dist = ndimage.distance_transform_edt(~occupied) * GRID_PITCH_M
     else:
         obstacle_dist = np.full(occupied.shape, np.inf)
     clearance = np.minimum(obstacle_dist, edge_dist)
@@ -243,12 +237,10 @@ def find_placement(
 
     flat = int(np.argmax(clearance))  # row-major argmax = row-major tie-break
     row, col = divmod(flat, occupied.shape[1])
-    if clearance[row, col] < object_radius + margin:
-        raise NoSpaceError(
-            f"best clearance {clearance[row, col]:.3f} m below "
-            f"required {object_radius + margin:.3f} m"
-        )
-    cs = s_lo + (col + 0.5) * pitch
-    ct = t_lo + (row + 0.5) * pitch
+    required = object_radius + CLEARANCE_MARGIN_M
+    if clearance[row, col] < required:
+        raise NoSpaceError(f"best clearance {clearance[row, col]:.3f} m below required {required:.3f} m")
+    cs = s_lo + (col + 0.5) * GRID_PITCH_M
+    ct = t_lo + (row + 0.5) * GRID_PITCH_M
     p = origin3 + cs * u + ct * v
     return (float(p[0]), float(p[1]), float(p[2]))

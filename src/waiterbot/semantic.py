@@ -1,9 +1,8 @@
 """Semi-static zones and the dynamic human layer.
 
-Zones are named rectangles given by two diagonal corners; overlaps resolve by
-insertion order.  Humans are associated to existing records by a 0.5 m
-nearest-neighbor gate and described by composing information from all layers
-into one sentence.
+Zones are named rectangles given by two diagonal corners, kept as scenario and
+layer-dump data.  Humans are associated to existing records by a 0.5 m
+nearest-neighbor gate.
 """
 
 from __future__ import annotations
@@ -17,11 +16,6 @@ from .geometry import check_count, check_string, finite_tuple
 
 ACTIONS = ("sitting", "standing", "walking", "waving", "unknown")
 ASSOCIATION_GATE_M = 0.5
-FURNITURE_NEAR_M = 1.0
-
-_GESTURE_PHRASES = {"waving": "waving {poss} hand"}
-_POSSESSIVE = {"male": "his", "female": "her"}
-_HONORIFIC = {"male": "Mr.", "female": "Ms."}
 
 
 @dataclass(frozen=True)
@@ -38,19 +32,6 @@ class Zone:
         object.__setattr__(self, "p2", finite_tuple(self.p2, 2, f"zone {self.name!r} corner"))
         if self.p1[0] == self.p2[0] or self.p1[1] == self.p2[1]:
             raise ValueError(f"zone {self.name!r} has zero area")
-
-    def contains(self, p: tuple[float, float]) -> bool:
-        x0, x1 = sorted((self.p1[0], self.p2[0]))
-        y0, y1 = sorted((self.p1[1], self.p2[1]))
-        return x0 <= p[0] <= x1 and y0 <= p[1] <= y1
-
-
-def zone_at(zones: list[Zone], p: tuple[float, float]) -> str | None:
-    """Name of the first zone (insertion order) whose closed rect contains p."""
-    for z in zones:
-        if z.contains(p):
-            return z.name
-    return None
 
 
 def _check_human(h) -> None:
@@ -142,53 +123,3 @@ class HumanLayer:
 
     def humans(self) -> list[HumanEntity]:
         return [self._humans[k] for k in sorted(self._humans)]
-
-
-def describe(human: HumanEntity, zones: list[Zone], furniture_layer=None) -> str:
-    """One sentence combining name, action, nearby furniture, zone and attributes.
-
-    Clauses with unknown data are dropped; the result stays grammatical,
-    e.g. a bare record yields "person_0 is in the kitchen".
-    """
-    attrs = human.attributes
-    gender = attrs.get("gender", "")
-    poss = _POSSESSIVE.get(gender, "their")
-
-    if human.name:
-        honorific = _HONORIFIC.get(gender)
-        subject = f"{honorific} {human.name}" if honorific else human.name
-    else:
-        subject = human.id
-
-    head = f"{subject} is"
-    if human.action != "unknown":
-        head += f" {human.action}"
-
-    furniture = None
-    if furniture_layer is not None:
-        best = FURNITURE_NEAR_M
-        for inst in furniture_layer.instances():
-            d = math.hypot(inst.pose.x - human.position[0], inst.pose.y - human.position[1])
-            if d <= best:
-                furniture, best = inst.class_name, d
-    if furniture:
-        head += f" on the {furniture}"
-
-    zone = zone_at(zones, (human.position[0], human.position[1]))
-    if zone:
-        head += f" in the {zone}"
-
-    tail = []
-    clothing = attrs.get("clothing")
-    if clothing:
-        if clothing.split(" ", 1)[0].lower() not in ("a", "an", "the"):
-            article = "an" if clothing[0].lower() in "aeiou" else "a"
-            clothing = f"{article} {clothing}"
-        tail.append(f"wearing {clothing}")
-    gesture = attrs.get("gesture")
-    if gesture:
-        phrase = _GESTURE_PHRASES.get(gesture, gesture)
-        tail.append(phrase.format(poss=poss))
-    if tail:
-        head += ", " + " and ".join(tail)
-    return head

@@ -19,7 +19,7 @@ import heapq
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -150,14 +150,16 @@ class Utterance:
 
 Record = DetectionFrame | HumanObservation | Fault | Call | Utterance
 
-# one builder per event type; each record's constructor checks its own fields
+# one builder per event type; each takes its keys out of a copy of the event, and
+# each record's constructor checks its own fields
 EVENT_BUILDERS = {
-    "detections": lambda ev: DetectionFrame(ev["frame"], detections_from_json(ev["frame"], ev["boxes"])),
-    "human": lambda ev: HumanObservation(ev["position"], ev["frame"], ev.get("action", "unknown"),
-                                         ev.get("name"), ev.get("attributes", {})),
-    "fault": lambda ev: Fault(ev["skill"], ev["trigger"], ev.get("mode", "fail")),
-    "call": lambda ev: Call(ev["table"]),
-    "utterance": lambda ev: Utterance(ev["table"], ev["text"]),
+    "detections": lambda ev: DetectionFrame(frame := ev.pop("frame"),
+                                            detections_from_json(frame, ev.pop("boxes"))),
+    "human": lambda ev: HumanObservation(ev.pop("position"), ev.pop("frame"), ev.pop("action", "unknown"),
+                                         ev.pop("name", None), ev.pop("attributes", {})),
+    "fault": lambda ev: Fault(ev.pop("skill"), ev.pop("trigger"), ev.pop("mode", "fail")),
+    "call": lambda ev: Call(ev.pop("table")),
+    "utterance": lambda ev: Utterance(ev.pop("table"), ev.pop("text")),
 }
 
 
@@ -170,17 +172,16 @@ class Scenario:
     robot_start: Pose2D
     stock: Mapping[str, int]
     nav_params: NavGoalParams
-    ransac: RansacParams
     events: tuple[tuple[float, Record], ...]  # (t, record), t non-decreasing
 
 
 def _world(world: dict, key: str, build, *default):
-    """`build(world[key])`, or `build(*default)` when the key is absent; a
-    failure is a ScenarioError naming `world.<key>`."""
+    """`build(world[key])`, or `build(*default)` when the key is absent; the key
+    is taken out of `world`.  A failure is a ScenarioError naming `world.<key>`."""
     if key not in world and not default:
         raise ScenarioError(f"world.{key}: missing")
     try:
-        return build(world.get(key, *default))
+        return build(world.pop(key, *default))
     except (KeyError, TypeError, ValueError, OSError, GridFormatError) as e:
         raise ScenarioError(f"world.{key}: {type(e).__name__}: {e}") from None
 
@@ -214,7 +215,8 @@ def _events(events) -> tuple[tuple[float, Record], ...]:
         try:
             if not isinstance(ev, dict):
                 raise ValueError(f"must be an object, got {ev!r}")
-            t, kind = ev["t"], ev["type"]
+            ev = dict(ev)  # the builder takes out the keys it reads; any left are unknown
+            t, kind = ev.pop("t"), ev.pop("type")
             if not is_finite(t):
                 raise ValueError(f"t must be a finite number, got {t!r}")
             if t < last_t:
@@ -222,6 +224,8 @@ def _events(events) -> tuple[tuple[float, Record], ...]:
             if kind not in EVENT_BUILDERS:
                 raise ValueError(f"unknown type {kind!r}")
             record = EVENT_BUILDERS[kind](ev)
+            if ev:
+                raise ValueError(f"unknown key {next(iter(ev))!r}")
             if kind == "detections":
                 if record.frame <= last_detection_frame:
                     raise ValueError(f"detection frame {record.frame} not newer than {last_detection_frame}")
@@ -237,18 +241,13 @@ def _events(events) -> tuple[tuple[float, Record], ...]:
     return tuple(out)
 
 
-def _ransac(kw) -> RansacParams:
-    if "seed" in kw:
-        raise ValueError("seed is not a scenario setting: each placement is seeded from the run's --seed")
-    return RansacParams(**kw)
-
-
 def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     world = doc.get("world") if isinstance(doc, dict) else None
     if not isinstance(world, dict):
         raise ScenarioError("world: missing or not an object")
+    world = dict(world)  # `_world` takes out each key it reads; any left are unknown
     grid = _world(world, "grid_file", lambda f: load_grid((base_dir / f).read_text()))
-    return Scenario(
+    settings = dict(
         grid=grid,
         menu=_world(world, "menu", Menu.from_json),
         zones=_world(world, "zones", lambda zs: tuple(Zone(z["name"], z["p1"], z["p2"]) for z in zs), []),
@@ -256,9 +255,10 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
         stock=_world(world, "stock", _stock, {}),
         nav_params=_world(world, "nav_params", lambda kw: NavGoalParams(**kw), {}),
-        ransac=_world(world, "ransac", _ransac, {}),
-        events=_events(doc.get("events", [])),
     )
+    if world:
+        raise ScenarioError(f"world.{next(iter(world))}: unknown key")
+    return Scenario(**settings, events=_events(doc.get("events", [])))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -402,7 +402,6 @@ class Simulation:
         self.humans = HumanLayer()
         self.metrics = Metrics()
         self.log: list[str] = []
-        self.transcript: list[str] = []
 
         self.robot_pose = scenario.robot_start
         self.robot_cell = world_to_cell(scenario.grid, (scenario.robot_start.x, scenario.robot_start.y))
@@ -600,7 +599,7 @@ class Simulation:
         seed = self.config.seed * 1_000_003 + self._placement_count
         self._placement_count += 1
         try:
-            plane, inliers = ransac_plane(cloud, replace(self.scenario.ransac, seed=seed))
+            plane, inliers = ransac_plane(cloud, RansacParams(seed=seed))
             spot = find_placement(cloud, plane, inliers, object_radius=0.05)
         except PlacementError as e:
             return failed(str(e))
@@ -637,7 +636,6 @@ class Simulation:
             text = self.current_response
         else:
             text = arg
-        self.transcript.append(text)
         self._log("speak", text=text)
         return OK
 
@@ -673,7 +671,6 @@ class Simulation:
         parsed, response = self.pipeline.handle(text)
         self.current_task = parsed
         self.current_response = response
-        self.transcript.append(response)
         self._log(
             "handled",
             utterance=text,
@@ -719,9 +716,3 @@ class Simulation:
                 self._log("utterance_ignored", table=ev.table)
         self._log("run_end", **self.metrics.to_dict())
         return self.metrics, self.log
-
-
-def run(scenario: Scenario, config: RunConfig | None = None,
-        registry: Registry | None = None, backend=None) -> tuple[Metrics, list[str]]:
-    sim = Simulation(scenario, config or RunConfig(), registry=registry, backend=backend)
-    return sim.run()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .llm import BackendError, Menu, RuleBackend, parse_understand_line, rule_parse
+from .llm import BackendError, Menu, parse_understand_line, rule_parse
 
 SKILL_KINDS = ("navigate", "detect", "grasp", "place", "find_placement", "speak", "hand_over")
 
@@ -194,20 +194,17 @@ RESPOND_SUFFIX = (
 )
 
 
-def build_prompts(env_description: str, registry: Registry, menu: Menu | None = None) -> PromptPair:
+def build_prompts(env_description: str, registry: Registry, menu: Menu) -> PromptPair:
     """Shared base prompt + per-role output-format suffixes."""
     if not env_description.strip():
         raise ValueError("environment description must not be empty")
     if not registry:
         raise ValueError("registry must not be empty")
     lines = ["You are a service robot working as a waiter.", "", "Environment:",
-             env_description.strip(), ""]
-    if menu is not None:
-        lines.append("Menu:")
-        for i, item in enumerate(menu.items, start=1):
-            lines.append(f"{i}. {item.name} - {item.description}")
-        lines.append("")
-    lines.append("Task representations:")
+             env_description.strip(), "", "Menu:"]
+    for i, item in enumerate(menu.items, start=1):
+        lines.append(f"{i}. {item.name} - {item.description}")
+    lines += ["", "Task representations:"]
     for i, name in enumerate(registry, start=1):
         rep = registry[name]
         params = ", ".join(rep.param_schema)
@@ -284,12 +281,12 @@ def render_trace(outcome: TaskOutcome) -> str:
 class Pipeline:
     """Understand + respond over one backend, in parallel or sequentially."""
 
-    def __init__(self, registry: Registry, menu: Menu, backend=None, mode: str = "parallel"):
+    def __init__(self, registry: Registry, menu: Menu, backend, mode: str = "parallel"):
         if mode not in ("parallel", "sequential"):
             raise ValueError(f"unknown mode {mode!r}")
         self.registry = registry
         self.menu = menu
-        self.backend = backend if backend is not None else RuleBackend(registry, menu)
+        self.backend = backend
         self.mode = mode
 
     def _understand(self, utterance: str) -> ParsedTask:

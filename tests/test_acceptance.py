@@ -25,7 +25,7 @@ from waiterbot.layers import dump_layers, load_layers
 from waiterbot.llm import Menu, MenuItem
 from waiterbot.navgoal import NavGoalParams, NoGoalError, select_goal
 from waiterbot.placement import RansacParams, load_cloud, ransac_plane
-from waiterbot.sim import Metrics, RunConfig, load_scenario, run
+from waiterbot.sim import Metrics, RunConfig, Simulation, load_scenario
 from waiterbot.tasks import OK, Outcome, ParsedTask, Pipeline, default_registry, execute, failed, render_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -47,7 +47,7 @@ def test_criterion_1_experiment_reproduction(capsys):
     with redirect_stdout(buf):
         code = dispatch(["run", "--scenario", str(SCENARIO)])
     elapsed = time.time() - t0
-    metrics, _ = run(load_scenario(SCENARIO), RunConfig())
+    metrics, _ = Simulation(load_scenario(SCENARIO), RunConfig()).run()
     ok = (
         code == 0
         and metrics.orders_total == 41
@@ -170,7 +170,7 @@ def test_criterion_4_risk_field_correctness(capsys):
                 mismatches += 1
 
     # returned goals and executed trajectories never touch risk 100
-    metrics, log = run(load_scenario(SCENARIO), RunConfig())
+    metrics, log = Simulation(load_scenario(SCENARIO), RunConfig()).run()
     goal_ok = metrics.collisions == 0
     ok = mismatches == 0 and goal_ok
     with capsys.disabled():

@@ -267,6 +267,39 @@ class TestMetricsDiff:
         assert code == 1
         assert "served_correct: 37 != 36" in out
 
+    @pytest.mark.parametrize("text", ["[1]", '"abc"'])
+    def test_non_object_file_exits_2_naming_it(self, capsys, tmp_path, text):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"served_correct": 37}))
+        b.write_text(text)
+        code, out, err = run_cli(capsys, ["metrics", "diff", a, b])
+        assert code == 2
+        assert str(b) in err and out == ""
+        assert "Traceback" not in err
+
+
+BAD_OPTION_VALUES = {
+    "run with a negative seed": ["run", "--scenario", SCENARIOS / "restaurant_41.json", "--seed", "-1"],
+    "repl with a negative seed": ["repl", "--scenario", SCENARIOS / "restaurant_41.json", "--seed", "-1"],
+    "place with a negative seed": ["place", "--cloud", SCENARIOS / "tabletop_cloud.txt", "--radius", "0.05",
+                                   "--seed", "-1"],
+    "place with a zero radius": ["place", "--cloud", SCENARIOS / "tabletop_cloud.txt", "--radius", "0"],
+    "place with a NaN radius": ["place", "--cloud", SCENARIOS / "tabletop_cloud.txt", "--radius", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTION_VALUES))
+def test_bad_option_value_exits_2_naming_the_option(capsys, monkeypatch, case):
+    """A seed below 0 or a radius that is not a finite number above 0 is
+    refused while the arguments are parsed, before any work starts."""
+    argv = BAD_OPTION_VALUES[case]
+    code, out, err = run_cli(capsys, argv, stdin_text=":quit\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert f"argument {argv[-2]}: " in err and repr(argv[-1]) in err
+    assert out == ""
+    assert "Traceback" not in err
+
 
 def _first(events, kind):
     return next(i for i, ev in enumerate(events) if ev["type"] == kind)
@@ -372,6 +405,18 @@ def _non_object_event(doc):
     return "event 0"
 
 
+def _misspelt_world_key(doc):
+    doc["world"]["stok"] = doc["world"].pop("stock")
+    return "world.stok: unknown key"
+
+
+def _misspelt_fault_mode(doc):
+    # the first "wrong_item" fault, which a dropped mode would turn into "fail"
+    i = next(j for j, ev in enumerate(doc["events"]) if ev.get("mode") == "wrong_item")
+    doc["events"][i]["mdoe"] = doc["events"][i].pop("mode")
+    return f"event {i}: ValueError: unknown key 'mdoe'"
+
+
 def _log_box(field, value):
     # the second box of the detection log's second entry
     def mutate(doc):
@@ -412,6 +457,10 @@ MALFORMED_INPUTS = {
     "integer human name": ("run", _event("human", "name", 7)),
     "non-object event": ("run", _non_object_event),
     "empty menu": ("run", _world_at("menu", value=[])),
+    "misspelt world key": ("run", _misspelt_world_key),
+    "misspelt fault mode key": ("run", _misspelt_fault_mode),
+    "unknown box key": ("run", _box("score", 0.9)),
+    "log unknown box key": ("build", _log_box("score", 0.9)),
     "log box center with NaN": ("build", _log_box("center", [float("nan"), 2.0, 0.36])),
     "log box center with two values": ("build", _log_box("center", [5.0, 2.0])),
     "log list box class": ("build", _log_box("class", ["table"])),

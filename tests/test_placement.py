@@ -188,6 +188,12 @@ class TestFindPlacement:
         with pytest.raises(ValueError):
             find_placement(cloud, plane, inliers, object_radius=0.0)
 
+    def test_nan_radius_rejected(self):
+        cloud = flat_cloud()
+        plane, inliers = ransac_plane(cloud, RansacParams(seed=0))
+        with pytest.raises(ValueError, match="object_radius"):
+            find_placement(cloud, plane, inliers, object_radius=float("nan"))
+
 
 class TestCloudIO:
     def test_round_trip(self):

@@ -23,7 +23,6 @@ from waiterbot.sim import (
     load_scenario,
     parse_scenario,
     plan_path,
-    run,
 )
 from waiterbot.tasks import SkillInvocation
 
@@ -209,13 +208,13 @@ class TestScenarioLoading:
         doc["events"].append({"t": 99.0, "type": "call", "table": "table_99"})
         scenario = parse_scenario(doc, SCENARIO_PATH.parent)
         with pytest.raises(ScenarioError):
-            run(scenario, RunConfig())
+            Simulation(scenario, RunConfig()).run()
 
     def test_empty_scenario_yields_zero_metrics(self):
         doc = json.loads(SCENARIO_PATH.read_text())
         doc["events"] = []
         scenario = parse_scenario(doc, SCENARIO_PATH.parent)
-        metrics, log = run(scenario, RunConfig())
+        metrics, log = Simulation(scenario, RunConfig()).run()
         assert metrics == Metrics()
 
 
@@ -264,7 +263,7 @@ class TestSimulatedSkills:
 
 @pytest.fixture(scope="module")
 def outcome():
-    return run(load_scenario(SCENARIO_PATH), RunConfig(mode="parallel", seed=0))
+    return Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="parallel", seed=0)).run()
 
 
 class TestFullRun:
@@ -286,7 +285,7 @@ class TestFullRun:
         assert sim.layer.kitchen_id == "table_5"
 
     def test_replay_is_log_identical(self, outcome):
-        metrics2, log2 = run(load_scenario(SCENARIO_PATH), RunConfig(mode="parallel", seed=0))
+        metrics2, log2 = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="parallel", seed=0)).run()
         assert outcome[0] == metrics2
         assert outcome[1] == log2
 
@@ -367,7 +366,7 @@ def test_generated_workload_log_bytes_are_pinned(workload, mode, tmp_path, monke
     monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
     spec.loader.exec_module(gen)
     scenario = load_scenario(gen.write(gen.GENERATORS[workload](3), tmp_path))
-    _, log = run(scenario, RunConfig(mode=mode, seed=0))
+    _, log = Simulation(scenario, RunConfig(mode=mode, seed=0)).run()
     digest = hashlib.sha256(("\n".join(log) + "\n").encode()).hexdigest()
     assert digest == GENERATED_LOG_SHA256[workload, mode]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waiterbot.llm import BackendError, Menu, MenuItem
+from waiterbot.llm import BackendError, Menu, MenuItem, RuleBackend
 from waiterbot.tasks import (
     APOLOGY_LINE,
     OK,
@@ -106,7 +106,7 @@ class TestPrompts:
     @settings(max_examples=100)
     def test_prefix_equality_for_any_environment(self, env_text):
         registry = default_registry()
-        pair = build_prompts(env_text, registry)
+        pair = build_prompts(env_text, registry, Menu([MenuItem("cola", "a chilled cola")]))
         base_u = pair.understand_prompt.partition(SUFFIX_MARKER)[0]
         base_r = pair.respond_prompt.partition(SUFFIX_MARKER)[0]
         assert base_u == base_r
@@ -257,11 +257,11 @@ class TestPipeline:
         assert response == APOLOGY_LINE
 
     def test_every_utterance_yields_exactly_one_task(self, registry, menu):
-        pipe = Pipeline(registry, menu, mode="parallel")
+        pipe = Pipeline(registry, menu, RuleBackend(registry, menu), mode="parallel")
         for text in ("bring me a cola", "what's on the menu", "hello", ""):
             parsed, _ = pipe.handle(text)
             assert parsed.name in registry
 
     def test_unknown_mode_rejected(self, registry, menu):
         with pytest.raises(ValueError):
-            Pipeline(registry, menu, mode="sideways")
+            Pipeline(registry, menu, RuleBackend(registry, menu), mode="sideways")
