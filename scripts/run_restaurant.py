@@ -8,6 +8,7 @@ import argparse
 import time
 from pathlib import Path
 
+from waiterbot.cli import _seed
 from waiterbot.sim import RunConfig, Simulation, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -16,7 +17,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", choices=("parallel", "sequential"), default="parallel")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--log", default=None, help="write the event log here")
     args = parser.parse_args()
 

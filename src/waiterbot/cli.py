@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .furniture import FrameOrderError, FurnitureError, FurnitureLayer, FurnitureNotFound, detections_from_json
-from .geometry import Pose2D, finite_tuple
+from .geometry import Pose2D, finite_tuple, take_keys
 from .grid import GridFormatError, inflate, load_grid
 from .layers import LayerFormatError, dump_layers, load_layers
 from .llm import BackendConfig, RemoteBackend
@@ -51,7 +51,7 @@ def cmd_map_build(args) -> int:
     layer = FurnitureLayer()
     for i, entry in enumerate(log):
         try:
-            layer.track_frame(detections_from_json(entry["frame"], entry["boxes"]))
+            layer.track_frame(take_keys(entry, lambda e: detections_from_json(e.pop("frame"), e.pop("boxes"))))
         except (KeyError, TypeError, ValueError, FrameOrderError) as e:
             raise CliError(f"bad detection log {args.detections}: entry {i}: {type(e).__name__}: {e}",
                            USAGE_EXIT) from None

@@ -28,6 +28,7 @@ from .geometry import (
     normalize_angle,
     point_in_convex_polygon,
     rect_corners,
+    take_keys,
 )
 from .grid import CellState, GridMap
 
@@ -82,13 +83,8 @@ def _positive_dims(dims) -> tuple[float, float, float]:
 
 
 def _detection(frame: int, box) -> Detection3D:
-    if not isinstance(box, dict):
-        raise ValueError(f"box must be an object, got {box!r}")
-    rest = dict(box)  # each key is taken out as it is read; any left are unknown
-    detection = Detection3D(rest.pop("class"), rest.pop("center"), rest.pop("dims"), rest.pop("yaw", 0.0), frame)
-    if rest:
-        raise ValueError(f"unknown box key {next(iter(rest))!r}")
-    return detection
+    return take_keys(box, lambda b: Detection3D(b.pop("class"), b.pop("center"), b.pop("dims"),
+                                                b.pop("yaw", 0.0), frame))
 
 
 def detections_from_json(frame: int, boxes: list[dict]) -> tuple[Detection3D, ...]:

@@ -10,8 +10,8 @@ import json
 from typing import Any
 
 from .furniture import FurnitureError, FurnitureInstance, FurnitureLayer
-from .geometry import Pose2D
-from .semantic import HumanEntity, HumanLayer, Zone
+from .geometry import Pose2D, take_keys
+from .semantic import HumanEntity, HumanLayer, Zone, zone_from_json
 
 
 class LayerFormatError(Exception):
@@ -54,19 +54,23 @@ def dump_layers(furniture: FurnitureLayer, zones: list[Zone] | None = None,
 
 
 def _furniture(entry) -> FurnitureInstance:
-    pose, dims = entry["pose"], entry["dims"]
-    return FurnitureInstance(entry["id"], entry["class"], Pose2D(pose["x"], pose["y"], pose["theta"]),
-                             entry["base_z"], (dims["w"], dims["d"], dims["h"]), entry.get("last_seen", 0))
+    def build(e):
+        pose = take_keys(e.pop("pose"), lambda p: Pose2D(p.pop("x"), p.pop("y"), p.pop("theta")))
+        dims = take_keys(e.pop("dims"), lambda d: (d.pop("w"), d.pop("d"), d.pop("h")))
+        return FurnitureInstance(e.pop("id"), e.pop("class"), pose, e.pop("base_z"), dims, e.pop("last_seen", 0))
+    return take_keys(entry, build)
 
 
 def _human(entry) -> HumanEntity:
-    return HumanEntity(entry["id"], entry["position"], entry.get("action", "unknown"), entry.get("name"),
-                       entry.get("attributes", {}), entry.get("last_seen", 0))
+    return take_keys(entry, lambda e: HumanEntity(e.pop("id"), e.pop("position"), e.pop("action", "unknown"),
+                                                  e.pop("name", None), e.pop("attributes", {}),
+                                                  e.pop("last_seen", 0)))
 
 
 def _each(doc: dict, key: str, kind: str, build) -> list:
-    """`build(entry)` for every entry of `doc[key]`; a failure names the entry."""
-    entries = doc.get(key, [])
+    """`build(entry)` for every entry of `doc[key]`, which is taken out of `doc`;
+    a failure names the entry."""
+    entries = doc.pop(key, [])
     if not isinstance(entries, list):
         raise LayerFormatError(f"{key} must be a list, got {entries!r}")
     out = []
@@ -86,16 +90,19 @@ def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
         raise LayerFormatError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise LayerFormatError("top level must be an object")
+    doc = dict(doc)  # the keys are taken out as they are read; any left are unknown
 
     layer = FurnitureLayer()
     _each(doc, "furniture", "furniture", lambda e: layer.restore(_furniture(e)))
-    kitchen = doc.get("kitchen")
+    kitchen = doc.pop("kitchen", None)
     if kitchen is not None:
         try:
             layer.set_kitchen(kitchen)
         except (FurnitureError, TypeError):
             raise LayerFormatError(f"kitchen {kitchen!r} is not among the furniture entries") from None
-    zones = _each(doc, "zones", "zone", lambda e: Zone(e["name"], e["p1"], e["p2"]))
+    zones = _each(doc, "zones", "zone", zone_from_json)
     humans = HumanLayer()
     _each(doc, "humans", "human", lambda e: humans.restore(_human(e)))
+    if doc:
+        raise LayerFormatError(f"{next(iter(doc))}: unknown key")
     return layer, zones, humans

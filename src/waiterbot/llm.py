@@ -16,6 +16,8 @@ from typing import Any
 
 import requests
 
+from .geometry import take_keys
+
 
 class BackendError(Exception):
     pass
@@ -81,7 +83,7 @@ class Menu:
 
     @classmethod
     def from_json(cls, entries: list[dict[str, str]]) -> "Menu":
-        return cls([MenuItem(e["name"], e.get("description", "")) for e in entries])
+        return cls([take_keys(e, lambda m: MenuItem(m.pop("name"), m.pop("description", ""))) for e in entries])
 
 
 class HttpTransport:

@@ -1,17 +1,21 @@
 """Placement-area detection: RANSAC plane fit, then a clearance search.
 
 The plane is fit from 3-point hypotheses scored by inlier count and refined
-by a least-squares eigen refit over the winning inlier set.  All triples are
-drawn first, in the same `rng.choice` order as a per-hypothesis loop would,
-then scored in blocks of `HYPOTHESIS_BLOCK` with one distance matrix per block
-(batch scoring as in Nister 2005, *Preemptive RANSAC*).  The first hypothesis
-with the highest count wins: `argmax` inside a block, strict `>` across blocks.
+by a least-squares eigen refit over the winning inlier set.  All triples come
+from one batched draw (`sample_triples`), then are scored in blocks of
+`HYPOTHESIS_BLOCK` with one distance matrix per block (batch scoring as in
+Nister 2005, *Preemptive RANSAC*).  Tie rule: among the hypotheses with the
+highest count, the lowest plane wins -- the largest `d` once the normal is
+oriented to `n_z >= 0` -- so points above an equally supported surface count
+as clutter on it; only a full tie goes to the earliest draw.
 
 Placement then rasterizes the inlier hull at 2 cm, marks cells occupied where
 off-plane points project from the band above the surface, and picks the free
 cell with the largest distance to the nearest occupied cell or hull edge.  The
-raster is array code: `point_in_convex_polygon` and one point-segment
-distance per hull edge, broadcast over all cell centers.
+hull is taken only over the inliers an Akl-Toussaint extreme-point test cannot
+rule out (`_hull_candidates`), which gives the same hull.  The raster is array
+code: `point_in_convex_polygon` and one point-segment distance per hull edge,
+broadcast over all cell centers.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ CLEARANCE_MARGIN_M = 0.02
 # hypotheses scored per distance matrix: (n_pts x 32) floats keeps peak memory
 # low while amortizing the per-call overhead over the block
 HYPOTHESIS_BLOCK = 32
+# inliers deeper than this fraction of the cloud's extent inside the eight
+# extreme points' polygon are dropped before the hull (see `_hull_candidates`)
+HULL_PREFILTER_MARGIN = 1e-6
 
 
 class PlacementError(Exception):
@@ -114,8 +121,24 @@ def _refit(points: np.ndarray) -> tuple[np.ndarray, float]:
     return n, float(-n @ centroid)
 
 
+def sample_triples(n_pts: int, iterations: int, rng: np.random.Generator) -> np.ndarray:
+    """`iterations` rows of three distinct indices in [0, n_pts), uniform over
+    ordered triples, from three vector draws with no rejection loop: `b` is
+    shifted past `a`, then `c` past the smaller and the larger of the two."""
+    a = rng.integers(0, n_pts, iterations)
+    b = rng.integers(0, n_pts - 1, iterations)
+    c = rng.integers(0, n_pts - 2, iterations)
+    b += b >= a
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    return np.column_stack([a, b, c])
+
+
 def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.ndarray]:
-    """Best-of-N plane and its inlier indices; deterministic for a fixed seed."""
+    """Best-of-N plane and its inlier indices; deterministic for a fixed seed.
+
+    The best hypothesis has the most inliers; among those, the lowest plane
+    (largest `d` with `n_z >= 0`), then the earliest draw."""
     pts = np.asarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("cloud must be an (n, 3) array")
@@ -123,9 +146,8 @@ def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.nda
     if n_pts < 3:
         raise PlaneFitError(f"need at least 3 points, got {n_pts}")
 
-    rng = np.random.default_rng(params.seed)
-    triples = np.array([rng.choice(n_pts, size=3, replace=False) for _ in range(params.iterations)])
-    best_count = -1
+    triples = sample_triples(n_pts, params.iterations, np.random.default_rng(params.seed))
+    best = (-1, -math.inf)  # (count, d) of the best hypothesis so far
     best_inliers: np.ndarray | None = None
     for start in range(0, len(triples), HYPOTHESIS_BLOCK):
         a, b, c = (pts[triples[start : start + HYPOTHESIS_BLOCK, k]] for k in range(3))
@@ -138,12 +160,16 @@ def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.nda
         dists += d
         inliers = np.abs(dists, out=dists) <= params.inlier_eps
         counts = np.where(degenerate, -1, inliers.sum(axis=0))
-        j = int(np.argmax(counts))  # first best inside the block
-        if counts[j] > best_count:  # strict: an earlier block keeps a tie
-            best_count = int(counts[j])
+        nx, ny, nz = n.T
+        flip = (nz < 0) | ((nz == 0) & ((ny < 0) | ((ny == 0) & (nx < 0))))  # as `_orient`
+        d = np.where(flip, -d, d)
+        j = int(np.argmax(np.where(counts == counts.max(), d, -np.inf)))  # first lowest of the best
+        if counts[j] >= 0 and (int(counts[j]), float(d[j])) > best:  # strict: an earlier block keeps a tie
+            best = (int(counts[j]), float(d[j]))
             best_inliers = inliers[:, j]
     if best_inliers is None:
         raise PlaneFitError("every sampled triple was degenerate")
+    best_count, _ = best
     if best_count < params.min_inlier_fraction * n_pts:
         raise InsufficientSupportError(
             f"best hypothesis explains {best_count}/{n_pts} points, "
@@ -203,6 +229,39 @@ def _raster(
     return s_lo, t_lo, occupied, in_hull, edge_dist
 
 
+def _hull_candidates(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask of the points `convex_hull` may keep (Akl & Toussaint 1978).
+
+    The points extreme in the eight directions +-s, +-t, +-(s+t), +-(s-t),
+    taken in CCW order of direction, bound a polygon inside the hull.  A point
+    left of every non-empty edge of it by more than `HULL_PREFILTER_MARGIN`
+    times the cloud's extent D is dropped: it lies at least that far inside
+    the hull, since a point strictly left of every edge of a closed polygon is
+    wound around by it.  The float monotone chain cannot keep such a point
+    either.  Its orientation test, a difference of two products of
+    coordinate differences, is off by less than 8u|a-o||b-o| (u = 2**-53), so
+    it can misjudge a point only within 8uD of the line through the other
+    two.  Only such near-collinear calls let the chain stray from the exact
+    hull, by at most 8uD each, so by less than the margin (about 9e9 uD) for
+    any cloud of fewer than 10**8 points; the mask's own rounding is of the
+    same 8uD size.  A dropped point thus takes no part in any call the chain
+    gets wrong, and is popped as the exact chain pops it.
+    """
+    if len(s) == 0:
+        return np.zeros(0, dtype=bool)
+    ext = np.stack([s, s + t, t, t - s, -s, -s - t, -t, s - t]).argmax(axis=1)
+    ax, ay = s[ext], t[ext]
+    ex, ey = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+    length = np.hypot(ex, ey)
+    edge = length > 0  # repeated extreme points give empty edges
+    if not edge.any():
+        return np.ones(len(s), dtype=bool)
+    ax, ay, ex, ey, length = ax[edge, None], ay[edge, None], ex[edge, None], ey[edge, None], length[edge, None]
+    margin = HULL_PREFILTER_MARGIN * max(float(np.ptp(s)), float(np.ptp(t)))
+    depth = ex * (t - ay) - ey * (s - ax)  # (edges, points): |edge| times the distance left of it
+    return ~(depth > margin * length).all(axis=0)
+
+
 def find_placement(
     cloud: np.ndarray, plane: Plane, inliers: np.ndarray, object_radius: float
 ) -> tuple[float, float, float]:
@@ -220,8 +279,9 @@ def find_placement(
 
     inlier_mask = np.zeros(len(pts), dtype=bool)
     inlier_mask[np.asarray(inliers, dtype=int)] = True
-    hull_pts = [(float(a), float(b)) for a, b in zip(s[inlier_mask], t[inlier_mask])]
-    hull = convex_hull(hull_pts)
+    s_in, t_in = s[inlier_mask], t[inlier_mask]
+    keep = _hull_candidates(s_in, t_in)
+    hull = convex_hull(list(zip(s_in[keep].tolist(), t_in[keep].tolist())))
     if len(hull) < 3:
         raise NoSpaceError("inlier hull is degenerate")
 

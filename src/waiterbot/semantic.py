@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .geometry import check_count, check_string, finite_tuple
+from .geometry import check_count, check_string, finite_tuple, take_keys
 
 ACTIONS = ("sitting", "standing", "walking", "waving", "unknown")
 ASSOCIATION_GATE_M = 0.5
@@ -32,6 +32,10 @@ class Zone:
         object.__setattr__(self, "p2", finite_tuple(self.p2, 2, f"zone {self.name!r} corner"))
         if self.p1[0] == self.p2[0] or self.p1[1] == self.p2[1]:
             raise ValueError(f"zone {self.name!r} has zero area")
+
+
+def zone_from_json(entry) -> Zone:
+    return take_keys(entry, lambda z: Zone(z.pop("name"), z.pop("p1"), z.pop("p2")))
 
 
 def _check_human(h) -> None:

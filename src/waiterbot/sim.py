@@ -33,7 +33,7 @@ from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, R
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
 from .placement import PlacementError, RansacParams, find_placement, ransac_plane
-from .semantic import HumanLayer, HumanObservation, Zone
+from .semantic import HumanLayer, HumanObservation, Zone, zone_from_json
 from .tasks import (
     OK,
     SKILL_KINDS,
@@ -242,7 +242,12 @@ def _events(events) -> tuple[tuple[float, Record], ...]:
 
 
 def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
-    world = doc.get("world") if isinstance(doc, dict) else None
+    if not isinstance(doc, dict):
+        raise ScenarioError("top level must be an object")
+    doc = dict(doc)  # the keys are taken out as they are read; any left are unknown
+    world, events = doc.pop("world", None), doc.pop("events", [])
+    if doc:
+        raise ScenarioError(f"{next(iter(doc))}: unknown key")
     if not isinstance(world, dict):
         raise ScenarioError("world: missing or not an object")
     world = dict(world)  # `_world` takes out each key it reads; any left are unknown
@@ -250,7 +255,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     settings = dict(
         grid=grid,
         menu=_world(world, "menu", Menu.from_json),
-        zones=_world(world, "zones", lambda zs: tuple(Zone(z["name"], z["p1"], z["p2"]) for z in zs), []),
+        zones=_world(world, "zones", lambda zs: tuple(map(zone_from_json, zs)), []),
         kitchen_table=_world(world, "kitchen_table", lambda v: check_string(v, "kitchen_table")),
         robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
         stock=_world(world, "stock", _stock, {}),
@@ -258,7 +263,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     )
     if world:
         raise ScenarioError(f"world.{next(iter(world))}: unknown key")
-    return Scenario(**settings, events=_events(doc.get("events", [])))
+    return Scenario(**settings, events=_events(events))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -14,7 +14,7 @@ from waiterbot.furniture import IOU_MATCH_THRESHOLD
 from waiterbot.geometry import Pose2D, iou_3d
 from waiterbot.grid import RISK_MAX, BoundsError, CellIndex, CellState
 from waiterbot.navgoal import NavGoal, NoGoalError, candidate_points, select_candidate
-from waiterbot.placement import InsufficientSupportError, Plane, PlaneFitError, _refit
+from waiterbot.placement import InsufficientSupportError, Plane, PlaneFitError, _refit, sample_triples
 
 
 def cell_to_world(grid, c: CellIndex) -> tuple[float, float]:
@@ -263,30 +263,31 @@ def scalar_raster(hull, s_occ, t_occ, pitch: float):
 
 
 def loop_ransac_plane(cloud, params):
-    """`ransac_plane` with one hypothesis scored at a time."""
+    """`ransac_plane` with one hypothesis scored at a time, on the same draw."""
     pts = np.asarray(cloud, dtype=np.float64)
     n_pts = len(pts)
-    rng = np.random.default_rng(params.seed)
-    best_count = -1
+    triples = sample_triples(n_pts, params.iterations, np.random.default_rng(params.seed))
+    best = (-1, -math.inf)
     best_inliers = None
-    for _ in range(params.iterations):
-        idx = rng.choice(n_pts, size=3, replace=False)
+    for idx in triples:
         a, b, c = pts[idx]
         n = np.cross(b - a, c - a)
         norm = np.linalg.norm(n)
         if norm < 1e-12:
             continue
         n = n / norm
+        if (n[2], n[1], n[0]) < (0, 0, 0):  # n_z >= 0, as `placement._orient`
+            n = -n
         d = -n @ a
         inliers = np.abs(pts @ n + d) <= params.inlier_eps
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
+        key = (int(inliers.sum()), float(d))  # most inliers, then the lowest plane
+        if key > best:
+            best = key
             best_inliers = inliers
     if best_inliers is None:
         raise PlaneFitError("every sampled triple was degenerate")
-    if best_count < params.min_inlier_fraction * n_pts:
-        raise InsufficientSupportError(f"{best_count}/{n_pts} inliers")
+    if best[0] < params.min_inlier_fraction * n_pts:
+        raise InsufficientSupportError(f"{best[0]}/{n_pts} inliers")
     inlier_idx = np.flatnonzero(best_inliers)
     n, d = _refit(pts[inlier_idx])
     return Plane((float(n[0]), float(n[1]), float(n[2])), d), inlier_idx

@@ -417,6 +417,22 @@ def _misspelt_fault_mode(doc):
     return f"event {i}: ValueError: unknown key 'mdoe'"
 
 
+def _unknown_key(*path, key, named):
+    # an extra `key` in the object at `path` of the input document
+    def mutate(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = "x"
+        return named
+    return mutate
+
+
+def _layer_unknown_human_key(doc):
+    doc["humans"].append({"id": "person_0", "position": [1.0, 1.0, 0.0], "mood": "x"})
+    return "unknown key 'mood'"
+
+
 def _log_box(field, value):
     # the second box of the detection log's second entry
     def mutate(doc):
@@ -475,6 +491,19 @@ MALFORMED_INPUTS = {
     "layer kitchen not in furniture": ("layers", _layer_kitchen),
     "layer unknown human action": ("layers", _layer_human_action),
     "layer zone of zero area": ("layers", _layer_zero_area_zone),
+    "unknown top-level key": ("run", _unknown_key(key="description", named="description: unknown key")),
+    "unknown zone key": ("run", _unknown_key("world", "zones", 0, key="p3",
+                                             named="world.zones: ValueError: unknown key 'p3'")),
+    "unknown menu key": ("run", _unknown_key("world", "menu", 2, key="price",
+                                             named="world.menu: ValueError: unknown key 'price'")),
+    "log unknown entry key": ("build", _unknown_key(1, key="source",
+                                                    named="entry 1: ValueError: unknown key 'source'")),
+    "layer unknown furniture key": ("layers", _unknown_key("furniture", 1, key="color",
+                                                           named="unknown key 'color'")),
+    "layer unknown pose key": ("layers", _unknown_key("furniture", 1, "pose", key="z",
+                                                      named="unknown key 'z'")),
+    "layer unknown human key": ("layers", _layer_unknown_human_key),
+    "layer unknown top-level key": ("layers", _unknown_key(key="comment", named="comment: unknown key")),
 }
 
 
@@ -501,6 +530,19 @@ def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
     assert named in err
     assert out == ""
     assert "Traceback" not in out + err
+
+
+def test_run_restaurant_script_rejects_negative_seed():
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_restaurant.py"), "--seed", "-1"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert "must be a non-negative integer, got '-1'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_module_entry_point_runs():

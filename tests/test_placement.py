@@ -1,7 +1,11 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import save_cloud, table
@@ -86,10 +90,8 @@ class TestRansac:
         for seed in range(10):
             cloud, _ = noisy_scene(400 + seed)
             pts = np.asarray(cloud)
-            rng = np.random.default_rng(seed)
             best = None
-            for _ in range(200):
-                idx = rng.choice(len(pts), size=3, replace=False)
+            for idx in placement.sample_triples(len(pts), 200, np.random.default_rng(seed)):
                 a, b, c = pts[idx]
                 n = np.cross(b - a, c - a)
                 norm = np.linalg.norm(n)
@@ -195,6 +197,49 @@ class TestFindPlacement:
             find_placement(cloud, plane, inliers, object_radius=float("nan"))
 
 
+@st.composite
+def hull_clouds(draw):
+    """(s, t) clouds: uniform random, rotated tabletop grids, near-collinear
+    sets, each with some points repeated; sizes from 0 up."""
+    kind = draw(st.sampled_from(["random", "grid", "collinear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        s, t = rng.uniform(-1.0, 1.0, (2, draw(st.integers(0, 60))))
+    elif kind == "grid":
+        nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+        ls, lt = np.meshgrid((np.arange(nx) + 0.5) * 0.05, (np.arange(ny) + 0.5) * 0.05)
+        yaw = draw(st.sampled_from([0.0, 1e-9, -1e-4, 0.01, 0.3, math.pi / 4, float(rng.uniform(-math.pi, math.pi))]))
+        cx, cy = rng.uniform(-10.0, 10.0, 2)
+        c, sn = math.cos(yaw), math.sin(yaw)
+        s, t = cx + c * ls.ravel() - sn * lt.ravel(), cy + sn * ls.ravel() + c * lt.ravel()
+    else:
+        n = draw(st.integers(2, 40))
+        along = rng.uniform(0.0, 2.0, n)
+        off = rng.normal(0.0, draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-8])), n)
+        yaw = float(rng.uniform(-math.pi, math.pi))
+        s, t = along * math.cos(yaw) - off * math.sin(yaw), along * math.sin(yaw) + off * math.cos(yaw)
+        extra = rng.uniform(0.0, 1.0, (2, draw(st.integers(0, 5))))  # a few points off the line
+        s, t = np.append(s, extra[0]), np.append(t, extra[1])
+    repeat = rng.integers(0, len(s), draw(st.integers(0, 8))) if len(s) else np.zeros(0, dtype=int)
+    return np.append(s, s[repeat]), np.append(t, t[repeat])
+
+
+class TestHullPrefilter:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(hull_clouds())
+    def test_same_hull_as_all_points(self, cloud):
+        s, t = cloud
+        keep = placement._hull_candidates(s, t)
+        assert convex_hull(list(zip(s[keep].tolist(), t[keep].tolist()))) == convex_hull(
+            list(zip(s.tolist(), t.tolist())))
+
+    def test_drops_the_interior_of_a_banquet_table(self):
+        table_, _ = next(tabletops())
+        cloud = tabletop_cloud(table_, 0)
+        keep = placement._hull_candidates(cloud[:, 0], cloud[:, 1])
+        assert len(cloud) > 1000 and keep.sum() < len(cloud) // 5  # the boundary rows stay
+
+
 class TestCloudIO:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -285,14 +330,16 @@ class TestArrayCodeMatchesLoops:
             assert np.array_equal(inliers, loop_inliers)
 
     @pytest.mark.parametrize("iterations", [1, 31, 32, 33, 200])
-    def test_ransac_first_best_tie_break(self, iterations):
+    def test_ransac_lowest_plane_tie_break(self, iterations):
         # two parallel planes with equal point counts: every hypothesis drawn
-        # from one plane ties, so the plane of the first such draw must win
+        # from one plane ties, so whenever both planes are drawn the lower wins
         lower = flat_cloud(z=0.0, nx=10, ny=10)
         cloud = np.vstack([lower, lower + np.array([0.0, 0.0, 1.0])])
-        params_list = [RansacParams(iterations=iterations, seed=s, min_inlier_fraction=0.4)
-                       for s in range(20)]
-        for params in params_list:
+        drawn_both = 0
+        for seed in range(20):
+            params = RansacParams(iterations=iterations, seed=seed, min_inlier_fraction=0.4)
+            triples = placement.sample_triples(len(cloud), iterations, np.random.default_rng(seed))
+            upper_rows = (triples >= len(lower)).sum(axis=1)
             try:
                 loop = oracles.loop_ransac_plane(cloud, params)
             except PlacementError as e:
@@ -302,3 +349,27 @@ class TestArrayCodeMatchesLoops:
             plane, inliers = ransac_plane(cloud, params)
             assert plane == loop[0]
             assert np.array_equal(inliers, loop[1])
+            if (upper_rows == 0).any():
+                drawn_both += bool((upper_rows == 3).any())
+                assert plane.normal == (0.0, 0.0, 1.0) and abs(plane.d) < 1e-12
+                assert inliers.tolist() == list(range(len(lower)))
+            else:
+                assert abs(plane.d + 1.0) < 1e-12
+        assert drawn_both > 0 or iterations == 1
+
+
+class TestSampleTriples:
+    @pytest.mark.parametrize("n_pts", [3, 4, 5, 17, 1000])
+    def test_rows_are_distinct_in_range_indices(self, n_pts):
+        for seed in range(5):
+            triples = placement.sample_triples(n_pts, 500, np.random.default_rng(seed))
+            assert triples.shape == (500, 3)
+            assert triples.min() >= 0 and triples.max() < n_pts
+            a, b, c = triples.T
+            assert ((a != b) & (a != c) & (b != c)).all()
+
+    def test_every_ordered_triple_of_four_occurs(self):
+        triples = placement.sample_triples(4, 2000, np.random.default_rng(0))
+        counts = Counter(map(tuple, triples.tolist()))
+        assert set(counts) == set(itertools.permutations(range(4), 3))
+        assert min(counts.values()) > 2000 / 24 / 2  # about 83 each if uniform
