@@ -21,7 +21,7 @@ from .llm import BackendConfig, RemoteBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
 from .placement import NoSpaceError, PlacementError, RansacParams, find_placement, load_cloud, ransac_plane
 from .sim import PathError, RunConfig, ScenarioError, Simulation, load_scenario
-from .tasks import build_prompts, default_registry, execute, render_trace
+from .tasks import build_prompts, render_trace
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -118,23 +118,21 @@ def cmd_place(args) -> int:
     return 0
 
 
-def _backend_for(args, registry, menu):
+def _backend_for(args, menu):
     if args.backend == "rules":
-        return None  # Simulation builds the rule backend over its registry and menu
+        return None  # Simulation builds the rule backend over its menu
     try:
         config = BackendConfig(endpoint=args.endpoint, model=args.model)
     except ValueError as e:
         raise CliError(str(e), USAGE_EXIT) from None
-    prompts = build_prompts("A small restaurant with customer tables and one kitchen table.",
-                            registry, menu)
+    prompts = build_prompts("A small restaurant with customer tables and one kitchen table.", menu)
     return RemoteBackend(config, prompts)
 
 
 def _simulation(args) -> Simulation:
     scenario = load_scenario(args.scenario)  # a ScenarioError exits 2 through dispatch
-    registry = default_registry()
-    return Simulation(scenario, RunConfig(mode=args.mode, seed=args.seed), registry=registry,
-                      backend=_backend_for(args, registry, scenario.menu))
+    return Simulation(scenario, RunConfig(mode=args.mode, seed=args.seed),
+                      backend=_backend_for(args, scenario.menu))
 
 
 def cmd_run(args) -> int:
@@ -163,13 +161,10 @@ def cmd_repl(args) -> int:
             continue
         if line == ":quit":
             break
-        parsed, response = sim.pipeline.handle(line)
-        sim.current_task = parsed
-        sim.current_response = response
+        parsed, response, outcome = sim.handle_utterance(line)
         print(f"robot> {response}")
         slots = ", ".join(f"{k}={parsed.slots[k]}" for k in sorted(parsed.slots))
         print(f"task: {parsed.name}({slots}) confidence={parsed.confidence:.2f}")
-        outcome = execute(parsed, sim.registry, sim.simulate_skill)
         print(render_trace(outcome))
     return 0
 

@@ -57,6 +57,10 @@ class MenuItem:
     name: str
     description: str
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.description, str):
+            raise ValueError(f"menu item description must be a string, got {self.description!r}")
+
 
 class Menu:
     """At least one item; names must be unique after case-folding and trimming."""
@@ -160,18 +164,18 @@ def _match_item(normalized: str, menu: Menu) -> str | None:
     return best
 
 
-def rule_parse(utterance: str, menu: Menu, registry) -> "ParsedTask":
+def rule_parse(utterance: str, menu: Menu) -> "ParsedTask":
     """Deterministic pattern-table parser; total (falls back to casual_chat)."""
     from .tasks import ParsedTask
 
     u = _normalize(utterance)
     if any(t in u for t in SERVE_TRIGGERS):
         item = _match_item(u, menu)
-        if item is not None and "serve_order" in registry:
+        if item is not None:
             return ParsedTask("serve_order", {"item": item}, 1.0)
-    if any(t in u for t in CLEAN_TRIGGERS) and "clean_table" in registry:
+    if any(t in u for t in CLEAN_TRIGGERS):
         return ParsedTask("clean_table", {}, 1.0)
-    if any(t in u for t in MENU_TRIGGERS) and "describe_menu" in registry:
+    if any(t in u for t in MENU_TRIGGERS):
         return ParsedTask("describe_menu", {}, 1.0)
     return ParsedTask("casual_chat", {}, 0.5)
 
@@ -181,9 +185,9 @@ def format_understand_line(parsed: "ParsedTask") -> str:
     return f"task={parsed.name}; slots={slots}"
 
 
-def parse_understand_line(text: str, registry) -> "ParsedTask":
+def parse_understand_line(text: str) -> "ParsedTask":
     """Decode `task=<name>; slots=<k:v,...>`; anything malformed -> casual_chat."""
-    from .tasks import ParsedTask
+    from .tasks import REGISTRY, ParsedTask
 
     fallback = ParsedTask("casual_chat", {}, 0.0)
     line = text.strip().splitlines()[0].strip() if text.strip() else ""
@@ -192,7 +196,7 @@ def parse_understand_line(text: str, registry) -> "ParsedTask":
     body = line[len("task="):]
     name, sep, slot_text = body.partition(";")
     name = name.strip()
-    if not sep or name not in registry:
+    if not sep or name not in REGISTRY:
         return fallback
     slot_text = slot_text.strip()
     if not slot_text.startswith("slots="):
@@ -206,7 +210,7 @@ def parse_understand_line(text: str, registry) -> "ParsedTask":
         if not sep2 or not key.strip() or not value.strip():
             return fallback
         slots[key.strip()] = value.strip()
-    schema = registry[name].param_schema
+    schema = REGISTRY[name].param_schema
     slots = {k: v for k, v in slots.items() if k in schema}
     if set(slots) != set(schema):
         return fallback
@@ -218,17 +222,16 @@ def parse_understand_line(text: str, registry) -> "ParsedTask":
 class RuleBackend:
     """Offline backend; understanding and responses from fixed rules."""
 
-    def __init__(self, registry, menu: Menu):
-        self.registry = registry
+    def __init__(self, menu: Menu):
         self.menu = menu
 
     def understand(self, utterance: str) -> str:
-        return format_understand_line(rule_parse(utterance, self.menu, self.registry))
+        return format_understand_line(rule_parse(utterance, self.menu))
 
     def respond(self, utterance: str, parsed=None) -> str:
         if parsed is not None:
             return self._respond_with(parsed)
-        guess = rule_parse(utterance, self.menu, self.registry)
+        guess = rule_parse(utterance, self.menu)
         if guess.name == "serve_order":
             return "Sure! I will be right back with your order."
         return self._respond_with(guess)

@@ -40,10 +40,9 @@ from .tasks import (
     Outcome,
     ParsedTask,
     Pipeline,
-    Registry,
     SkillInvocation,
     SkillResult,
-    default_registry,
+    TaskOutcome,
     execute,
     failed,
 )
@@ -395,13 +394,11 @@ def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
 class Simulation:
     """World state plus the skill machinery; one instance per run."""
 
-    def __init__(self, scenario: Scenario, config: RunConfig,
-                 registry: Registry | None = None, backend=None):
+    def __init__(self, scenario: Scenario, config: RunConfig, backend=None):
         self.scenario = scenario
         self.config = config
-        self.registry = registry if registry is not None else default_registry()
-        backend = backend if backend is not None else RuleBackend(self.registry, scenario.menu)
-        self.pipeline = Pipeline(self.registry, scenario.menu, backend, mode=config.mode)
+        backend = backend if backend is not None else RuleBackend(scenario.menu)
+        self.pipeline = Pipeline(scenario.menu, backend, mode=config.mode)
 
         self.layer = FurnitureLayer()
         self.humans = HumanLayer()
@@ -673,6 +670,11 @@ class Simulation:
             return
         j, text = found
         consumed.add(j)
+        self.handle_utterance(text)
+
+    def handle_utterance(self, text: str) -> tuple[ParsedTask, str, TaskOutcome]:
+        """Understand and answer `text` for the current caller, run its task, and log and
+        count both; the one utterance path of replays and the REPL."""
         parsed, response = self.pipeline.handle(text)
         self.current_task = parsed
         self.current_response = response
@@ -687,7 +689,7 @@ class Simulation:
         if is_order:
             self.metrics.orders_total += 1
             self.placed_at_caller = None
-        outcome = execute(parsed, self.registry, self.simulate_skill)
+        outcome = execute(parsed, self.simulate_skill)
         if is_order and outcome.state is not Outcome.FAILED:
             if self.placed_at_caller == parsed.slots["item"]:
                 self.metrics.served_correct += 1
@@ -703,6 +705,7 @@ class Simulation:
             ordered=parsed.slots.get("item") if is_order else None,
             served=self.placed_at_caller if is_order else None,
         )
+        return parsed, response, outcome
 
     def run(self) -> tuple[Metrics, list[str]]:
         self._log("run_start", mode=self.config.mode, seed=self.config.seed)

@@ -1,20 +1,22 @@
 """Task representations, the understand/respond pipeline and the executor.
 
 A task representation is a named, fixed skill sequence with slot parameters
-and optional per-skill recovery splices.  The pipeline turns an utterance
-into a parsed task and a spoken response, either in parallel (response never
-sees the parse) or sequentially (response is conditioned on the parse).  The
-executor runs skills in order; a failed skill with a recovery entry emits a
-help request and splices the replacement subsequence instead of aborting.
+and optional per-skill recovery splices; the four of them (serving, cleaning,
+menu, chat) are fixed in the read-only `REGISTRY`.  The pipeline turns an
+utterance into a parsed task and a spoken response, either in parallel
+(response never sees the parse) or sequentially (response is conditioned on
+the parse).  The executor runs skills in order; a failed skill with a
+recovery entry emits a help request and splices the replacement subsequence
+instead of aborting.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .llm import BackendError, Menu, parse_understand_line, rule_parse
 
@@ -115,12 +117,8 @@ class PromptPair:
     respond_prompt: str
 
 
-Registry = dict[str, TaskRepresentation]
-
-
-def default_registry() -> Registry:
-    """The four built-in representations (serving, cleaning, menu, chat)."""
-    serve = TaskRepresentation(
+REGISTRY: Mapping[str, TaskRepresentation] = MappingProxyType({rep.name: rep for rep in (
+    TaskRepresentation(
         name="serve_order",
         param_schema=("item",),
         skills=(
@@ -133,8 +131,8 @@ def default_registry() -> Registry:
             SkillSpec("speak", "confirmation"),
         ),
         recovery={"detect": (SkillSpec("speak", "{help}"), SkillSpec("hand_over", "{item}"))},
-    )
-    clean = TaskRepresentation(
+    ),
+    TaskRepresentation(
         name="clean_table",
         param_schema=(),
         skills=(
@@ -144,41 +142,18 @@ def default_registry() -> Registry:
             SkillSpec("navigate", "kitchen_table"),
             SkillSpec("place", "dish"),
         ),
-    )
-    menu = TaskRepresentation(
+    ),
+    TaskRepresentation(
         name="describe_menu",
         param_schema=(),
         skills=(SkillSpec("speak", "menu_description"),),
-    )
-    chat = TaskRepresentation(
+    ),
+    TaskRepresentation(
         name="casual_chat",
         param_schema=(),
         skills=(SkillSpec("speak", "generated_response"),),
-    )
-    return {r.name: r for r in (serve, clean, menu, chat)}
-
-
-def load_registry(doc: str | dict) -> Registry:
-    """Registry from the JSON override format (see README for the schema)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    reps = {}
-    for entry in doc["representations"]:
-        skills = tuple(SkillSpec(s["kind"], s.get("arg")) for s in entry["skills"])
-        recovery = {
-            key: tuple(SkillSpec(s["kind"], s.get("arg")) for s in seq)
-            for key, seq in entry.get("recovery", {}).items()
-        }
-        rep = TaskRepresentation(
-            name=entry["name"],
-            param_schema=tuple(entry.get("params", ())),
-            skills=skills,
-            recovery=recovery,
-        )
-        reps[rep.name] = rep
-    if not reps:
-        raise ValueError("registry must define at least one representation")
-    return reps
+    ),
+)})
 
 
 UNDERSTAND_SUFFIX = (
@@ -194,19 +169,16 @@ RESPOND_SUFFIX = (
 )
 
 
-def build_prompts(env_description: str, registry: Registry, menu: Menu) -> PromptPair:
+def build_prompts(env_description: str, menu: Menu) -> PromptPair:
     """Shared base prompt + per-role output-format suffixes."""
     if not env_description.strip():
         raise ValueError("environment description must not be empty")
-    if not registry:
-        raise ValueError("registry must not be empty")
     lines = ["You are a service robot working as a waiter.", "", "Environment:",
              env_description.strip(), "", "Menu:"]
     for i, item in enumerate(menu.items, start=1):
         lines.append(f"{i}. {item.name} - {item.description}")
     lines += ["", "Task representations:"]
-    for i, name in enumerate(registry, start=1):
-        rep = registry[name]
+    for i, (name, rep) in enumerate(REGISTRY.items(), start=1):
         params = ", ".join(rep.param_schema)
         chain = " -> ".join(f"{s.kind}({s.arg or ''})" for s in rep.skills)
         lines.append(f"{i}. {name}({params}): {chain}")
@@ -234,11 +206,11 @@ def bypass_help(invocation: SkillInvocation, result: SkillResult) -> str:
 SkillRunner = Callable[[SkillInvocation], SkillResult]
 
 
-def execute(task: ParsedTask, registry: Registry, skill_runner: SkillRunner) -> TaskOutcome:
+def execute(task: ParsedTask, skill_runner: SkillRunner) -> TaskOutcome:
     """Run the task's skills in order, splicing recovery sequences on failure."""
-    if task.name not in registry:
+    if task.name not in REGISTRY:
         raise TaskError(f"unknown task {task.name!r}")
-    rep = registry[task.name]
+    rep = REGISTRY[task.name]
     missing = [p for p in rep.param_schema if p not in task.slots]
     if missing:
         raise TaskError(f"{task.name}: missing slots {missing}")
@@ -281,10 +253,9 @@ def render_trace(outcome: TaskOutcome) -> str:
 class Pipeline:
     """Understand + respond over one backend, in parallel or sequentially."""
 
-    def __init__(self, registry: Registry, menu: Menu, backend, mode: str = "parallel"):
+    def __init__(self, menu: Menu, backend, mode: str = "parallel"):
         if mode not in ("parallel", "sequential"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.registry = registry
         self.menu = menu
         self.backend = backend
         self.mode = mode
@@ -293,8 +264,8 @@ class Pipeline:
         try:
             line = self.backend.understand(utterance)
         except BackendError:
-            return rule_parse(utterance, self.menu, self.registry)
-        return parse_understand_line(line, self.registry)
+            return rule_parse(utterance, self.menu)
+        return parse_understand_line(line)
 
     def _respond(self, utterance: str, parsed: ParsedTask | None) -> str:
         try:

@@ -26,7 +26,7 @@ from waiterbot.llm import Menu, MenuItem
 from waiterbot.navgoal import NavGoalParams, NoGoalError, select_goal
 from waiterbot.placement import RansacParams, load_cloud, ransac_plane
 from waiterbot.sim import Metrics, RunConfig, Simulation, load_scenario
-from waiterbot.tasks import OK, Outcome, ParsedTask, Pipeline, default_registry, execute, failed, render_trace
+from waiterbot.tasks import OK, Outcome, ParsedTask, Pipeline, execute, failed, render_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = REPO_ROOT / "scenarios" / "restaurant_41.json"
@@ -286,12 +286,11 @@ class _LatchBackend:
 
 
 def test_criterion_7_parallel_pipeline_contract(capsys):
-    registry = default_registry()
     menu = Menu([MenuItem("cola", "a chilled cola")])
     parallel_ok = 0
     for _ in range(100):
         backend = _LatchBackend()
-        pipe = Pipeline(registry, menu, backend, mode="parallel")
+        pipe = Pipeline(menu, backend, mode="parallel")
         out = {}
         worker = threading.Thread(target=lambda: out.setdefault("r", pipe.handle("hi")))
         worker.start()
@@ -308,7 +307,7 @@ def test_criterion_7_parallel_pipeline_contract(capsys):
     for _ in range(100):
         backend = _LatchBackend()
         backend.latch.set()
-        pipe = Pipeline(registry, menu, backend, mode="sequential")
+        pipe = Pipeline(menu, backend, mode="sequential")
         pipe.handle("bring me a cola")
         sequential_ok += backend.order == ["understand", ("respond", "casual_chat")]
 
@@ -319,14 +318,12 @@ def test_criterion_7_parallel_pipeline_contract(capsys):
 
 
 def test_criterion_8_bypass_recovery_golden_trace(capsys):
-    registry = default_registry()
-
     def runner(inv):
         if inv.kind == "detect":
             return failed("not found")
         return OK
 
-    outcome = execute(ParsedTask("serve_order", {"item": "orange juice"}, 1.0), registry, runner)
+    outcome = execute(ParsedTask("serve_order", {"item": "orange juice"}, 1.0), runner)
     text = render_trace(outcome) + "\n"
     expected = (GOLDEN / "bypass_trace.txt").read_text()
     hand_over_line = "help: I could not find the orange juice. Could you place it in my hand?"

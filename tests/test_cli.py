@@ -461,6 +461,8 @@ MALFORMED_INPUTS = {
     "string stock count": ("run", _world_at("stock", "cola", value="x")),
     "negative stock count": ("run", _world_at("stock", "cola", value=-3)),
     "integer menu name": ("run", _world_at("menu", 0, "name", value=7)),
+    "integer menu description": ("run", _world_at("menu", 0, "description", value=5)),
+    "null menu description": ("run", _world_at("menu", 0, "description", value=None)),
     "single-value robot start": ("run", _world_at("robot_start", value=[6.0])),
     "NaN robot radius": ("run", _world_at("nav_params", "robot_radius", value=float("nan"))),
     "fractional RANSAC iterations": ("run", _world_at("ransac", value={"iterations": 2.5})),
@@ -530,19 +532,6 @@ def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
     assert named in err
     assert out == ""
     assert "Traceback" not in out + err
-
-
-def test_run_restaurant_script_rejects_negative_seed():
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "run_restaurant.py"), "--seed", "-1"],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        timeout=120,
-    )
-    assert result.returncode == 2
-    assert "must be a non-negative integer, got '-1'" in result.stderr
-    assert "Traceback" not in result.stderr
 
 
 def test_module_entry_point_runs():

@@ -14,7 +14,7 @@ from waiterbot.llm import (
     parse_understand_line,
     rule_parse,
 )
-from waiterbot.tasks import ParsedTask, default_registry
+from waiterbot.tasks import REGISTRY, ParsedTask
 
 
 @pytest.fixture
@@ -26,11 +26,6 @@ def menu():
             MenuItem("cola", "a chilled cola"),
         ]
     )
-
-
-@pytest.fixture
-def registry():
-    return default_registry()
 
 
 class TestMenu:
@@ -45,68 +40,68 @@ class TestMenu:
 
 
 class TestRuleParse:
-    def test_bring_with_item(self, menu, registry):
-        parsed = rule_parse("Could you bring me an orange juice?", menu, registry)
+    def test_bring_with_item(self, menu):
+        parsed = rule_parse("Could you bring me an orange juice?", menu)
         assert parsed == ParsedTask("serve_order", {"item": "orange juice"}, 1.0)
 
-    def test_longest_menu_match_wins(self, menu, registry):
-        parsed = rule_parse("I'd like orange juice please", menu, registry)
+    def test_longest_menu_match_wins(self, menu):
+        parsed = rule_parse("I'd like orange juice please", menu)
         assert parsed.slots["item"] == "orange juice"
 
-    def test_shorter_item_still_matches_alone(self, menu, registry):
-        parsed = rule_parse("please serve juice", menu, registry)
+    def test_shorter_item_still_matches_alone(self, menu):
+        parsed = rule_parse("please serve juice", menu)
         assert parsed.slots["item"] == "juice"
 
-    def test_menu_question(self, menu, registry):
-        assert rule_parse("What do you have?", menu, registry).name == "describe_menu"
+    def test_menu_question(self, menu):
+        assert rule_parse("What do you have?", menu).name == "describe_menu"
 
-    def test_clean_request(self, menu, registry):
-        assert rule_parse("please clear the table", menu, registry).name == "clean_table"
+    def test_clean_request(self, menu):
+        assert rule_parse("please clear the table", menu).name == "clean_table"
 
-    def test_fallback_to_casual_chat(self, menu, registry):
-        parsed = rule_parse("Nice weather today", menu, registry)
+    def test_fallback_to_casual_chat(self, menu):
+        parsed = rule_parse("Nice weather today", menu)
         assert parsed == ParsedTask("casual_chat", {}, 0.5)
 
-    def test_serve_trigger_without_item_falls_through(self, menu, registry):
-        parsed = rule_parse("bring me happiness", menu, registry)
+    def test_serve_trigger_without_item_falls_through(self, menu):
+        parsed = rule_parse("bring me happiness", menu)
         assert parsed.name == "casual_chat"
 
-    def test_unicode_apostrophe_normalized(self, menu, registry):
-        parsed = rule_parse("I’d like a cola", menu, registry)
+    def test_unicode_apostrophe_normalized(self, menu):
+        parsed = rule_parse("I’d like a cola", menu)
         assert parsed.name == "serve_order"
 
-    def test_total_over_arbitrary_text(self, menu, registry):
+    def test_total_over_arbitrary_text(self, menu):
         for text in ("", "???", "br1ng c0la", "   "):
-            assert rule_parse(text, menu, registry).name in registry
+            assert rule_parse(text, menu).name in REGISTRY
 
 
 class TestUnderstandLine:
-    def test_round_trip(self, registry):
+    def test_round_trip(self):
         parsed = ParsedTask("serve_order", {"item": "cola"}, 1.0)
         line = format_understand_line(parsed)
         assert line == "task=serve_order; slots=item:cola"
-        assert parse_understand_line(line, registry) == parsed
+        assert parse_understand_line(line) == parsed
 
-    def test_unknown_task_falls_back(self, registry):
-        parsed = parse_understand_line("task=fly_to_moon; slots=", registry)
+    def test_unknown_task_falls_back(self):
+        parsed = parse_understand_line("task=fly_to_moon; slots=")
         assert parsed == ParsedTask("casual_chat", {}, 0.0)
 
-    def test_garbage_falls_back(self, registry):
-        assert parse_understand_line("complete nonsense", registry).name == "casual_chat"
-        assert parse_understand_line("", registry).name == "casual_chat"
+    def test_garbage_falls_back(self):
+        assert parse_understand_line("complete nonsense").name == "casual_chat"
+        assert parse_understand_line("").name == "casual_chat"
 
-    def test_missing_required_slot_falls_back(self, registry):
-        parsed = parse_understand_line("task=serve_order; slots=", registry)
+    def test_missing_required_slot_falls_back(self):
+        parsed = parse_understand_line("task=serve_order; slots=")
         assert parsed == ParsedTask("casual_chat", {}, 0.0)
 
-    def test_extra_slots_dropped(self, registry):
-        parsed = parse_understand_line("task=serve_order; slots=item:cola,mood:happy", registry)
+    def test_extra_slots_dropped(self):
+        parsed = parse_understand_line("task=serve_order; slots=item:cola,mood:happy")
         assert parsed.slots == {"item": "cola"}
 
-    def test_never_raises(self, registry):
+    def test_never_raises(self):
         for text in ("task=", "task=serve_order", "task=serve_order; slots=item",
                      "task=serve_order; slots=:cola", "slots=item:cola"):
-            parsed = parse_understand_line(text, registry)
+            parsed = parse_understand_line(text)
             assert parsed.name == "casual_chat"
 
 
@@ -174,31 +169,31 @@ class TestComplete:
 
 
 class TestRuleBackendOffline:
-    def test_no_network_activity(self, menu, registry, monkeypatch):
+    def test_no_network_activity(self, menu, monkeypatch):
         import waiterbot.llm as llm_module
 
         def poisoned_post(*args, **kwargs):
             raise AssertionError("the rule backend and a stub transport must never touch the network")
 
         monkeypatch.setattr(llm_module.requests, "post", poisoned_post)
-        backend = RuleBackend(registry, menu)
+        backend = RuleBackend(menu)
         backend.understand("bring me a cola")
         backend.respond("bring me a cola")
         stub = StubTransport([StubTransport.reply("ok")])
         complete(BackendConfig("http://llm.local", "demo", backoff_s=0.0), [], transport=stub)
 
-    def test_understand_emits_wire_line(self, menu, registry):
-        line = RuleBackend(registry, menu).understand("bring me a cola")
+    def test_understand_emits_wire_line(self, menu):
+        line = RuleBackend(menu).understand("bring me a cola")
         assert line == "task=serve_order; slots=item:cola"
 
-    def test_respond_with_parse_names_item(self, menu, registry):
-        backend = RuleBackend(registry, menu)
+    def test_respond_with_parse_names_item(self, menu):
+        backend = RuleBackend(menu)
         parsed = ParsedTask("serve_order", {"item": "cola"}, 1.0)
         assert "cola" in backend.respond("bring me a cola", parsed)
 
 
 class TestRemoteBackendIntegration:
-    def test_pipeline_over_stubbed_wire(self, menu, registry):
+    def test_pipeline_over_stubbed_wire(self, menu):
         from waiterbot.llm import RemoteBackend
         from waiterbot.tasks import Pipeline, build_prompts
 
@@ -210,9 +205,9 @@ class TestRemoteBackendIntegration:
         )
         config = BackendConfig(endpoint="http://llm.local", model="demo",
                                backoff_s=0.0)
-        prompts = build_prompts("Five tables.", registry, menu)
+        prompts = build_prompts("Five tables.", menu)
         backend = RemoteBackend(config, prompts, transport=stub)
-        pipe = Pipeline(registry, menu, backend, mode="sequential")
+        pipe = Pipeline(menu, backend, mode="sequential")
         parsed, response = pipe.handle("bring me a cola")
         assert parsed == ParsedTask("serve_order", {"item": "cola"}, 1.0)
         assert response == "One cola, coming right up!"
@@ -223,15 +218,15 @@ class TestRemoteBackendIntegration:
         assert "task=serve_order; slots=item:cola" in bodies[1]["messages"][1]["content"]
         assert bodies[0]["model"] == "demo"
 
-    def test_understand_failure_falls_back_to_rules(self, menu, registry):
+    def test_understand_failure_falls_back_to_rules(self, menu):
         from waiterbot.llm import RemoteBackend
         from waiterbot.tasks import Pipeline, build_prompts
 
         stub = StubTransport([TransportError("down")] * 8)
         config = BackendConfig(endpoint="http://llm.local", model="demo",
                                max_retries=1, backoff_s=0.0)
-        backend = RemoteBackend(config, build_prompts("env", registry, menu), transport=stub)
-        pipe = Pipeline(registry, menu, backend, mode="sequential")
+        backend = RemoteBackend(config, build_prompts("env", menu), transport=stub)
+        pipe = Pipeline(menu, backend, mode="sequential")
         parsed, response = pipe.handle("bring me a cola")
         assert parsed.name == "serve_order"  # rule fallback parsed it
         from waiterbot.tasks import APOLOGY_LINE

@@ -353,9 +353,15 @@ def test_replay_log_bytes_are_pinned(mode, tmp_path, capsys):
 
 # the sha256 that `bench/run.py --seed 3` prints for the generated workloads,
 # replayed in the pipeline mode the benchmark gives each of them
-GENERATED_LOG_SHA256 = {
-    ("busy_floor", "parallel"): "457fef3c3b07c1f087207a66eca2ad7b19ea5acc5fb972c03ed7f554c06484d2",
-    ("banquet", "sequential"): "ee473792072c8281ba1d1d61109f719d1d520e90c6bb454a62d5663d6cbd1d1b",
+GENERATED_LOG_SHA256 = {  # workload and mode -> generator seed -> log sha256
+    ("busy_floor", "parallel"): {
+        3: "457fef3c3b07c1f087207a66eca2ad7b19ea5acc5fb972c03ed7f554c06484d2",
+        11: "22542f534e7052023c08538755a2f75cceb44f42396d1eaff7a47d3e0771782f",
+    },
+    ("banquet", "sequential"): {
+        3: "ee473792072c8281ba1d1d61109f719d1d520e90c6bb454a62d5663d6cbd1d1b",
+        11: "761e5e7576f4285cf51ebde739d0957c4299a31219c99711f00db7d3e395724e",
+    },
 }
 
 
@@ -365,10 +371,11 @@ def test_generated_workload_log_bytes_are_pinned(workload, mode, tmp_path, monke
     gen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
     spec.loader.exec_module(gen)
-    scenario = load_scenario(gen.write(gen.GENERATORS[workload](3), tmp_path))
-    _, log = Simulation(scenario, RunConfig(mode=mode, seed=0)).run()
-    digest = hashlib.sha256(("\n".join(log) + "\n").encode()).hexdigest()
-    assert digest == GENERATED_LOG_SHA256[workload, mode]
+    for seed, expected in GENERATED_LOG_SHA256[workload, mode].items():
+        scenario = load_scenario(gen.write(gen.GENERATORS[workload](seed), tmp_path / str(seed)))
+        _, log = Simulation(scenario, RunConfig(mode=mode, seed=0)).run()
+        digest = hashlib.sha256(("\n".join(log) + "\n").encode()).hexdigest()
+        assert digest == expected, f"seed {seed}"
 
 
 @pytest.mark.parametrize("metrics,line", [

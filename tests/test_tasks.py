@@ -1,4 +1,3 @@
-import json
 import threading
 
 import pytest
@@ -9,6 +8,7 @@ from waiterbot.llm import BackendError, Menu, MenuItem, RuleBackend
 from waiterbot.tasks import (
     APOLOGY_LINE,
     OK,
+    REGISTRY,
     Outcome,
     ParsedTask,
     Pipeline,
@@ -18,19 +18,12 @@ from waiterbot.tasks import (
     TaskRepresentation,
     build_prompts,
     bypass_help,
-    default_registry,
     execute,
     failed,
-    load_registry,
     render_trace,
 )
 
 SUFFIX_MARKER = "### OUTPUT FORMAT ###"
-
-
-@pytest.fixture
-def registry():
-    return default_registry()
 
 
 @pytest.fixture
@@ -39,17 +32,21 @@ def menu():
 
 
 class TestRegistry:
-    def test_contains_exactly_four_tasks(self, registry):
-        assert sorted(registry) == ["casual_chat", "clean_table", "describe_menu", "serve_order"]
+    def test_contains_exactly_four_tasks(self):
+        assert sorted(REGISTRY) == ["casual_chat", "clean_table", "describe_menu", "serve_order"]
 
-    def test_serve_order_detect_recovery_hands_over(self, registry):
-        recovery = registry["serve_order"].recovery["detect"]
+    def test_serve_order_detect_recovery_hands_over(self):
+        recovery = REGISTRY["serve_order"].recovery["detect"]
         assert [s.kind for s in recovery] == ["speak", "hand_over"]
 
-    def test_recovery_keys_reference_listed_skills(self, registry):
-        for rep in registry.values():
+    def test_recovery_keys_reference_listed_skills(self):
+        for rep in REGISTRY.values():
             kinds = {s.kind for s in rep.skills}
             assert set(rep.recovery) <= kinds
+
+    def test_is_read_only(self):
+        with pytest.raises(TypeError):
+            REGISTRY["serve_order"] = REGISTRY["casual_chat"]
 
     def test_invalid_recovery_key_rejected(self):
         with pytest.raises(ValueError):
@@ -61,52 +58,33 @@ class TestRegistry:
         with pytest.raises(ValueError):
             TaskRepresentation("broken", (), ())
 
-    def test_load_registry_from_json(self):
-        doc = {
-            "representations": [
-                {
-                    "name": "fetch",
-                    "params": ["item"],
-                    "skills": [
-                        {"kind": "navigate", "arg": "kitchen_table"},
-                        {"kind": "detect", "arg": "{item}"},
-                    ],
-                    "recovery": {"detect": [{"kind": "speak", "arg": "{help}"}]},
-                }
-            ]
-        }
-        registry = load_registry(json.dumps(doc))
-        assert registry["fetch"].param_schema == ("item",)
-        assert registry["fetch"].recovery["detect"][0].kind == "speak"
-
 
 class TestPrompts:
-    def test_prefixes_identical_up_to_suffix_marker(self, registry, menu):
-        pair = build_prompts("Five tables and a kitchen counter.", registry, menu)
+    def test_prefixes_identical_up_to_suffix_marker(self, menu):
+        pair = build_prompts("Five tables and a kitchen counter.", menu)
         base_u, _, suffix_u = pair.understand_prompt.partition(SUFFIX_MARKER)
         base_r, _, suffix_r = pair.respond_prompt.partition(SUFFIX_MARKER)
         assert base_u == base_r
         assert suffix_u != suffix_r
 
-    def test_base_lists_all_representations(self, registry, menu):
-        pair = build_prompts("env", registry, menu)
+    def test_base_lists_all_representations(self, menu):
+        pair = build_prompts("env", menu)
         base = pair.understand_prompt.partition(SUFFIX_MARKER)[0]
-        for k, name in enumerate(registry, start=1):
+        for k, name in enumerate(REGISTRY, start=1):
             assert f"{k}. {name}(" in base
 
-    def test_menu_in_base(self, registry, menu):
-        pair = build_prompts("env", registry, menu)
+    def test_menu_in_base(self, menu):
+        pair = build_prompts("env", menu)
         assert "cola - a chilled cola" in pair.respond_prompt
 
-    def test_empty_environment_rejected(self, registry, menu):
+    def test_empty_environment_rejected(self, menu):
         with pytest.raises(ValueError):
-            build_prompts("   ", registry, menu)
+            build_prompts("   ", menu)
 
     @given(st.text(min_size=1).filter(str.strip))
     @settings(max_examples=100)
     def test_prefix_equality_for_any_environment(self, env_text):
-        registry = default_registry()
-        pair = build_prompts(env_text, registry, Menu([MenuItem("cola", "a chilled cola")]))
+        pair = build_prompts(env_text, Menu([MenuItem("cola", "a chilled cola")]))
         base_u = pair.understand_prompt.partition(SUFFIX_MARKER)[0]
         base_r = pair.respond_prompt.partition(SUFFIX_MARKER)[0]
         assert base_u == base_r
@@ -114,25 +92,25 @@ class TestPrompts:
 
 
 class TestExecute:
-    def test_all_ok_runs_definition_order(self, registry):
+    def test_all_ok_runs_definition_order(self):
         ran = []
 
         def runner(inv):
             ran.append(inv.kind)
             return OK
 
-        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), registry, runner)
+        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), runner)
         assert out.state is Outcome.COMPLETED
         assert ran == ["navigate", "detect", "grasp", "navigate", "find_placement", "place", "speak"]
         assert out.help_messages == []
 
-    def test_detect_failure_recovers_with_hand_over(self, registry):
+    def test_detect_failure_recovers_with_hand_over(self):
         def runner(inv):
             if inv.kind == "detect":
                 return failed("not found")
             return OK
 
-        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), registry, runner)
+        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), runner)
         assert out.state is Outcome.COMPLETED_WITH_ASSIST
         kinds = [inv.kind for inv, _ in out.trace]
         assert kinds == ["navigate", "detect", "speak", "hand_over", "grasp", "navigate",
@@ -141,39 +119,39 @@ class TestExecute:
         # the spliced speak voices the help message
         assert out.trace[2][0].arg == out.help_messages[0]
 
-    def test_unrecoverable_failure_aborts(self, registry):
+    def test_unrecoverable_failure_aborts(self):
         def runner(inv):
             if inv.kind == "navigate":
                 return failed("blocked")
             return OK
 
-        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), registry, runner)
+        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), runner)
         assert out.state is Outcome.FAILED
         assert [inv.kind for inv, _ in out.trace] == ["navigate"]
 
-    def test_failed_recovery_skill_aborts(self, registry):
+    def test_failed_recovery_skill_aborts(self):
         def runner(inv):
             if inv.kind in ("detect", "hand_over"):
                 return failed("nope")
             return OK
 
-        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), registry, runner)
+        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), runner)
         assert out.state is Outcome.FAILED
         assert [inv.kind for inv, _ in out.trace][-1] == "hand_over"
 
-    def test_missing_slot_rejected(self, registry):
+    def test_missing_slot_rejected(self):
         with pytest.raises(TaskError):
-            execute(ParsedTask("serve_order", {}, 1.0), registry, lambda inv: OK)
+            execute(ParsedTask("serve_order", {}, 1.0), lambda inv: OK)
 
-    def test_unknown_task_rejected(self, registry):
+    def test_unknown_task_rejected(self):
         with pytest.raises(TaskError):
-            execute(ParsedTask("moonwalk", {}, 1.0), registry, lambda inv: OK)
+            execute(ParsedTask("moonwalk", {}, 1.0), lambda inv: OK)
 
-    def test_render_trace_shape(self, registry):
+    def test_render_trace_shape(self):
         def runner(inv):
             return failed("not found") if inv.kind == "detect" else OK
 
-        out = execute(ParsedTask("serve_order", {"item": "green tea"}, 1.0), registry, runner)
+        out = execute(ParsedTask("serve_order", {"item": "green tea"}, 1.0), runner)
         text = render_trace(out)
         lines = text.splitlines()
         assert lines[0] == "navigate(kitchen_table) -> OK"
@@ -227,9 +205,9 @@ class FailingBackend:
 
 
 class TestPipeline:
-    def test_parallel_respond_completes_while_understand_blocked(self, registry, menu):
+    def test_parallel_respond_completes_while_understand_blocked(self, menu):
         backend = LatchBackend()
-        pipe = Pipeline(registry, menu, backend, mode="parallel")
+        pipe = Pipeline(menu, backend, mode="parallel")
         result = {}
         worker = threading.Thread(target=lambda: result.setdefault("out", pipe.handle("hi")))
         worker.start()
@@ -241,27 +219,27 @@ class TestPipeline:
         assert result["out"][1] == "on my way"
         assert backend.respond_inputs[0][1] is None  # respond never sees the parse
 
-    def test_sequential_respond_sees_parse(self, registry, menu):
+    def test_sequential_respond_sees_parse(self, menu):
         backend = LatchBackend()
         backend.latch.set()
-        pipe = Pipeline(registry, menu, backend, mode="sequential")
+        pipe = Pipeline(menu, backend, mode="sequential")
         pipe.handle("bring me a cola")
         utterance, parsed = backend.respond_inputs[0]
         assert parsed is not None
         assert backend.call_order == ["understand", "respond"]
 
-    def test_both_backends_failing_still_returns(self, registry, menu):
-        pipe = Pipeline(registry, menu, FailingBackend(), mode="parallel")
+    def test_both_backends_failing_still_returns(self, menu):
+        pipe = Pipeline(menu, FailingBackend(), mode="parallel")
         parsed, response = pipe.handle("bring me a cola")
         assert parsed.name == "serve_order"  # rule fallback on understanding
         assert response == APOLOGY_LINE
 
-    def test_every_utterance_yields_exactly_one_task(self, registry, menu):
-        pipe = Pipeline(registry, menu, RuleBackend(registry, menu), mode="parallel")
+    def test_every_utterance_yields_exactly_one_task(self, menu):
+        pipe = Pipeline(menu, RuleBackend(menu), mode="parallel")
         for text in ("bring me a cola", "what's on the menu", "hello", ""):
             parsed, _ = pipe.handle(text)
-            assert parsed.name in registry
+            assert parsed.name in REGISTRY
 
-    def test_unknown_mode_rejected(self, registry, menu):
+    def test_unknown_mode_rejected(self, menu):
         with pytest.raises(ValueError):
-            Pipeline(registry, menu, RuleBackend(registry, menu), mode="sideways")
+            Pipeline(menu, RuleBackend(menu), mode="sideways")
