@@ -4,18 +4,24 @@ The plane is fit from 3-point hypotheses scored by inlier count and refined
 by a least-squares eigen refit over the winning inlier set.  All triples come
 from one batched draw (`sample_triples`), then are scored in blocks of
 `HYPOTHESIS_BLOCK` with one distance matrix per block (batch scoring as in
-Nister 2005, *Preemptive RANSAC*).  Tie rule: among the hypotheses with the
-highest count, the lowest plane wins -- the largest `d` once the normal is
-oriented to `n_z >= 0` -- so points above an equally supported surface count
-as clutter on it; only a full tie goes to the earliest draw.
+Nister 2005, *Preemptive RANSAC*).  Scoring stops early, after the first block
+at which the number scored reaches N = log(1 - p) / log(1 - w**3), with w the
+best inlier ratio so far and p = `RANSAC_CONFIDENCE` (the adaptive stop of
+Hartley & Zisserman 2004, sec. 4.7.1); `RansacParams.iterations` is the cap.
+Tie rule: among the hypotheses scored with the highest count, the lowest
+plane wins -- the largest `d` once the normal is oriented to `n_z >= 0` -- so
+points above an equally supported surface count as clutter on it; only a full
+tie goes to the earliest draw.
 
 Placement then rasterizes the inlier hull at 2 cm, marks cells occupied where
 off-plane points project from the band above the surface, and picks the free
 cell with the largest distance to the nearest occupied cell or hull edge.  The
 hull is taken only over the inliers an Akl-Toussaint extreme-point test cannot
-rule out (`_hull_candidates`), which gives the same hull.  The raster is array
-code: `point_in_convex_polygon` and one point-segment distance per hull edge,
-broadcast over all cell centers.
+rule out (`_hull_candidates`), which gives the same hull.  The search is
+pruned on an exact bound (`_best_cell`): inside a convex hull the distance to
+the boundary is the distance to the nearest edge's supporting line, one
+product per edge, so the point-segment distances are computed only for the
+few cells within rounding of the best bound.
 """
 
 from __future__ import annotations
@@ -34,9 +40,15 @@ CLEARANCE_MARGIN_M = 0.02
 # hypotheses scored per distance matrix: (n_pts x 32) floats keeps peak memory
 # low while amortizing the per-call overhead over the block
 HYPOTHESIS_BLOCK = 32
+# probability that the hypotheses scored include one drawn from inliers only,
+# at the best inlier ratio seen so far (see `hypotheses_needed`)
+RANSAC_CONFIDENCE = 0.99
 # inliers deeper than this fraction of the cloud's extent inside the eight
 # extreme points' polygon are dropped before the hull (see `_hull_candidates`)
 HULL_PREFILTER_MARGIN = 1e-6
+# cells whose clearance bound is within this fraction of the coordinate scale
+# of the best bound get the exact point-segment distance (see `_best_cell`)
+CLEARANCE_SLACK = 1e-9
 
 
 class PlacementError(Exception):
@@ -134,11 +146,24 @@ def sample_triples(n_pts: int, iterations: int, rng: np.random.Generator) -> np.
     return np.column_stack([a, b, c])
 
 
-def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.ndarray]:
-    """Best-of-N plane and its inlier indices; deterministic for a fixed seed.
+def hypotheses_needed(best_count: int, n_pts: int) -> float:
+    """Hypotheses to score before stopping: N = log(1 - p) / log(1 - w**3),
+    w = best_count / n_pts, p = `RANSAC_CONFIDENCE`; 0 at w = 1, inf at w <= 0."""
+    w = best_count / n_pts
+    if w >= 1.0:
+        return 0.0
+    if w <= 0.0:
+        return math.inf
+    return math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-(w**3))
 
-    The best hypothesis has the most inliers; among those, the lowest plane
-    (largest `d` with `n_z >= 0`), then the earliest draw."""
+
+def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.ndarray]:
+    """Best plane and its inlier indices; deterministic for a fixed seed.
+
+    Blocks of the draw are scored until `hypotheses_needed` are scored or the
+    `params.iterations` triples run out.  The best hypothesis scored has the
+    most inliers; among those, the lowest plane (largest `d` with `n_z >= 0`),
+    then the earliest draw."""
     pts = np.asarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("cloud must be an (n, 3) array")
@@ -167,6 +192,8 @@ def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.nda
         if counts[j] >= 0 and (int(counts[j]), float(d[j])) > best:  # strict: an earlier block keeps a tie
             best = (int(counts[j]), float(d[j]))
             best_inliers = inliers[:, j]
+        if start + HYPOTHESIS_BLOCK >= hypotheses_needed(best[0], n_pts):
+            break
     if best_inliers is None:
         raise PlaneFitError("every sampled triple was degenerate")
     best_count, _ = best
@@ -195,13 +222,11 @@ def _raster(
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
     """Cells of size `pitch` over the hull's bounding box, row = t, col = s.
 
-    Returns (s_lo, t_lo, occupied, in_hull, edge_dist): `occupied` marks cells
+    Returns (s_lo, t_lo, occupied, in_hull, line_dist): `occupied` marks cells
     holding any (s_occ, t_occ) point, `in_hull` cell centers inside the closed
-    CCW hull, and `edge_dist` their distance to the nearest hull edge (0.0
-    outside).  Every array expression keeps the operand order of the scalar
-    formulas, so the masks match a per-cell loop exactly.  Squares are `d * d`:
-    Python's `d ** 2` goes through libm `pow`, which can be 1 ulp off the
-    product, so the distances may differ from a `** 2` loop in the last bit.
+    CCW hull, and `line_dist` the least signed distance from a cell center to
+    an edge's supporting line, positive inside.  The masks keep the operand
+    order of the scalar formulas, so they match a per-cell loop exactly.
     """
     s_lo, t_lo = min(p[0] for p in hull), min(p[1] for p in hull)
     n_cols = max(1, math.ceil((max(p[0] for p in hull) - s_lo) / pitch))
@@ -213,10 +238,24 @@ def _raster(
     keep = (cols >= 0) & (cols < n_cols) & (rows >= 0) & (rows < n_rows)
     occupied[rows[keep].astype(np.intp), cols[keep].astype(np.intp)] = True
 
-    cs = (s_lo + (np.arange(n_cols) + 0.5) * pitch)[None, :]  # cell-center s, one row
-    ct = (t_lo + (np.arange(n_rows) + 0.5) * pitch)[:, None]  # cell-center t, one column
-    in_hull = point_in_convex_polygon((cs, ct), hull)
-    edge_dist = np.full((n_rows, n_cols), np.inf)
+    cs = s_lo + (np.arange(n_cols) + 0.5) * pitch  # cell-center s of each column
+    ct = t_lo + (np.arange(n_rows) + 0.5) * pitch  # cell-center t of each row
+    in_hull = point_in_convex_polygon((cs[None, :], ct[:, None]), hull)
+    a = np.asarray(hull)
+    e = np.roll(a, -1, axis=0) - a
+    length = np.hypot(e[:, 0], e[:, 1])  # hull vertices are distinct
+    nx, ny = -e[:, 1] / length, e[:, 0] / length  # unit normals pointing into the CCW hull
+    row_part = ny[:, None] * ct - (nx * a[:, 0] + ny * a[:, 1])[:, None]  # (edges, rows)
+    col_part = nx[:, None] * cs  # (edges, cols)
+    line_dist = (row_part[:, :, None] + col_part[:, None, :]).min(axis=0)
+    return s_lo, t_lo, occupied, in_hull, line_dist
+
+
+def _edge_dist(hull: list[tuple[float, float]], cs: np.ndarray, ct: np.ndarray) -> np.ndarray:
+    """Distance from each point (cs[i], ct[i]) to the nearest hull edge, by the
+    clipped point-segment formula.  Squares are `d * d`: Python's `d ** 2` goes
+    through libm `pow`, which can be 1 ulp off the product."""
+    dist = np.full(len(cs), np.inf)
     for i, (ax, ay) in enumerate(hull):
         bx, by = hull[(i + 1) % len(hull)]
         dx, dy = bx - ax, by - ay
@@ -224,9 +263,50 @@ def _raster(
         tt = np.clip(((cs - ax) * dx + (ct - ay) * dy) / seg2, 0.0, 1.0)  # hull vertices are distinct
         ex = cs - (ax + tt * dx)
         ey = ct - (ay + tt * dy)
-        np.minimum(edge_dist, np.sqrt(ex * ex + ey * ey), out=edge_dist)
-    edge_dist[~in_hull] = 0.0
-    return s_lo, t_lo, occupied, in_hull, edge_dist
+        np.minimum(dist, np.sqrt(ex * ex + ey * ey), out=dist)
+    return dist
+
+
+def _best_cell(
+    hull: list[tuple[float, float]], s_occ: np.ndarray, t_occ: np.ndarray, pitch: float
+) -> tuple[float, float, float]:
+    """Center (s, t) and clearance of the first cell, in row-major order, with
+    the largest clearance over the raster of `_raster`.
+
+    A cell's clearance C is min(obstacle distance, `_edge_dist`) if it is free
+    and inside the hull, else -1.  C is computed only on the cells whose bound
+    B = min(obstacle distance, `line_dist`), also -1 on those other cells, is
+    at least max B - `CLEARANCE_SLACK` * M, with M the largest |coordinate| of
+    a hull vertex plus `pitch`, which bounds every cell center too.
+
+    Inside a convex polygon the distance to the boundary equals the least
+    distance to an edge's supporting line: a disc that clears every line lies
+    in every half-plane.  So B and C differ by rounding only.  Each is a few
+    differences, products, one quotient and one square root of values below
+    2M, so each is within about 10u M of its exact value (u = 2**-53), and
+    |B - C| <= e with e far below 1e-14 M, while the slack is 1e-9 M.  Let C*
+    be the largest C.  A cell with C = C* has B >= C* - e >= max B - 2e, so
+    every cell that ties C* is kept, and the first kept cell with C = C* is the
+    first such cell overall.  On a raster with no free cell inside the hull
+    every cell is kept, and the first cell wins with C = -1.
+    """
+    s_lo, t_lo, occupied, in_hull, line_dist = _raster(hull, s_occ, t_occ, pitch)
+    if occupied.any():
+        obstacle_dist = ndimage.distance_transform_edt(~occupied) * pitch
+    else:
+        obstacle_dist = np.full(occupied.shape, np.inf)
+    blocked = ~in_hull | occupied
+    bound = np.minimum(obstacle_dist, line_dist)
+    bound[blocked] = -1.0
+    scale = max(abs(v) for p in hull for v in p) + pitch
+    cells = np.flatnonzero(bound >= bound.max() - CLEARANCE_SLACK * scale)  # in row-major order
+    rows, cols = np.divmod(cells, occupied.shape[1])
+    cs = s_lo + (cols + 0.5) * pitch
+    ct = t_lo + (rows + 0.5) * pitch
+    clearance = np.minimum(obstacle_dist.ravel()[cells], _edge_dist(hull, cs, ct))
+    clearance[blocked.ravel()[cells]] = -1.0
+    k = int(np.argmax(clearance))  # first maximum
+    return float(cs[k]), float(ct[k]), float(clearance[k])
 
 
 def _hull_candidates(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -286,21 +366,9 @@ def find_placement(
         raise NoSpaceError("inlier hull is degenerate")
 
     above = ~inlier_mask & (h > 0) & (h <= OCCUPANCY_BAND_M)
-    s_lo, t_lo, occupied, in_hull, edge_dist = _raster(hull, s[above], t[above], GRID_PITCH_M)
-
-    if occupied.any():
-        obstacle_dist = ndimage.distance_transform_edt(~occupied) * GRID_PITCH_M
-    else:
-        obstacle_dist = np.full(occupied.shape, np.inf)
-    clearance = np.minimum(obstacle_dist, edge_dist)
-    clearance[~in_hull | occupied] = -1.0
-
-    flat = int(np.argmax(clearance))  # row-major argmax = row-major tie-break
-    row, col = divmod(flat, occupied.shape[1])
+    cs, ct, clearance = _best_cell(hull, s[above], t[above], GRID_PITCH_M)
     required = object_radius + CLEARANCE_MARGIN_M
-    if clearance[row, col] < required:
-        raise NoSpaceError(f"best clearance {clearance[row, col]:.3f} m below required {required:.3f} m")
-    cs = s_lo + (col + 0.5) * GRID_PITCH_M
-    ct = t_lo + (row + 0.5) * GRID_PITCH_M
+    if clearance < required:
+        raise NoSpaceError(f"best clearance {clearance:.3f} m below required {required:.3f} m")
     p = origin3 + cs * u + ct * v
     return (float(p[0]), float(p[1]), float(p[2]))

@@ -710,17 +710,20 @@ class Simulation:
     def run(self) -> tuple[Metrics, list[str]]:
         self._log("run_start", mode=self.config.mode, seed=self.config.seed)
         consumed: set[int] = set()
-        for i, (t, ev) in enumerate(self.scenario.events):
-            self.t = t
-            if isinstance(ev, DetectionFrame):
-                self._apply_detections(ev)
-            elif isinstance(ev, HumanObservation):
-                self._apply_human(ev)
-            elif isinstance(ev, Fault):
-                self._arm_fault(ev)
-            elif isinstance(ev, Call):
-                self._serve_call(ev.table, i, consumed)
-            elif i not in consumed:
-                self._log("utterance_ignored", table=ev.table)
+        try:
+            for i, (t, ev) in enumerate(self.scenario.events):
+                self.t = t
+                if isinstance(ev, DetectionFrame):
+                    self._apply_detections(ev)
+                elif isinstance(ev, HumanObservation):
+                    self._apply_human(ev)
+                elif isinstance(ev, Fault):
+                    self._arm_fault(ev)
+                elif isinstance(ev, Call):
+                    self._serve_call(ev.table, i, consumed)
+                elif i not in consumed:
+                    self._log("utterance_ignored", table=ev.table)
+        finally:
+            self.pipeline.close()
         self._log("run_end", **self.metrics.to_dict())
         return self.metrics, self.log

@@ -12,6 +12,7 @@ instead of aborting.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -80,7 +81,7 @@ class TaskRepresentation:
     name: str
     param_schema: tuple[str, ...]
     skills: tuple[SkillSpec, ...]
-    recovery: dict[str, tuple[SkillSpec, ...]] = field(default_factory=dict)
+    recovery: Mapping[str, tuple[SkillSpec, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.skills:
@@ -89,6 +90,8 @@ class TaskRepresentation:
         for key in self.recovery:
             if key not in kinds:
                 raise ValueError(f"{self.name}: recovery key {key!r} is not a listed skill")
+        # read-only over a copy, so no caller can change a checked representation
+        object.__setattr__(self, "recovery", MappingProxyType(dict(self.recovery)))
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,10 @@ def render_trace(outcome: TaskOutcome) -> str:
 
 
 class Pipeline:
-    """Understand + respond over one backend, in parallel or sequentially."""
+    """Understand + respond over one backend, in parallel or sequentially.
+
+    In parallel mode `respond` runs on one worker thread, started by the first
+    `handle` and kept until `close`, while `understand` runs on the caller's."""
 
     def __init__(self, menu: Menu, backend, mode: str = "parallel"):
         if mode not in ("parallel", "sequential"):
@@ -259,6 +265,8 @@ class Pipeline:
         self.menu = menu
         self.backend = backend
         self.mode = mode
+        self._worker: ThreadPoolExecutor | None = None
+        self._lock = threading.Lock()
 
     def _understand(self, utterance: str) -> ParsedTask:
         try:
@@ -279,9 +287,19 @@ class Pipeline:
             parsed = self._understand(utterance)
             return parsed, self._respond(utterance, parsed)
         # parallel: the respond branch gets the utterance only, never the parse
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            respond_future = pool.submit(self._respond, utterance, None)
-            understand_future = pool.submit(self._understand, utterance)
-            response = respond_future.result()
-            parsed = understand_future.result()
+        with self._lock:  # one worker, however many threads call handle
+            if self._worker is None:
+                self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="respond")
+            respond_future = self._worker.submit(self._respond, utterance, None)
+        try:
+            parsed = self._understand(utterance)
+        finally:
+            response = respond_future.result()  # waited for even when understand raises
         return parsed, response
+
+    def close(self) -> None:
+        """Stop the respond worker, if one was started; a later `handle` starts a new one."""
+        with self._lock:
+            worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.shutdown()

@@ -268,6 +268,46 @@ def tabletops():
             yield table("t", center, dims, yaw), n_items
 
 
+def placement_cases():
+    """(cloud, object radius, seed): the `tabletops()` clouds, then a seeded
+    sweep of small tilted, cluttered surfaces, some with no space (a large
+    object radius) and some with every cell occupied (a lid over the top)."""
+    for table_, n_items in tabletops():
+        yield tabletop_cloud(table_, n_items), 0.05, n_items
+    rng = np.random.default_rng(13)
+    for n_items in range(24):  # a square table at 45 degrees to the raster: exact clearance ties
+        center = (float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)), 0.36)
+        yield tabletop_cloud(table("t", center, (0.6, 0.6, 0.72), math.pi / 4), n_items % 12), 0.05, n_items
+    for i in range(120):
+        w, d = rng.uniform(0.2, 1.0, 2)
+        n = int(rng.integers(30, 600))
+        top = np.column_stack([rng.uniform(-w / 2, w / 2, n), rng.uniform(-d / 2, d / 2, n), np.zeros(n)])
+        if i % 4 == 3:  # lid: a 1.2 cm grid puts a point in every 2 cm cell; the top has more points
+            w, d = w / 2, d / 2
+            g = np.mgrid[-w / 2 - 0.02 : w / 2 + 0.02 : 0.012, -d / 2 - 0.02 : d / 2 + 0.02 : 0.012].reshape(2, -1).T
+            top = np.column_stack([rng.uniform(-w / 2, w / 2, (2 * len(g), 2)), np.zeros(2 * len(g))])
+            clutter = np.column_stack([g, np.full(len(g), 0.05)])
+        else:
+            k = int(rng.integers(0, n // 2 + 1))
+            center = rng.uniform(-w / 2, w / 2), rng.uniform(-d / 2, d / 2)
+            clutter = np.column_stack([rng.normal(center[0], 0.05, k), rng.normal(center[1], 0.05, k),
+                                       rng.uniform(0.01, 0.3, k)])
+        pts = np.vstack([top, clutter])
+        yaw, tilt = rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 0.4)
+        cy, sy, cx, sx = math.cos(yaw), math.sin(yaw), math.cos(tilt), math.sin(tilt)
+        rot_z = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+        rot_x = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+        yield pts @ (rot_z @ rot_x).T + rng.uniform(-10, 10, 3), (0.05 if i % 3 else 0.2), i
+
+
+def placed(cloud, plane, inliers, radius):
+    """`find_placement`'s point, or its `NoSpaceError` message."""
+    try:
+        return find_placement(cloud, plane, inliers, object_radius=radius)
+    except NoSpaceError as e:
+        return str(e)
+
+
 def criterion_6_cloud(trial):
     """The noisy plane-plus-clutter cloud of acceptance criterion 6."""
     rng = np.random.default_rng(5000 + trial)
@@ -298,18 +338,22 @@ class TestArrayCodeMatchesLoops:
             assert fast[:2] == slow[:2]
             assert np.array_equal(fast[2], slow[2])  # occupied
             assert np.array_equal(fast[3], slow[3])  # in_hull
-            assert np.abs(fast[4] - slow[4]).max() <= 1e-12
+            assert (np.abs(fast[4] - slow[4])[fast[3]] <= 1e-12).all()  # line = edge distance inside
             cells += fast[2].size
             return fast
 
-        for table, n_items in tabletops():
-            cloud = tabletop_cloud(table, n_items)
-            plane, inliers = ransac_plane(cloud, RansacParams(seed=n_items))
+        outcomes = Counter()
+        for cloud, radius, seed in placement_cases():
+            plane, inliers = ransac_plane(cloud, RansacParams(seed=seed))
             monkeypatch.setattr(placement, "_raster", checked)
-            point = find_placement(cloud, plane, inliers, object_radius=0.05)
-            monkeypatch.setattr(placement, "_raster", oracles.scalar_raster)
-            assert find_placement(cloud, plane, inliers, object_radius=0.05) == point
+            pruned = placed(cloud, plane, inliers, radius)
+            monkeypatch.setattr(placement, "_best_cell", oracles.full_raster_best_cell)
+            assert placed(cloud, plane, inliers, radius) == pruned  # bit-equal point or same message
+            monkeypatch.undo()
+            outcomes[pruned if isinstance(pruned, str) and "-1.000" in pruned else type(pruned).__name__] += 1
         assert cells > 100_000
+        assert outcomes["tuple"] > 50 and outcomes["str"] > 10
+        assert outcomes["best clearance -1.000 m below required 0.070 m"] > 10
 
     def test_raster_marks_occupied_cells_and_drops_outside_points(self):
         hull = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -328,6 +372,32 @@ class TestArrayCodeMatchesLoops:
             loop_plane, loop_inliers = oracles.loop_ransac_plane(cloud, params)
             assert plane == loop_plane
             assert np.array_equal(inliers, loop_inliers)
+
+    def test_stop_scores_blocks_until_enough_hypotheses(self, monkeypatch):
+        needed = placement.hypotheses_needed
+        best_counts = []  # one entry per block scored
+
+        def counted(best_count, n_pts):
+            best_counts.append(best_count)
+            return needed(best_count, n_pts)
+
+        monkeypatch.setattr(placement, "hypotheses_needed", counted)
+        # 30 % of the points on z = 0, the rest far above: N = 168.3 at w = 0.3
+        rng = np.random.default_rng(0)
+        table_top = np.column_stack([rng.uniform(-1, 1, (300, 2)), np.zeros(300)])
+        clutter = np.column_stack([rng.uniform(-1, 1, (700, 2)), rng.uniform(0.5, 1.5, 700)])
+        cloud = np.vstack([table_top, clutter])
+        for iterations, blocks in ((160, 5), (200, 6)):  # every block under the cap; 192 >= 168.3
+            best_counts.clear()
+            plane, inliers = ransac_plane(cloud, RansacParams(iterations=iterations, seed=1, min_inlier_fraction=0.2))
+            assert inliers.tolist() == list(range(300))
+            assert len(best_counts) == blocks and best_counts[-1] == 300
+        assert 160 < needed(300, 1000) < 192
+
+        best_counts.clear()
+        ransac_plane(flat_cloud(), RansacParams(seed=0))  # w = 1: one block
+        assert best_counts == [len(flat_cloud())]
+        assert needed(5, 5) == 0.0 and needed(-1, 5) == math.inf
 
     @pytest.mark.parametrize("iterations", [1, 31, 32, 33, 200])
     def test_ransac_lowest_plane_tie_break(self, iterations):

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import pytest
@@ -47,6 +48,14 @@ class TestRegistry:
     def test_is_read_only(self):
         with pytest.raises(TypeError):
             REGISTRY["serve_order"] = REGISTRY["casual_chat"]
+
+    def test_recovery_is_read_only(self):
+        with pytest.raises(TypeError):
+            REGISTRY["serve_order"].recovery["grasp"] = ()
+        recovery = {"speak": (SkillSpec("speak", "again"),)}
+        rep = TaskRepresentation("echo", (), (SkillSpec("speak", "hi"),), recovery)
+        recovery["speak"] = ()
+        assert rep.recovery["speak"] == (SkillSpec("speak", "again"),)  # a copy, not a view
 
     def test_invalid_recovery_key_rejected(self):
         with pytest.raises(ValueError):
@@ -239,6 +248,56 @@ class TestPipeline:
         for text in ("bring me a cola", "what's on the menu", "hello", ""):
             parsed, _ = pipe.handle(text)
             assert parsed.name in REGISTRY
+
+    def test_parallel_worker_is_kept_across_calls_and_closed(self, menu):
+        pipe = Pipeline(menu, RuleBackend(menu), mode="parallel")
+        before = set(threading.enumerate())
+        counts, wrong = [], []
+
+        def caller(k):
+            for i in range(50):
+                text = "bring me a cola" if (i + k) % 2 else "hello"
+                parsed, response = pipe.handle(text)
+                if parsed.name != ("serve_order" if (i + k) % 2 else "casual_chat") or not response:
+                    wrong.append(text)
+                counts.append(threading.active_count())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]  # 200 calls
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong and len(counts) == 200
+        assert max(counts) <= len(before) + len(callers) + 1  # the callers and one worker
+        workers = set(threading.enumerate()) - before
+        assert len(workers) == 1
+        pipe.close()
+        for thread in workers:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_parallel_respond_is_awaited_when_understand_raises(self, menu):
+        class Broken(LatchBackend):
+            def understand(self, utterance):
+                raise RuntimeError("parser bug")
+
+            def respond(self, utterance, parsed=None):
+                self.latch.wait(timeout=10)
+                return super().respond(utterance, parsed)
+
+        backend = Broken()
+        pipe = Pipeline(menu, backend, mode="parallel")
+        threading.Timer(0.05, backend.latch.set).start()
+        with pytest.raises(RuntimeError, match="parser bug"):
+            pipe.handle("hi")
+        assert backend.respond_done.is_set()  # handle returned only after respond did
+        pipe.close()
 
     def test_unknown_mode_rejected(self, menu):
         with pytest.raises(ValueError):
