@@ -13,14 +13,14 @@ import math
 import sys
 from pathlib import Path
 
-from .furniture import FrameOrderError, FurnitureError, FurnitureLayer, FurnitureNotFound, detections_from_json
+from .furniture import FrameOrderError, FurnitureError, FurnitureLayer, FurnitureNotFound
 from .geometry import Pose2D, finite_tuple, take_keys
 from .grid import GridFormatError, inflate, load_grid
 from .layers import LayerFormatError, dump_layers, load_layers
-from .llm import BackendConfig, RemoteBackend
+from .llm import RemoteBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
-from .placement import NoSpaceError, PlacementError, RansacParams, find_placement, load_cloud, ransac_plane
-from .sim import PathError, RunConfig, ScenarioError, Simulation, load_scenario
+from .placement import NoSpaceError, PlacementError, find_placement, load_cloud, ransac_plane
+from .sim import EVENT_BUILDERS, PathError, RunConfig, ScenarioError, Simulation, load_scenario
 from .tasks import build_prompts, render_trace
 
 USAGE_EXIT = 2
@@ -49,9 +49,14 @@ def cmd_map_build(args) -> int:
     if not isinstance(log, list):
         raise CliError(f"bad detection log {args.detections}: top level must be a list", USAGE_EXIT)
     layer = FurnitureLayer()
+    last_frame = -1
     for i, entry in enumerate(log):
         try:
-            layer.track_frame(take_keys(entry, lambda e: detections_from_json(e.pop("frame"), e.pop("boxes"))))
+            record = take_keys(entry, EVENT_BUILDERS["detections"])
+            if record.frame <= last_frame:  # checked here too, since `track_frame` skips a frame with no boxes
+                raise ValueError(f"frame {record.frame} not newer than {last_frame}")
+            last_frame = record.frame
+            layer.track_frame(record.boxes)
         except (KeyError, TypeError, ValueError, FrameOrderError) as e:
             raise CliError(f"bad detection log {args.detections}: entry {i}: {type(e).__name__}: {e}",
                            USAGE_EXIT) from None
@@ -104,9 +109,8 @@ def cmd_nav_goal(args) -> int:
 
 def cmd_place(args) -> int:
     cloud = _load(args.cloud, "cloud", load_cloud, PlacementError)
-    params = RansacParams(seed=args.seed)
     try:
-        plane, inliers = ransac_plane(cloud, params)
+        plane, inliers = ransac_plane(cloud, args.seed)
         spot = find_placement(cloud, plane, inliers, object_radius=args.radius)
     except NoSpaceError as e:
         raise CliError(f"no space: {e}", DOMAIN_EXIT) from None
@@ -121,12 +125,9 @@ def cmd_place(args) -> int:
 def _backend_for(args, menu):
     if args.backend == "rules":
         return None  # Simulation builds the rule backend over its menu
-    try:
-        config = BackendConfig(endpoint=args.endpoint, model=args.model)
-    except ValueError as e:
-        raise CliError(str(e), USAGE_EXIT) from None
-    prompts = build_prompts("A small restaurant with customer tables and one kitchen table.", menu)
-    return RemoteBackend(config, prompts)
+    if not args.endpoint or not args.model:
+        raise CliError("the remote backend requires endpoint and model", USAGE_EXIT)
+    return RemoteBackend(args.endpoint, args.model, build_prompts(menu))
 
 
 def _simulation(args) -> Simulation:

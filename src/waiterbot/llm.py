@@ -35,21 +35,13 @@ class TransportError(Exception):
     """Retryable transport-level failure (connection, timeout, 5xx, 429)."""
 
 
-@dataclass(frozen=True)
-class BackendConfig:
-    endpoint: str
-    model: str
-    temperature: float = 0.0
-    timeout_s: float = 10.0
-    max_retries: int = 3  # retries after the first attempt
-    api_key_env: str = "LLM_API_KEY"
-    backoff_s: float = 0.25
-
-    def __post_init__(self) -> None:
-        if not self.endpoint or not self.model:
-            raise ValueError("the remote backend requires endpoint and model")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be in [0, 2]")
+# request settings of the one remote backend: deterministic sampling, and up to
+# three retries 0.25, 0.5 and 1.0 s apart on a retryable transport failure
+TEMPERATURE = 0.0
+TIMEOUT_S = 10.0
+MAX_RETRIES = 3
+BACKOFF_S = 0.25
+API_KEY_ENV = "LLM_API_KEY"  # the bearer token, when set
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,7 @@ class MenuItem:
 
 
 class Menu:
-    """At least one item; names must be unique after case-folding and trimming."""
+    """At least one item; names must be non-blank and unique after case-folding and trimming."""
 
     def __init__(self, items: list[MenuItem]):
         if not items:
@@ -73,6 +65,8 @@ class Menu:
             if not isinstance(item.name, str):
                 raise ValueError(f"menu item name must be a string, got {item.name!r}")
             key = item.name.strip().casefold()
+            if not key:
+                raise ValueError(f"menu item name must not be blank, got {item.name!r}")
             if key in seen:
                 raise ValueError(f"duplicate menu item {item.name!r}")
             seen.add(key)
@@ -109,30 +103,28 @@ class HttpTransport:
             raise ProtocolError(f"non-JSON body: {e}") from None
 
 
-def complete(config: BackendConfig, messages: list[dict[str, str]],
-             transport=None, sleep=time.sleep) -> str:
+def complete(endpoint: str, model: str, messages: list[dict[str, str]], transport=None) -> str:
     """One chat completion via `transport` (default `HttpTransport`); exponential-backoff retries."""
     if transport is None:
         transport = HttpTransport()
-    url = config.endpoint.rstrip("/") + "/v1/chat/completions"
+    url = endpoint.rstrip("/") + "/v1/chat/completions"
     headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(config.api_key_env)
+    api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    body = {"model": config.model, "messages": messages, "temperature": config.temperature}
+    body = {"model": model, "messages": messages, "temperature": TEMPERATURE}
 
-    attempts = 1 + max(0, config.max_retries)
     last: Exception | None = None
-    for attempt in range(attempts):
+    for attempt in range(1 + MAX_RETRIES):
         try:
-            doc = transport.post(url, headers, body, config.timeout_s)
+            doc = transport.post(url, headers, body, TIMEOUT_S)
             break
         except TransportError as e:
             last = e
-            if attempt + 1 < attempts and config.backoff_s > 0:
-                sleep(config.backoff_s * 2**attempt)
+            if attempt < MAX_RETRIES:
+                time.sleep(BACKOFF_S * 2**attempt)
     else:
-        raise BackendUnavailable(f"gave up after {attempts} attempts: {last}")
+        raise BackendUnavailable(f"gave up after {1 + MAX_RETRIES} attempts: {last}")
 
     try:
         content = doc["choices"][0]["message"]["content"]
@@ -249,8 +241,9 @@ class RuleBackend:
 class RemoteBackend:
     """Chat-completions backend built on a prompt pair with a shared base."""
 
-    def __init__(self, config: BackendConfig, prompts, transport=None):
-        self.config = config
+    def __init__(self, endpoint: str, model: str, prompts, transport=None):
+        self.endpoint = endpoint
+        self.model = model
         self.prompts = prompts
         self.transport = transport
 
@@ -259,7 +252,7 @@ class RemoteBackend:
             {"role": "system", "content": self.prompts.understand_prompt},
             {"role": "user", "content": utterance},
         ]
-        return complete(self.config, messages, transport=self.transport)
+        return complete(self.endpoint, self.model, messages, transport=self.transport)
 
     def respond(self, utterance: str, parsed=None) -> str:
         content = utterance
@@ -269,4 +262,4 @@ class RemoteBackend:
             {"role": "system", "content": self.prompts.respond_prompt},
             {"role": "user", "content": content},
         ]
-        return complete(self.config, messages, transport=self.transport)
+        return complete(self.endpoint, self.model, messages, transport=self.transport)

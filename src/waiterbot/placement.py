@@ -7,7 +7,7 @@ from one batched draw (`sample_triples`), then are scored in blocks of
 Nister 2005, *Preemptive RANSAC*).  Scoring stops early, after the first block
 at which the number scored reaches N = log(1 - p) / log(1 - w**3), with w the
 best inlier ratio so far and p = `RANSAC_CONFIDENCE` (the adaptive stop of
-Hartley & Zisserman 2004, sec. 4.7.1); `RansacParams.iterations` is the cap.
+Hartley & Zisserman 2004, sec. 4.7.1); `RANSAC_ITERATIONS` is the cap.
 Tie rule: among the hypotheses scored with the highest count, the lowest
 plane wins -- the largest `d` once the normal is oriented to `n_z >= 0` -- so
 points above an equally supported surface count as clutter on it; only a full
@@ -37,6 +37,11 @@ from .geometry import convex_hull, point_in_convex_polygon
 OCCUPANCY_BAND_M = 0.30
 GRID_PITCH_M = 0.02
 CLEARANCE_MARGIN_M = 0.02
+# the fit's fixed settings, sized for the simulated tabletops: a 200-draw cap,
+# a 1 cm inlier band, and at least 30 % of the cloud on the surface
+RANSAC_ITERATIONS = 200
+INLIER_EPS_M = 0.01
+MIN_INLIER_FRACTION = 0.3
 # hypotheses scored per distance matrix: (n_pts x 32) floats keeps peak memory
 # low while amortizing the per-call overhead over the block
 HYPOTHESIS_BLOCK = 32
@@ -78,24 +83,6 @@ class Plane:
         norm = math.sqrt(sum(v * v for v in self.normal))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"normal must be unit length, |n| = {norm}")
-
-
-@dataclass(frozen=True)
-class RansacParams:
-    iterations: int = 200
-    inlier_eps: float = 0.01
-    min_inlier_fraction: float = 0.3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.iterations, int) or isinstance(self.iterations, bool):
-            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not self.inlier_eps > 0:  # false for NaN too
-            raise ValueError(f"inlier_eps must be positive, got {self.inlier_eps!r}")
-        if not 0.0 <= self.min_inlier_fraction <= 1.0:
-            raise ValueError("min_inlier_fraction must be in [0, 1]")
 
 
 def load_cloud(text: str) -> np.ndarray:
@@ -157,11 +144,11 @@ def hypotheses_needed(best_count: int, n_pts: int) -> float:
     return math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-(w**3))
 
 
-def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.ndarray]:
+def ransac_plane(cloud: np.ndarray, seed: int) -> tuple[Plane, np.ndarray]:
     """Best plane and its inlier indices; deterministic for a fixed seed.
 
     Blocks of the draw are scored until `hypotheses_needed` are scored or the
-    `params.iterations` triples run out.  The best hypothesis scored has the
+    `RANSAC_ITERATIONS` triples run out.  The best hypothesis scored has the
     most inliers; among those, the lowest plane (largest `d` with `n_z >= 0`),
     then the earliest draw."""
     pts = np.asarray(cloud, dtype=np.float64)
@@ -171,7 +158,7 @@ def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.nda
     if n_pts < 3:
         raise PlaneFitError(f"need at least 3 points, got {n_pts}")
 
-    triples = sample_triples(n_pts, params.iterations, np.random.default_rng(params.seed))
+    triples = sample_triples(n_pts, RANSAC_ITERATIONS, np.random.default_rng(seed))
     best = (-1, -math.inf)  # (count, d) of the best hypothesis so far
     best_inliers: np.ndarray | None = None
     for start in range(0, len(triples), HYPOTHESIS_BLOCK):
@@ -183,7 +170,7 @@ def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.nda
         d = -np.einsum("ij,ij->i", n, a)
         dists = pts @ n.T  # (n_pts, block), reused in place to keep the peak small
         dists += d
-        inliers = np.abs(dists, out=dists) <= params.inlier_eps
+        inliers = np.abs(dists, out=dists) <= INLIER_EPS_M
         counts = np.where(degenerate, -1, inliers.sum(axis=0))
         nx, ny, nz = n.T
         flip = (nz < 0) | ((nz == 0) & ((ny < 0) | ((ny == 0) & (nx < 0))))  # as `_orient`
@@ -197,10 +184,10 @@ def ransac_plane(cloud: np.ndarray, params: RansacParams) -> tuple[Plane, np.nda
     if best_inliers is None:
         raise PlaneFitError("every sampled triple was degenerate")
     best_count, _ = best
-    if best_count < params.min_inlier_fraction * n_pts:
+    if best_count < MIN_INLIER_FRACTION * n_pts:
         raise InsufficientSupportError(
             f"best hypothesis explains {best_count}/{n_pts} points, "
-            f"below fraction {params.min_inlier_fraction}"
+            f"below fraction {MIN_INLIER_FRACTION}"
         )
     inlier_idx = np.flatnonzero(best_inliers)
     n, d = _refit(pts[inlier_idx])

@@ -32,7 +32,7 @@ from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, R
                    load_grid, world_to_cell)
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
-from .placement import PlacementError, RansacParams, find_placement, ransac_plane
+from .placement import PlacementError, find_placement, ransac_plane
 from .semantic import HumanLayer, HumanObservation, Zone, zone_from_json
 from .tasks import (
     OK,
@@ -601,7 +601,7 @@ class Simulation:
         seed = self.config.seed * 1_000_003 + self._placement_count
         self._placement_count += 1
         try:
-            plane, inliers = ransac_plane(cloud, RansacParams(seed=seed))
+            plane, inliers = ransac_plane(cloud, seed)
             spot = find_placement(cloud, plane, inliers, object_radius=0.05)
         except PlacementError as e:
             return failed(str(e))

@@ -159,6 +159,8 @@ REGISTRY: Mapping[str, TaskRepresentation] = MappingProxyType({rep.name: rep for
 )})
 
 
+ENVIRONMENT = "A small restaurant with customer tables and one kitchen table."
+
 UNDERSTAND_SUFFIX = (
     "### OUTPUT FORMAT ###\n"
     "Reply with exactly one line of the form `task=<name>; slots=<key:value,...>`\n"
@@ -172,12 +174,10 @@ RESPOND_SUFFIX = (
 )
 
 
-def build_prompts(env_description: str, menu: Menu) -> PromptPair:
+def build_prompts(menu: Menu) -> PromptPair:
     """Shared base prompt + per-role output-format suffixes."""
-    if not env_description.strip():
-        raise ValueError("environment description must not be empty")
     lines = ["You are a service robot working as a waiter.", "", "Environment:",
-             env_description.strip(), "", "Menu:"]
+             ENVIRONMENT, "", "Menu:"]
     for i, item in enumerate(menu.items, start=1):
         lines.append(f"{i}. {item.name} - {item.description}")
     lines += ["", "Task representations:"]

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import ndimage
 
+from waiterbot import placement
 from waiterbot.furniture import IOU_MATCH_THRESHOLD
 from waiterbot.geometry import Pose2D, iou_3d, point_in_convex_polygon
 from waiterbot.grid import RISK_MAX, BoundsError, CellIndex, CellState
@@ -310,12 +311,14 @@ def full_raster_best_cell(hull, s_occ, t_occ, pitch: float) -> tuple[float, floa
     return s_lo + (col + 0.5) * pitch, t_lo + (row + 0.5) * pitch, float(clearance[row, col])
 
 
-def loop_ransac_plane(cloud, params):
+def loop_ransac_plane(cloud, seed):
     """`ransac_plane` with one hypothesis scored at a time, on the same draw,
-    stopping at the first block boundary with enough hypotheses scored."""
+    stopping at the first block boundary with enough hypotheses scored.  The
+    settings are read from `placement` on each call, so a test that patches
+    `placement.RANSAC_ITERATIONS` patches both."""
     pts = np.asarray(cloud, dtype=np.float64)
     n_pts = len(pts)
-    triples = sample_triples(n_pts, params.iterations, np.random.default_rng(params.seed))
+    triples = sample_triples(n_pts, placement.RANSAC_ITERATIONS, np.random.default_rng(seed))
     best = (-1, -math.inf)
     best_inliers = None
     for scored, idx in enumerate(triples, start=1):
@@ -327,7 +330,7 @@ def loop_ransac_plane(cloud, params):
             if (n[2], n[1], n[0]) < (0, 0, 0):  # n_z >= 0, as `placement._orient`
                 n = -n
             d = -n @ a
-            inliers = np.abs(pts @ n + d) <= params.inlier_eps
+            inliers = np.abs(pts @ n + d) <= placement.INLIER_EPS_M
             key = (int(inliers.sum()), float(d))  # most inliers, then the lowest plane
             if key > best:
                 best = key
@@ -338,7 +341,7 @@ def loop_ransac_plane(cloud, params):
                 break
     if best_inliers is None:
         raise PlaneFitError("every sampled triple was degenerate")
-    if best[0] < params.min_inlier_fraction * n_pts:
+    if best[0] < placement.MIN_INLIER_FRACTION * n_pts:
         raise InsufficientSupportError(f"{best[0]}/{n_pts} inliers")
     inlier_idx = np.flatnonzero(best_inliers)
     n, d = _refit(pts[inlier_idx])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from waiterbot import llm
 from waiterbot.cli import dispatch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -224,6 +225,16 @@ class TestRunCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("given", [["--endpoint", "http://llm.local"], ["--model", "demo"]])
+    def test_remote_backend_without_endpoint_or_model_exits_2(self, capsys, monkeypatch, given):
+        posts = []
+        monkeypatch.setattr(llm.requests, "post", lambda *args, **kwargs: posts.append(args))
+        code, out, err = run_cli(
+            capsys, ["run", "--scenario", SCENARIOS / "restaurant_41.json", "--backend", "remote", *given])
+        assert code == 2
+        assert "the remote backend requires endpoint and model" in err and out == ""
+        assert posts == []
+
 
 class TestReplCommand:
     def test_session_matches_golden(self, capsys, monkeypatch):
@@ -400,6 +411,14 @@ def _log_repeated_frame(doc):
     return "entry 1"
 
 
+def _log_empty_entry(frame):
+    # an entry with no boxes after the log's last one, which has frame 1
+    def mutate(doc):
+        doc.append({"frame": frame, "boxes": []})
+        return f"entry {len(doc) - 1}"
+    return mutate
+
+
 def _non_object_event(doc):
     doc["events"] = ["t"]
     return "event 0"
@@ -463,6 +482,7 @@ MALFORMED_INPUTS = {
     "integer menu name": ("run", _world_at("menu", 0, "name", value=7)),
     "integer menu description": ("run", _world_at("menu", 0, "description", value=5)),
     "null menu description": ("run", _world_at("menu", 0, "description", value=None)),
+    "blank menu name": ("run", _world_at("menu", 0, "name", value=" ")),
     "single-value robot start": ("run", _world_at("robot_start", value=[6.0])),
     "NaN robot radius": ("run", _world_at("nav_params", "robot_radius", value=float("nan"))),
     "fractional RANSAC iterations": ("run", _world_at("ransac", value={"iterations": 2.5})),
@@ -483,6 +503,9 @@ MALFORMED_INPUTS = {
     "log box center with two values": ("build", _log_box("center", [5.0, 2.0])),
     "log list box class": ("build", _log_box("class", ["table"])),
     "log repeated frame": ("build", _log_repeated_frame),
+    "log older frame with no boxes": ("build", _log_empty_entry(0)),
+    "log string frame with no boxes": ("build", _log_empty_entry("abc")),
+    "log negative frame with no boxes": ("build", _log_empty_entry(-7)),
     "layer NaN pose x": ("layers", _layer_furniture("pose", "x", value=float("nan"))),
     "layer NaN dims w": ("layers", _layer_furniture("dims", "w", value=float("nan"))),
     "layer integer furniture id": ("layers", _layer_furniture("id", value=7, named="'id': 7")),

@@ -1,8 +1,9 @@
 import pytest
 
 from helpers import StubTransport
+from waiterbot import llm
 from waiterbot.llm import (
-    BackendConfig,
+    MAX_RETRIES,
     BackendUnavailable,
     Menu,
     MenuItem,
@@ -105,15 +106,21 @@ class TestUnderstandLine:
             assert parsed.name == "casual_chat"
 
 
-class TestComplete:
-    def config(self, **kw):
-        defaults = dict(endpoint="http://llm.local", model="demo", backoff_s=0.0)
-        defaults.update(kw)
-        return BackendConfig(**defaults)
+ENDPOINT, MODEL = "http://llm.local", "demo"
 
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff delays `complete` asks for, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr(llm.time, "sleep", delays.append)
+    return delays
+
+
+class TestComplete:
     def test_stub_returns_scripted_content_and_records(self):
         stub = StubTransport([StubTransport.reply("task=serve_order; slots=item:cola")])
-        out = complete(self.config(), [{"role": "user", "content": "hi"}], transport=stub)
+        out = complete(ENDPOINT, MODEL, [{"role": "user", "content": "hi"}], transport=stub)
         assert out == "task=serve_order; slots=item:cola"
         assert len(stub.requests) == 1
         assert stub.requests[0]["url"].endswith("/v1/chat/completions")
@@ -122,25 +129,25 @@ class TestComplete:
     def test_missing_choices_is_protocol_error(self):
         stub = StubTransport([{"no_choices": True}])
         with pytest.raises(ProtocolError):
-            complete(self.config(), [], transport=stub)
+            complete(ENDPOINT, MODEL, [], transport=stub)
 
-    def test_two_failures_then_success(self):
+    def test_two_failures_then_success(self, sleeps):
         stub = StubTransport(
             [TransportError("boom"), TransportError("boom"), StubTransport.reply("ok")]
         )
-        out = complete(self.config(max_retries=3), [], transport=stub)
+        out = complete(ENDPOINT, MODEL, [], transport=stub)
         assert out == "ok"
         assert len(stub.requests) == 3
+        assert sleeps == [0.25, 0.5]
 
-    def test_exhausted_retries_raise_unavailable(self):
-        stub = StubTransport([TransportError("boom")] * 4)
+    def test_exhausted_retries_raise_unavailable(self, sleeps):
+        stub = StubTransport([TransportError("boom")] * (1 + MAX_RETRIES))
         with pytest.raises(BackendUnavailable):
-            complete(self.config(max_retries=2), [], transport=stub)
-        assert len(stub.requests) == 3  # 1 attempt + 2 retries
+            complete(ENDPOINT, MODEL, [], transport=stub)
+        assert len(stub.requests) == 1 + MAX_RETRIES
+        assert sleeps == [0.25, 0.5, 1.0]  # doubling from 0.25 s, none after the last attempt
 
     def test_without_transport_posts_over_http(self, monkeypatch):
-        import waiterbot.llm as llm_module
-
         class Response:
             status_code = 200
 
@@ -148,39 +155,29 @@ class TestComplete:
                 return StubTransport.reply("ok")
 
         urls = []
-        monkeypatch.setattr(llm_module.requests, "post",
+        monkeypatch.setattr(llm.requests, "post",
                             lambda url, **kwargs: urls.append(url) or Response())
-        assert complete(self.config(), []) == "ok"
+        assert complete(ENDPOINT, MODEL, []) == "ok"
         assert urls == ["http://llm.local/v1/chat/completions"]
 
     def test_bearer_token_from_env(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "sekrit")
         stub = StubTransport([StubTransport.reply("ok")])
-        complete(self.config(), [], transport=stub)
+        complete(ENDPOINT, MODEL, [], transport=stub)
         assert stub.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BackendConfig(endpoint="http://llm.local", model="")  # endpoint+model required
-        with pytest.raises(ValueError):
-            BackendConfig(endpoint="", model="demo")
-        with pytest.raises(ValueError):
-            BackendConfig(endpoint="http://llm.local", model="demo", temperature=3.0)
 
 
 class TestRuleBackendOffline:
     def test_no_network_activity(self, menu, monkeypatch):
-        import waiterbot.llm as llm_module
-
         def poisoned_post(*args, **kwargs):
             raise AssertionError("the rule backend and a stub transport must never touch the network")
 
-        monkeypatch.setattr(llm_module.requests, "post", poisoned_post)
+        monkeypatch.setattr(llm.requests, "post", poisoned_post)
         backend = RuleBackend(menu)
         backend.understand("bring me a cola")
         backend.respond("bring me a cola")
         stub = StubTransport([StubTransport.reply("ok")])
-        complete(BackendConfig("http://llm.local", "demo", backoff_s=0.0), [], transport=stub)
+        complete(ENDPOINT, MODEL, [], transport=stub)
 
     def test_understand_emits_wire_line(self, menu):
         line = RuleBackend(menu).understand("bring me a cola")
@@ -203,10 +200,8 @@ class TestRemoteBackendIntegration:
                 StubTransport.reply("One cola, coming right up!"),
             ]
         )
-        config = BackendConfig(endpoint="http://llm.local", model="demo",
-                               backoff_s=0.0)
-        prompts = build_prompts("Five tables.", menu)
-        backend = RemoteBackend(config, prompts, transport=stub)
+        prompts = build_prompts(menu)
+        backend = RemoteBackend(ENDPOINT, MODEL, prompts, transport=stub)
         pipe = Pipeline(menu, backend, mode="sequential")
         parsed, response = pipe.handle("bring me a cola")
         assert parsed == ParsedTask("serve_order", {"item": "cola"}, 1.0)
@@ -218,14 +213,12 @@ class TestRemoteBackendIntegration:
         assert "task=serve_order; slots=item:cola" in bodies[1]["messages"][1]["content"]
         assert bodies[0]["model"] == "demo"
 
-    def test_understand_failure_falls_back_to_rules(self, menu):
+    def test_understand_failure_falls_back_to_rules(self, menu, sleeps):
         from waiterbot.llm import RemoteBackend
         from waiterbot.tasks import Pipeline, build_prompts
 
         stub = StubTransport([TransportError("down")] * 8)
-        config = BackendConfig(endpoint="http://llm.local", model="demo",
-                               max_retries=1, backoff_s=0.0)
-        backend = RemoteBackend(config, build_prompts("env", menu), transport=stub)
+        backend = RemoteBackend(ENDPOINT, MODEL, build_prompts(menu), transport=stub)
         pipe = Pipeline(menu, backend, mode="sequential")
         parsed, response = pipe.handle("bring me a cola")
         assert parsed.name == "serve_order"  # rule fallback parsed it

@@ -18,7 +18,6 @@ from waiterbot.placement import (
     PlacementError,
     Plane,
     PlaneFitError,
-    RansacParams,
     find_placement,
     load_cloud,
     plane_basis,
@@ -51,14 +50,14 @@ class TestRansac:
     def test_noiseless_plane_exact(self):
         rng = np.random.default_rng(1)
         pts = np.column_stack([rng.uniform(-1, 1, 500), rng.uniform(-0.5, 0.5, 500), np.ones(500)])
-        plane, inliers = ransac_plane(pts, RansacParams(seed=7, inlier_eps=0.01))
+        plane, inliers = ransac_plane(pts, 7)
         assert plane.normal == (0.0, 0.0, 1.0)
         assert plane.d == -1.0
         assert len(inliers) == 500  # inlier set equals exact plane membership
 
     def test_noisy_scene_recovers_plane(self):
         cloud, n_in = noisy_scene(900)
-        plane, inliers = ransac_plane(cloud, RansacParams(seed=3))
+        plane, inliers = ransac_plane(cloud, 3)
         angle = math.degrees(math.acos(min(1.0, abs(plane.normal[2]))))
         assert angle <= 2.0
         recall = len(set(inliers.tolist()) & set(range(n_in))) / n_in
@@ -66,23 +65,23 @@ class TestRansac:
 
     def test_two_points_rejected(self):
         with pytest.raises(PlaneFitError):
-            ransac_plane(np.array([[0, 0, 0], [1, 0, 0]]), RansacParams())
+            ransac_plane(np.array([[0, 0, 0], [1, 0, 0]]), 0)
 
     def test_collinear_cloud_rejected(self):
         pts = np.array([[float(i), 0.0, 0.0] for i in range(10)])
         with pytest.raises(PlaneFitError):
-            ransac_plane(pts, RansacParams(iterations=50, seed=0))
+            ransac_plane(pts, 0)
 
     def test_insufficient_support(self):
         rng = np.random.default_rng(2)
         scatter = rng.uniform(-1, 1, (200, 3))
         with pytest.raises(InsufficientSupportError):
-            ransac_plane(scatter, RansacParams(seed=0, inlier_eps=0.001, min_inlier_fraction=0.5))
+            ransac_plane(scatter, 0)
 
     def test_fixed_seed_bit_identical(self):
         cloud, _ = noisy_scene(31)
-        a = ransac_plane(cloud, RansacParams(seed=12))
-        b = ransac_plane(cloud, RansacParams(seed=12))
+        a = ransac_plane(cloud, 12)
+        b = ransac_plane(cloud, 12)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
@@ -105,21 +104,17 @@ class TestRansac:
                     best = (count, n, d, dists <= 0.01)
             _, n, d, mask = best
             hyp_rms = float(np.sqrt(np.mean((pts[mask] @ n + d) ** 2)))
-            plane, inliers = ransac_plane(cloud, RansacParams(seed=seed))
+            plane, inliers = ransac_plane(cloud, seed)
             nn = np.asarray(plane.normal)
             refit_rms = float(np.sqrt(np.mean((pts[inliers] @ nn + plane.d) ** 2)))
             assert refit_rms <= hyp_rms + 1e-12
 
     def test_normal_orientation_convention(self):
         pts = flat_cloud(z=0.5)
-        plane, _ = ransac_plane(pts, RansacParams(seed=4))
+        plane, _ = ransac_plane(pts, 4)
         assert plane.normal[2] >= 0
 
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            RansacParams(iterations=0)
-        with pytest.raises(ValueError):
-            RansacParams(inlier_eps=0.0)
+    def test_plane_normal_must_be_unit(self):
         with pytest.raises(ValueError):
             Plane((0, 0, 2), 0.0)
 
@@ -127,13 +122,13 @@ class TestRansac:
 class TestFindPlacement:
     def test_point_lies_on_plane_with_clearance(self):
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, RansacParams(seed=0))
+        plane, inliers = ransac_plane(cloud, 0)
         p = find_placement(cloud, plane, inliers, object_radius=0.05)
         assert abs(np.dot(plane.normal, p) + plane.d) <= 1e-6
 
     def test_empty_table_matches_naive_clearance_oracle(self):
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, RansacParams(seed=0))
+        plane, inliers = ransac_plane(cloud, 0)
         p = find_placement(cloud, plane, inliers, object_radius=0.05)
 
         u, v, _ = plane_basis(plane)
@@ -156,7 +151,7 @@ class TestFindPlacement:
             [[x, y, 1.06] for x in np.arange(0.1, 0.5, 0.03) for y in np.arange(-0.4, 0.41, 0.03)]
         )
         cloud = np.vstack([surface, blob])
-        plane, inliers = ransac_plane(cloud, RansacParams(seed=0))
+        plane, inliers = ransac_plane(cloud, 0)
         p = find_placement(cloud, plane, inliers, object_radius=0.05)
         assert p[0] < 0.0  # west half
         # verify the promised clearance against the blob and the hull edge
@@ -169,7 +164,7 @@ class TestFindPlacement:
         # surface plane still wins the hypothesis vote
         lid = surface[::2] + np.array([0.0, 0.0, 0.05])
         cloud = np.vstack([surface, lid])
-        plane, inliers = ransac_plane(cloud, RansacParams(seed=0, min_inlier_fraction=0.3))
+        plane, inliers = ransac_plane(cloud, 0)
         assert abs(plane.d + 1.0) < 0.01  # fitted the table surface, not the lid
         with pytest.raises(NoSpaceError):
             find_placement(cloud, plane, inliers, object_radius=0.05)
@@ -178,21 +173,21 @@ class TestFindPlacement:
         surface = flat_cloud(z=1.0)
         under = np.array([[0.0, 0.0, 0.5], [0.1, 0.1, 0.2]])  # table legs etc.
         cloud = np.vstack([surface, under])
-        plane, inliers = ransac_plane(cloud, RansacParams(seed=0))
+        plane, inliers = ransac_plane(cloud, 0)
         spot_with = find_placement(cloud, plane, inliers, object_radius=0.05)
-        plane2, inliers2 = ransac_plane(surface, RansacParams(seed=0))
+        plane2, inliers2 = ransac_plane(surface, 0)
         spot_without = find_placement(surface, plane2, inliers2, object_radius=0.05)
         assert spot_with == pytest.approx(spot_without, abs=1e-9)
 
     def test_invalid_radius(self):
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, RansacParams(seed=0))
+        plane, inliers = ransac_plane(cloud, 0)
         with pytest.raises(ValueError):
             find_placement(cloud, plane, inliers, object_radius=0.0)
 
     def test_nan_radius_rejected(self):
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, RansacParams(seed=0))
+        plane, inliers = ransac_plane(cloud, 0)
         with pytest.raises(ValueError, match="object_radius"):
             find_placement(cloud, plane, inliers, object_radius=float("nan"))
 
@@ -344,7 +339,7 @@ class TestArrayCodeMatchesLoops:
 
         outcomes = Counter()
         for cloud, radius, seed in placement_cases():
-            plane, inliers = ransac_plane(cloud, RansacParams(seed=seed))
+            plane, inliers = ransac_plane(cloud, seed)
             monkeypatch.setattr(placement, "_raster", checked)
             pruned = placed(cloud, plane, inliers, radius)
             monkeypatch.setattr(placement, "_best_cell", oracles.full_raster_best_cell)
@@ -365,11 +360,11 @@ class TestArrayCodeMatchesLoops:
         assert np.flatnonzero(fast[2]).tolist() == [0, 55, 99]
 
     def test_ransac_same_plane_and_inliers_as_loop(self):
-        clouds = [(criterion_6_cloud(trial), RansacParams(seed=trial)) for trial in range(100)]
-        clouds += [(tabletop_cloud(table, n), RansacParams(seed=n)) for table, n in tabletops()]
-        for cloud, params in clouds:
-            plane, inliers = ransac_plane(cloud, params)
-            loop_plane, loop_inliers = oracles.loop_ransac_plane(cloud, params)
+        clouds = [(criterion_6_cloud(trial), trial) for trial in range(100)]
+        clouds += [(tabletop_cloud(table, n), n) for table, n in tabletops()]
+        for cloud, seed in clouds:
+            plane, inliers = ransac_plane(cloud, seed)
+            loop_plane, loop_inliers = oracles.loop_ransac_plane(cloud, seed)
             assert plane == loop_plane
             assert np.array_equal(inliers, loop_inliers)
 
@@ -388,35 +383,36 @@ class TestArrayCodeMatchesLoops:
         clutter = np.column_stack([rng.uniform(-1, 1, (700, 2)), rng.uniform(0.5, 1.5, 700)])
         cloud = np.vstack([table_top, clutter])
         for iterations, blocks in ((160, 5), (200, 6)):  # every block under the cap; 192 >= 168.3
+            monkeypatch.setattr(placement, "RANSAC_ITERATIONS", iterations)
             best_counts.clear()
-            plane, inliers = ransac_plane(cloud, RansacParams(iterations=iterations, seed=1, min_inlier_fraction=0.2))
+            plane, inliers = ransac_plane(cloud, 1)
             assert inliers.tolist() == list(range(300))
             assert len(best_counts) == blocks and best_counts[-1] == 300
         assert 160 < needed(300, 1000) < 192
 
         best_counts.clear()
-        ransac_plane(flat_cloud(), RansacParams(seed=0))  # w = 1: one block
+        ransac_plane(flat_cloud(), 0)  # w = 1: one block
         assert best_counts == [len(flat_cloud())]
         assert needed(5, 5) == 0.0 and needed(-1, 5) == math.inf
 
     @pytest.mark.parametrize("iterations", [1, 31, 32, 33, 200])
-    def test_ransac_lowest_plane_tie_break(self, iterations):
+    def test_ransac_lowest_plane_tie_break(self, monkeypatch, iterations):
         # two parallel planes with equal point counts: every hypothesis drawn
         # from one plane ties, so whenever both planes are drawn the lower wins
         lower = flat_cloud(z=0.0, nx=10, ny=10)
         cloud = np.vstack([lower, lower + np.array([0.0, 0.0, 1.0])])
+        monkeypatch.setattr(placement, "RANSAC_ITERATIONS", iterations)
         drawn_both = 0
         for seed in range(20):
-            params = RansacParams(iterations=iterations, seed=seed, min_inlier_fraction=0.4)
             triples = placement.sample_triples(len(cloud), iterations, np.random.default_rng(seed))
             upper_rows = (triples >= len(lower)).sum(axis=1)
             try:
-                loop = oracles.loop_ransac_plane(cloud, params)
+                loop = oracles.loop_ransac_plane(cloud, seed)
             except PlacementError as e:
                 with pytest.raises(type(e)):
-                    ransac_plane(cloud, params)
+                    ransac_plane(cloud, seed)
                 continue
-            plane, inliers = ransac_plane(cloud, params)
+            plane, inliers = ransac_plane(cloud, seed)
             assert plane == loop[0]
             assert np.array_equal(inliers, loop[1])
             if (upper_rows == 0).any():

@@ -70,30 +70,27 @@ class TestRegistry:
 
 class TestPrompts:
     def test_prefixes_identical_up_to_suffix_marker(self, menu):
-        pair = build_prompts("Five tables and a kitchen counter.", menu)
+        pair = build_prompts(menu)
         base_u, _, suffix_u = pair.understand_prompt.partition(SUFFIX_MARKER)
         base_r, _, suffix_r = pair.respond_prompt.partition(SUFFIX_MARKER)
         assert base_u == base_r
         assert suffix_u != suffix_r
 
     def test_base_lists_all_representations(self, menu):
-        pair = build_prompts("env", menu)
+        pair = build_prompts(menu)
         base = pair.understand_prompt.partition(SUFFIX_MARKER)[0]
         for k, name in enumerate(REGISTRY, start=1):
             assert f"{k}. {name}(" in base
 
     def test_menu_in_base(self, menu):
-        pair = build_prompts("env", menu)
+        pair = build_prompts(menu)
         assert "cola - a chilled cola" in pair.respond_prompt
 
-    def test_empty_environment_rejected(self, menu):
-        with pytest.raises(ValueError):
-            build_prompts("   ", menu)
-
-    @given(st.text(min_size=1).filter(str.strip))
+    @given(st.lists(st.tuples(st.text(min_size=1).filter(str.strip), st.text()), min_size=1,
+                    unique_by=lambda item: item[0].strip().casefold()))
     @settings(max_examples=100)
-    def test_prefix_equality_for_any_environment(self, env_text):
-        pair = build_prompts(env_text, Menu([MenuItem("cola", "a chilled cola")]))
+    def test_prefix_equality_for_any_menu(self, items):
+        pair = build_prompts(Menu([MenuItem(name, description) for name, description in items]))
         base_u = pair.understand_prompt.partition(SUFFIX_MARKER)[0]
         base_r = pair.respond_prompt.partition(SUFFIX_MARKER)[0]
         assert base_u == base_r
