@@ -2,7 +2,7 @@
 
 Subcommands: `map build`, `map dump`, `nav-goal`, `place`, `run`, `repl`,
 `metrics diff`.  Exit codes: 0 success, 1 domain errors (no goal, no space,
-unreachable, metrics mismatch), 2 usage or input-parse errors.
+unreachable, metrics mismatch), 2 usage, input-parse or output-write errors.
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ def _load(path: str, kind: str, parse, error: type[Exception]):
         raise CliError(f"bad {kind} {path}: {e}", USAGE_EXIT) from None
 
 
+def _write(path: str, kind: str, text: str) -> None:
+    """Write `text` to `path`; a write failure exits 2 naming the file."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CliError(f"cannot write {kind} {path}: {e}", USAGE_EXIT) from None
+
+
 def cmd_map_build(args) -> int:
     _load(args.grid, "grid", load_grid, GridFormatError)  # validates geometry early
     log = _load(args.detections, "detection log", json.loads, json.JSONDecodeError)
@@ -67,7 +75,7 @@ def cmd_map_build(args) -> int:
             raise CliError(f"kitchen id {args.kitchen!r} not in the layer", DOMAIN_EXIT) from None
     text = dump_layers(layer)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, "layer dump", text)
         print(f"wrote {args.out} ({len(layer.instances())} instances)")
     else:
         print(text, end="")
@@ -139,9 +147,9 @@ def _simulation(args) -> Simulation:
 def cmd_run(args) -> int:
     metrics, log = _simulation(args).run()
     if args.log:
-        Path(args.log).write_text("\n".join(log) + "\n")
+        _write(args.log, "log", "\n".join(log) + "\n")
     if args.metrics_out:
-        Path(args.metrics_out).write_text(json.dumps(metrics.to_dict(), indent=2) + "\n")
+        _write(args.metrics_out, "metrics file", json.dumps(metrics.to_dict(), indent=2) + "\n")
     print(metrics.render())
     return 0
 

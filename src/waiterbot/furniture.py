@@ -235,21 +235,24 @@ class FurnitureLayer:
         self.kitchen_id = instance_id
 
     def virtual_obstacles(self, grid: GridMap) -> GridMap:
-        """Copy of `grid` with every cell center inside a footprint set OCCUPIED."""
+        """Copy of `grid` with every cell center inside a footprint set OCCUPIED.
+
+        Each footprint is tested over the cells of its bounding window, widened
+        by one cell and clipped to the map.  All windows are padded to the
+        largest one and tested in one broadcast, each against its own polygon;
+        the padding, and a window that misses the map, mark nothing.
+        """
         cells = grid.cells.copy()
         res, (ox, oy) = grid.resolution, grid.origin
-        for inst in self.instances():
-            poly = inst.footprint()
-            xs = [p[0] for p in poly]
-            ys = [p[1] for p in poly]
-            c0 = max(0, math.floor((min(xs) - ox) / res) - 1)
-            r0 = max(0, math.floor((min(ys) - oy) / res) - 1)
-            c1 = min(grid.width - 1, math.floor((max(xs) - ox) / res) + 1)
-            r1 = min(grid.height - 1, math.floor((max(ys) - oy) / res) + 1)
-            if c0 > c1 or r0 > r1:
-                continue  # footprint window misses the map
-            cx = ox + (np.arange(c0, c1 + 1) + 0.5) * res
-            cy = oy + (np.arange(r0, r1 + 1) + 0.5) * res
-            inside = point_in_convex_polygon((cx[None, :], cy[:, None]), poly)
-            cells[r0 : r1 + 1, c0 : c1 + 1][inside] = CellState.OCCUPIED
+        corners = np.array([inst.footprint() for inst in self.instances()]).reshape(-1, 4, 2)
+        lo = np.floor((corners.min(axis=1) - (ox, oy)) / res).astype(np.int64) - 1
+        hi = np.floor((corners.max(axis=1) - (ox, oy)) / res).astype(np.int64) + 1
+        c0, r0 = np.maximum(lo, 0).T[:, :, None, None]
+        c1, r1 = np.minimum(hi, (grid.width - 1, grid.height - 1)).T[:, :, None, None]
+        cols = c0 + np.arange(np.max(c1 - c0, initial=-1) + 1)  # (n, 1, window width)
+        rows = r0 + np.arange(np.max(r1 - r0, initial=-1) + 1)[:, None]  # (n, window height, 1)
+        poly = [(corners[:, k, 0, None, None], corners[:, k, 1, None, None]) for k in range(4)]
+        inside = point_in_convex_polygon((ox + (cols + 0.5) * res, oy + (rows + 0.5) * res), poly)
+        inside &= (cols <= c1) & (rows <= r1)
+        cells.reshape(-1)[(rows * grid.width + cols)[inside]] = CellState.OCCUPIED
         return grid.with_cells(cells)

@@ -17,7 +17,6 @@ from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 RISK_MAX = 100
 
@@ -133,15 +132,26 @@ class RiskField:
 
 
 def inflate(grid: GridMap, radius: float) -> RiskField:
-    """Risk field with 100 within `radius` of any OCCUPIED/UNKNOWN cell center."""
+    """Risk field with 100 within `radius` of any OCCUPIED/UNKNOWN cell center.
+
+    The dilation ORs, per offset of the disc, the view of the occupancy
+    (padded with `reach` free cells on each side) shifted by that offset.  The
+    disc is symmetric and the border free, so this equals
+    `scipy.ndimage.binary_dilation(occupied, structure=disc)` cell for cell.
+    """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     # the cell offsets whose center-to-center distance is <= radius
     reach = math.floor(radius / grid.resolution) + 1
     d = np.arange(-reach, reach + 1) * grid.resolution
     disc = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) <= radius
-    hit = ndimage.binary_dilation(grid.cells != CellState.FREE, structure=disc)
-    risk = np.where(hit, RISK_MAX, 0).astype(np.int64)
+    h, w = grid.cells.shape
+    occupied = np.zeros((h + 2 * reach, w + 2 * reach), dtype=bool)
+    occupied[reach : reach + h, reach : reach + w] = grid.cells != CellState.FREE
+    hit = np.zeros((h, w), dtype=bool)
+    for dr, dc in zip(*np.nonzero(disc)):
+        hit |= occupied[dr : dr + h, dc : dc + w]
+    risk = np.multiply(hit, RISK_MAX, dtype=np.int64)
     return RiskField(grid.resolution, grid.origin, risk)
 
 

@@ -422,6 +422,7 @@ class Simulation:
         self.faults: list[Fault] = []  # armed and not yet fired
         self.t = 0.0
         self._risk: RiskField | None = None
+        self._paths: dict[tuple[CellIndex, CellIndex], list[CellIndex]] = {}  # planned on `_risk`
         self._placement_count = 0
 
     # --- logging ---------------------------------------------------------
@@ -438,6 +439,22 @@ class Simulation:
                                  self.scenario.nav_params.robot_radius)
         return self._risk
 
+    def _plan(self, risk: RiskField, start: CellIndex, goal: CellIndex) -> list[CellIndex]:
+        """`plan_path(risk, start, goal)`, run once per endpoint pair and map.
+
+        A pair planned on this map returns its stored path, and its reverse
+        pair that path reversed.  Moves and costs are symmetric (a diagonal
+        needs only its target cell free), so the reverse of an optimal path is
+        optimal, and every optimal path has the same straight and diagonal step
+        counts (see `plan_path`): the logged steps cannot change.
+        """
+        path = self._paths.get((start, goal))
+        if path is None:
+            back = self._paths.get((goal, start))
+            path = back[::-1] if back is not None else plan_path(risk, start, goal)
+            self._paths[start, goal] = path
+        return path
+
     def _apply_detections(self, ev: DetectionFrame) -> None:
         results = self.layer.track_frame(ev.boxes)
         if self.layer.kitchen_id is None:
@@ -446,6 +463,7 @@ class Simulation:
             except FurnitureNotFound:
                 pass
         self._risk = None
+        self._paths.clear()
         self._log(
             "detections",
             frame=ev.frame,
@@ -508,7 +526,7 @@ class Simulation:
         risk = self._ensure_risk()
         try:
             goal = select_goal(risk, target, self.robot_pose, self.scenario.nav_params)
-            path = plan_path(risk, self.robot_cell, goal.cell)
+            path = self._plan(risk, self.robot_cell, goal.cell)
         except (NoGoalError, PathError) as e:
             return failed(str(e))
         violations = sum(1 for c in path if risk.at(c) >= RISK_MAX)

@@ -557,6 +557,20 @@ def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("argv,kind", [
+    (["run", "--scenario", SCENARIOS / "restaurant_41.json", "--log"], "log"),
+    (["run", "--scenario", SCENARIOS / "restaurant_41.json", "--metrics-out"], "metrics file"),
+    (["map", "build", "--grid", SCENARIOS / "restaurant.grid",
+      "--detections", SCENARIOS / "six_tables.json", "--out"], "layer dump"),
+], ids=["run --log", "run --metrics-out", "map build --out"])
+def test_unwritable_output_exits_2_naming_it(capsys, tmp_path, argv, kind):
+    target = tmp_path / "no_such_dir" / "out.txt"
+    code, out, err = run_cli(capsys, [*argv, target])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {kind} {target}: ")
+    assert not target.parent.exists()
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "waiterbot", "run", "--scenario",

@@ -100,10 +100,20 @@ class TestInflate:
             assert (prev <= cur).all()
             prev = cur
 
-    @pytest.mark.parametrize("size,density,seed", [(8, 0.2, 0), (16, 0.1, 1), (32, 0.05, 2)])
+    @pytest.mark.parametrize("size,density,seed", [
+        (8, 0.2, 0), (16, 0.1, 1), (32, 0.05, 2),
+        # one row, one column, not square; and a 3 x 2 grid, which the reach
+        # of the larger radii (up to 5 cells) exceeds in both directions
+        pytest.param((1, 13), 0.3, 3, id="1x13"),
+        pytest.param((13, 1), 0.3, 4, id="13x1"),
+        pytest.param((7, 19), 0.15, 5, id="7x19"),
+        pytest.param((3, 2), 0.3, 7, id="3x2"),
+    ])
     def test_matches_naive_all_pairs(self, size, density, seed):
+        """`size` is a square side or a (height, width) pair."""
+        shape = (size, size) if isinstance(size, int) else size
         rng = np.random.default_rng(seed)
-        m = GridMap(0.05, (0, 0), (rng.random((size, size)) < density).astype(np.uint8))
+        m = GridMap(0.05, (0, 0), (rng.random(shape) < density).astype(np.uint8))
         for cells in range(5):
             radius = cells * m.resolution
             assert np.array_equal(inflate(m, radius).risk, naive_inflate(m, radius))

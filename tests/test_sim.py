@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_cells, path_cost, relaxation_path_cost
+from waiterbot import sim as sim_module
 from waiterbot.cli import dispatch
+from waiterbot.furniture import detections_from_json
 from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, inflate
 from waiterbot.sim import (
+    DetectionFrame,
     Metrics,
     PathError,
     RunConfig,
@@ -133,6 +136,40 @@ def test_plan_path_is_optimal_on_random_grids(density):
             path = plan_path(risk, start, goal)
             check_path(risk, path, start, goal)
             assert path_cost(path) == pytest.approx(expected, abs=1e-9)
+
+
+def step_split(path):
+    """(straight, diagonal) step counts of a cell path."""
+    diagonal = sum(1 for a, b in zip(path, path[1:]) if a.col != b.col and a.row != b.row)
+    return len(path) - 1 - diagonal, diagonal
+
+
+@st.composite
+def grid_and_endpoints(draw):
+    w, h = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    draws = draw(st.lists(st.integers(0, 3), min_size=w * h, max_size=w * h))
+    cells = (np.array(draws).reshape(h, w) == 0).astype(np.uint8) * CellState.OCCUPIED  # about 1 in 4
+    a, b = (CellIndex(draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))) for _ in range(2))
+    cells[a.row, a.col] = cells[b.row, b.col] = CellState.FREE
+    return inflate(GridMap(0.1, (0.0, 0.0), cells), 0.0), a, b
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grid_and_endpoints())
+def test_reversed_path_is_an_optimal_path_back(case):
+    """What the simulator's route store relies on: from b to a the search finds the
+    same straight and diagonal counts as from a to b, and the reverse of the a-to-b
+    path is a valid b-to-a path."""
+    risk, a, b = case
+    try:
+        there = plan_path(risk, a, b)
+    except PathError:
+        with pytest.raises(PathError):
+            plan_path(risk, b, a)
+        return
+    back = plan_path(risk, b, a)
+    assert step_split(back) == step_split(there)
+    check_path(risk, there[::-1], b, a)
 
 
 # the largest grid the bound is checked for: 360 x 240 cells, f-values of at most
@@ -259,6 +296,57 @@ class TestSimulatedSkills:
         assert sim.simulate_skill(SkillInvocation("place", "green tea")).ok
         assert sim.table_items["table_1"] == ["green tea"]
         assert sim.carried is None
+
+
+def first_frame():
+    doc = json.loads(SCENARIO_PATH.read_text())
+    return next(ev["boxes"] for ev in doc["events"] if ev["type"] == "detections")
+
+
+class TestRouteStore:
+    """`Simulation` runs `plan_path` once per endpoint pair and map."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def plan(risk, start, goal):
+            calls.append((start, goal))
+            return plan_path(risk, start, goal)
+
+        monkeypatch.setattr(sim_module, "plan_path", plan)
+        sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
+        sim._apply_detections(DetectionFrame(0, detections_from_json(0, first_frame())))
+        return sim, calls
+
+    @staticmethod
+    def navigate(sim, table):
+        assert sim.simulate_skill(SkillInvocation("navigate", table)).ok
+        return json.loads(sim.log[-2])  # the navigate record, before the skill record
+
+    def test_return_leg_reuses_the_outward_path(self, counted):
+        sim, calls = counted
+        at_a = self.navigate(sim, "table_1")
+        calls.clear()
+        out = self.navigate(sim, "table_4")
+        back = self.navigate(sim, "table_1")
+        assert back["cell"] == at_a["cell"]
+        assert len(calls) == 1
+        assert back["steps"] == out["steps"] > 0
+
+    def test_a_new_frame_empties_the_store(self, counted):
+        sim, calls = counted
+        self.navigate(sim, "table_1")
+        before = self.navigate(sim, "table_4")
+        self.navigate(sim, "table_1")
+        # a small table pushed into the straight corridor between the two goals
+        boxes = first_frame() + [{"class": "table", "center": [5.0, 3.7, 0.36], "dims": [0.8, 0.6, 0.72]}]
+        sim._apply_detections(DetectionFrame(1, detections_from_json(1, boxes)))
+        calls.clear()
+        after = self.navigate(sim, "table_4")
+        assert len(calls) == 1
+        assert after["cell"] == before["cell"]
+        assert after["steps"] > before["steps"]
 
 
 @pytest.fixture(scope="module")
