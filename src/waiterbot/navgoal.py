@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .furniture import FurnitureInstance
-from .geometry import Pose2D
+from .geometry import Pose2D, is_finite
 from .grid import RISK_MAX, CellIndex, RiskField, integral_image, window_sum
 
 
@@ -46,9 +46,9 @@ class NavGoalParams:
     window_half_width: float = 1.5
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.robot_radius, self.clearance, self.alpha,
-                                       self.window_half_width))):
-            raise ValueError("parameters must be finite")
+        if not all(map(is_finite, (self.robot_radius, self.clearance, self.alpha,
+                                   self.window_half_width))):
+            raise ValueError("parameters must be finite numbers")
         if min(self.robot_radius, self.clearance, self.alpha, self.window_half_width) < 0:
             raise ValueError("parameters must be non-negative")
         if self.window_half_width < self.robot_radius:

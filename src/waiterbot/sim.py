@@ -31,7 +31,7 @@ from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite
 from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, RiskField, inflate,
                    load_grid, world_to_cell)
 from .llm import Menu, RuleBackend
-from .navgoal import NavGoalParams, NoGoalError, select_goal
+from .navgoal import NavGoal, NavGoalParams, NoGoalError, candidate_points, select_candidate, select_goal
 from .placement import PlacementError, find_placement, ransac_plane
 from .semantic import HumanLayer, HumanObservation, Zone, zone_from_json
 from .tasks import (
@@ -48,6 +48,8 @@ from .tasks import (
 )
 
 FAULT_MODES = ("fail", "wrong_item")
+# `json.dumps(record, sort_keys=True)` without building an encoder per record
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class ScenarioError(Exception):
@@ -392,7 +394,13 @@ def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
 
 
 class Simulation:
-    """World state plus the skill machinery; one instance per run."""
+    """World state plus the skill machinery; one instance per run.
+
+    Navigation makes one goal search per table side and map (`_goal`) and one
+    A* run per endpoint pair and map (`_plan`).  Both stores hold results
+    computed on the current risk field only: a detection frame, the one event
+    that changes the map, empties them.
+    """
 
     def __init__(self, scenario: Scenario, config: RunConfig, backend=None):
         self.scenario = scenario
@@ -423,13 +431,14 @@ class Simulation:
         self.t = 0.0
         self._risk: RiskField | None = None
         self._paths: dict[tuple[CellIndex, CellIndex], list[CellIndex]] = {}  # planned on `_risk`
+        self._goals: dict[tuple[str, tuple[float, float]], NavGoal] = {}  # selected on `_risk`
         self._placement_count = 0
 
     # --- logging ---------------------------------------------------------
 
     def _log(self, kind: str, **payload) -> None:
         record = {"t": self.t, "event": kind, **payload}
-        self.log.append(json.dumps(record, sort_keys=True))
+        self.log.append(_encode(record))
 
     # --- map bookkeeping --------------------------------------------------
 
@@ -439,6 +448,26 @@ class Simulation:
                                  self.scenario.nav_params.robot_radius)
         return self._risk
 
+    def _goal(self, risk: RiskField, target: FurnitureInstance) -> NavGoal:
+        """`select_goal(risk, target, robot_pose, nav_params)`, run once per table
+        side and map.
+
+        The store is keyed on the table and the candidate point that
+        `select_candidate` picks for the robot pose.  It is exact because the
+        pose enters `select_goal` only through that candidate: the rest it reads
+        (the risk field, the table's instance and `nav_params`) is fixed until
+        the next detection frame, which empties the store.  A `NoGoalError` is
+        raised again on every try, never stored.  A new map layer that
+        `select_goal` comes to read (human costs, say) must empty the store
+        whenever that layer changes.
+        """
+        params = self.scenario.nav_params
+        key = (target.id, select_candidate(candidate_points(target, params), self.robot_pose))
+        goal = self._goals.get(key)
+        if goal is None:
+            goal = self._goals[key] = select_goal(risk, target, self.robot_pose, params)
+        return goal
+
     def _plan(self, risk: RiskField, start: CellIndex, goal: CellIndex) -> list[CellIndex]:
         """`plan_path(risk, start, goal)`, run once per endpoint pair and map.
 
@@ -446,7 +475,8 @@ class Simulation:
         pair that path reversed.  Moves and costs are symmetric (a diagonal
         needs only its target cell free), so the reverse of an optimal path is
         optimal, and every optimal path has the same straight and diagonal step
-        counts (see `plan_path`): the logged steps cannot change.
+        counts (see `plan_path`): the logged steps cannot change.  Like the goal
+        store of `_goal`, the path store is emptied by a detection frame.
         """
         path = self._paths.get((start, goal))
         if path is None:
@@ -464,6 +494,7 @@ class Simulation:
                 pass
         self._risk = None
         self._paths.clear()
+        self._goals.clear()
         self._log(
             "detections",
             frame=ev.frame,
@@ -525,7 +556,7 @@ class Simulation:
             return failed(f"unknown table {table_id!r}")
         risk = self._ensure_risk()
         try:
-            goal = select_goal(risk, target, self.robot_pose, self.scenario.nav_params)
+            goal = self._goal(risk, target)
             path = self._plan(risk, self.robot_cell, goal.cell)
         except (NoGoalError, PathError) as e:
             return failed(str(e))

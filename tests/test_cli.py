@@ -485,6 +485,7 @@ MALFORMED_INPUTS = {
     "blank menu name": ("run", _world_at("menu", 0, "name", value=" ")),
     "single-value robot start": ("run", _world_at("robot_start", value=[6.0])),
     "NaN robot radius": ("run", _world_at("nav_params", "robot_radius", value=float("nan"))),
+    "boolean clearance": ("run", _world_at("nav_params", "clearance", value=True)),
     "fractional RANSAC iterations": ("run", _world_at("ransac", value={"iterations": 2.5})),
     "list kitchen table": ("run", _world_at("kitchen_table", value=["table_5"])),
     "untracked kitchen table": ("run", _unknown_kitchen),

@@ -14,7 +14,9 @@ from oracles import all_cells, path_cost, relaxation_path_cost
 from waiterbot import sim as sim_module
 from waiterbot.cli import dispatch
 from waiterbot.furniture import detections_from_json
-from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, inflate
+from waiterbot.geometry import Pose2D
+from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, inflate, world_to_cell
+from waiterbot.navgoal import candidate_points, select_candidate, select_goal
 from waiterbot.sim import (
     DetectionFrame,
     Metrics,
@@ -347,6 +349,93 @@ class TestRouteStore:
         assert len(calls) == 1
         assert after["cell"] == before["cell"]
         assert after["steps"] > before["steps"]
+
+
+class TestGoalStore:
+    """`Simulation` runs `select_goal` once per table side and map."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def select(risk, target, robot_pose, params):
+            calls.append(target.id)
+            return select_goal(risk, target, robot_pose, params)
+
+        monkeypatch.setattr(sim_module, "select_goal", select)
+        sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
+        sim._apply_detections(DetectionFrame(0, detections_from_json(0, first_frame())))
+        return sim, calls
+
+    navigate = staticmethod(TestRouteStore.navigate)
+
+    def test_return_leg_reuses_the_outward_goal(self, counted):
+        sim, calls = counted
+        at_a = self.navigate(sim, "table_1")
+        self.navigate(sim, "table_4")
+        back = self.navigate(sim, "table_1")
+        assert calls == ["table_1", "table_4"]
+        assert back["cell"] == at_a["cell"] and back["cost"] == at_a["cost"]
+
+    def test_another_side_of_the_table_searches_again(self, counted):
+        sim, calls = counted
+        first = self.navigate(sim, "table_1")
+        target = sim.layer.get("table_1")
+        points = candidate_points(target, sim.scenario.nav_params)
+        side = select_candidate(points, sim.robot_pose)
+        other = next(p for p in points if p != side)
+        sim.robot_pose = Pose2D(*other, 0.0)
+        sim.robot_cell = world_to_cell(sim.scenario.grid, other)
+        calls.clear()
+        again = self.navigate(sim, "table_1")
+        assert calls == ["table_1"]
+        assert again["cell"] != first["cell"]
+
+    def test_a_new_frame_empties_the_store(self, counted):
+        sim, calls = counted
+        before = self.navigate(sim, "table_1")
+        sim._apply_detections(DetectionFrame(1, detections_from_json(1, first_frame())))
+        calls.clear()
+        after = self.navigate(sim, "table_1")
+        assert calls == ["table_1"]
+        assert after["cell"] == before["cell"]
+
+    def test_no_goal_is_never_stored(self, counted):
+        sim, calls = counted
+        # a table off the map: its candidate windows miss the grid
+        boxes = first_frame() + [{"class": "table", "center": [-5.0, -5.0, 0.36], "dims": [0.8, 0.6, 0.72]}]
+        sim._apply_detections(DetectionFrame(1, detections_from_json(1, boxes)))
+        calls.clear()
+        logged = len(sim.log)
+        for _ in range(2):
+            result = sim.simulate_skill(SkillInvocation("navigate", "table_6"))
+            assert result.reason == "candidate window misses the map"
+        assert calls == ["table_6", "table_6"]
+        assert not any('"event": "navigate"' in line for line in sim.log[logged:])
+
+
+@pytest.fixture(scope="module")
+def restaurant_risk():
+    """The restaurant_41 map after every detection frame, and its risk field."""
+    sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig())
+    sim.warm_up()
+    return sim, sim._ensure_risk()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=st.integers(0, 5), x=st.floats(0.0, 12.0), y=st.floats(0.0, 8.0),
+       theta=st.floats(-math.pi, math.pi))
+def test_goal_depends_on_the_pose_only_through_its_candidate(restaurant_risk, table, x, y, theta):
+    """The goal store's precondition: two robot poses that pick the same
+    candidate point of a table get equal goals."""
+    sim, risk = restaurant_risk
+    target = sim.layer.get(f"table_{table}")
+    params = sim.scenario.nav_params
+    pose = Pose2D(x, y, theta)
+    side = select_candidate(candidate_points(target, params), pose)
+    at_side = Pose2D(*side, 0.0)
+    assert select_candidate(candidate_points(target, params), at_side) == side
+    assert select_goal(risk, target, pose, params) == select_goal(risk, target, at_side, params)
 
 
 @pytest.fixture(scope="module")
