@@ -55,20 +55,24 @@ class MenuItem:
 
 
 class Menu:
-    """At least one item; names must be non-blank and unique after case-folding and trimming."""
+    """At least one item; names must be unique after `_normalize` and come back
+    unchanged from the `slots=item:<name>` line grammar: non-blank, with no
+    comma, no line break and no leading or trailing whitespace."""
 
     def __init__(self, items: list[MenuItem]):
         if not items:
             raise ValueError("the menu must list at least one item")
         seen = set()
         for item in items:
-            if not isinstance(item.name, str):
-                raise ValueError(f"menu item name must be a string, got {item.name!r}")
-            key = item.name.strip().casefold()
-            if not key:
-                raise ValueError(f"menu item name must not be blank, got {item.name!r}")
+            name = item.name
+            if not isinstance(name, str):
+                raise ValueError(f"menu item name must be a string, got {name!r}")
+            if name != name.strip() or "," in name or name.splitlines() != [name]:  # "" splits into no lines
+                raise ValueError(f"menu item name must be non-blank, with no comma, line break "
+                                 f"or leading or trailing whitespace, got {name!r}")
+            key = _normalize(name)
             if key in seen:
-                raise ValueError(f"duplicate menu item {item.name!r}")
+                raise ValueError(f"duplicate menu item {name!r}")
             seen.add(key)
         self.items = list(items)
 
@@ -150,7 +154,7 @@ def _match_item(normalized: str, menu: Menu) -> str | None:
     """Longest menu item appearing in the utterance; ties keep menu order."""
     best: str | None = None
     for name in menu.names():
-        if name.strip().casefold() in normalized:
+        if _normalize(name) in normalized:
             if best is None or len(name) > len(best):
                 best = name
     return best

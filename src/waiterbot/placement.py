@@ -14,14 +14,11 @@ points above an equally supported surface count as clutter on it; only a full
 tie goes to the earliest draw.
 
 Placement then rasterizes the inlier hull at 2 cm, marks cells occupied where
-off-plane points project from the band above the surface, and picks the free
-cell with the largest distance to the nearest occupied cell or hull edge.  The
-hull is taken only over the inliers an Akl-Toussaint extreme-point test cannot
-rule out (`_hull_candidates`), which gives the same hull.  The search is
-pruned on an exact bound (`_best_cell`): inside a convex hull the distance to
-the boundary is the distance to the nearest edge's supporting line, one
-product per edge, so the point-segment distances are computed only for the
-few cells within rounding of the best bound.
+off-plane points project from the band above the surface, and picks, in one
+pass over the raster (`_best_cell`), the free cell with the largest distance
+to the nearest occupied cell or hull edge.  The hull is taken only over the
+inliers an Akl-Toussaint extreme-point test cannot rule out
+(`_hull_candidates`), which gives the same hull.
 """
 
 from __future__ import annotations
@@ -51,9 +48,6 @@ RANSAC_CONFIDENCE = 0.99
 # inliers deeper than this fraction of the cloud's extent inside the eight
 # extreme points' polygon are dropped before the hull (see `_hull_candidates`)
 HULL_PREFILTER_MARGIN = 1e-6
-# cells whose clearance bound is within this fraction of the coordinate scale
-# of the best bound get the exact point-segment distance (see `_best_cell`)
-CLEARANCE_SLACK = 1e-9
 
 
 class PlacementError(Exception):
@@ -104,10 +98,15 @@ def load_cloud(text: str) -> np.ndarray:
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
+def _flip(n: np.ndarray) -> np.ndarray:
+    """Where a normal, or each row of normals, must be negated to orient it:
+    n_z < 0, or n_z = 0 and n_y < 0, or n_z = n_y = 0 and n_x < 0."""
+    nx, ny, nz = n.T
+    return (nz < 0) | ((nz == 0) & ((ny < 0) | ((ny == 0) & (nx < 0))))
+
+
 def _orient(n: np.ndarray) -> np.ndarray:
-    if n[2] < 0 or (n[2] == 0 and (n[1] < 0 or (n[1] == 0 and n[0] < 0))):
-        n = -n
-    return n + 0.0  # fold -0.0 into 0.0
+    return (-n if _flip(n) else n) + 0.0  # fold -0.0 into 0.0
 
 
 def _refit(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -172,9 +171,7 @@ def ransac_plane(cloud: np.ndarray, seed: int) -> tuple[Plane, np.ndarray]:
         dists += d
         inliers = np.abs(dists, out=dists) <= INLIER_EPS_M
         counts = np.where(degenerate, -1, inliers.sum(axis=0))
-        nx, ny, nz = n.T
-        flip = (nz < 0) | ((nz == 0) & ((ny < 0) | ((ny == 0) & (nx < 0))))  # as `_orient`
-        d = np.where(flip, -d, d)
+        d = np.where(_flip(n), -d, d)
         j = int(np.argmax(np.where(counts == counts.max(), d, -np.inf)))  # first lowest of the best
         if counts[j] >= 0 and (int(counts[j]), float(d[j])) > best:  # strict: an earlier block keeps a tie
             best = (int(counts[j]), float(d[j]))
@@ -238,62 +235,27 @@ def _raster(
     return s_lo, t_lo, occupied, in_hull, line_dist
 
 
-def _edge_dist(hull: list[tuple[float, float]], cs: np.ndarray, ct: np.ndarray) -> np.ndarray:
-    """Distance from each point (cs[i], ct[i]) to the nearest hull edge, by the
-    clipped point-segment formula.  Squares are `d * d`: Python's `d ** 2` goes
-    through libm `pow`, which can be 1 ulp off the product."""
-    dist = np.full(len(cs), np.inf)
-    for i, (ax, ay) in enumerate(hull):
-        bx, by = hull[(i + 1) % len(hull)]
-        dx, dy = bx - ax, by - ay
-        seg2 = dx * dx + dy * dy
-        tt = np.clip(((cs - ax) * dx + (ct - ay) * dy) / seg2, 0.0, 1.0)  # hull vertices are distinct
-        ex = cs - (ax + tt * dx)
-        ey = ct - (ay + tt * dy)
-        np.minimum(dist, np.sqrt(ex * ex + ey * ey), out=dist)
-    return dist
-
-
 def _best_cell(
     hull: list[tuple[float, float]], s_occ: np.ndarray, t_occ: np.ndarray, pitch: float
 ) -> tuple[float, float, float]:
     """Center (s, t) and clearance of the first cell, in row-major order, with
     the largest clearance over the raster of `_raster`.
 
-    A cell's clearance C is min(obstacle distance, `_edge_dist`) if it is free
-    and inside the hull, else -1.  C is computed only on the cells whose bound
-    B = min(obstacle distance, `line_dist`), also -1 on those other cells, is
-    at least max B - `CLEARANCE_SLACK` * M, with M the largest |coordinate| of
-    a hull vertex plus `pitch`, which bounds every cell center too.
-
-    Inside a convex polygon the distance to the boundary equals the least
-    distance to an edge's supporting line: a disc that clears every line lies
-    in every half-plane.  So B and C differ by rounding only.  Each is a few
-    differences, products, one quotient and one square root of values below
-    2M, so each is within about 10u M of its exact value (u = 2**-53), and
-    |B - C| <= e with e far below 1e-14 M, while the slack is 1e-9 M.  Let C*
-    be the largest C.  A cell with C = C* has B >= C* - e >= max B - 2e, so
-    every cell that ties C* is kept, and the first kept cell with C = C* is the
-    first such cell overall.  On a raster with no free cell inside the hull
-    every cell is kept, and the first cell wins with C = -1.
+    A free cell inside the hull has clearance min(obstacle distance,
+    `line_dist`); every other cell has -1, so on a raster with no free cell
+    inside the hull the first cell wins with -1.  Inside a convex polygon the
+    distance to the boundary equals the least distance to an edge's supporting
+    line: a disc that clears every line lies in every half-plane.
     """
     s_lo, t_lo, occupied, in_hull, line_dist = _raster(hull, s_occ, t_occ, pitch)
     if occupied.any():
         obstacle_dist = ndimage.distance_transform_edt(~occupied) * pitch
     else:
         obstacle_dist = np.full(occupied.shape, np.inf)
-    blocked = ~in_hull | occupied
-    bound = np.minimum(obstacle_dist, line_dist)
-    bound[blocked] = -1.0
-    scale = max(abs(v) for p in hull for v in p) + pitch
-    cells = np.flatnonzero(bound >= bound.max() - CLEARANCE_SLACK * scale)  # in row-major order
-    rows, cols = np.divmod(cells, occupied.shape[1])
-    cs = s_lo + (cols + 0.5) * pitch
-    ct = t_lo + (rows + 0.5) * pitch
-    clearance = np.minimum(obstacle_dist.ravel()[cells], _edge_dist(hull, cs, ct))
-    clearance[blocked.ravel()[cells]] = -1.0
-    k = int(np.argmax(clearance))  # first maximum
-    return float(cs[k]), float(ct[k]), float(clearance[k])
+    clearance = np.minimum(obstacle_dist, line_dist)
+    clearance[~in_hull | occupied] = -1.0
+    row, col = divmod(int(np.argmax(clearance)), occupied.shape[1])  # first maximum
+    return s_lo + (col + 0.5) * pitch, t_lo + (row + 0.5) * pitch, float(clearance[row, col])
 
 
 def _hull_candidates(s: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .furniture import Detection3D, FurnitureInstance, FurnitureLayer, FurnitureNotFound, detections_from_json
 from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite
-from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, RiskField, inflate,
-                   load_grid, world_to_cell)
+from .grid import (RISK_MAX, BoundsError, CellIndex, CellState, GridFormatError, GridMap, RiskField,
+                   inflate, load_grid, world_to_cell)
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoal, NavGoalParams, NoGoalError, candidate_points, select_candidate, select_goal
 from .placement import PlacementError, find_placement, ransac_plane
@@ -192,9 +192,11 @@ def _robot_start(grid: GridMap, rs) -> Pose2D:
         raise ValueError(f"must be 2 or 3 finite numbers, got {rs!r}")
     pose = Pose2D(*finite_tuple(rs, len(rs), "robot_start"))
     try:
-        world_to_cell(grid, (pose.x, pose.y))
+        c = world_to_cell(grid, (pose.x, pose.y))
     except BoundsError:
         raise ValueError(f"{rs!r} lies outside the grid") from None
+    if grid.cells[c.row, c.col] != CellState.FREE:
+        raise ValueError(f"{rs!r} lies in a cell that is not free")
     return pose
 
 

@@ -2,19 +2,17 @@
 
 Everything in here is deliberately naive (plain loops, no acceleration
 structures, no scipy) so the production code is validated against an
-independent route.  The one exception is `full_raster_best_cell`, which
-shares the obstacle EDT with the pruned search it checks.
+independent route.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import ndimage
 
 from waiterbot import placement
 from waiterbot.furniture import IOU_MATCH_THRESHOLD
-from waiterbot.geometry import Pose2D, iou_3d, point_in_convex_polygon
+from waiterbot.geometry import Pose2D, iou_3d
 from waiterbot.grid import RISK_MAX, BoundsError, CellIndex, CellState
 from waiterbot.navgoal import NavGoal, NoGoalError, candidate_points, select_candidate
 from waiterbot.placement import (
@@ -273,42 +271,6 @@ def scalar_raster(hull, s_occ, t_occ, pitch: float):
                 in_hull[row, col] = True
                 edge_dist[row, col] = point_polygon_edge_distance((cs, ct), hull)
     return s_lo, t_lo, occupied, in_hull, edge_dist
-
-
-def full_raster_best_cell(hull, s_occ, t_occ, pitch: float) -> tuple[float, float, float]:
-    """`placement._best_cell` with the point-segment distance on every cell of
-    the raster, then the row-major argmax of the clearance."""
-    s_lo, t_lo = min(p[0] for p in hull), min(p[1] for p in hull)
-    n_cols = max(1, math.ceil((max(p[0] for p in hull) - s_lo) / pitch))
-    n_rows = max(1, math.ceil((max(p[1] for p in hull) - t_lo) / pitch))
-
-    occupied = np.zeros((n_rows, n_cols), dtype=bool)
-    cols = np.floor((s_occ - s_lo) / pitch)
-    rows = np.floor((t_occ - t_lo) / pitch)
-    keep = (cols >= 0) & (cols < n_cols) & (rows >= 0) & (rows < n_rows)
-    occupied[rows[keep].astype(np.intp), cols[keep].astype(np.intp)] = True
-
-    cs = (s_lo + (np.arange(n_cols) + 0.5) * pitch)[None, :]
-    ct = (t_lo + (np.arange(n_rows) + 0.5) * pitch)[:, None]
-    in_hull = point_in_convex_polygon((cs, ct), hull)
-    edge_dist = np.full((n_rows, n_cols), np.inf)
-    for i, (ax, ay) in enumerate(hull):
-        bx, by = hull[(i + 1) % len(hull)]
-        dx, dy = bx - ax, by - ay
-        seg2 = dx * dx + dy * dy
-        tt = np.clip(((cs - ax) * dx + (ct - ay) * dy) / seg2, 0.0, 1.0)
-        ex = cs - (ax + tt * dx)
-        ey = ct - (ay + tt * dy)
-        np.minimum(edge_dist, np.sqrt(ex * ex + ey * ey), out=edge_dist)
-
-    if occupied.any():
-        obstacle_dist = ndimage.distance_transform_edt(~occupied) * pitch
-    else:
-        obstacle_dist = np.full(occupied.shape, np.inf)
-    clearance = np.minimum(obstacle_dist, edge_dist)
-    clearance[~in_hull | occupied] = -1.0
-    row, col = divmod(int(np.argmax(clearance)), n_cols)
-    return s_lo + (col + 0.5) * pitch, t_lo + (row + 0.5) * pitch, float(clearance[row, col])
 
 
 def loop_ransac_plane(cloud, seed):

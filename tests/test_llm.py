@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import StubTransport
 from waiterbot import llm
@@ -31,8 +33,25 @@ def menu():
 
 class TestMenu:
     def test_duplicate_after_normalization_rejected(self):
-        with pytest.raises(ValueError):
-            Menu([MenuItem("Cola", ""), MenuItem(" cola ", "")])
+        with pytest.raises(ValueError, match="duplicate"):
+            Menu([MenuItem("Cola", ""), MenuItem("cola", "")])
+        with pytest.raises(ValueError, match="duplicate"):
+            Menu([MenuItem("chef’s salad", ""), MenuItem("Chef's salad", "")])
+
+    @pytest.mark.parametrize("name", ["fish, chips", "fish\nchips", "fish\u2028chips", " cola", "cola\t"])
+    def test_name_the_line_grammar_would_change_rejected(self, name):
+        with pytest.raises(ValueError, match="no comma"):
+            Menu([MenuItem(name, "")])
+
+    @given(st.text(min_size=1))
+    @settings(derandomize=True, max_examples=300)
+    def test_every_accepted_name_survives_the_line(self, name):
+        try:
+            Menu([MenuItem(name, "")])
+        except ValueError:
+            assume(False)
+        parsed = ParsedTask("serve_order", {"item": name}, 1.0)
+        assert parse_understand_line(format_understand_line(parsed)) == parsed
 
     def test_description_text_lists_items(self, menu):
         text = menu.description_text()
@@ -70,6 +89,11 @@ class TestRuleParse:
     def test_unicode_apostrophe_normalized(self, menu):
         parsed = rule_parse("I’d like a cola", menu)
         assert parsed.name == "serve_order"
+
+    def test_typographic_apostrophe_in_item_name(self):
+        menu = Menu([MenuItem("chef’s salad", ""), MenuItem("cola", "")])
+        for text in ("bring me chef’s salad", "bring me chef's salad"):
+            assert rule_parse(text, menu) == ParsedTask("serve_order", {"item": "chef’s salad"}, 1.0)
 
     def test_total_over_arbitrary_text(self, menu):
         for text in ("", "???", "br1ng c0la", "   "):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import oracles
 from helpers import save_cloud, table
@@ -323,11 +324,12 @@ class TestArrayCodeMatchesLoops:
             assert fast.tobytes() == slow.tobytes()
 
     def test_raster_and_point_match_scalar_loop(self, monkeypatch):
-        vectorised = placement._raster
+        vectorised, one_pass = placement._raster, placement._best_cell
         cells = 0
+        slow = None
 
         def checked(hull, s_occ, t_occ, pitch):
-            nonlocal cells
+            nonlocal cells, slow
             fast = vectorised(hull, s_occ, t_occ, pitch)
             slow = oracles.scalar_raster(hull, s_occ, t_occ, pitch)
             assert fast[:2] == slow[:2]
@@ -337,15 +339,31 @@ class TestArrayCodeMatchesLoops:
             cells += fast[2].size
             return fast
 
+        def best_is_largest(hull, s_occ, t_occ, pitch):
+            # the chosen cell's clearance, with the point-segment distance,
+            # is within rounding of the largest over all free cells in the hull
+            cs, ct, clearance = one_pass(hull, s_occ, t_occ, pitch)
+            s_lo, t_lo, occupied, in_hull, edge_dist = slow
+            if occupied.any():
+                exact = np.minimum(ndimage.distance_transform_edt(~occupied) * pitch, edge_dist)
+            else:
+                exact = edge_dist.copy()
+            exact[~in_hull | occupied] = -1.0
+            n_rows, n_cols = occupied.shape
+            (col,) = np.flatnonzero(s_lo + (np.arange(n_cols) + 0.5) * pitch == cs)
+            (row,) = np.flatnonzero(t_lo + (np.arange(n_rows) + 0.5) * pitch == ct)
+            assert abs(clearance - exact[row, col]) <= 1e-12
+            assert exact[row, col] >= exact.max() - 1e-12
+            return cs, ct, clearance
+
         outcomes = Counter()
         for cloud, radius, seed in placement_cases():
             plane, inliers = ransac_plane(cloud, seed)
             monkeypatch.setattr(placement, "_raster", checked)
-            pruned = placed(cloud, plane, inliers, radius)
-            monkeypatch.setattr(placement, "_best_cell", oracles.full_raster_best_cell)
-            assert placed(cloud, plane, inliers, radius) == pruned  # bit-equal point or same message
+            monkeypatch.setattr(placement, "_best_cell", best_is_largest)
+            result = placed(cloud, plane, inliers, radius)
             monkeypatch.undo()
-            outcomes[pruned if isinstance(pruned, str) and "-1.000" in pruned else type(pruned).__name__] += 1
+            outcomes[result if isinstance(result, str) and "-1.000" in result else type(result).__name__] += 1
         assert cells > 100_000
         assert outcomes["tuple"] > 50 and outcomes["str"] > 10
         assert outcomes["best clearance -1.000 m below required 0.070 m"] > 10
