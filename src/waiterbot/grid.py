@@ -131,28 +131,44 @@ class RiskField:
         return int(self.risk[c.row, c.col])
 
 
+def _disc(resolution: float, radius: float) -> tuple[int, list[tuple[int, int]]]:
+    """`reach`, and the offsets (dr, dc), each in 0..2 reach, of the cells whose
+    center lies within `radius` of the center of cell (reach, reach)."""
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    reach = math.floor(radius / resolution) + 1
+    d = [k * resolution for k in range(-reach, reach + 1)]
+    return reach, [(i, j) for i, y in enumerate(d) for j, x in enumerate(d) if math.sqrt(y * y + x * x) <= radius]
+
+
 def inflate(grid: GridMap, radius: float) -> RiskField:
     """Risk field with 100 within `radius` of any OCCUPIED/UNKNOWN cell center.
 
     The dilation ORs, per offset of the disc, the view of the occupancy
     (padded with `reach` free cells on each side) shifted by that offset.  The
     disc is symmetric and the border free, so this equals
-    `scipy.ndimage.binary_dilation(occupied, structure=disc)` cell for cell.
+    `scipy.ndimage.binary_dilation` of the occupancy by the disc, cell for cell.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    # the cell offsets whose center-to-center distance is <= radius
-    reach = math.floor(radius / grid.resolution) + 1
-    d = np.arange(-reach, reach + 1) * grid.resolution
-    disc = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) <= radius
+    reach, disc = _disc(grid.resolution, radius)
     h, w = grid.cells.shape
     occupied = np.zeros((h + 2 * reach, w + 2 * reach), dtype=bool)
     occupied[reach : reach + h, reach : reach + w] = grid.cells != CellState.FREE
     hit = np.zeros((h, w), dtype=bool)
-    for dr, dc in zip(*np.nonzero(disc)):
+    for dr, dc in disc:
         hit |= occupied[dr : dr + h, dc : dc + w]
     risk = np.multiply(hit, RISK_MAX, dtype=np.int64)
     return RiskField(grid.resolution, grid.origin, risk)
+
+
+def cell_risk(grid: GridMap, c: CellIndex, radius: float) -> int:
+    """`inflate(grid, radius).at(c)`, read from the cells of the disc around `c` only."""
+    reach, disc = _disc(grid.resolution, radius)
+    (h, w), free = grid.cells.shape, CellState.FREE.value  # a numpy scalar compares slowly with an IntEnum
+    for dr, dc in disc:
+        row, col = c.row + dr - reach, c.col + dc - reach
+        if 0 <= row < h and 0 <= col < w and grid.cells[row, col] != free:
+            return RISK_MAX
+    return 0
 
 
 def window_sum(sat: np.ndarray, col, row, r: int):

@@ -4,7 +4,10 @@ Two interchangeable backends: `RuleBackend` (deterministic pattern table, no
 network) and `RemoteBackend` (OpenAI-style chat-completions endpoint, reached
 through `HttpTransport` or any object with the same `post` method).  All parse
 output flows through one line grammar, `task=<name>; slots=<k:v,...>`, so the
-remote and rule paths are drop-in replacements for each other.
+remote and rule paths are drop-in replacements for each other.  Each backend
+states in its class constant `BLOCKING` whether its calls wait on something
+outside the process; the pipeline reads it to decide whether respond needs a
+thread of its own.
 """
 
 from __future__ import annotations
@@ -218,6 +221,8 @@ def parse_understand_line(text: str) -> "ParsedTask":
 class RuleBackend:
     """Offline backend; understanding and responses from fixed rules."""
 
+    BLOCKING = False  # answers in microseconds, in-process
+
     def __init__(self, menu: Menu):
         self.menu = menu
 
@@ -244,6 +249,8 @@ class RuleBackend:
 
 class RemoteBackend:
     """Chat-completions backend built on a prompt pair with a shared base."""
+
+    BLOCKING = True  # each call waits on the endpoint
 
     def __init__(self, endpoint: str, model: str, prompts, transport=None):
         self.endpoint = endpoint

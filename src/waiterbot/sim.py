@@ -28,7 +28,7 @@ import numpy as np
 
 from .furniture import Detection3D, FurnitureInstance, FurnitureLayer, FurnitureNotFound, detections_from_json
 from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite
-from .grid import (RISK_MAX, BoundsError, CellIndex, CellState, GridFormatError, GridMap, RiskField,
+from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, RiskField, cell_risk,
                    inflate, load_grid, world_to_cell)
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoal, NavGoalParams, NoGoalError, candidate_points, select_candidate, select_goal
@@ -192,11 +192,9 @@ def _robot_start(grid: GridMap, rs) -> Pose2D:
         raise ValueError(f"must be 2 or 3 finite numbers, got {rs!r}")
     pose = Pose2D(*finite_tuple(rs, len(rs), "robot_start"))
     try:
-        c = world_to_cell(grid, (pose.x, pose.y))
+        world_to_cell(grid, (pose.x, pose.y))
     except BoundsError:
         raise ValueError(f"{rs!r} lies outside the grid") from None
-    if grid.cells[c.row, c.col] != CellState.FREE:
-        raise ValueError(f"{rs!r} lies in a cell that is not free")
     return pose
 
 
@@ -266,6 +264,12 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     )
     if world:
         raise ScenarioError(f"world.{next(iter(world))}: unknown key")
+    # a start inside the static risk region would abandon every call; only the
+    # disc around the start cell is read, not a whole inflated map
+    start, radius = settings["robot_start"], settings["nav_params"].robot_radius
+    if cell_risk(grid, world_to_cell(grid, (start.x, start.y)), radius):
+        raise ScenarioError(f"world.robot_start: ({start.x!r}, {start.y!r}) lies within "
+                            f"robot_radius {radius!r} m of a cell that is not free")
     return Scenario(**settings, events=_events(events))
 
 

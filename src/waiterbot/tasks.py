@@ -4,10 +4,10 @@ A task representation is a named, fixed skill sequence with slot parameters
 and optional per-skill recovery splices; the four of them (serving, cleaning,
 menu, chat) are fixed in the read-only `REGISTRY`.  The pipeline turns an
 utterance into a parsed task and a spoken response, either in parallel
-(response never sees the parse) or sequentially (response is conditioned on
-the parse).  The executor runs skills in order; a failed skill with a
-recovery entry emits a help request and splices the replacement subsequence
-instead of aborting.
+(response never sees the parse; it gets a thread of its own only over a
+backend that blocks) or sequentially (response is conditioned on the parse).
+The executor runs skills in order; a failed skill with a recovery entry emits
+a help request and splices the replacement subsequence instead of aborting.
 """
 
 from __future__ import annotations
@@ -256,8 +256,13 @@ def render_trace(outcome: TaskOutcome) -> str:
 class Pipeline:
     """Understand + respond over one backend, in parallel or sequentially.
 
-    In parallel mode `respond` runs on one worker thread, started by the first
-    `handle` and kept until `close`, while `understand` runs on the caller's."""
+    In parallel mode respond gets the utterance only, never the parse, and has
+    finished before `handle` returns.  Over a backend whose calls block (its
+    `BLOCKING` is true, or it does not say), respond runs on one worker thread,
+    started by the first `handle` and kept until `close`, while understand runs
+    on the caller's: the two waits overlap.  Over a backend that says it does
+    not block, there is no wait to hide, so both run on the caller's thread,
+    respond first; a thread hand-off would cost more than the calls."""
 
     def __init__(self, menu: Menu, backend, mode: str = "parallel"):
         if mode not in ("parallel", "sequential"):
@@ -287,6 +292,9 @@ class Pipeline:
             parsed = self._understand(utterance)
             return parsed, self._respond(utterance, parsed)
         # parallel: the respond branch gets the utterance only, never the parse
+        if not getattr(self.backend, "BLOCKING", True):
+            response = self._respond(utterance, None)
+            return self._understand(utterance), response
         with self._lock:  # one worker, however many threads call handle
             if self._worker is None:
                 self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="respond")

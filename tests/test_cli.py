@@ -486,6 +486,7 @@ MALFORMED_INPUTS = {
     "comma in menu name": ("run", _world_at("menu", 0, "name", value="fish, chips")),
     "line break in menu name": ("run", _world_at("menu", 0, "name", value="fish\nchips")),
     "robot start on a wall": ("run", _world_at("robot_start", value=[0.02, 0.02])),
+    "robot start within robot_radius of a wall": ("run", _world_at("robot_start", value=[0.15, 0.15])),
     "single-value robot start": ("run", _world_at("robot_start", value=[6.0])),
     "NaN robot radius": ("run", _world_at("nav_params", "robot_radius", value=float("nan"))),
     "boolean clearance": ("run", _world_at("nav_params", "clearance", value=True)),

@@ -10,6 +10,7 @@ from waiterbot.grid import (
     CellState,
     GridFormatError,
     GridMap,
+    cell_risk,
     inflate,
     integral_image,
     load_grid,
@@ -117,6 +118,14 @@ class TestInflate:
         for cells in range(5):
             radius = cells * m.resolution
             assert np.array_equal(inflate(m, radius).risk, naive_inflate(m, radius))
+
+    @pytest.mark.parametrize("shape,seed", [((16, 16), 1), ((3, 2), 7), ((7, 19), 5)])
+    def test_cell_risk_is_inflate_at_every_cell(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        m = GridMap(0.05, (0, 0), (rng.random(shape) < 0.1).astype(np.uint8) * rng.integers(1, 3, shape))
+        for radius in (0.0, 0.05, 0.12, 0.25):
+            field = inflate(m, radius)
+            assert all(cell_risk(m, c, radius) == field.at(c) for c in all_cells(m))
 
 
 class TestNeighborhoodCost:

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -236,6 +238,49 @@ class TestRemoteBackendIntegration:
         # sequential mode feeds the parse into the respond request
         assert "task=serve_order; slots=item:cola" in bodies[1]["messages"][1]["content"]
         assert bodies[0]["model"] == "demo"
+
+    def test_parallel_respond_completes_while_understand_is_held(self, menu):
+        from waiterbot.llm import RemoteBackend
+        from waiterbot.tasks import Pipeline, build_prompts
+
+        prompts = build_prompts(menu)
+
+        class LatchedTransport(StubTransport):
+            """Holds the understand request on a latch; answers respond only
+            once understand is in flight, so the two must overlap."""
+
+            def __init__(self):
+                super().__init__([])
+                self.understanding = threading.Event()
+                self.latch = threading.Event()
+                self.responded = threading.Event()
+
+            def post(self, url, headers, body, timeout):
+                self.requests.append({"url": url, "headers": headers, "body": body})
+                if body["messages"][0]["content"] == prompts.understand_prompt:
+                    self.understanding.set()
+                    assert self.latch.wait(timeout=10)
+                    return self.reply("task=serve_order; slots=item:cola")
+                assert self.understanding.wait(timeout=10)
+                self.responded.set()
+                return self.reply("One moment, please.")
+
+        stub = LatchedTransport()
+        pipe = Pipeline(menu, RemoteBackend(ENDPOINT, MODEL, prompts, transport=stub), mode="parallel")
+        out = {}
+        caller = threading.Thread(target=lambda: out.setdefault("r", pipe.handle("bring me a cola")))
+        caller.start()
+        try:
+            assert stub.responded.wait(timeout=10)
+            assert not stub.latch.is_set()  # respond finished while understand was held
+        finally:
+            stub.latch.set()
+            caller.join(timeout=10)
+            pipe.close()
+        assert out["r"] == (ParsedTask("serve_order", {"item": "cola"}, 1.0), "One moment, please.")
+        respond_body = next(r["body"] for r in stub.requests
+                            if r["body"]["messages"][0]["content"] == prompts.respond_prompt)
+        assert respond_body["messages"][1]["content"] == "bring me a cola"  # no [understood: ...]
 
     def test_understand_failure_falls_back_to_rules(self, menu, sleeps):
         from waiterbot.llm import RemoteBackend

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,20 @@ def test_replay_log_bytes_are_pinned(mode, tmp_path, capsys):
     args = ["run", "--scenario", str(SCENARIO_PATH), "--mode", mode, "--seed", "0", "--log", str(log)]
     assert dispatch(args) == 0
     assert hashlib.sha256(log.read_bytes()).hexdigest() == pinned_log_digests()[mode]
+
+
+def test_parallel_replay_with_the_rule_backend_starts_no_thread(monkeypatch):
+    # the rule backend does not block, so parallel mode answers on the caller's thread
+    before = set(threading.enumerate())
+    seen = []
+    simulation = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="parallel", seed=3))
+    skill = simulation.simulate_skill
+    monkeypatch.setattr(simulation, "simulate_skill",
+                        lambda inv: seen.append(set(threading.enumerate())) or skill(inv))
+    metrics, _ = simulation.run()
+    assert metrics.orders_total == 41 and seen
+    assert all(threads == before for threads in seen)
+    assert set(threading.enumerate()) == before
 
 
 # the sha256 that `bench/run.py --seed 3` prints for the generated workloads,

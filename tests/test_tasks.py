@@ -1,11 +1,13 @@
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waiterbot.llm import BackendError, Menu, MenuItem, RuleBackend, _normalize
+from waiterbot.sim import Utterance, load_scenario
 from waiterbot.tasks import (
     APOLOGY_LINE,
     OK,
@@ -211,6 +213,34 @@ class LatchBackend:
         return "on my way"
 
 
+class UndeclaredRuleBackend:
+    """The rule backend's answers from a backend that does not say whether it
+    blocks, so the pipeline gives respond its worker thread."""
+
+    def __init__(self, menu):
+        self.rules = RuleBackend(menu)
+        self.respond_parses = []
+
+    def understand(self, utterance):
+        return self.rules.understand(utterance)
+
+    def respond(self, utterance, parsed=None):
+        self.respond_parses.append(parsed)
+        return self.rules.respond(utterance, parsed)
+
+
+class RecordingRuleBackend(RuleBackend):
+    """`RuleBackend`, non-blocking as declared, recording what respond sees."""
+
+    def __init__(self, menu):
+        super().__init__(menu)
+        self.respond_parses = []
+
+    def respond(self, utterance, parsed=None):
+        self.respond_parses.append(parsed)
+        return super().respond(utterance, parsed)
+
+
 class FailingBackend:
     def understand(self, utterance):
         raise BackendError("understand down")
@@ -256,7 +286,7 @@ class TestPipeline:
             assert parsed.name in REGISTRY
 
     def test_parallel_worker_is_kept_across_calls_and_closed(self, menu):
-        pipe = Pipeline(menu, RuleBackend(menu), mode="parallel")
+        pipe = Pipeline(menu, UndeclaredRuleBackend(menu), mode="parallel")
         before = set(threading.enumerate())
         counts, wrong = [], []
 
@@ -304,6 +334,21 @@ class TestPipeline:
             pipe.handle("hi")
         assert backend.respond_done.is_set()  # handle returned only after respond did
         pipe.close()
+
+    def test_inline_and_worker_paths_give_the_same_pairs(self):
+        scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "restaurant_41.json")
+        texts = [ev.text for _, ev in scenario.events if isinstance(ev, Utterance)]
+        assert len(texts) == 44
+        inline = RecordingRuleBackend(scenario.menu)
+        worker = UndeclaredRuleBackend(scenario.menu)
+        inline_pipe = Pipeline(scenario.menu, inline, mode="parallel")
+        worker_pipe = Pipeline(scenario.menu, worker, mode="parallel")
+        try:
+            assert [inline_pipe.handle(t) for t in texts] == [worker_pipe.handle(t) for t in texts]
+            assert inline_pipe._worker is None and worker_pipe._worker is not None
+        finally:
+            worker_pipe.close()
+        assert inline.respond_parses == worker.respond_parses == [None] * 44
 
     def test_unknown_mode_rejected(self, menu):
         with pytest.raises(ValueError):
