@@ -57,14 +57,10 @@ def cmd_map_build(args) -> int:
     if not isinstance(log, list):
         raise CliError(f"bad detection log {args.detections}: top level must be a list", USAGE_EXIT)
     layer = FurnitureLayer()
-    last_frame = -1
     for i, entry in enumerate(log):
         try:
             record = take_keys(entry, EVENT_BUILDERS["detections"])
-            if record.frame <= last_frame:  # checked here too, since `track_frame` skips a frame with no boxes
-                raise ValueError(f"frame {record.frame} not newer than {last_frame}")
-            last_frame = record.frame
-            layer.track_frame(record.boxes)
+            layer.track_frame(record.boxes, record.frame)
         except (KeyError, TypeError, ValueError, FrameOrderError) as e:
             raise CliError(f"bad detection log {args.detections}: entry {i}: {type(e).__name__}: {e}",
                            USAGE_EXIT) from None

@@ -1,9 +1,11 @@
 """Semi-dynamic furniture layer: boxes tracked by 3D IoU, read as plan-view footprints.
 
-Detections carry a class label, a 3D center, dims and yaw.  Tracking
-associates detections to existing instances greedily by descending 3D IoU
-(threshold 0.1); unmatched detections get fresh `<class>_<k>` ids.  Instances
-are never removed, so an id names one piece of furniture for the whole run.
+Detections carry a class label, a 3D center, dims and yaw; the frame id is
+the frame's.  `track_frame(detections, frame)` takes every frame, an empty one
+too, each newer than the last, and associates its detections to existing
+instances greedily by descending 3D IoU (threshold 0.1); unmatched detections
+get fresh `<class>_<k>` ids.  Instances are never removed, so an id names one
+piece of furniture for the whole run.
 Navigation reads the layer only through `virtual_obstacles`, which marks the
 grid cells under each footprint occupied.
 """
@@ -18,7 +20,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import (
-    OrientedBox3,
     Pose2D,
     check_count,
     check_string,
@@ -60,7 +61,6 @@ class Detection3D:
     center: tuple[float, float, float]
     dims: tuple[float, float, float]
     yaw: float
-    frame_id: int
 
     def __post_init__(self) -> None:
         check_string(self.class_name, "class")
@@ -68,11 +68,15 @@ class Detection3D:
         object.__setattr__(self, "dims", _positive_dims(self.dims))
         if not is_finite(self.yaw):
             raise ValueError(f"yaw must be a finite number, got {self.yaw!r}")
-        check_count(self.frame_id, "frame")
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
-    def box(self) -> OrientedBox3:
-        return OrientedBox3(self.center, self.dims, self.yaw)
+    def footprint(self) -> list[tuple[float, float]]:
+        return rect_corners(self.center[0], self.center[1], self.dims[0], self.dims[1], self.yaw)
+
+    @property
+    def z_interval(self) -> tuple[float, float]:
+        half = self.dims[2] / 2.0
+        return (self.center[2] - half, self.center[2] + half)
 
 
 def _positive_dims(dims) -> tuple[float, float, float]:
@@ -82,16 +86,16 @@ def _positive_dims(dims) -> tuple[float, float, float]:
     return dims
 
 
-def _detection(frame: int, box) -> Detection3D:
+def _detection(box) -> Detection3D:
     return take_keys(box, lambda b: Detection3D(b.pop("class"), b.pop("center"), b.pop("dims"),
-                                                b.pop("yaw", 0.0), frame))
+                                                b.pop("yaw", 0.0)))
 
 
-def detections_from_json(frame: int, boxes: list[dict]) -> tuple[Detection3D, ...]:
+def detections_from_json(boxes: list[dict]) -> tuple[Detection3D, ...]:
     """One frame of JSON boxes (`class`, `center`, `dims`, optional `yaw`) as detections."""
     if not isinstance(boxes, list):
         raise ValueError(f"boxes must be a list, got {boxes!r}")
-    return tuple(_detection(frame, b) for b in boxes)
+    return tuple(map(_detection, boxes))
 
 
 @dataclass(frozen=True)
@@ -112,23 +116,25 @@ class FurnitureInstance:
         object.__setattr__(self, "dims", _positive_dims(self.dims))
         check_count(self.last_seen, "last_seen")
 
-    def box(self) -> OrientedBox3:
-        cz = self.base_z + self.dims[2] / 2.0
-        return OrientedBox3((self.pose.x, self.pose.y, cz), self.dims, self.pose.theta)
-
     def footprint(self) -> list[tuple[float, float]]:
         """Full plan-view rectangle (w x d at the instance pose)."""
         return rect_corners(self.pose.x, self.pose.y, self.dims[0], self.dims[1], self.pose.theta)
 
+    @property
+    def z_interval(self) -> tuple[float, float]:
+        # through the box centre, as for a detection: (base_z, base_z + h) can differ by an ulp
+        cz = self.base_z + self.dims[2] / 2.0
+        return (cz - self.dims[2] / 2.0, cz + self.dims[2] / 2.0)
 
-def _instance_from(detection: Detection3D, instance_id: str) -> FurnitureInstance:
+
+def _instance_from(detection: Detection3D, instance_id: str, frame: int) -> FurnitureInstance:
     return FurnitureInstance(
         id=instance_id,
         class_name=detection.class_name,
         pose=Pose2D(detection.center[0], detection.center[1], detection.yaw),
         base_z=detection.center[2] - detection.dims[2] / 2.0,
         dims=detection.dims,
-        last_seen=detection.frame_id,
+        last_seen=frame,
     )
 
 
@@ -143,25 +149,23 @@ def match_pairs(detections: Sequence[Detection3D],
     """
     by_class: dict[str, list] = {}
     for inst in instances:
-        box = inst.box()
-        by_class.setdefault(inst.class_name, []).append((inst.id, box, *box.center[:2], _disc_radius(box)))
+        by_class.setdefault(inst.class_name, []).append((inst, inst.pose.x, inst.pose.y, _disc_radius(inst.dims)))
     pairs = []
     for di, det in enumerate(detections):
-        dbox = det.box()
-        x, y = dbox.center[:2]
-        r = _disc_radius(dbox)
-        for iid, ibox, ix, iy, ir in by_class.get(det.class_name, ()):
+        x, y = det.center[:2]
+        r = _disc_radius(det.dims)
+        for inst, ix, iy, ir in by_class.get(det.class_name, ()):
             if math.hypot(x - ix, y - iy) > r + ir:
                 continue
-            v = iou_3d(dbox, ibox)
+            v = iou_3d(det, inst)
             if v >= IOU_MATCH_THRESHOLD:
-                pairs.append((-v, di, iid))
+                pairs.append((-v, di, inst.id))
     pairs.sort()
     return pairs
 
 
-def _disc_radius(box: OrientedBox3) -> float:
-    return 0.5 * math.hypot(box.dims[0], box.dims[1])
+def _disc_radius(dims: tuple[float, float, float]) -> float:
+    return 0.5 * math.hypot(dims[0], dims[1])
 
 
 class FurnitureLayer:
@@ -189,16 +193,13 @@ class FurnitureLayer:
         self._instances[instance.id] = instance
         self.last_frame = max(self.last_frame, instance.last_seen)
 
-    def track_frame(self, detections: Sequence[Detection3D]) -> list[tuple[str, TrackStatus]]:
-        """Associate one frame of detections; returns (id, MATCHED|NEW) per detection."""
-        if not detections:
-            return []
-        frames = {d.frame_id for d in detections}
-        if len(frames) != 1:
-            raise FrameOrderError(f"mixed frame ids in one batch: {sorted(frames)}")
-        frame_id = detections[0].frame_id
-        if frame_id <= self.last_frame:
-            raise FrameOrderError(f"frame {frame_id} not newer than {self.last_frame}")
+    def track_frame(self, detections: Sequence[Detection3D], frame: int) -> list[tuple[str, TrackStatus]]:
+        """Associate frame `frame`'s detections; returns (id, MATCHED|NEW) per detection.
+
+        Every frame, an empty one too, must be newer than the last one tracked.
+        """
+        if frame <= self.last_frame:
+            raise FrameOrderError(f"frame {frame} not newer than {self.last_frame}")
 
         # greedy by descending IoU: each pair takes a still-free detection and instance
         assigned: dict[int, str] = {}
@@ -217,8 +218,8 @@ class FurnitureLayer:
                 results.append((iid, TrackStatus.NEW))
             else:
                 results.append((iid, TrackStatus.MATCHED))
-            self._instances[iid] = _instance_from(det, iid)
-        self.last_frame = frame_id
+            self._instances[iid] = _instance_from(det, iid, frame)
+        self.last_frame = frame
         return results
 
     def get(self, instance_id: str) -> FurnitureInstance:

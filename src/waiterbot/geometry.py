@@ -1,4 +1,4 @@
-"""Plan-view geometry helpers: poses, oriented boxes, convex polygon math.
+"""Plan-view geometry helpers: poses, rectangles, convex polygon math, box IoU.
 
 Everything here is pure and deterministic; the tracker, the grid projection
 and the navigation-goal search all share these primitives.  The field checks
@@ -73,34 +73,6 @@ class Pose2D:
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 
-@dataclass(frozen=True)
-class OrientedBox3:
-    """3D box with a yaw-only rotation: center, full dims (w, d, h), yaw."""
-
-    center: tuple[float, float, float]
-    dims: tuple[float, float, float]
-    yaw: float
-
-    def __post_init__(self) -> None:
-        # dims are checked by the records that build boxes (Detection3D, FurnitureInstance)
-        object.__setattr__(self, "yaw", normalize_angle(self.yaw))
-
-    def footprint(self) -> list[tuple[float, float]]:
-        return rect_corners(self.center[0], self.center[1], self.dims[0], self.dims[1], self.yaw)
-
-    @property
-    def z_interval(self) -> tuple[float, float]:
-        half = self.dims[2] / 2.0
-        return (self.center[2] - half, self.center[2] + half)
-
-    @property
-    def volume(self) -> float:
-        # shoelace area and interval-difference height so identical boxes give
-        # bit-equal intersection and union volumes (IoU == 1.0 exactly)
-        lo, hi = self.z_interval
-        return polygon_area(self.footprint()) * (hi - lo)
-
-
 def rect_corners(cx: float, cy: float, w: float, d: float, yaw: float) -> list[tuple[float, float]]:
     """CCW corners of a w x d rectangle centered at (cx, cy), rotated by yaw."""
     c, s = math.cos(yaw), math.sin(yaw)
@@ -158,10 +130,6 @@ def clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, flo
     return out
 
 
-def intersection_area(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
-    return polygon_area(clip_polygon(a, b))
-
-
 def point_in_convex_polygon(p, poly: list[tuple[float, float]]):
     """Closed containment test for a CCW convex polygon; `p` is an (x, y) pair of
     floats (gives a bool) or of broadcasting numpy arrays (gives a bool array)."""
@@ -172,17 +140,22 @@ def point_in_convex_polygon(p, poly: list[tuple[float, float]]):
     return inside
 
 
-def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
-    """3D IoU for yaw-oriented boxes: clipped footprint area x vertical overlap."""
+def iou_3d(a, b) -> float:
+    """3D IoU of two yaw-oriented boxes, each a record with `footprint()` and
+    `z_interval` (a detection or a tracked instance): clipped footprint area x
+    vertical overlap."""
     alo, ahi = a.z_interval
     blo, bhi = b.z_interval
     dz = min(ahi, bhi) - max(alo, blo)
     if dz <= 0.0:
         return 0.0
-    inter = intersection_area(a.footprint(), b.footprint()) * dz
+    fa, fb = a.footprint(), b.footprint()
+    inter = polygon_area(clip_polygon(fa, fb)) * dz
     if inter <= 0.0:
         return 0.0
-    union = a.volume + b.volume - inter
+    # shoelace areas and interval-difference heights, so that identical boxes
+    # give bit-equal intersection and union volumes (IoU == 1.0 exactly)
+    union = polygon_area(fa) * (ahi - alo) + polygon_area(fb) * (bhi - blo) - inter
     return inter / union
 
 

@@ -122,8 +122,5 @@ class HumanLayer:
             except ValueError:
                 pass
 
-    def get(self, human_id: str) -> HumanEntity:
-        return self._humans[human_id]
-
     def humans(self) -> list[HumanEntity]:
         return [self._humans[k] for k in sorted(self._humans)]

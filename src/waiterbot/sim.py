@@ -48,6 +48,10 @@ from .tasks import (
 )
 
 FAULT_MODES = ("fail", "wrong_item")
+# the reason a skill gives when a `fail` fault fires on it
+FAULT_REASONS = MappingProxyType({"navigate": "navigation fault", "detect": "not found", "grasp": "grasp fault",
+                                  "place": "place fault", "find_placement": "no space", "speak": "speech fault",
+                                  "hand_over": "hand-over fault"})
 # `json.dumps(record, sort_keys=True)` without building an encoder per record
 _encode = json.JSONEncoder(sort_keys=True).encode
 
@@ -81,13 +85,14 @@ class Metrics:
         return Fraction(self.served_correct, self.orders_total)
 
     def to_dict(self) -> dict:
+        """The counts, and accuracy as `served_correct/orders_total`, unreduced."""
         return {
             "orders_total": self.orders_total,
             "served_correct": self.served_correct,
             "served_incorrect": self.served_incorrect,
             "assisted": self.assisted,
             "collisions": self.collisions,
-            "accuracy": f"{self.accuracy.numerator}/{self.accuracy.denominator}",
+            "accuracy": f"{self.served_correct}/{self.orders_total}",
         }
 
     def render(self) -> str:
@@ -99,7 +104,7 @@ class Metrics:
                 f"served_incorrect {self.served_incorrect}",
                 f"assisted         {self.assisted}",
                 f"collisions       {self.collisions}",
-                f"accuracy         {self.served_correct}/{self.orders_total} ({acc:.4f})",
+                f"accuracy         {self.to_dict()['accuracy']} ({acc:.4f})",
             ]
         )
 
@@ -117,7 +122,10 @@ class DetectionFrame:
 
 @dataclass(frozen=True)
 class Fault:
-    """A `fault` event: force the `trigger`-th `skill` invocation to misbehave."""
+    """A `fault` event: force the `trigger`-th `skill` invocation to misbehave.
+
+    `fail` makes any skill fail with its kind's reason; `wrong_item` makes
+    detect perceive another menu item, and applies to detect only."""
 
     skill: str
     trigger: int
@@ -129,6 +137,8 @@ class Fault:
         check_count(self.trigger, "trigger")
         if self.mode not in FAULT_MODES:
             raise ValueError(f"unknown fault mode {self.mode!r}")
+        if self.mode == "wrong_item" and self.skill != "detect":
+            raise ValueError(f"fault mode 'wrong_item' applies to detect only, not {self.skill!r}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +164,7 @@ Record = DetectionFrame | HumanObservation | Fault | Call | Utterance
 # one builder per event type; each takes its keys out of a copy of the event, and
 # each record's constructor checks its own fields
 EVENT_BUILDERS = {
-    "detections": lambda ev: DetectionFrame(frame := ev.pop("frame"),
-                                            detections_from_json(frame, ev.pop("boxes"))),
+    "detections": lambda ev: DetectionFrame(ev.pop("frame"), detections_from_json(ev.pop("boxes"))),
     "human": lambda ev: HumanObservation(ev.pop("position"), ev.pop("frame"), ev.pop("action", "unknown"),
                                          ev.pop("name", None), ev.pop("attributes", {})),
     "fault": lambda ev: Fault(ev.pop("skill"), ev.pop("trigger"), ev.pop("mode", "fail")),
@@ -492,7 +501,7 @@ class Simulation:
         return path
 
     def _apply_detections(self, ev: DetectionFrame) -> None:
-        results = self.layer.track_frame(ev.boxes)
+        results = self.layer.track_frame(ev.boxes, ev.frame)
         if self.layer.kitchen_id is None:
             try:
                 self.layer.set_kitchen(self.scenario.kitchen_table)
@@ -538,8 +547,12 @@ class Simulation:
         count = self.skill_counts.get(inv.kind, 0)
         self.skill_counts[inv.kind] = count + 1
         fault = self._match_fault(inv.kind, count)
-        handler = getattr(self, f"_skill_{inv.kind}")
-        result = handler(inv, fault)
+        if fault is None:
+            result = getattr(self, f"_skill_{inv.kind}")(inv)
+        elif fault.mode == "fail":
+            result = failed(FAULT_REASONS[inv.kind])
+        else:  # wrong_item, which `Fault` allows on detect only
+            result = self._perceive_wrong_item(inv.arg or "")
         self._log("skill", skill=inv.render(), result=result.render())
         return result
 
@@ -550,9 +563,7 @@ class Simulation:
             return self.caller
         return arg
 
-    def _skill_navigate(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
-        if fault:
-            return failed("navigation fault")
+    def _skill_navigate(self, inv: SkillInvocation) -> SkillResult:
         table_id = self._resolve_table(inv.arg)
         if table_id is None:
             return failed(f"no table bound for {inv.arg!r}")
@@ -587,16 +598,16 @@ class Simulation:
             return sorted(k for k, v in self.kitchen_stock.items() if v > 0)
         return list(self.table_items.get(self.location, []))
 
-    def _skill_detect(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
-        if fault and fault.mode == "fail":
-            return failed("not found")
+    def _perceive_wrong_item(self, wanted: str) -> SkillResult:
+        """Detect under a `wrong_item` fault: perceive another menu item than `wanted`."""
+        names = self.scenario.menu.names()
+        pool = [n for n in names if n != wanted] or names
+        idx = names.index(wanted) if wanted in names else 0
+        self.perceived = pool[idx % len(pool)]
+        return OK
+
+    def _skill_detect(self, inv: SkillInvocation) -> SkillResult:
         wanted = inv.arg or ""
-        if fault and fault.mode == "wrong_item":
-            names = self.scenario.menu.names()
-            pool = [n for n in names if n != wanted] or names
-            idx = names.index(wanted) if wanted in names else 0
-            self.perceived = pool[idx % len(pool)]
-            return OK
         here = self._items_here()
         if wanted == "dish":
             if here:
@@ -608,9 +619,7 @@ class Simulation:
             return OK
         return failed("not found")
 
-    def _skill_grasp(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
-        if fault:
-            return failed("grasp fault")
+    def _skill_grasp(self, inv: SkillInvocation) -> SkillResult:
         if self.carried is not None:
             # a hand-over may already have put the requested item in the gripper
             if inv.arg in (self.carried, "dish"):
@@ -623,9 +632,7 @@ class Simulation:
             self.perceived = None
         return result
 
-    def _skill_hand_over(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
-        if fault:
-            return failed("hand-over fault")
+    def _skill_hand_over(self, inv: SkillInvocation) -> SkillResult:
         if self.carried is not None:
             return failed("gripper full")
         return self._take(inv.arg or "")
@@ -643,9 +650,7 @@ class Simulation:
         self.carried = item
         return OK
 
-    def _skill_find_placement(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
-        if fault:
-            return failed("no space")
+    def _skill_find_placement(self, inv: SkillInvocation) -> SkillResult:
         if self.location is None:
             return failed("nowhere to place")
         try:
@@ -663,9 +668,7 @@ class Simulation:
         self._log("placement", table=self.location, point=[round(v, 4) for v in spot])
         return OK
 
-    def _skill_place(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
-        if fault:
-            return failed("place fault")
+    def _skill_place(self, inv: SkillInvocation) -> SkillResult:
         if self.carried is None:
             return failed("empty gripper")
         if self.location is None:
@@ -680,9 +683,7 @@ class Simulation:
         self.carried = None
         return OK
 
-    def _skill_speak(self, inv: SkillInvocation, fault: Fault | None) -> SkillResult:
-        if fault:
-            return failed("speech fault")
+    def _skill_speak(self, inv: SkillInvocation) -> SkillResult:
         arg = inv.arg or ""
         if arg == "confirmation":
             item = (self.current_task.slots.get("item") if self.current_task else None) or "order"

@@ -72,7 +72,7 @@ def loop_match_pairs(detections, instances) -> list[tuple[float, int, str]]:
         for inst in instances:
             if inst.class_name != det.class_name:
                 continue
-            v = iou_3d(det.box(), inst.box())
+            v = iou_3d(det, inst)
             if v >= IOU_MATCH_THRESHOLD:
                 pairs.append((-v, di, inst.id))
     return sorted(pairs)

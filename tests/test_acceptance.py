@@ -19,7 +19,7 @@ from helpers import save_cloud, table
 from oracles import brute_force_goal, exact_iou_3d, naive_inflate
 from waiterbot.cli import dispatch
 from waiterbot.furniture import Detection3D, FurnitureLayer, TrackStatus
-from waiterbot.geometry import OrientedBox3, Pose2D, iou_3d
+from waiterbot.geometry import Pose2D, iou_3d
 from waiterbot.grid import GridMap, inflate, load_grid, save_grid
 from waiterbot.layers import dump_layers, load_layers
 from waiterbot.llm import Menu, MenuItem
@@ -68,11 +68,10 @@ def test_criterion_2_six_table_map(capsys):
     layer = FurnitureLayer()
     for entry in frames:
         dets = [
-            Detection3D(b["class"], tuple(b["center"]), tuple(b["dims"]),
-                        b.get("yaw", 0.0), entry["frame"])
+            Detection3D(b["class"], tuple(b["center"]), tuple(b["dims"]), b.get("yaw", 0.0))
             for b in entry["boxes"]
         ]
-        layer.track_frame(dets)
+        layer.track_frame(dets, entry["frame"])
     layer.set_kitchen("table_5")
     ids = [inst.id for inst in layer.instances()]
     kitchens = [iid for iid in ids if iid == layer.kitchen_id]
@@ -184,13 +183,13 @@ def test_criterion_5_tracking_stability(capsys):
     for _ in range(100):
         layer = FurnitureLayer()
         x, y = 0.0, 0.0
-        first = layer.track_frame([Detection3D("table", (x, y, 0.5), (1, 1, 1), 0.0, 0)])[0][0]
+        first = layer.track_frame([Detection3D("table", (x, y, 0.5), (1, 1, 1), 0.0)], 0)[0][0]
         kept = True
         for frame in range(1, 11):
             # footprint IoU for a 1x1 box shifted by s is (1-s)/(1+s); 0.25 keeps it >= 0.3
             x += float(rng.uniform(-0.25, 0.25))
             y = 0.0
-            (iid, _), = layer.track_frame([Detection3D("table", (x, y, 0.5), (1, 1, 1), 0.0, frame)])
+            (iid, _), = layer.track_frame([Detection3D("table", (x, y, 0.5), (1, 1, 1), 0.0)], frame)
             kept &= iid == first
         retained += kept
 
@@ -201,7 +200,7 @@ def test_criterion_5_tracking_stability(capsys):
         ok = True
         for frame in range(5):
             (iid, status), = layer.track_frame(
-                [Detection3D("table", (10.0 * frame, 0, 0.5), (1, 1, 1), 0.0, frame)]
+                [Detection3D("table", (10.0 * frame, 0, 0.5), (1, 1, 1), 0.0)], frame
             )
             ok &= status is TrackStatus.NEW and iid not in seen
             seen.add(iid)
@@ -217,9 +216,10 @@ def test_criterion_5_tracking_stability(capsys):
         boxes = []
         for _ in range(2):
             boxes.append(
-                OrientedBox3(
-                    tuple(rng2.uniform(-1, 1, 3)),
-                    tuple(rng2.uniform(0.2, 2.0, 3)),
+                Detection3D(
+                    "box",
+                    tuple(rng2.uniform(-1, 1, 3).tolist()),
+                    tuple(rng2.uniform(0.2, 2.0, 3).tolist()),
                     float(rng2.uniform(-math.pi, math.pi)),
                 )
             )
@@ -344,7 +344,7 @@ def test_criterion_9_determinism_and_formats(capsys, tmp_path):
 
     # layer dump round trip
     layer = FurnitureLayer()
-    layer.track_frame([Detection3D("table", (1, 1, 0.36), (1.2, 0.8, 0.72), 0.2, 0)])
+    layer.track_frame([Detection3D("table", (1, 1, 0.36), (1.2, 0.8, 0.72), 0.2)], 0)
     dump = dump_layers(layer)
     dump_ok = dump_layers(load_layers(dump)[0]) == dump
 

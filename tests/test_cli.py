@@ -475,6 +475,8 @@ MALFORMED_INPUTS = {
     "list call table": ("run", _event("call", "table", ["table_0"])),
     "list utterance table": ("run", _event("utterance", "table", ["table_0"])),
     "unknown fault skill": ("run", _event("fault", "skill", "fly")),
+    # restaurant_41's first fault is a wrong_item on detect, the one skill that mode applies to
+    "wrong_item fault on grasp": ("run", _event("fault", "skill", "grasp")),
     "call to an untracked table": ("run", _event("call", "table", "table_99")),
     "non-numeric zone corner": ("run", _world_at("zones", 0, "p1", value=["a", 1])),
     "string stock count": ("run", _world_at("stock", "cola", value="x")),

@@ -20,8 +20,8 @@ from waiterbot.geometry import Pose2D
 from waiterbot.grid import CellState, GridMap
 
 
-def det(cx, cy, cls="table", dims=(1.2, 0.8, 0.72), yaw=0.0, frame=0):
-    return Detection3D(cls, (cx, cy, dims[2] / 2), dims, yaw, frame)
+def det(cx, cy, cls="table", dims=(1.2, 0.8, 0.72), yaw=0.0):
+    return Detection3D(cls, (cx, cy, dims[2] / 2), dims, yaw)
 
 
 def empty_grid(w=40, h=40, res=0.1):
@@ -31,43 +31,49 @@ def empty_grid(w=40, h=40, res=0.1):
 class TestTracking:
     def test_identical_box_matches(self):
         layer = FurnitureLayer()
-        layer.track_frame([det(1, 1, frame=0)])
-        result = layer.track_frame([det(1, 1, frame=1)])
+        layer.track_frame([det(1, 1)], 0)
+        result = layer.track_frame([det(1, 1)], 1)
         assert result == [("table_0", TrackStatus.MATCHED)]
 
     def test_two_disjoint_tables_get_sequential_ids(self):
         layer = FurnitureLayer()
-        result = layer.track_frame([det(1, 1), det(5, 1)])
+        result = layer.track_frame([det(1, 1), det(5, 1)], 0)
         assert [r[0] for r in result] == ["table_0", "table_1"]
         assert [r[1] for r in result] == [TrackStatus.NEW, TrackStatus.NEW]
 
     def test_shifted_box_within_threshold_matches(self):
         layer = FurnitureLayer()
-        layer.track_frame([det(0, 0, dims=(1, 1, 1), frame=0)])
-        result = layer.track_frame([det(0.3, 0, dims=(1, 1, 1), frame=1)])
+        layer.track_frame([det(0, 0, dims=(1, 1, 1))], 0)
+        result = layer.track_frame([det(0.3, 0, dims=(1, 1, 1))], 1)
         assert result == [("table_0", TrackStatus.MATCHED)]
 
     def test_far_box_gets_new_id(self):
         layer = FurnitureLayer()
-        layer.track_frame([det(0, 0, frame=0)])
-        result = layer.track_frame([det(6, 6, frame=1)])
+        layer.track_frame([det(0, 0)], 0)
+        result = layer.track_frame([det(6, 6)], 1)
         assert result == [("table_1", TrackStatus.NEW)]
 
     def test_stale_frame_rejected(self):
         layer = FurnitureLayer()
-        layer.track_frame([det(0, 0, frame=3)])
+        layer.track_frame([det(0, 0)], 3)
         with pytest.raises(FrameOrderError):
-            layer.track_frame([det(0, 0, frame=3)])
+            layer.track_frame([det(0, 0)], 3)
 
-    def test_mixed_frames_rejected(self):
+    def test_empty_frame_advances_last_frame(self):
         layer = FurnitureLayer()
+        layer.track_frame([det(0, 0)], 1)
+        assert layer.track_frame([], 4) == []
+        assert layer.last_frame == 4
         with pytest.raises(FrameOrderError):
-            layer.track_frame([det(0, 0, frame=1), det(3, 3, frame=2)])
+            layer.track_frame([det(0, 0)], 4)
+        with pytest.raises(FrameOrderError):
+            layer.track_frame([], 2)
+        assert layer.get("table_0").last_seen == 1
 
     def test_class_scoped_matching(self):
         layer = FurnitureLayer()
-        layer.track_frame([det(0, 0, cls="table", frame=0)])
-        result = layer.track_frame([det(0, 0, cls="chair", dims=(0.5, 0.5, 0.9), frame=1)])
+        layer.track_frame([det(0, 0, cls="table")], 0)
+        result = layer.track_frame([det(0, 0, cls="chair", dims=(0.5, 0.5, 0.9))], 1)
         assert result == [("chair_0", TrackStatus.NEW)]
 
     def test_drift_sequences_keep_ids(self):
@@ -75,11 +81,11 @@ class TestTracking:
         for _ in range(100):
             layer = FurnitureLayer()
             x, y = 0.0, 0.0
-            first = layer.track_frame([det(x, y, dims=(1, 1, 1), frame=0)])[0][0]
+            first = layer.track_frame([det(x, y, dims=(1, 1, 1))], 0)[0][0]
             for frame in range(1, 10):
                 x += float(rng.uniform(-0.2, 0.2))
                 y += float(rng.uniform(-0.2, 0.2))
-                (iid, status), = layer.track_frame([det(x, y, dims=(1, 1, 1), frame=frame)])
+                (iid, status), = layer.track_frame([det(x, y, dims=(1, 1, 1))], frame)
                 assert iid == first
                 assert status is TrackStatus.MATCHED
 
@@ -87,9 +93,7 @@ class TestTracking:
         layer = FurnitureLayer()
         seen = set()
         for frame in range(10):
-            (iid, status), = layer.track_frame(
-                [det(5.0 * frame, 0, dims=(1, 1, 1), frame=frame)]
-            )
+            (iid, status), = layer.track_frame([det(5.0 * frame, 0, dims=(1, 1, 1))], frame)
             assert status is TrackStatus.NEW
             assert iid not in seen
             seen.add(iid)
@@ -104,7 +108,7 @@ class TestTracking:
     def test_auto_ids_skip_explicit_collisions(self):
         layer = FurnitureLayer()
         layer.restore(table("table_0", (0, 0, 0.36), (1.2, 0.8, 0.72)))
-        result = layer.track_frame([det(6, 6, frame=1)])
+        result = layer.track_frame([det(6, 6)], 1)
         assert result == [("table_1", TrackStatus.NEW)]
 
 
@@ -125,7 +129,7 @@ class TestMatchPairs:
             detections = [
                 Detection3D(str(cls), (float(rng.uniform(0, 4)), float(rng.uniform(0, 3)), 0.4),
                             (float(rng.uniform(0.2, 1.6)), float(rng.uniform(0.2, 1.2)), 0.72),
-                            float(rng.uniform(-math.pi, math.pi)), 1)
+                            float(rng.uniform(-math.pi, math.pi)))
                 for cls in rng.choice(["table", "chair"], size=int(rng.integers(0, 12)))
             ]
             assert match_pairs(detections, instances) == loop_match_pairs(detections, instances)
@@ -154,7 +158,7 @@ class TestMatchPairs:
 class TestQueries:
     def test_get_after_register(self):
         layer = FurnitureLayer()
-        layer.track_frame([det(1, 2)])
+        layer.track_frame([det(1, 2)], 0)
         inst = layer.get("table_0")
         assert inst.pose.x == 1 and inst.pose.y == 2
 
@@ -165,7 +169,7 @@ class TestQueries:
 
     def test_list_sorted_after_six_tables(self):
         layer = FurnitureLayer()
-        layer.track_frame([det(2.0 * k, 0) for k in range(6)])
+        layer.track_frame([det(2.0 * k, 0) for k in range(6)], 0)
         ids = [i.id for i in layer.instances()]
         assert ids == [f"table_{k}" for k in range(6)]
 
@@ -178,7 +182,7 @@ class TestVirtualObstacles:
 
     def test_axis_aligned_block(self):
         layer = FurnitureLayer()
-        layer.track_frame([Detection3D("table", (2.0, 2.0, 0.5), (1.0, 1.0, 1.0), 0.0, 0)])
+        layer.track_frame([Detection3D("table", (2.0, 2.0, 0.5), (1.0, 1.0, 1.0), 0.0)], 0)
         out = layer.virtual_obstacles(empty_grid())
         occ = np.argwhere(out.cells == CellState.OCCUPIED)
         assert len(occ) == 100  # 10 x 10 block at 0.1 m resolution
@@ -189,7 +193,7 @@ class TestVirtualObstacles:
 
     def test_rotated_footprint_matches_point_in_polygon_oracle(self):
         layer = FurnitureLayer()
-        layer.track_frame([Detection3D("table", (2.03, 2.01, 0.5), (1.0, 1.0, 1.0), math.pi / 4, 0)])
+        layer.track_frame([Detection3D("table", (2.03, 2.01, 0.5), (1.0, 1.0, 1.0), math.pi / 4)], 0)
         grid = empty_grid()
         out = layer.virtual_obstacles(grid)
         footprint = layer.get("table_0").footprint()
@@ -212,7 +216,7 @@ class TestVirtualObstacles:
 
     def test_idempotent_and_monotone(self):
         layer = FurnitureLayer()
-        layer.track_frame([det(1.5, 1.5)])
+        layer.track_frame([det(1.5, 1.5)], 0)
         grid = empty_grid()
         once = layer.virtual_obstacles(grid)
         assert layer.virtual_obstacles(once) == once

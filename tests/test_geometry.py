@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_iou_3d, exact_point_in_convex_polygon, inside_convex, point_polygon_edge_distance
+from waiterbot.furniture import Detection3D
 from waiterbot.geometry import (
-    OrientedBox3,
     Pose2D,
+    clip_polygon,
     convex_hull,
-    intersection_area,
     iou_3d,
     normalize_angle,
     point_in_convex_polygon,
@@ -68,15 +68,16 @@ def test_point_in_polygon_arrays_match_scalar_calls():
 def test_intersection_area_disjoint_and_nested():
     a = rect_corners(0, 0, 1, 1, 0)
     b = rect_corners(5, 5, 1, 1, 0)
-    assert intersection_area(a, b) == 0.0
+    assert polygon_area(clip_polygon(a, b)) == 0.0
     inner = rect_corners(0, 0, 0.5, 0.5, 0.3)
-    assert intersection_area(a, inner) == pytest.approx(0.25)
+    assert polygon_area(clip_polygon(a, inner)) == pytest.approx(0.25)
 
 
-def _random_box(rng) -> OrientedBox3:
-    return OrientedBox3(
-        center=tuple(rng.uniform(-1, 1, 3)),
-        dims=tuple(rng.uniform(0.2, 2.0, 3)),
+def _random_box(rng) -> Detection3D:
+    return Detection3D(
+        "box",
+        center=tuple(rng.uniform(-1, 1, 3).tolist()),
+        dims=tuple(rng.uniform(0.2, 2.0, 3).tolist()),
         yaw=float(rng.uniform(-math.pi, math.pi)),
     )
 
@@ -98,10 +99,10 @@ def test_iou_symmetric_and_bounded():
 
 
 def test_exact_oracles_on_hand_computed_cases():
-    a = OrientedBox3((0.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
-    half = OrientedBox3((0.5, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
-    low = OrientedBox3((0.0, 0.0, 0.25), (1.0, 1.0, 0.5), 0.0)
-    far = OrientedBox3((3.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
+    a = Detection3D("box", (0.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
+    half = Detection3D("box", (0.5, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
+    low = Detection3D("box", (0.0, 0.0, 0.25), (1.0, 1.0, 0.5), 0.0)
+    far = Detection3D("box", (3.0, 0.0, 0.5), (1.0, 1.0, 1.0), 0.0)
     assert exact_iou_3d(a, a) == 1
     assert exact_iou_3d(a, half) == Fraction(1, 3)
     assert exact_iou_3d(a, low) == Fraction(1, 2)

@@ -11,9 +11,10 @@ def populated_layers():
     furniture = FurnitureLayer()
     furniture.track_frame(
         [
-            Detection3D("table", (1.0, 2.0, 0.36), (1.2, 0.8, 0.72), 0.1, 0),
-            Detection3D("chair", (2.5, 2.0, 0.45), (0.5, 0.5, 0.9), -0.4, 0),
-        ]
+            Detection3D("table", (1.0, 2.0, 0.36), (1.2, 0.8, 0.72), 0.1),
+            Detection3D("chair", (2.5, 2.0, 0.45), (0.5, 0.5, 0.9), -0.4),
+        ],
+        0,
     )
     furniture.set_kitchen("table_0")
     zones = [Zone("dining area", (0.0, 0.0), (6.0, 4.0))]
@@ -55,7 +56,7 @@ def test_loaded_layer_preserves_ids_and_kitchen():
     assert [i.id for i in loaded.instances()] == ["chair_0", "table_0"]
     assert loaded.kitchen_id == "table_0"
     assert loaded_zones[0].name == "dining area"
-    assert loaded_humans.get("person_0").action == "sitting"
+    assert [(h.id, h.action) for h in loaded_humans.humans()] == [("person_0", "sitting")]
 
 
 def test_loaded_human_counter_continues():

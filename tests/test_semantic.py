@@ -20,7 +20,7 @@ class TestHumanTracking:
         layer.upsert(HumanObservation((1.0, 1.0, 0), 0))
         hid = layer.upsert(HumanObservation((1.1, 1.0, 0), 1, action="sitting"))
         assert hid == "person_0"
-        assert layer.get("person_0").action == "sitting"
+        assert [(h.id, h.action) for h in layer.humans()] == [("person_0", "sitting")]
 
     def test_far_observation_creates_new_person(self):
         layer = HumanLayer()
@@ -48,14 +48,15 @@ class TestHumanTracking:
         layer.upsert(HumanObservation((1.0, 1.0, 0), 0, action="sitting"))
         with pytest.raises(ValueError):
             layer.upsert(HumanObservation((1.0, 1.0, 0), 1, action="dancing"))
-        assert layer.get("person_0").action == "sitting"
+        assert [(h.id, h.action) for h in layer.humans()] == [("person_0", "sitting")]
         assert layer.last_frame == 0
 
     def test_restore_keeps_auto_ids_and_frame_order(self):
         layer = HumanLayer()
         layer.restore(HumanEntity("person_4", (1.0, 1.0, 0.0), last_seen=7))
         layer.restore(HumanEntity("guest", (5.0, 5.0, 0.0), last_seen=3))
-        assert layer.get("person_4").position == (1.0, 1.0, 0.0)
+        assert [(h.id, h.position) for h in layer.humans()] == [("guest", (5.0, 5.0, 0.0)),
+                                                                 ("person_4", (1.0, 1.0, 0.0))]
         assert layer.upsert(HumanObservation((9, 9, 0), 7)) == "person_5"
         with pytest.raises(ValueError):
             layer.upsert(HumanObservation((9, 9, 0), 6))

@@ -301,6 +301,41 @@ class TestSimulatedSkills:
         assert sim.carried is None
 
 
+def first_order(*faults):
+    """restaurant_41's map and its first order (an orange juice to table_0),
+    with a `fail` fault armed per (skill, trigger) in `faults`."""
+    doc = json.loads(SCENARIO_PATH.read_text())
+    events = doc["events"]
+    call = next(i for i, ev in enumerate(events) if ev["type"] == "call")
+    doc["events"] = [ev for ev in events if ev["type"] == "detections"]
+    doc["events"] += [{"t": 1.0, "type": "fault", "skill": skill, "trigger": trigger, "mode": "fail"}
+                      for skill, trigger in faults]
+    doc["events"] += events[call:call + 2]
+    return parse_scenario(doc, SCENARIO_PATH.parent)
+
+
+@pytest.mark.parametrize("faults,failures", [
+    # navigate 0 is the approach to the caller; navigate 1 is the order's first skill
+    ([("navigate", 1)], ["navigate(kitchen_table) FAILED(navigation fault)"]),
+    ([("grasp", 0)], ["grasp(orange juice) FAILED(grasp fault)"]),
+    # only the detect recovery hands over
+    ([("detect", 0), ("hand_over", 0)], ["detect(orange juice) FAILED(not found)",
+                                         "hand_over(orange juice) FAILED(hand-over fault)"]),
+    ([("find_placement", 0)], ["find_placement() FAILED(no space)"]),
+    ([("place", 0)], ["place(orange juice) FAILED(place fault)"]),
+    ([("speak", 0)], ["speak(confirmation) FAILED(speech fault)"]),
+], ids=["navigate", "grasp", "hand_over", "find_placement", "place", "speak"])
+def test_fail_fault_on_each_skill_kind(faults, failures):
+    metrics, log = Simulation(first_order(*faults), RunConfig(mode="sequential")).run()
+    records = [json.loads(line) for line in log]
+    skills = [f"{r['skill']} {r['result']}" for r in records if r["event"] == "skill"]
+    assert [s for s in skills if not s.endswith(" OK")] == failures
+    assert skills[-1] == failures[-1]  # no recovery: the task stops at the fault
+    done, = (r for r in records if r["event"] == "task_done")
+    assert done["outcome"] == "FAILED"
+    assert (metrics.orders_total, metrics.served_correct, metrics.served_incorrect) == (1, 0, 0)
+
+
 def first_frame():
     doc = json.loads(SCENARIO_PATH.read_text())
     return next(ev["boxes"] for ev in doc["events"] if ev["type"] == "detections")
@@ -319,7 +354,7 @@ class TestRouteStore:
 
         monkeypatch.setattr(sim_module, "plan_path", plan)
         sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
-        sim._apply_detections(DetectionFrame(0, detections_from_json(0, first_frame())))
+        sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
         return sim, calls
 
     @staticmethod
@@ -344,7 +379,7 @@ class TestRouteStore:
         self.navigate(sim, "table_1")
         # a small table pushed into the straight corridor between the two goals
         boxes = first_frame() + [{"class": "table", "center": [5.0, 3.7, 0.36], "dims": [0.8, 0.6, 0.72]}]
-        sim._apply_detections(DetectionFrame(1, detections_from_json(1, boxes)))
+        sim._apply_detections(DetectionFrame(1, detections_from_json(boxes)))
         calls.clear()
         after = self.navigate(sim, "table_4")
         assert len(calls) == 1
@@ -365,7 +400,7 @@ class TestGoalStore:
 
         monkeypatch.setattr(sim_module, "select_goal", select)
         sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
-        sim._apply_detections(DetectionFrame(0, detections_from_json(0, first_frame())))
+        sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
         return sim, calls
 
     navigate = staticmethod(TestRouteStore.navigate)
@@ -395,7 +430,7 @@ class TestGoalStore:
     def test_a_new_frame_empties_the_store(self, counted):
         sim, calls = counted
         before = self.navigate(sim, "table_1")
-        sim._apply_detections(DetectionFrame(1, detections_from_json(1, first_frame())))
+        sim._apply_detections(DetectionFrame(1, detections_from_json(first_frame())))
         calls.clear()
         after = self.navigate(sim, "table_1")
         assert calls == ["table_1"]
@@ -405,7 +440,7 @@ class TestGoalStore:
         sim, calls = counted
         # a table off the map: its candidate windows miss the grid
         boxes = first_frame() + [{"class": "table", "center": [-5.0, -5.0, 0.36], "dims": [0.8, 0.6, 0.72]}]
-        sim._apply_detections(DetectionFrame(1, detections_from_json(1, boxes)))
+        sim._apply_detections(DetectionFrame(1, detections_from_json(boxes)))
         calls.clear()
         logged = len(sim.log)
         for _ in range(2):
@@ -515,6 +550,16 @@ def test_metrics_accuracy_empty():
     assert Metrics().accuracy == 0
 
 
+@pytest.mark.parametrize("metrics,accuracy", [
+    (Metrics(16, 14, 2, 3, 0), "14/16"),  # a banquet run: 14 of 16 orders
+    (Metrics(5, 5, 0, 0, 0), "5/5"),
+    (Metrics(), "0/0"),
+])
+def test_metrics_dict_keeps_the_denominator(metrics, accuracy):
+    assert metrics.to_dict()["accuracy"] == accuracy
+    assert metrics.render().splitlines()[-1].split()[1] == accuracy
+
+
 def pinned_log_digests() -> dict[str, str]:
     lines = (GOLDEN / "restaurant_41_log.sha256").read_text().splitlines()
     return dict(line.split() for line in lines)
@@ -547,12 +592,12 @@ def test_parallel_replay_with_the_rule_backend_starts_no_thread(monkeypatch):
 # replayed in the pipeline mode the benchmark gives each of them
 GENERATED_LOG_SHA256 = {  # workload and mode -> generator seed -> log sha256
     ("busy_floor", "parallel"): {
-        3: "457fef3c3b07c1f087207a66eca2ad7b19ea5acc5fb972c03ed7f554c06484d2",
-        11: "22542f534e7052023c08538755a2f75cceb44f42396d1eaff7a47d3e0771782f",
+        3: "a05efd06d8aa4f312a27e1673487a60fae292d87367f47e1292c4fbe265dedca",
+        11: "e963a53f346f196fc87f238d75bcb2625adaf88c62bf429406ec9986c0a6b4de",
     },
     ("banquet", "sequential"): {
-        3: "ee473792072c8281ba1d1d61109f719d1d520e90c6bb454a62d5663d6cbd1d1b",
-        11: "761e5e7576f4285cf51ebde739d0957c4299a31219c99711f00db7d3e395724e",
+        3: "fcfe9d2c10e8114207a64d3cf9d4f647acdc9f28e6791622ab8abc2d95b93a1b",
+        11: "0706c55d761b07f3a7718e6bdbf6cc4c78f2db135cc0a7a6b530beb63961976d",
     },
 }
 
