@@ -79,8 +79,7 @@ def cmd_map_build(args) -> int:
 
 
 def cmd_map_dump(args) -> int:
-    layer, zones, humans = _load(args.layers, "layer dump", load_layers, LayerFormatError)
-    print(dump_layers(layer, zones, humans), end="")
+    print(dump_layers(*_load(args.layers, "layer dump", load_layers, LayerFormatError)), end="")
     return 0
 
 
@@ -93,7 +92,7 @@ def _parse_pose(text: str) -> Pose2D:
 
 def cmd_nav_goal(args) -> int:
     grid = _load(args.map, "grid", load_grid, GridFormatError)
-    layer, _, _ = _load(args.layers, "layer dump", load_layers, LayerFormatError)
+    layer, _ = _load(args.layers, "layer dump", load_layers, LayerFormatError)
     robot = _parse_pose(args.robot)
     try:
         target = layer.get(args.furniture)

@@ -241,13 +241,16 @@ class FurnitureLayer:
         Each footprint is tested over the cells of its bounding window, widened
         by one cell and clipped to the map.  All windows are padded to the
         largest one and tested in one broadcast, each against its own polygon;
-        the padding, and a window that misses the map, mark nothing.
+        the padding, and a window that misses the map, mark nothing.  Window
+        bounds are clipped to just beyond the map before the integer cast, so
+        a corner any distance away cannot overflow it.
         """
         cells = grid.cells.copy()
         res, (ox, oy) = grid.resolution, grid.origin
         corners = np.array([inst.footprint() for inst in self.instances()]).reshape(-1, 4, 2)
-        lo = np.floor((corners.min(axis=1) - (ox, oy)) / res).astype(np.int64) - 1
-        hi = np.floor((corners.max(axis=1) - (ox, oy)) / res).astype(np.int64) + 1
+        edge = max(grid.width, grid.height) + 1
+        lo = np.clip(np.floor((corners.min(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) - 1
+        hi = np.clip(np.floor((corners.max(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) + 1
         c0, r0 = np.maximum(lo, 0).T[:, :, None, None]
         c1, r1 = np.minimum(hi, (grid.width - 1, grid.height - 1)).T[:, :, None, None]
         cols = c0 + np.arange(np.max(c1 - c0, initial=-1) + 1)  # (n, 1, window width)

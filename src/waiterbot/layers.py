@@ -1,4 +1,4 @@
-"""Combined layer dump: furniture, zones and humans in one JSON document.
+"""Combined layer dump: furniture and humans in one JSON document.
 
 The document uses a fixed key order so dumps are byte-stable and usable as
 golden files; `load_layers(dump_layers(...))` round-trips exactly.
@@ -11,7 +11,7 @@ from typing import Any
 
 from .furniture import FurnitureError, FurnitureInstance, FurnitureLayer
 from .geometry import Pose2D, take_keys
-from .semantic import HumanEntity, HumanLayer, Zone, zone_from_json
+from .semantic import HumanEntity, HumanLayer
 
 
 class LayerFormatError(Exception):
@@ -29,15 +29,10 @@ def _furniture_entry(inst) -> dict[str, Any]:
     }
 
 
-def dump_layers(furniture: FurnitureLayer, zones: list[Zone] | None = None,
-                humans: HumanLayer | None = None) -> str:
+def dump_layers(furniture: FurnitureLayer, humans: HumanLayer | None = None) -> str:
     doc: dict[str, Any] = {
         "furniture": [_furniture_entry(i) for i in furniture.instances()],
         "kitchen": furniture.kitchen_id,
-        "zones": [
-            {"name": z.name, "p1": list(z.p1), "p2": list(z.p2)}
-            for z in (zones or [])
-        ],
         "humans": [
             {
                 "id": h.id,
@@ -67,23 +62,21 @@ def _human(entry) -> HumanEntity:
                                                   e.pop("last_seen", 0)))
 
 
-def _each(doc: dict, key: str, kind: str, build) -> list:
-    """`build(entry)` for every entry of `doc[key]`, which is taken out of `doc`;
-    a failure names the entry."""
+def _each(doc: dict, key: str, kind: str, build) -> None:
+    """Call `build(entry)` on every entry of `doc[key]`, which is taken out of
+    `doc`; a failure names the entry."""
     entries = doc.pop(key, [])
     if not isinstance(entries, list):
         raise LayerFormatError(f"{key} must be a list, got {entries!r}")
-    out = []
     for entry in entries:
         try:
-            out.append(build(entry))
+            build(entry)
         except (KeyError, TypeError, ValueError, FurnitureError) as e:
             raise LayerFormatError(f"bad {kind} entry {entry!r}: {e}") from None
-    return out
 
 
-def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
-    """Rebuild the three layers from a dump document."""
+def load_layers(text: str) -> tuple[FurnitureLayer, HumanLayer]:
+    """Rebuild the furniture and human layers from a dump document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -100,9 +93,8 @@ def load_layers(text: str) -> tuple[FurnitureLayer, list[Zone], HumanLayer]:
             layer.set_kitchen(kitchen)
         except (FurnitureError, TypeError):
             raise LayerFormatError(f"kitchen {kitchen!r} is not among the furniture entries") from None
-    zones = _each(doc, "zones", "zone", zone_from_json)
     humans = HumanLayer()
     _each(doc, "humans", "human", lambda e: humans.restore(_human(e)))
     if doc:
         raise LayerFormatError(f"{next(iter(doc))}: unknown key")
-    return layer, zones, humans
+    return layer, humans

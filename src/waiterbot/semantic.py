@@ -1,8 +1,9 @@
-"""Semi-static zones and the dynamic human layer.
+"""The dynamic human layer, and the zone record that checks scenario input.
 
-Zones are named rectangles given by two diagonal corners, kept as scenario and
-layer-dump data.  Humans are associated to existing records by a 0.5 m
-nearest-neighbor gate.
+Humans are associated to existing records by a 0.5 m nearest-neighbor gate.
+Zones are named rectangles given by two diagonal corners; they are no layer of
+the map: a scenario's `world.zones` is checked and then dropped, since no
+decision reads it.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, R
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoal, NavGoalParams, NoGoalError, candidate_points, select_candidate, select_goal
 from .placement import PlacementError, find_placement, ransac_plane
-from .semantic import HumanLayer, HumanObservation, Zone, zone_from_json
+from .semantic import HumanLayer, HumanObservation, zone_from_json
 from .tasks import (
     OK,
     SKILL_KINDS,
@@ -176,7 +176,6 @@ EVENT_BUILDERS = {
 @dataclass(frozen=True)
 class Scenario:
     grid: GridMap
-    zones: tuple[Zone, ...]
     menu: Menu
     kitchen_table: str
     robot_start: Pose2D
@@ -262,10 +261,11 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         raise ScenarioError("world: missing or not an object")
     world = dict(world)  # `_world` takes out each key it reads; any left are unknown
     grid = _world(world, "grid_file", lambda f: load_grid((base_dir / f).read_text()))
+    menu = _world(world, "menu", Menu.from_json)
+    _world(world, "zones", lambda zs: tuple(map(zone_from_json, zs)), [])  # checked; no decision reads zones
     settings = dict(
         grid=grid,
-        menu=_world(world, "menu", Menu.from_json),
-        zones=_world(world, "zones", lambda zs: tuple(map(zone_from_json, zs)), []),
+        menu=menu,
         kitchen_table=_world(world, "kitchen_table", lambda v: check_string(v, "kitchen_table")),
         robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
         stock=_world(world, "stock", _stock, {}),

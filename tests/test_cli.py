@@ -125,6 +125,21 @@ class TestNavGoalCommand:
         assert code == 2
         assert "'nan,2.0,0.0'" in err and out == ""
 
+    def test_footprint_far_beyond_the_map_exits_0(self, capsys, tmp_path):
+        doc = json.loads((GOLDEN / "six_tables_layers.json").read_text())
+        doc["furniture"].append({"id": "counter_0", "class": "counter",
+                                 "pose": {"x": 6.0, "y": 7.5, "theta": 0.0}, "base_z": 0.0,
+                                 "dims": {"w": 1e19, "d": 0.4, "h": 1.0}, "last_seen": 0})
+        layers = tmp_path / "layers.json"
+        layers.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys,
+            ["nav-goal", "--map", SCENARIOS / "restaurant.grid", "--layers", layers,
+             "--furniture", "table_0", "--robot", "0.8,2.0,0.0"],
+        )
+        assert code == 0, err
+        assert out.startswith("cell: ")
+
 
 class TestPlaceCommand:
     def test_matches_golden(self, capsys):
@@ -200,6 +215,17 @@ class TestRunCommand:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, ["run", "--scenario", path])
         return code, out, err, index
+
+    def test_footprint_far_beyond_the_map_exits_0(self, capsys, tmp_path):
+        def mutate(events):
+            index = next(i for i, ev in enumerate(events) if ev["type"] == "detections")
+            events[index]["boxes"].append({"class": "counter", "center": [6.0, 7.5, 0.5],
+                                           "dims": [1e19, 0.4, 1.0], "yaw": 0.0})
+            return index
+
+        code, out, err, _ = self._run_mutated(capsys, tmp_path, mutate)
+        assert code == 0, err
+        assert "orders_total" in out
 
     def test_nan_timestamp_exits_2(self, capsys, tmp_path):
         def mutate(events):
@@ -375,9 +401,10 @@ def _layer_kitchen(doc):
     return "kitchen 'sofa_9'"
 
 
-def _layer_zero_area_zone(doc):
-    doc["zones"].append({"name": "bar", "p1": [1.0, 1.0], "p2": [1.0, 2.0]})
-    return "zone entry {'name': 'bar'"
+def _layer_zones(doc):
+    # well formed, yet unknown: zones are no layer of the map
+    doc["zones"] = [{"name": "bar", "p1": [1.0, 1.0], "p2": [2.0, 2.0]}]
+    return "zones: unknown key"
 
 
 def _layer_human_action(doc):
@@ -522,7 +549,7 @@ MALFORMED_INPUTS = {
     "layer duplicate furniture id": ("layers", _layer_duplicate_id),
     "layer kitchen not in furniture": ("layers", _layer_kitchen),
     "layer unknown human action": ("layers", _layer_human_action),
-    "layer zone of zero area": ("layers", _layer_zero_area_zone),
+    "layer zones key": ("layers", _layer_zones),
     "unknown top-level key": ("run", _unknown_key(key="description", named="description: unknown key")),
     "unknown zone key": ("run", _unknown_key("world", "zones", 0, key="p3",
                                              named="world.zones: ValueError: unknown key 'p3'")),

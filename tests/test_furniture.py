@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,21 @@ class TestVirtualObstacles:
                 yaw = float(rng.uniform(-math.pi, math.pi))
                 layer.restore(table(f"t{k}", center, dims, yaw))
             assert layer.virtual_obstacles(grid) == loop_virtual_obstacles(layer, grid)
+
+    @pytest.mark.parametrize("center, dims, yaw", [
+        ((2.0, 2.0, 0.5), (1e19, 0.8, 1.0), 0.0),
+        ((2.0, 2.0, 0.5), (1e19, 0.8, 1.0), 0.4),
+        ((1e19, 2.0, 0.36), (1.2, 0.8, 0.72), 0.0),
+    ], ids=["wide", "wide and turned", "far away"])
+    def test_footprint_far_beyond_the_map_equals_cell_loop(self, center, dims, yaw):
+        # a window bound past ~9.2e17 m at 0.1 m cells once overflowed its int64 cast
+        layer = FurnitureLayer()
+        layer.restore(table("counter", center, dims, yaw))
+        grid = empty_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = layer.virtual_obstacles(grid)
+        assert out == loop_virtual_obstacles(layer, grid)
 
     def test_idempotent_and_monotone(self):
         layer = FurnitureLayer()

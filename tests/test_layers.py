@@ -4,7 +4,7 @@ import pytest
 
 from waiterbot.furniture import Detection3D, FurnitureLayer
 from waiterbot.layers import LayerFormatError, dump_layers, load_layers
-from waiterbot.semantic import HumanLayer, HumanObservation, Zone
+from waiterbot.semantic import HumanLayer, HumanObservation
 
 
 def populated_layers():
@@ -17,24 +17,23 @@ def populated_layers():
         0,
     )
     furniture.set_kitchen("table_0")
-    zones = [Zone("dining area", (0.0, 0.0), (6.0, 4.0))]
     humans = HumanLayer()
     humans.upsert(HumanObservation((1.5, 1.5, 0.0), 0, action="sitting",
                                    attributes={"clothing": "T-shirt"}))
-    return furniture, zones, humans
+    return furniture, humans
 
 
 def test_dump_load_dump_byte_identical():
-    furniture, zones, humans = populated_layers()
-    text = dump_layers(furniture, zones, humans)
+    furniture, humans = populated_layers()
+    text = dump_layers(furniture, humans)
     again = dump_layers(*load_layers(text))
     assert again == text
 
 
 def test_hand_written_base_z_and_height_survive_load():
     # base_z + h / 2 - h / 2 is not base_z for many pairs, e.g. 1.49 and 1.87
-    furniture, zones, humans = populated_layers()
-    doc = json.loads(dump_layers(furniture, zones, humans))
+    furniture, humans = populated_layers()
+    doc = json.loads(dump_layers(furniture, humans))
     for base_z in [k / 100 for k in range(0, 200, 3)]:
         for h in [k / 100 for k in range(10, 250, 7)]:
             doc["furniture"][1]["base_z"] = base_z
@@ -44,24 +43,23 @@ def test_hand_written_base_z_and_height_survive_load():
 
 
 def test_sections_present_and_ordered():
-    furniture, zones, humans = populated_layers()
-    text = dump_layers(furniture, zones, humans)
-    assert text.index('"furniture"') < text.index('"zones"') < text.index('"humans"')
+    furniture, humans = populated_layers()
+    text = dump_layers(furniture, humans)
+    assert list(json.loads(text)) == ["furniture", "kitchen", "humans"]
     assert '"kitchen": "table_0"' in text
 
 
 def test_loaded_layer_preserves_ids_and_kitchen():
-    furniture, zones, humans = populated_layers()
-    loaded, loaded_zones, loaded_humans = load_layers(dump_layers(furniture, zones, humans))
+    furniture, humans = populated_layers()
+    loaded, loaded_humans = load_layers(dump_layers(furniture, humans))
     assert [i.id for i in loaded.instances()] == ["chair_0", "table_0"]
     assert loaded.kitchen_id == "table_0"
-    assert loaded_zones[0].name == "dining area"
     assert [(h.id, h.action) for h in loaded_humans.humans()] == [("person_0", "sitting")]
 
 
 def test_loaded_human_counter_continues():
-    furniture, zones, humans = populated_layers()
-    _, _, loaded_humans = load_layers(dump_layers(furniture, zones, humans))
+    furniture, humans = populated_layers()
+    _, loaded_humans = load_layers(dump_layers(furniture, humans))
     new_id = loaded_humans.upsert(HumanObservation((9.0, 9.0, 0.0), 5))
     assert new_id == "person_1"
 
