@@ -20,7 +20,8 @@ from .layers import LayerFormatError, dump_layers, load_layers
 from .llm import RemoteBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
 from .placement import NoSpaceError, PlacementError, find_placement, load_cloud, ransac_plane
-from .sim import EVENT_BUILDERS, PathError, RunConfig, ScenarioError, Simulation, load_scenario
+from .planner import PathError
+from .sim import EVENT_BUILDERS, RunConfig, ScenarioError, Simulation, load_scenario
 from .tasks import build_prompts, render_trace
 
 USAGE_EXIT = 2

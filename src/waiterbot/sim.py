@@ -15,7 +15,6 @@ number of times and `Simulation` never reads raw JSON.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections.abc import Mapping
@@ -33,6 +32,7 @@ from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, R
 from .llm import Menu, RuleBackend
 from .navgoal import NavGoal, NavGoalParams, NoGoalError, candidate_points, select_candidate, select_goal
 from .placement import PlacementError, find_placement, ransac_plane
+from .planner import PathError, plan_path
 from .semantic import HumanLayer, HumanObservation, zone_from_json
 from .tasks import (
     OK,
@@ -58,10 +58,6 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 class ScenarioError(Exception):
     pass
-
-
-class PathError(Exception):
-    """Start/goal inadmissible or no traversable path."""
 
 
 @dataclass(frozen=True)
@@ -293,94 +289,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(doc, path.parent)
 
 
-def _step_costs(cells: int) -> tuple[int, int]:
-    """Integer (straight, diagonal) step costs of `plan_path` on a grid of `cells`."""
-    step = 20 * cells * cells
-    return step, math.isqrt(2 * step * step)
-
-
-def plan_path(risk: RiskField, start: CellIndex, goal: CellIndex) -> list[CellIndex]:
-    """Shortest 8-connected path over cells with risk < 100 (A*, octile heuristic).
-
-    A straight step costs 1 and a diagonal sqrt(2); a diagonal may pass between
-    two blocked orthogonal neighbours.  The search runs on integers
-    (`_step_costs`): a straight step costs `step` = 20 * cells**2, a diagonal
-    `diag` = isqrt(2 * step**2), and the heuristic is the octile distance in
-    those costs.  The heuristic is consistent, since it is the exact path cost
-    on the same grid without obstacles.
-
-    The integer costs order every pair of values as the real costs do.  Every
-    g, h and f value is the cost of m straight and k diagonal steps with
-    m + k <= K = 2 * cells: a tree path has fewer than `cells` steps and the
-    heuristic at most max(w, h).  Two different real values m + k*sqrt(2)
-    differ by at least 1 / ((1 + sqrt(2)) * K), because
-    |dm + dk*sqrt(2)| = |dm**2 - 2*dk**2| / |dm - dk*sqrt(2)|, the numerator
-    is a non-zero integer and the denominator is at most (1 + sqrt(2)) * K.
-    Each integer cost is step * (m + k*sqrt(2)) less a rounding error in
-    [0, k), so two integer costs keep the real order whenever
-    step > 2 * (1 + sqrt(2)) * K**2 = 8 * (1 + sqrt(2)) * cells**2, which
-    20 * cells**2 exceeds.  Equal real values have equal (m, k), since sqrt(2)
-    is irrational, and so equal integer costs: every tie stays a tie.  Hence
-    the path is optimal in the real costs, and every optimal path has the same
-    numbers of straight and diagonal steps, whichever one the search returns.
-
-    Among open cells of equal f the one nearest the goal (least h) is expanded
-    first, then the lower cell index.  The free mask is built once per call as
-    bytes with a blocked one-cell border, so the neighbour loop needs no bounds
-    checks and reads no numpy scalars.
-    """
-    if risk.at(start) >= RISK_MAX or risk.at(goal) >= RISK_MAX:
-        raise PathError("start or goal cell is inside the risk region")
-    if start == goal:
-        return [start]
-    w, h = risk.width, risk.height
-    step, diag = _step_costs(w * h)
-    pw = w + 2  # row stride of the padded mask
-    padded = np.zeros((h + 2, pw), dtype=bool)
-    padded[1:-1, 1:-1] = risk.risk < RISK_MAX
-    free = padded.tobytes()
-    moves = [(dr * pw + dc, diag if dc and dr else step)
-             for dc in (-1, 0, 1) for dr in (-1, 0, 1) if dc or dr]
-    goal_col, goal_row = goal.col + 1, goal.row + 1
-
-    def heuristic(idx: int) -> int:
-        row, col = divmod(idx, pw)
-        dx, dy = abs(col - goal_col), abs(row - goal_row)
-        return (dy - dx) * step + dx * diag if dx < dy else (dx - dy) * step + dy * diag
-
-    start_idx = (start.row + 1) * pw + start.col + 1
-    goal_idx = goal_row * pw + goal_col
-    dist = {start_idx: 0}
-    parent: dict[int, int] = {}
-    h0 = heuristic(start_idx)
-    heap = [(h0, h0, start_idx)]
-    while heap:
-        f, hx, idx = heapq.heappop(heap)
-        g = f - hx
-        if g > dist[idx]:
-            continue  # superseded by a cheaper entry
-        if idx == goal_idx:
-            break
-        for offset, cost in moves:
-            nidx = idx + offset
-            if not free[nidx]:
-                continue
-            ng = g + cost
-            old = dist.get(nidx)
-            if old is None or ng < old:
-                dist[nidx] = ng
-                parent[nidx] = idx
-                nh = heuristic(nidx)
-                heapq.heappush(heap, (ng + nh, nh, nidx))
-    if goal_idx not in dist:
-        raise PathError(f"goal {goal} unreachable from {start}")
-    path_idx = [goal_idx]
-    while path_idx[-1] != start_idx:
-        path_idx.append(parent[path_idx[-1]])
-    path_idx.reverse()
-    return [CellIndex(i % pw - 1, i // pw - 1) for i in path_idx]
-
-
 def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
     """Synthetic exact tabletop grid plus a 3 x 3 point cluster per item on the table.
 
@@ -412,7 +320,7 @@ class Simulation:
     """World state plus the skill machinery; one instance per run.
 
     Navigation makes one goal search per table side and map (`_goal`) and one
-    A* run per endpoint pair and map (`_plan`).  Both stores hold results
+    `plan_path` run per endpoint pair and map (`_plan`).  Both stores hold results
     computed on the current risk field only: a detection frame, the one event
     that changes the map, empties them.
     """
@@ -490,8 +398,12 @@ class Simulation:
         pair that path reversed.  Moves and costs are symmetric (a diagonal
         needs only its target cell free), so the reverse of an optimal path is
         optimal, and every optimal path has the same straight and diagonal step
-        counts (see `plan_path`): the logged steps cannot change.  Like the goal
-        store of `_goal`, the path store is emptied by a detection frame.
+        counts (see `plan_path`): the logged steps cannot change.  This holds
+        for either route of `plan_path`.  The reverse of an octile-length path
+        has octile length, so a pair the DP answered has its reverse answered
+        by the DP too; a pair A* answered has no octile-length path either way,
+        so A* would answer its reverse as well.  Like the goal store of `_goal`,
+        the path store is emptied by a detection frame.
         """
         path = self._paths.get((start, goal))
         if path is None:

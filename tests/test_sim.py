@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import sys
 import threading
 from pathlib import Path
@@ -18,18 +19,8 @@ from waiterbot.furniture import detections_from_json
 from waiterbot.geometry import Pose2D
 from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, inflate, world_to_cell
 from waiterbot.navgoal import candidate_points, select_candidate, select_goal
-from waiterbot.sim import (
-    DetectionFrame,
-    Metrics,
-    PathError,
-    RunConfig,
-    ScenarioError,
-    Simulation,
-    _step_costs,
-    load_scenario,
-    parse_scenario,
-    plan_path,
-)
+from waiterbot.planner import PathError, _astar, _octile_path, _step_costs, plan_path
+from waiterbot.sim import DetectionFrame, Metrics, RunConfig, ScenarioError, Simulation, load_scenario, parse_scenario
 from waiterbot.tasks import SkillInvocation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +59,43 @@ class TestPlanPath:
         risk = inflate(grid, 0.0)
         with pytest.raises(PathError):
             plan_path(risk, CellIndex(0, 0), CellIndex(4, 4))
+
+    @pytest.mark.parametrize("start, goal, outside", [
+        (CellIndex(-1, 0), CellIndex(3, 3), "start CellIndex(col=-1, row=0)"),
+        (CellIndex(0, 0), CellIndex(6, 2), "goal CellIndex(col=6, row=2)"),
+        (CellIndex(0, 0), CellIndex(2, -1), "goal CellIndex(col=2, row=-1)"),
+    ], ids=["start col -1", "goal col 6", "goal row -1"])
+    def test_endpoint_off_the_grid_rejected(self, start, goal, outside):
+        grid, risk = risk_free(6, 5)
+        with pytest.raises(PathError, match=re.escape(f"{outside} lies outside the 6 x 5 grid")):
+            plan_path(risk, start, goal)
+
+    @pytest.mark.parametrize("dx, dy", [(5, 2), (2, 5), (-5, 2), (-2, 5), (5, -2), (2, -5), (-5, -2), (-2, -5),
+                                        (6, 0), (-6, 0), (0, 6), (0, -6), (4, 4), (-4, 4), (4, -4), (-4, -4)])
+    def test_octile_route_answers_every_octant(self, dx, dy):
+        """Either axis major, both signs, pure straight and pure diagonal legs.
+        Where a leg has both kinds of step, its diagonal first step is blocked."""
+        cells = np.zeros((13, 13), dtype=np.uint8)
+        start, goal = CellIndex(6, 6), CellIndex(6 + dx, 6 + dy)
+        if 0 not in octile_split(start, goal):
+            cells[6 + np.sign(dy), 6 + np.sign(dx)] = CellState.OCCUPIED
+        risk = inflate(GridMap(0.1, (0.0, 0.0), cells), 0.0)
+        path = _octile_path(risk, start, goal)
+        assert path is not None
+        check_path(risk, path, start, goal)
+        assert step_split(path) == octile_split(start, goal)
+        assert plan_path(risk, start, goal) == path
+
+    def test_one_cell_wall_forces_the_search(self):
+        cells = np.zeros((5, 7), dtype=np.uint8)
+        cells[2, 3] = CellState.OCCUPIED
+        risk = inflate(GridMap(0.1, (0.0, 0.0), cells), 0.0)
+        start, goal = CellIndex(0, 2), CellIndex(6, 2)
+        assert _octile_path(risk, start, goal) is None
+        path = plan_path(risk, start, goal)
+        check_path(risk, path, start, goal)
+        assert step_split(path) == (4, 2)
+        assert path == _astar(risk, start, goal)
 
     def test_diagonal_costs_sqrt2(self):
         grid, risk = risk_free(6, 6)
@@ -132,19 +160,28 @@ def test_plan_path_is_optimal_on_random_grids(density):
             (r0, c0), (r1, c1) = free[rng.choice(len(free), size=2, replace=False)]
             start, goal = CellIndex(int(c0), int(r0)), CellIndex(int(c1), int(r1))
             expected = relaxation_path_cost(risk.risk, start, goal)
-            if expected is None:
-                with pytest.raises(PathError):
-                    plan_path(risk, start, goal)
-                continue
-            path = plan_path(risk, start, goal)
-            check_path(risk, path, start, goal)
-            assert path_cost(path) == pytest.approx(expected, abs=1e-9)
+            # plan_path, and A* alone: at density 0 every leg has octile length,
+            # so plan_path never reaches the search there
+            for plan in (plan_path, _astar):
+                if expected is None:
+                    with pytest.raises(PathError):
+                        plan(risk, start, goal)
+                    continue
+                path = plan(risk, start, goal)
+                check_path(risk, path, start, goal)
+                assert path_cost(path) == pytest.approx(expected, abs=1e-9)
 
 
 def step_split(path):
     """(straight, diagonal) step counts of a cell path."""
     diagonal = sum(1 for a, b in zip(path, path[1:]) if a.col != b.col and a.row != b.row)
     return len(path) - 1 - diagonal, diagonal
+
+
+def octile_split(a, b):
+    """(straight, diagonal) step counts of a path of octile length from a to b."""
+    dx, dy = abs(b.col - a.col), abs(b.row - a.row)
+    return max(dx, dy) - min(dx, dy), min(dx, dy)
 
 
 @st.composite
@@ -164,15 +201,33 @@ def test_reversed_path_is_an_optimal_path_back(case):
     same straight and diagonal counts as from a to b, and the reverse of the a-to-b
     path is a valid b-to-a path."""
     risk, a, b = case
+    for plan in (plan_path, _astar):
+        try:
+            there = plan(risk, a, b)
+        except PathError:
+            with pytest.raises(PathError):
+                plan(risk, b, a)
+            continue
+        back = plan(risk, b, a)
+        assert step_split(back) == step_split(there)
+        check_path(risk, there[::-1], b, a)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(grid_and_endpoints())
+def test_octile_route_answers_exactly_the_octile_length_legs(case):
+    """The DP finds a path exactly when A*'s path has octile length; its path is
+    free, 8-connected, and has A*'s straight and diagonal counts."""
+    risk, a, b = case
     try:
-        there = plan_path(risk, a, b)
+        searched = step_split(_astar(risk, a, b))
     except PathError:
-        with pytest.raises(PathError):
-            plan_path(risk, b, a)
-        return
-    back = plan_path(risk, b, a)
-    assert step_split(back) == step_split(there)
-    check_path(risk, there[::-1], b, a)
+        searched = None
+    path = _octile_path(risk, a, b)
+    assert (path is not None) == (searched == octile_split(a, b))
+    if path is not None:
+        check_path(risk, path, a, b)
+        assert step_split(path) == searched
 
 
 # the largest grid the bound is checked for: 360 x 240 cells, f-values of at most
