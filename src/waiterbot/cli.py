@@ -14,14 +14,14 @@ import sys
 from pathlib import Path
 
 from .furniture import FrameOrderError, FurnitureError, FurnitureLayer, FurnitureNotFound
-from .geometry import Pose2D, finite_tuple, take_keys
+from .formats import LayerFormatError, ScenarioError, detection_entry, dump_layers, load_layers, load_scenario
+from .geometry import Pose2D, finite_tuple
 from .grid import GridFormatError, inflate, load_grid
-from .layers import LayerFormatError, dump_layers, load_layers
 from .llm import RemoteBackend
 from .navgoal import NavGoalParams, NoGoalError, select_goal
 from .placement import NoSpaceError, PlacementError, find_placement, load_cloud, ransac_plane
 from .planner import PathError
-from .sim import EVENT_BUILDERS, RunConfig, ScenarioError, Simulation, load_scenario
+from .sim import RunConfig, Simulation
 from .tasks import build_prompts, render_trace
 
 USAGE_EXIT = 2
@@ -60,7 +60,7 @@ def cmd_map_build(args) -> int:
     layer = FurnitureLayer()
     for i, entry in enumerate(log):
         try:
-            record = take_keys(entry, EVENT_BUILDERS["detections"])
+            record = detection_entry(entry)
             layer.track_frame(record.boxes, record.frame)
         except (KeyError, TypeError, ValueError, FrameOrderError) as e:
             raise CliError(f"bad detection log {args.detections}: entry {i}: {type(e).__name__}: {e}",

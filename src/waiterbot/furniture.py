@@ -29,7 +29,6 @@ from .geometry import (
     normalize_angle,
     point_in_convex_polygon,
     rect_corners,
-    take_keys,
 )
 from .grid import CellState, GridMap
 
@@ -84,18 +83,6 @@ def _positive_dims(dims) -> tuple[float, float, float]:
     if min(dims) <= 0:
         raise ValueError(f"dims must be positive, got {dims}")
     return dims
-
-
-def _detection(box) -> Detection3D:
-    return take_keys(box, lambda b: Detection3D(b.pop("class"), b.pop("center"), b.pop("dims"),
-                                                b.pop("yaw", 0.0)))
-
-
-def detections_from_json(boxes: list[dict]) -> tuple[Detection3D, ...]:
-    """One frame of JSON boxes (`class`, `center`, `dims`, optional `yaw`) as detections."""
-    if not isinstance(boxes, list):
-        raise ValueError(f"boxes must be a list, got {boxes!r}")
-    return tuple(map(_detection, boxes))
 
 
 @dataclass(frozen=True)

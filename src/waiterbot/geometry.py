@@ -40,19 +40,6 @@ def check_string(value, name: str) -> str:
     return value
 
 
-def take_keys(entry, build):
-    """`build(rest)` on a copy `rest` of the JSON object `entry`, from which
-    `build` takes out (pops) each key it reads; a key left over is unknown
-    and a ValueError names it."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"must be an object, got {entry!r}")
-    rest = dict(entry)
-    value = build(rest)
-    if rest:
-        raise ValueError(f"unknown key {next(iter(rest))!r}")
-    return value
-
-
 def normalize_angle(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     r = theta % TWO_PI

@@ -19,8 +19,6 @@ from typing import Any
 
 import requests
 
-from .geometry import take_keys
-
 
 class BackendError(Exception):
     pass
@@ -85,10 +83,6 @@ class Menu:
     def description_text(self) -> str:
         parts = [f"{i.name} ({i.description})" for i in self.items]
         return "We have " + ", ".join(parts) + "."
-
-    @classmethod
-    def from_json(cls, entries: list[dict[str, str]]) -> "Menu":
-        return cls([take_keys(e, lambda m: MenuItem(m.pop("name"), m.pop("description", ""))) for e in entries])
 
 
 class HttpTransport:

@@ -48,6 +48,9 @@ RANSAC_CONFIDENCE = 0.99
 # inliers deeper than this fraction of the cloud's extent inside the eight
 # extreme points' polygon are dropped before the hull (see `_hull_candidates`)
 HULL_PREFILTER_MARGIN = 1e-6
+# cells a clearance raster (and samples a simulated tabletop) may hold, checked before
+# allocating: a 10 m square at 2 cm; the largest simulated table is about 120 x 70
+MAX_RASTER_CELLS = 250_000
 
 
 class PlacementError(Exception):
@@ -215,6 +218,8 @@ def _raster(
     s_lo, t_lo = min(p[0] for p in hull), min(p[1] for p in hull)
     n_cols = max(1, math.ceil((max(p[0] for p in hull) - s_lo) / pitch))
     n_rows = max(1, math.ceil((max(p[1] for p in hull) - t_lo) / pitch))
+    if n_rows * n_cols > MAX_RASTER_CELLS:
+        raise NoSpaceError(f"surface of {n_rows} x {n_cols} cells exceeds the {MAX_RASTER_CELLS}-cell budget")
 
     occupied = np.zeros((n_rows, n_cols), dtype=bool)
     cols = np.floor((s_occ - s_lo) / pitch)

@@ -1,9 +1,6 @@
-"""The dynamic human layer, and the zone record that checks scenario input.
+"""The dynamic human layer.
 
 Humans are associated to existing records by a 0.5 m nearest-neighbor gate.
-Zones are named rectangles given by two diagonal corners; they are no layer of
-the map: a scenario's `world.zones` is checked and then dropped, since no
-decision reads it.
 """
 
 from __future__ import annotations
@@ -13,30 +10,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .geometry import check_count, check_string, finite_tuple, take_keys
+from .geometry import check_count, check_string, finite_tuple
 
 ACTIONS = ("sitting", "standing", "walking", "waving", "unknown")
 ASSOCIATION_GATE_M = 0.5
-
-
-@dataclass(frozen=True)
-class Zone:
-    """Named rectangle from two diagonal corners (any corner pair)."""
-
-    name: str
-    p1: tuple[float, float]
-    p2: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        check_string(self.name, "zone name")
-        object.__setattr__(self, "p1", finite_tuple(self.p1, 2, f"zone {self.name!r} corner"))
-        object.__setattr__(self, "p2", finite_tuple(self.p2, 2, f"zone {self.name!r} corner"))
-        if self.p1[0] == self.p2[0] or self.p1[1] == self.p2[1]:
-            raise ValueError(f"zone {self.name!r} has zero area")
-
-
-def zone_from_json(entry) -> Zone:
-    return take_keys(entry, lambda z: Zone(z.pop("name"), z.pop("p1"), z.pop("p2")))
 
 
 def _check_human(h) -> None:

@@ -1,63 +1,41 @@
-"""Discrete-event restaurant simulator.
+"""Discrete-event restaurant simulator: skill simulation and metrics.
 
 Replays a scripted event stream (furniture detections, human observations,
 table calls, utterances, skill faults) through the full stack: layered map,
 risk-field navigation goals, grid path planning, the understand/respond
 pipeline and the task executor with simulated skills.  Runs are fully
 deterministic for a fixed seed; the emitted line log is byte-stable so two
-replays can be diffed directly.
-
-`load_scenario` builds every event once into an immutable record whose
-constructor checks it (`DetectionFrame` of `Detection3D`s, `HumanObservation`,
-`Fault`, `Call`, `Utterance`), so one parsed `Scenario` can be replayed any
-number of times and `Simulation` never reads raw JSON.
+replays can be diffed directly.  The events come as the checked records of a
+`Scenario` from `formats.load_scenario`, never as raw JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .furniture import Detection3D, FurnitureInstance, FurnitureLayer, FurnitureNotFound, detections_from_json
-from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite
-from .grid import (RISK_MAX, BoundsError, CellIndex, GridFormatError, GridMap, RiskField, cell_risk,
-                   inflate, load_grid, world_to_cell)
-from .llm import Menu, RuleBackend
-from .navgoal import NavGoal, NavGoalParams, NoGoalError, candidate_points, select_candidate, select_goal
-from .placement import PlacementError, find_placement, ransac_plane
+from .formats import Call, DetectionFrame, Fault, Scenario, ScenarioError, Utterance
+from .formats import load_scenario  # noqa: F401  (the benchmark reads it as `sim.load_scenario`)
+from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound
+from .grid import RISK_MAX, CellIndex, RiskField, inflate, world_to_cell
+from .llm import RuleBackend
+from .navgoal import NavGoal, NoGoalError, candidate_points, select_candidate, select_goal
+from .placement import MAX_RASTER_CELLS, NoSpaceError, PlacementError, find_placement, ransac_plane
 from .planner import PathError, plan_path
-from .semantic import HumanLayer, HumanObservation, zone_from_json
-from .tasks import (
-    OK,
-    SKILL_KINDS,
-    Outcome,
-    ParsedTask,
-    Pipeline,
-    SkillInvocation,
-    SkillResult,
-    TaskOutcome,
-    execute,
-    failed,
-)
+from .semantic import HumanLayer, HumanObservation
+from .tasks import OK, Outcome, ParsedTask, Pipeline, SkillInvocation, SkillResult, TaskOutcome, execute, failed
 
-FAULT_MODES = ("fail", "wrong_item")
 # the reason a skill gives when a `fail` fault fires on it
 FAULT_REASONS = MappingProxyType({"navigate": "navigation fault", "detect": "not found", "grasp": "grasp fault",
                                   "place": "place fault", "find_placement": "no space", "speak": "speech fault",
                                   "hand_over": "hand-over fault"})
 # `json.dumps(record, sort_keys=True)` without building an encoder per record
 _encode = json.JSONEncoder(sort_keys=True).encode
-
-
-class ScenarioError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -105,195 +83,12 @@ class Metrics:
         )
 
 
-@dataclass(frozen=True)
-class DetectionFrame:
-    """A `detections` event: one frame of boxes."""
-
-    frame: int
-    boxes: tuple[Detection3D, ...]
-
-    def __post_init__(self) -> None:
-        check_count(self.frame, "frame")
-
-
-@dataclass(frozen=True)
-class Fault:
-    """A `fault` event: force the `trigger`-th `skill` invocation to misbehave.
-
-    `fail` makes any skill fail with its kind's reason; `wrong_item` makes
-    detect perceive another menu item, and applies to detect only."""
-
-    skill: str
-    trigger: int
-    mode: str = "fail"
-
-    def __post_init__(self) -> None:
-        if self.skill not in SKILL_KINDS:
-            raise ValueError(f"unknown fault skill {self.skill!r}")
-        check_count(self.trigger, "trigger")
-        if self.mode not in FAULT_MODES:
-            raise ValueError(f"unknown fault mode {self.mode!r}")
-        if self.mode == "wrong_item" and self.skill != "detect":
-            raise ValueError(f"fault mode 'wrong_item' applies to detect only, not {self.skill!r}")
-
-
-@dataclass(frozen=True)
-class Call:
-    table: str
-
-    def __post_init__(self) -> None:
-        check_string(self.table, "table")
-
-
-@dataclass(frozen=True)
-class Utterance:
-    table: str
-    text: str
-
-    def __post_init__(self) -> None:
-        check_string(self.table, "table")
-        check_string(self.text, "text")
-
-
-Record = DetectionFrame | HumanObservation | Fault | Call | Utterance
-
-# one builder per event type; each takes its keys out of a copy of the event, and
-# each record's constructor checks its own fields
-EVENT_BUILDERS = {
-    "detections": lambda ev: DetectionFrame(ev.pop("frame"), detections_from_json(ev.pop("boxes"))),
-    "human": lambda ev: HumanObservation(ev.pop("position"), ev.pop("frame"), ev.pop("action", "unknown"),
-                                         ev.pop("name", None), ev.pop("attributes", {})),
-    "fault": lambda ev: Fault(ev.pop("skill"), ev.pop("trigger"), ev.pop("mode", "fail")),
-    "call": lambda ev: Call(ev.pop("table")),
-    "utterance": lambda ev: Utterance(ev.pop("table"), ev.pop("text")),
-}
-
-
-@dataclass(frozen=True)
-class Scenario:
-    grid: GridMap
-    menu: Menu
-    kitchen_table: str
-    robot_start: Pose2D
-    stock: Mapping[str, int]
-    nav_params: NavGoalParams
-    events: tuple[tuple[float, Record], ...]  # (t, record), t non-decreasing
-
-
-def _world(world: dict, key: str, build, *default):
-    """`build(world[key])`, or `build(*default)` when the key is absent; the key
-    is taken out of `world`.  A failure is a ScenarioError naming `world.<key>`."""
-    if key not in world and not default:
-        raise ScenarioError(f"world.{key}: missing")
-    try:
-        return build(world.pop(key, *default))
-    except (KeyError, TypeError, ValueError, OSError, GridFormatError) as e:
-        raise ScenarioError(f"world.{key}: {type(e).__name__}: {e}") from None
-
-
-def _robot_start(grid: GridMap, rs) -> Pose2D:
-    if not (isinstance(rs, list) and len(rs) in (2, 3)):
-        raise ValueError(f"must be 2 or 3 finite numbers, got {rs!r}")
-    pose = Pose2D(*finite_tuple(rs, len(rs), "robot_start"))
-    try:
-        world_to_cell(grid, (pose.x, pose.y))
-    except BoundsError:
-        raise ValueError(f"{rs!r} lies outside the grid") from None
-    return pose
-
-
-def _stock(doc) -> Mapping[str, int]:
-    stock = dict(doc)
-    for item, count in stock.items():
-        check_count(count, f"{item!r} count")
-    return MappingProxyType(stock)
-
-
-def _events(events) -> tuple[tuple[float, Record], ...]:
-    """Each event built once into its record, plus the checks that span events."""
-    if not isinstance(events, list):
-        raise ScenarioError(f"events: must be a list, got {events!r}")
-    out = []
-    last_t = -math.inf
-    last_detection_frame = last_human_frame = -1
-    for i, ev in enumerate(events):
-        try:
-            if not isinstance(ev, dict):
-                raise ValueError(f"must be an object, got {ev!r}")
-            ev = dict(ev)  # the builder takes out the keys it reads; any left are unknown
-            t, kind = ev.pop("t"), ev.pop("type")
-            if not is_finite(t):
-                raise ValueError(f"t must be a finite number, got {t!r}")
-            if t < last_t:
-                raise ValueError("timestamps must be non-decreasing")
-            if kind not in EVENT_BUILDERS:
-                raise ValueError(f"unknown type {kind!r}")
-            record = EVENT_BUILDERS[kind](ev)
-            if ev:
-                raise ValueError(f"unknown key {next(iter(ev))!r}")
-            if kind == "detections":
-                if record.frame <= last_detection_frame:
-                    raise ValueError(f"detection frame {record.frame} not newer than {last_detection_frame}")
-                last_detection_frame = record.frame
-            elif kind == "human":
-                if record.frame_id < last_human_frame:
-                    raise ValueError(f"human frame {record.frame_id} older than {last_human_frame}")
-                last_human_frame = record.frame_id
-        except (KeyError, TypeError, ValueError) as e:
-            raise ScenarioError(f"event {i}: {type(e).__name__}: {e}") from None
-        last_t = t
-        out.append((float(t), record))
-    return tuple(out)
-
-
-def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("top level must be an object")
-    doc = dict(doc)  # the keys are taken out as they are read; any left are unknown
-    world, events = doc.pop("world", None), doc.pop("events", [])
-    if doc:
-        raise ScenarioError(f"{next(iter(doc))}: unknown key")
-    if not isinstance(world, dict):
-        raise ScenarioError("world: missing or not an object")
-    world = dict(world)  # `_world` takes out each key it reads; any left are unknown
-    grid = _world(world, "grid_file", lambda f: load_grid((base_dir / f).read_text()))
-    menu = _world(world, "menu", Menu.from_json)
-    _world(world, "zones", lambda zs: tuple(map(zone_from_json, zs)), [])  # checked; no decision reads zones
-    settings = dict(
-        grid=grid,
-        menu=menu,
-        kitchen_table=_world(world, "kitchen_table", lambda v: check_string(v, "kitchen_table")),
-        robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
-        stock=_world(world, "stock", _stock, {}),
-        nav_params=_world(world, "nav_params", lambda kw: NavGoalParams(**kw), {}),
-    )
-    if world:
-        raise ScenarioError(f"world.{next(iter(world))}: unknown key")
-    # a start inside the static risk region would abandon every call; only the
-    # disc around the start cell is read, not a whole inflated map
-    start, radius = settings["robot_start"], settings["nav_params"].robot_radius
-    if cell_risk(grid, world_to_cell(grid, (start.x, start.y)), radius):
-        raise ScenarioError(f"world.robot_start: ({start.x!r}, {start.y!r}) lies within "
-                            f"robot_radius {radius!r} m of a cell that is not free")
-    return Scenario(**settings, events=_events(events))
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise ScenarioError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"{path} is not valid JSON: {e}") from None
-    return parse_scenario(doc, path.parent)
-
-
 def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
     """Synthetic exact tabletop grid plus a 3 x 3 point cluster per item on the table.
 
     Points come i-major (then j), then item by item; the float expressions are
     those of the per-point loop in `tests/oracles.py`, so the cloud is bit-equal.
+    A sample grid of more than `MAX_RASTER_CELLS` points raises NoSpaceError.
     """
     w, d, h = table.dims
     top_z = table.base_z + h
@@ -306,6 +101,8 @@ def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
 
     nx = max(4, int(w / 0.05))
     ny = max(4, int(d / 0.05))
+    if nx * ny > MAX_RASTER_CELLS:
+        raise NoSpaceError(f"tabletop of {nx} x {ny} samples exceeds the {MAX_RASTER_CELLS}-cell budget")
     lx, ly = np.meshgrid(-w / 2 + (np.arange(nx) + 0.5) * w / nx,
                          -d / 2 + (np.arange(ny) + 0.5) * d / ny, indexing="ij")
     k = np.arange(n_items)[:, None, None]
@@ -569,10 +366,10 @@ class Simulation:
             table = self.layer.get(self.location)
         except FurnitureNotFound:
             return failed("nowhere to place")
-        cloud = tabletop_cloud(table, len(self.table_items.get(table.id, [])))
         seed = self.config.seed * 1_000_003 + self._placement_count
         self._placement_count += 1
         try:
+            cloud = tabletop_cloud(table, len(self.table_items.get(table.id, [])))
             plane, inliers = ransac_plane(cloud, seed)
             spot = find_placement(cloud, plane, inliers, object_radius=0.05)
         except PlacementError as e:
@@ -658,7 +455,7 @@ class Simulation:
             self.metrics.orders_total += 1
             self.placed_at_caller = None
         outcome = execute(parsed, self.simulate_skill)
-        if is_order and outcome.state is not Outcome.FAILED:
+        if is_order and self.placed_at_caller is not None:  # served, whatever failed after the place
             if self.placed_at_caller == parsed.slots["item"]:
                 self.metrics.served_correct += 1
             else:

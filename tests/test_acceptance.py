@@ -18,14 +18,14 @@ import numpy as np
 from helpers import save_cloud, table
 from oracles import brute_force_goal, exact_iou_3d, naive_inflate
 from waiterbot.cli import dispatch
+from waiterbot.formats import dump_layers, load_layers, load_scenario
 from waiterbot.furniture import Detection3D, FurnitureLayer, TrackStatus
 from waiterbot.geometry import Pose2D, iou_3d
 from waiterbot.grid import GridMap, inflate, load_grid, save_grid
-from waiterbot.layers import dump_layers, load_layers
 from waiterbot.llm import Menu, MenuItem
 from waiterbot.navgoal import NavGoalParams, NoGoalError, select_goal
 from waiterbot.placement import load_cloud, ransac_plane
-from waiterbot.sim import Metrics, RunConfig, Simulation, load_scenario
+from waiterbot.sim import Metrics, RunConfig, Simulation
 from waiterbot.tasks import OK, Outcome, ParsedTask, Pipeline, execute, failed, render_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,14 @@ class TestPlaceCommand:
         code, _, err = run_cli(capsys, ["place", "--cloud", cloud, "--radius", "0.05"])
         assert code == 1
 
+    def test_surface_beyond_the_raster_budget_exits_1(self, capsys, tmp_path):
+        rng = random.Random(0)  # a flat cloud 1e19 m long
+        cloud = tmp_path / "cloud.txt"
+        cloud.write_text("".join(f"{rng.uniform(0, 1e19)!r} {rng.uniform(0, 1)!r} 0.0\n" for _ in range(400)))
+        code, out, err = run_cli(capsys, ["place", "--cloud", cloud, "--radius", "0.05"])
+        assert code == 1
+        assert err.startswith("error: no space: ") and "budget" in err and out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_exits_2(self, capsys, tmp_path, value):
         cloud = tmp_path / "cloud.txt"
@@ -207,13 +216,13 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, ["run", "--scenario", "no_such.json"])
         assert code == 2
 
-    def _run_mutated(self, capsys, tmp_path, mutate):
+    def _run_mutated(self, capsys, tmp_path, mutate, *options):
         doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
         doc["world"]["grid_file"] = str(SCENARIOS / doc["world"]["grid_file"])
         index = mutate(doc["events"])
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, ["run", "--scenario", path])
+        code, out, err = run_cli(capsys, ["run", "--scenario", path, *options])
         return code, out, err, index
 
     def test_footprint_far_beyond_the_map_exits_0(self, capsys, tmp_path):
@@ -226,6 +235,19 @@ class TestRunCommand:
         code, out, err, _ = self._run_mutated(capsys, tmp_path, mutate)
         assert code == 0, err
         assert "orders_total" in out
+
+    def test_table_beyond_the_raster_budget_fails_its_placement(self, capsys, tmp_path):
+        def mutate(events):
+            index = next(i for i, ev in enumerate(events) if ev["type"] == "detections")
+            events[index]["boxes"][0]["dims"][0] = 1e19  # table_0
+            return index
+
+        log = tmp_path / "run.jsonl"
+        code, out, err, _ = self._run_mutated(capsys, tmp_path, mutate, "--log", log)
+        assert code == 0, err
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert any(r["event"] == "skill" and r["skill"] == "find_placement()" and "budget" in r["result"]
+                   for r in records)
 
     def test_nan_timestamp_exits_2(self, capsys, tmp_path):
         def mutate(events):
@@ -386,6 +408,12 @@ def _unknown_kitchen(doc):
     return f"event {_first(doc['events'], 'call')}: world.kitchen_table 'sofa_9'"
 
 
+def _zero_area_zone(doc):
+    zone = doc["world"]["zones"][0]
+    zone["p2"] = [zone["p1"][0], zone["p2"][1]]
+    return f"world.zones: ValueError: zone {zone['name']!r} has zero area"
+
+
 def _layer_dims(doc):
     doc["furniture"][1]["dims"]["w"] = 0.0
     return "'table_1'"
@@ -506,6 +534,7 @@ MALFORMED_INPUTS = {
     "wrong_item fault on grasp": ("run", _event("fault", "skill", "grasp")),
     "call to an untracked table": ("run", _event("call", "table", "table_99")),
     "non-numeric zone corner": ("run", _world_at("zones", 0, "p1", value=["a", 1])),
+    "zero-area zone": ("run", _zero_area_zone),
     "string stock count": ("run", _world_at("stock", "cola", value="x")),
     "negative stock count": ("run", _world_at("stock", "cola", value=-3)),
     "integer menu name": ("run", _world_at("menu", 0, "name", value=7)),

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
+from waiterbot.formats import LayerFormatError, dump_layers, load_layers
 from waiterbot.furniture import Detection3D, FurnitureLayer
-from waiterbot.layers import LayerFormatError, dump_layers, load_layers
 from waiterbot.semantic import HumanLayer, HumanObservation
 
 

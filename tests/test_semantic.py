@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from waiterbot.semantic import HumanEntity, HumanLayer, HumanObservation, Zone
-
-
-class TestZones:
-    def test_zero_area_rejected(self):
-        with pytest.raises(ValueError):
-            Zone("line", (0, 0), (0, 3))
+from waiterbot.semantic import HumanEntity, HumanLayer, HumanObservation
 
 
 class TestHumanTracking:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waiterbot.llm import BackendError, Menu, MenuItem, RuleBackend, _normalize
-from waiterbot.sim import Utterance, load_scenario
+from waiterbot.formats import Utterance, load_scenario
 from waiterbot.tasks import (
     APOLOGY_LINE,
     OK,
