@@ -156,24 +156,21 @@ def cmd_repl(args) -> int:
     tables = [i.id for i in sim.layer.instances() if i.id != sim.layer.kitchen_id]
     sim.caller = args.table or (tables[0] if tables else None)
     print(f"serving table: {sim.caller}  (:quit to exit)")
-    try:
-        while True:
-            try:
-                line = input("you> ")
-            except EOFError:
-                break
-            line = line.strip()
-            if not line:
-                continue
-            if line == ":quit":
-                break
-            parsed, response, outcome = sim.handle_utterance(line)
-            print(f"robot> {response}")
-            slots = ", ".join(f"{k}={parsed.slots[k]}" for k in sorted(parsed.slots))
-            print(f"task: {parsed.name}({slots}) confidence={parsed.confidence:.2f}")
-            print(render_trace(outcome))
-    finally:
-        sim.pipeline.close()
+    while True:
+        try:
+            line = input("you> ")
+        except EOFError:
+            break
+        line = line.strip()
+        if not line:
+            continue
+        if line == ":quit":
+            break
+        parsed, response, outcome = sim.handle_utterance(line)
+        print(f"robot> {response}")
+        slots = ", ".join(f"{k}={parsed.slots[k]}" for k in sorted(parsed.slots))
+        print(f"task: {parsed.name}({slots}) confidence={parsed.confidence:.2f}")
+        print(render_trace(outcome))
     return 0
 
 

@@ -51,6 +51,9 @@ HULL_PREFILTER_MARGIN = 1e-6
 # cells a clearance raster (and samples a simulated tabletop) may hold, checked before
 # allocating: a 10 m square at 2 cm; the largest simulated table is about 120 x 70
 MAX_RASTER_CELLS = 250_000
+# largest coordinate magnitude the fit takes, far beyond any surface that budget holds
+# (5 km a side at most): a normal's squared sum is then at most 192 * 1e300, finite
+MAX_CLOUD_EXTENT_M = 1e75
 
 
 class PlacementError(Exception):
@@ -159,6 +162,9 @@ def ransac_plane(cloud: np.ndarray, seed: int) -> tuple[Plane, np.ndarray]:
     n_pts = len(pts)
     if n_pts < 3:
         raise PlaneFitError(f"need at least 3 points, got {n_pts}")
+    extent = float(np.abs(pts).max())
+    if extent > MAX_CLOUD_EXTENT_M:
+        raise PlaneFitError(f"cloud extent {extent:.3g} m exceeds {MAX_CLOUD_EXTENT_M:.0e} m")
 
     triples = sample_triples(n_pts, RANSAC_ITERATIONS, np.random.default_rng(seed))
     best = (-1, -math.inf)  # (count, d) of the best hypothesis so far
@@ -236,7 +242,10 @@ def _raster(
     nx, ny = -e[:, 1] / length, e[:, 0] / length  # unit normals pointing into the CCW hull
     row_part = ny[:, None] * ct - (nx * a[:, 0] + ny * a[:, 1])[:, None]  # (edges, rows)
     col_part = nx[:, None] * cs  # (edges, cols)
-    line_dist = (row_part[:, :, None] + col_part[:, None, :]).min(axis=0)
+    line_dist = row_part[0][:, None] + col_part[0]
+    edge_dist = np.empty_like(line_dist)  # a running minimum keeps memory at two rasters
+    for r, c in zip(row_part[1:], col_part[1:]):
+        np.minimum(line_dist, np.add(r[:, None], c, out=edge_dist), out=line_dist)
     return s_lo, t_lo, occupied, in_hull, line_dist
 
 

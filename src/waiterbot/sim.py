@@ -25,7 +25,7 @@ from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound
 from .grid import RISK_MAX, CellIndex, RiskField, inflate, world_to_cell
 from .llm import RuleBackend
 from .navgoal import NavGoal, NoGoalError, candidate_points, select_candidate, select_goal
-from .placement import MAX_RASTER_CELLS, NoSpaceError, PlacementError, find_placement, ransac_plane
+from .placement import GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, find_placement, ransac_plane
 from .planner import PathError, plan_path
 from .semantic import HumanLayer, HumanObservation
 from .tasks import OK, Outcome, ParsedTask, Pipeline, SkillInvocation, SkillResult, TaskOutcome, execute, failed
@@ -88,7 +88,8 @@ def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
 
     Points come i-major (then j), then item by item; the float expressions are
     those of the per-point loop in `tests/oracles.py`, so the cloud is bit-equal.
-    A sample grid of more than `MAX_RASTER_CELLS` points raises NoSpaceError.
+    A top whose sample grid, or whose 2 cm placement raster, would hold more
+    than `MAX_RASTER_CELLS` raises NoSpaceError before any point is drawn.
     """
     w, d, h = table.dims
     top_z = table.base_z + h
@@ -101,8 +102,11 @@ def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
 
     nx = max(4, int(w / 0.05))
     ny = max(4, int(d / 0.05))
-    if nx * ny > MAX_RASTER_CELLS:
-        raise NoSpaceError(f"tabletop of {nx} x {ny} samples exceeds the {MAX_RASTER_CELLS}-cell budget")
+    # the inlier hull spans the sample centres; at any yaw its raster holds at least this many cells
+    rows, cols = math.ceil((d - d / ny) / GRID_PITCH_M), math.ceil((w - w / nx) / GRID_PITCH_M)
+    if max(nx * ny, rows * cols) > MAX_RASTER_CELLS:
+        raise NoSpaceError(f"tabletop of {nx} x {ny} samples and {rows} x {cols} cells "
+                           f"exceeds the {MAX_RASTER_CELLS}-cell budget")
     lx, ly = np.meshgrid(-w / 2 + (np.arange(nx) + 0.5) * w / nx,
                          -d / 2 + (np.arange(ny) + 0.5) * d / ny, indexing="ij")
     k = np.arange(n_items)[:, None, None]
@@ -475,20 +479,17 @@ class Simulation:
     def run(self) -> tuple[Metrics, list[str]]:
         self._log("run_start", mode=self.config.mode, seed=self.config.seed)
         consumed: set[int] = set()
-        try:
-            for i, (t, ev) in enumerate(self.scenario.events):
-                self.t = t
-                if isinstance(ev, DetectionFrame):
-                    self._apply_detections(ev)
-                elif isinstance(ev, HumanObservation):
-                    self._apply_human(ev)
-                elif isinstance(ev, Fault):
-                    self._arm_fault(ev)
-                elif isinstance(ev, Call):
-                    self._serve_call(ev.table, i, consumed)
-                elif i not in consumed:
-                    self._log("utterance_ignored", table=ev.table)
-        finally:
-            self.pipeline.close()
+        for i, (t, ev) in enumerate(self.scenario.events):
+            self.t = t
+            if isinstance(ev, DetectionFrame):
+                self._apply_detections(ev)
+            elif isinstance(ev, HumanObservation):
+                self._apply_human(ev)
+            elif isinstance(ev, Fault):
+                self._arm_fault(ev)
+            elif isinstance(ev, Call):
+                self._serve_call(ev.table, i, consumed)
+            elif i not in consumed:
+                self._log("utterance_ignored", table=ev.table)
         self._log("run_end", **self.metrics.to_dict())
         return self.metrics, self.log

@@ -4,15 +4,15 @@ A task representation is a named, fixed skill sequence with slot parameters
 and optional per-skill recovery splices; the four of them (serving, cleaning,
 menu, chat) are fixed in the read-only `REGISTRY`.  The pipeline turns an
 utterance into a parsed task and a spoken response, either in parallel
-(response never sees the parse; it gets a thread of its own only over a
-backend that blocks) or sequentially (response is conditioned on the parse).
-The executor runs skills in order; a failed skill with a recovery entry emits
-a help request and splices the replacement subsequence instead of aborting.
+(response never sees the parse; it gets a thread of its own for the call only
+over a backend that blocks) or sequentially (response is conditioned on the
+parse).  The executor runs skills in order; a failed skill with a recovery
+entry splices the replacement subsequence instead of aborting, and the speak
+that opens every recovery is the help request.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -87,9 +87,11 @@ class TaskRepresentation:
         if not self.skills:
             raise ValueError(f"{self.name}: skill list must not be empty")
         kinds = {s.kind for s in self.skills}
-        for key in self.recovery:
+        for key, splice in self.recovery.items():
             if key not in kinds:
                 raise ValueError(f"{self.name}: recovery key {key!r} is not a listed skill")
+            if not splice or splice[0].kind != "speak" or not splice[0].arg:
+                raise ValueError(f"{self.name}: recovery {key!r} must open with a speak that asks for help")
         # read-only over a copy, so no caller can change a checked representation
         object.__setattr__(self, "recovery", MappingProxyType(dict(self.recovery)))
 
@@ -133,7 +135,8 @@ REGISTRY: Mapping[str, TaskRepresentation] = MappingProxyType({rep.name: rep for
             SkillSpec("place", "{item}"),
             SkillSpec("speak", "confirmation"),
         ),
-        recovery={"detect": (SkillSpec("speak", "{help}"), SkillSpec("hand_over", "{item}"))},
+        recovery={"detect": (SkillSpec("speak", "I could not find the {item}. Could you place it in my hand?"),
+                             SkillSpec("hand_over", "{item}"))},
     ),
     TaskRepresentation(
         name="clean_table",
@@ -190,22 +193,6 @@ def build_prompts(menu: Menu) -> PromptPair:
     return PromptPair(base + UNDERSTAND_SUFFIX, base + RESPOND_SUFFIX)
 
 
-def bypass_help(invocation: SkillInvocation, result: SkillResult) -> str:
-    """Deterministic help request for a failed skill (offline templates)."""
-    item = invocation.arg or "item"
-    if not result.reason:
-        return "I ran into a problem. Could you help me?"
-    if invocation.kind == "detect":
-        return f"I could not find the {item}. Could you place it in my hand?"
-    if invocation.kind == "grasp":
-        return f"I could not pick up the {item}. Could you hand it to me?"
-    if invocation.kind == "navigate":
-        return f"I cannot reach the {item}. Could you clear the way for me?"
-    if invocation.kind in ("place", "find_placement"):
-        return f"I could not find a spot for the {item}. Could you take it from me?"
-    return "I ran into a problem. Could you help me?"
-
-
 SkillRunner = Callable[[SkillInvocation], SkillResult]
 
 
@@ -220,23 +207,21 @@ def execute(task: ParsedTask, skill_runner: SkillRunner) -> TaskOutcome:
 
     trace: list[tuple[SkillInvocation, SkillResult]] = []
     help_messages: list[str] = []
-    queue: list[tuple[SkillSpec, bool]] = [(s, True) for s in rep.skills]  # (spec, recoverable)
-    assisted = False
-
+    # each template is bound once; a slot value may hold "{", so bound text is never formatted again
+    queue = [(spec.bind(task.slots), True) for spec in rep.skills]  # (invocation, recoverable)
     while queue:
-        spec, recoverable = queue.pop(0)
-        inv = spec.bind({**task.slots, "help": help_messages[-1] if help_messages else ""})
+        inv, recoverable = queue.pop(0)
         result = skill_runner(inv)
         trace.append((inv, result))
         if result.ok:
             continue
-        recovery = rep.recovery.get(spec.kind) if recoverable else None
+        recovery = rep.recovery.get(inv.kind) if recoverable else None
         if recovery is None:
             return TaskOutcome(Outcome.FAILED, trace, help_messages)
-        assisted = True
-        help_messages.append(bypass_help(inv, result))
-        queue = [(s, False) for s in recovery] + queue
-    state = Outcome.COMPLETED_WITH_ASSIST if assisted else Outcome.COMPLETED
+        spliced = [spec.bind(task.slots) for spec in recovery]
+        help_messages.append(spliced[0].arg)  # the opening speak asks for help
+        queue = [(inv, False) for inv in spliced] + queue
+    state = Outcome.COMPLETED_WITH_ASSIST if help_messages else Outcome.COMPLETED
     return TaskOutcome(state, trace, help_messages)
 
 
@@ -258,10 +243,10 @@ class Pipeline:
 
     In parallel mode respond gets the utterance only, never the parse, and has
     finished before `handle` returns.  Over a backend whose calls block (its
-    `BLOCKING` is true, or it does not say), respond runs on one worker thread,
-    started by the first `handle` and kept until `close`, while understand runs
-    on the caller's: the two waits overlap.  Over a backend that says it does
-    not block, there is no wait to hide, so both run on the caller's thread,
+    `BLOCKING` is true, or it does not say), respond runs on a thread started
+    for that call and joined before it returns, while understand runs on the
+    caller's: the two waits overlap.  Over a backend that says it does not
+    block, there is no wait to hide, so both run on the caller's thread,
     respond first; a thread hand-off would cost more than the calls."""
 
     def __init__(self, menu: Menu, backend, mode: str = "parallel"):
@@ -270,8 +255,6 @@ class Pipeline:
         self.menu = menu
         self.backend = backend
         self.mode = mode
-        self._worker: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
 
     def _understand(self, utterance: str) -> ParsedTask:
         try:
@@ -295,19 +278,10 @@ class Pipeline:
         if not getattr(self.backend, "BLOCKING", True):
             response = self._respond(utterance, None)
             return self._understand(utterance), response
-        with self._lock:  # one worker, however many threads call handle
-            if self._worker is None:
-                self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="respond")
-            respond_future = self._worker.submit(self._respond, utterance, None)
-        try:
-            parsed = self._understand(utterance)
-        finally:
-            response = respond_future.result()  # waited for even when understand raises
+        with ThreadPoolExecutor(1, "respond") as pool:  # one respond thread, joined on leaving
+            respond_future = pool.submit(self._respond, utterance, None)
+            try:
+                parsed = self._understand(utterance)
+            finally:
+                response = respond_future.result()  # waited for even when understand raises
         return parsed, response
-
-    def close(self) -> None:
-        """Stop the respond worker, if one was started; a later `handle` starts a new one."""
-        with self._lock:
-            worker, self._worker = self._worker, None
-        if worker is not None:
-            worker.shutdown()

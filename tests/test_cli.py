@@ -170,6 +170,15 @@ class TestPlaceCommand:
         assert code == 1
         assert err.startswith("error: no space: ") and "budget" in err and out == ""
 
+    @pytest.mark.parametrize("x,y", [(8e307, 1.0), (1e160, 1.0), (1e100, 1e100)])
+    def test_cloud_beyond_the_fit_extent_exits_1(self, capsys, tmp_path, x, y):
+        rng = random.Random(0)  # 400 points on z = 0, spread over [-x, x] x [-y, y]
+        cloud = tmp_path / "cloud.txt"
+        cloud.write_text("".join(f"{rng.uniform(-x, x)!r} {rng.uniform(-y, y)!r} 0.0\n" for _ in range(400)))
+        code, out, err = run_cli(capsys, ["place", "--cloud", cloud, "--radius", "0.05"])
+        assert code == 1  # an overflow's RuntimeWarning would have failed the test
+        assert err.startswith("error: plane fit failed: cloud extent ") and out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_exits_2(self, capsys, tmp_path, value):
         cloud = tmp_path / "cloud.txt"

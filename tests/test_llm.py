@@ -276,7 +276,6 @@ class TestRemoteBackendIntegration:
         finally:
             stub.latch.set()
             caller.join(timeout=10)
-            pipe.close()
         assert out["r"] == (ParsedTask("serve_order", {"item": "cola"}, 1.0), "One moment, please.")
         respond_body = next(r["body"] for r in stub.requests
                             if r["body"]["messages"][0]["content"] == prompts.respond_prompt)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -78,6 +79,25 @@ class TestRansac:
         scatter = rng.uniform(-1, 1, (200, 3))
         with pytest.raises(InsufficientSupportError):
             ransac_plane(scatter, 0)
+
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_cloud_at_the_extent_bound_fits_without_overflow(self, flat):
+        # the corners of the bound's cube (or square) and a seeded fill: the
+        # largest differences, cross products and squared sums the fit can meet
+        e = placement.MAX_CLOUD_EXTENT_M
+        corners = np.array(list(itertools.product((-e, e), repeat=3)))
+        cloud = np.vstack([corners, np.random.default_rng(4).uniform(-e, e, (200, 3))])
+        if flat:
+            cloud[:, 2] = 0.0
+        with pytest.raises(NoSpaceError if flat else InsufficientSupportError):
+            plane, inliers = ransac_plane(cloud, 0)  # a RuntimeWarning fails the test
+            find_placement(cloud, plane, inliers, object_radius=0.05)
+
+    def test_cloud_beyond_the_extent_bound_rejected(self):
+        cloud = flat_cloud()
+        cloud[0, 0] = -2 * placement.MAX_CLOUD_EXTENT_M
+        with pytest.raises(PlaneFitError, match="cloud extent 2e"):
+            ransac_plane(cloud, 0)
 
     def test_fixed_seed_bit_identical(self):
         cloud, _ = noisy_scene(31)
@@ -367,6 +387,31 @@ class TestArrayCodeMatchesLoops:
         assert cells > 100_000
         assert outcomes["tuple"] > 50 and outcomes["str"] > 10
         assert outcomes["best clearance -1.000 m below required 0.070 m"] > 10
+
+    def test_line_dist_is_the_least_over_edges_in_two_rasters(self):
+        def polygon(n, r):
+            k = np.arange(n) * 2 * math.pi / n
+            return convex_hull(list(zip((r * np.cos(k)).tolist(), (r * np.sin(k)).tolist())))
+
+        # bit-equal to the (edges x rows x cols) block it replaces, here 60 x 60 x 60 cells
+        hull = polygon(60, 0.6)
+        _, _, occupied, _, line_dist = placement._raster(hull, np.zeros(0), np.zeros(0), 0.02)
+        a = np.asarray(hull)
+        e = np.roll(a, -1, axis=0) - a
+        nx, ny = -e[:, 1] / np.hypot(e[:, 0], e[:, 1]), e[:, 0] / np.hypot(e[:, 0], e[:, 1])
+        cs = a[:, 0].min() + (np.arange(occupied.shape[1]) + 0.5) * 0.02
+        ct = a[:, 1].min() + (np.arange(occupied.shape[0]) + 0.5) * 0.02
+        row_part = ny[:, None] * ct - (nx * a[:, 0] + ny * a[:, 1])[:, None]
+        block = row_part[:, :, None] + (nx[:, None] * cs)[:, None, :]
+        assert line_dist.tobytes() == block.min(axis=0).tobytes()
+        # a 400-gon over 200 x 200 cells: the block would take 400 rasters
+        hull = polygon(400, 2.0)
+        tracemalloc.start()
+        _, _, occupied, _, _ = placement._raster(hull, np.zeros(0), np.zeros(0), 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(hull) == 400 and occupied.size >= 199 * 199
+        assert peak < 8 * occupied.size * 8  # a few float rasters
 
     def test_raster_marks_occupied_cells_and_drops_outside_points(self):
         hull = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import table
 from oracles import all_cells, path_cost, relaxation_path_cost
 from waiterbot import sim as sim_module
 from waiterbot.cli import dispatch
@@ -354,6 +355,18 @@ class TestSimulatedSkills:
         assert sim.simulate_skill(SkillInvocation("place", "green tea")).ok
         assert sim.table_items["table_1"] == ["green tea"]
         assert sim.carried is None
+
+
+def test_a_table_beyond_the_raster_budget_fails_before_the_fit(monkeypatch):
+    def fit(cloud, seed):
+        raise AssertionError("ransac_plane ran")
+
+    monkeypatch.setattr(sim_module, "ransac_plane", fit)
+    sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig())
+    sim.layer.restore(table("hall_0", (30.0, 30.0, 0.36), (24.0, 24.0, 0.72)))  # 1198 x 1198 cells at 2 cm
+    sim.location = "hall_0"
+    result = sim.simulate_skill(SkillInvocation("find_placement"))
+    assert result.reason == "tabletop of 480 x 480 samples and 1198 x 1198 cells exceeds the 250000-cell budget"
 
 
 def first_order(*faults):

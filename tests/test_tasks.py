@@ -20,7 +20,6 @@ from waiterbot.tasks import (
     TaskError,
     TaskRepresentation,
     build_prompts,
-    bypass_help,
     execute,
     failed,
     render_trace,
@@ -67,6 +66,20 @@ class TestRegistry:
         rep = TaskRepresentation("echo", (), (SkillSpec("speak", "hi"),), recovery)
         recovery["speak"] = ()
         assert rep.recovery["speak"] == (SkillSpec("speak", "again"),)  # a copy, not a view
+
+    def test_detect_recovery_asks_for_the_item_by_name(self):
+        help_line = REGISTRY["serve_order"].recovery["detect"][0].bind({"item": "cola"})
+        assert help_line.arg == "I could not find the cola. Could you place it in my hand?"
+
+    @pytest.mark.parametrize("splice", [
+        (),
+        (SkillSpec("hand_over", "{item}"),),
+        (SkillSpec("speak"), SkillSpec("hand_over", "{item}")),
+        (SkillSpec("speak", ""), SkillSpec("hand_over", "{item}")),
+    ])
+    def test_recovery_must_open_with_a_help_request(self, splice):
+        with pytest.raises(ValueError, match="must open with a speak"):
+            TaskRepresentation("broken", ("item",), (SkillSpec("detect", "{item}"),), {"detect": splice})
 
     def test_invalid_recovery_key_rejected(self):
         with pytest.raises(ValueError):
@@ -136,6 +149,15 @@ class TestExecute:
         # the spliced speak voices the help message
         assert out.trace[2][0].arg == out.help_messages[0]
 
+    def test_help_line_keeps_braces_in_the_item_name(self):
+        def runner(inv):
+            return failed("not found") if inv.kind == "detect" else OK
+
+        out = execute(ParsedTask("serve_order", {"item": "{x}"}, 1.0), runner)
+        assert out.state is Outcome.COMPLETED_WITH_ASSIST
+        assert out.help_messages == ["I could not find the {x}. Could you place it in my hand?"]
+        assert [inv.arg for inv, _ in out.trace[1:4]] == ["{x}", out.help_messages[0], "{x}"]
+
     def test_unrecoverable_failure_aborts(self):
         def runner(inv):
             if inv.kind == "navigate":
@@ -177,21 +199,6 @@ class TestExecute:
         assert lines[-1] == "outcome: COMPLETED_WITH_ASSIST"
 
 
-class TestBypassHelp:
-    def test_detect_failure_asks_for_hand_over(self):
-        msg = bypass_help(SkillInvocation("detect", "orange juice"), failed("not found"))
-        assert msg == "I could not find the orange juice. Could you place it in my hand?"
-
-    def test_grasp_failure_asks_for_hand(self):
-        msg = bypass_help(SkillInvocation("grasp", "cola"), failed("slipped"))
-        assert msg == "I could not pick up the cola. Could you hand it to me?"
-
-    def test_empty_reason_generic_but_never_empty(self):
-        msg = bypass_help(SkillInvocation("detect", "cola"), failed(""))
-        assert msg
-        assert msg == "I ran into a problem. Could you help me?"
-
-
 class LatchBackend:
     """understand() blocks on a latch; respond() records completion."""
 
@@ -215,16 +222,18 @@ class LatchBackend:
 
 class UndeclaredRuleBackend:
     """The rule backend's answers from a backend that does not say whether it
-    blocks, so the pipeline gives respond its worker thread."""
+    blocks, so the pipeline gives respond a thread of its own."""
 
     def __init__(self, menu):
         self.rules = RuleBackend(menu)
         self.respond_parses = []
+        self.on_respond = lambda: None
 
     def understand(self, utterance):
         return self.rules.understand(utterance)
 
     def respond(self, utterance, parsed=None):
+        self.on_respond()
         self.respond_parses.append(parsed)
         return self.rules.respond(utterance, parsed)
 
@@ -285,10 +294,13 @@ class TestPipeline:
             parsed, _ = pipe.handle(text)
             assert parsed.name in REGISTRY
 
-    def test_parallel_worker_is_kept_across_calls_and_closed(self, menu):
+    def test_parallel_respond_thread_lives_for_one_call(self, menu):
         pipe = Pipeline(menu, UndeclaredRuleBackend(menu), mode="parallel")
         before = set(threading.enumerate())
-        counts, wrong = [], []
+        respond_threads, wrong = [], []
+
+        def count_respond_threads():
+            respond_threads.append(sum(t.name.startswith("respond") for t in threading.enumerate()))
 
         def caller(k):
             for i in range(50):
@@ -296,8 +308,9 @@ class TestPipeline:
                 parsed, response = pipe.handle(text)
                 if parsed.name != ("serve_order" if (i + k) % 2 else "casual_chat") or not response:
                     wrong.append(text)
-                counts.append(threading.active_count())
+                count_respond_threads()
 
+        pipe.backend.on_respond = count_respond_threads
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
@@ -309,14 +322,9 @@ class TestPipeline:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert not wrong and len(counts) == 200
-        assert max(counts) <= len(before) + len(callers) + 1  # the callers and one worker
-        workers = set(threading.enumerate()) - before
-        assert len(workers) == 1
-        pipe.close()
-        for thread in workers:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
+        assert not wrong and len(respond_threads) == 400  # inside each respond and after each call
+        assert 1 <= max(respond_threads) <= len(callers)  # at most one respond thread per caller
+        assert set(threading.enumerate()) == before  # every respond thread was joined
 
     def test_parallel_respond_is_awaited_when_understand_raises(self, menu):
         class Broken(LatchBackend):
@@ -333,7 +341,6 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="parser bug"):
             pipe.handle("hi")
         assert backend.respond_done.is_set()  # handle returned only after respond did
-        pipe.close()
 
     def test_inline_and_worker_paths_give_the_same_pairs(self):
         scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "restaurant_41.json")
@@ -343,11 +350,7 @@ class TestPipeline:
         worker = UndeclaredRuleBackend(scenario.menu)
         inline_pipe = Pipeline(scenario.menu, inline, mode="parallel")
         worker_pipe = Pipeline(scenario.menu, worker, mode="parallel")
-        try:
-            assert [inline_pipe.handle(t) for t in texts] == [worker_pipe.handle(t) for t in texts]
-            assert inline_pipe._worker is None and worker_pipe._worker is not None
-        finally:
-            worker_pipe.close()
+        assert [inline_pipe.handle(t) for t in texts] == [worker_pipe.handle(t) for t in texts]
         assert inline.respond_parses == worker.respond_parses == [None] * 44
 
     def test_unknown_mode_rejected(self, menu):
