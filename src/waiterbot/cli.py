@@ -80,7 +80,7 @@ def cmd_map_build(args) -> int:
 
 
 def cmd_map_dump(args) -> int:
-    print(dump_layers(*_load(args.layers, "layer dump", load_layers, LayerFormatError)), end="")
+    print(dump_layers(_load(args.layers, "layer dump", load_layers, LayerFormatError)), end="")
     return 0
 
 
@@ -93,7 +93,7 @@ def _parse_pose(text: str) -> Pose2D:
 
 def cmd_nav_goal(args) -> int:
     grid = _load(args.map, "grid", load_grid, GridFormatError)
-    layer, _ = _load(args.layers, "layer dump", load_layers, LayerFormatError)
+    layer = _load(args.layers, "layer dump", load_layers, LayerFormatError)
     robot = _parse_pose(args.robot)
     try:
         target = layer.get(args.furniture)
@@ -153,6 +153,11 @@ def cmd_run(args) -> int:
 def cmd_repl(args) -> int:
     sim = _simulation(args)
     sim.warm_up()
+    if args.table is not None:
+        try:
+            sim.check_caller(args.table)
+        except ValueError as e:
+            raise CliError(f"--table: {e}", USAGE_EXIT) from None
     tables = [i.id for i in sim.layer.instances() if i.id != sim.layer.kitchen_id]
     sim.caller = args.table or (tables[0] if tables else None)
     print(f"serving table: {sim.caller}  (:quit to exit)")

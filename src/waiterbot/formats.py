@@ -25,7 +25,7 @@ from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite
 from .grid import BoundsError, GridFormatError, GridMap, cell_risk, load_grid, world_to_cell
 from .llm import Menu, MenuItem
 from .navgoal import NavGoalParams
-from .semantic import HumanEntity, HumanLayer, HumanObservation
+from .semantic import HumanObservation
 from .tasks import SKILL_KINDS
 
 FAULT_MODES = ("fail", "wrong_item")
@@ -174,11 +174,16 @@ def _robot_start(grid: GridMap, rs) -> Pose2D:
     return pose
 
 
-def _stock(doc) -> Mapping[str, int]:
-    stock = dict(doc)
-    for item, count in stock.items():
+def _stock(menu: Menu, doc) -> Mapping[str, int]:
+    """A JSON object from menu item names to counts."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"must be an object, got {doc!r}")
+    names = set(menu.names())
+    for item, count in doc.items():
+        if item not in names:
+            raise ValueError(f"{item!r} is not a menu item")
         check_count(count, f"{item!r} count")
-    return MappingProxyType(stock)
+    return MappingProxyType(dict(doc))
 
 
 def _events(events) -> tuple[tuple[float, Record], ...]:
@@ -236,7 +241,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         menu=menu,
         kitchen_table=_world(world, "kitchen_table", lambda v: check_string(v, "kitchen_table")),
         robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
-        stock=_world(world, "stock", _stock, {}),
+        stock=_world(world, "stock", lambda doc: _stock(menu, doc), {}),
         nav_params=_world(world, "nav_params", lambda kw: NavGoalParams(**kw), {}),
     )
     if world:
@@ -276,22 +281,8 @@ def _furniture_entry(inst) -> dict[str, Any]:
     }
 
 
-def dump_layers(furniture: FurnitureLayer, humans: HumanLayer | None = None) -> str:
-    doc: dict[str, Any] = {
-        "furniture": [_furniture_entry(i) for i in furniture.instances()],
-        "kitchen": furniture.kitchen_id,
-        "humans": [
-            {
-                "id": h.id,
-                "name": h.name,
-                "position": list(h.position),
-                "action": h.action,
-                "attributes": {k: h.attributes[k] for k in sorted(h.attributes)},
-                "last_seen": h.last_seen,
-            }
-            for h in (humans.humans() if humans is not None else [])
-        ],
-    }
+def dump_layers(furniture: FurnitureLayer) -> str:
+    doc = {"furniture": [_furniture_entry(i) for i in furniture.instances()], "kitchen": furniture.kitchen_id}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -303,27 +294,8 @@ def _furniture(entry) -> FurnitureInstance:
     return take_keys(entry, build)
 
 
-def _human(entry) -> HumanEntity:
-    return take_keys(entry, lambda e: HumanEntity(e.pop("id"), e.pop("position"), e.pop("action", "unknown"),
-                                                  e.pop("name", None), e.pop("attributes", {}),
-                                                  e.pop("last_seen", 0)))
-
-
-def _each(doc: dict, key: str, kind: str, build) -> None:
-    """Call `build(entry)` on every entry of `doc[key]`, which is taken out of
-    `doc`; a failure names the entry."""
-    entries = doc.pop(key, [])
-    if not isinstance(entries, list):
-        raise LayerFormatError(f"{key} must be a list, got {entries!r}")
-    for entry in entries:
-        try:
-            build(entry)
-        except (KeyError, TypeError, ValueError, FurnitureError) as e:
-            raise LayerFormatError(f"bad {kind} entry {entry!r}: {e}") from None
-
-
-def load_layers(text: str) -> tuple[FurnitureLayer, HumanLayer]:
-    """Rebuild the furniture and human layers from a dump document."""
+def load_layers(text: str) -> FurnitureLayer:
+    """Rebuild the furniture layer from a dump document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -333,15 +305,20 @@ def load_layers(text: str) -> tuple[FurnitureLayer, HumanLayer]:
     doc = dict(doc)  # the keys are taken out as they are read; any left are unknown
 
     layer = FurnitureLayer()
-    _each(doc, "furniture", "furniture", lambda e: layer.restore(_furniture(e)))
+    entries = doc.pop("furniture", [])
+    if not isinstance(entries, list):
+        raise LayerFormatError(f"furniture must be a list, got {entries!r}")
+    for entry in entries:
+        try:
+            layer.restore(_furniture(entry))
+        except (KeyError, TypeError, ValueError, FurnitureError) as e:
+            raise LayerFormatError(f"bad furniture entry {entry!r}: {e}") from None
     kitchen = doc.pop("kitchen", None)
     if kitchen is not None:
         try:
             layer.set_kitchen(kitchen)
         except (FurnitureError, TypeError):
             raise LayerFormatError(f"kitchen {kitchen!r} is not among the furniture entries") from None
-    humans = HumanLayer()
-    _each(doc, "humans", "human", lambda e: humans.restore(_human(e)))
     if doc:
         raise LayerFormatError(f"{next(iter(doc))}: unknown key")
-    return layer, humans
+    return layer

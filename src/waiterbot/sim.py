@@ -419,11 +419,21 @@ class Simulation:
                 return j, ev.text
         return None
 
-    def _serve_call(self, table_id: str, index: int, consumed: set[int]) -> None:
+    def check_caller(self, table_id: str) -> None:
+        """The one rule of a caller: a tracked table other than the kitchen.  A
+        ValueError names the fault."""
         try:
             self.layer.get(table_id)
         except FurnitureNotFound:
-            raise ScenarioError(f"event {index}: call references unknown table {table_id!r}") from None
+            raise ValueError(f"{table_id!r} is not a tracked table") from None
+        if table_id == self.layer.kitchen_id:
+            raise ValueError(f"{table_id!r} is the kitchen table")
+
+    def _serve_call(self, table_id: str, index: int, consumed: set[int]) -> None:
+        try:
+            self.check_caller(table_id)
+        except ValueError as e:
+            raise ScenarioError(f"event {index}: call table {e}") from None
         if self.layer.kitchen_id is None:
             raise ScenarioError(f"event {index}: world.kitchen_table "
                                 f"{self.scenario.kitchen_table!r} is not a tracked instance")

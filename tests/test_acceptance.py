@@ -346,7 +346,7 @@ def test_criterion_9_determinism_and_formats(capsys, tmp_path):
     layer = FurnitureLayer()
     layer.track_frame([Detection3D("table", (1, 1, 0.36), (1.2, 0.8, 0.72), 0.2)], 0)
     dump = dump_layers(layer)
-    dump_ok = dump_layers(load_layers(dump)[0]) == dump
+    dump_ok = dump_layers(load_layers(dump)) == dump
 
     # cloud round trip
     cloud = rng.uniform(-1, 1, (30, 3))

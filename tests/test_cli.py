@@ -314,6 +314,19 @@ class TestReplCommand:
         assert code == 0
         assert out.startswith("serving table: table_0")
 
+    @pytest.mark.parametrize("table,named", [("sofa_9", "'sofa_9' is not a tracked table"),
+                                             ("table_5", "'table_5' is the kitchen table")],
+                             ids=["unknown", "kitchen"])
+    def test_table_that_cannot_call_exits_2(self, capsys, monkeypatch, table, named):
+        code, out, err = run_cli(
+            capsys,
+            ["repl", "--scenario", SCENARIOS / "restaurant_41.json", "--table", table],
+            stdin_text="bring me a cola\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert err == f"error: --table: {named}\n" and out == ""
+
 
 class TestMetricsDiff:
     def test_identical_files(self, capsys, tmp_path):
@@ -444,14 +457,22 @@ def _layer_zones(doc):
     return "zones: unknown key"
 
 
-def _layer_human_action(doc):
-    doc["humans"].append({"id": "person_0", "position": [1.0, 1.0, 0.0], "action": "dancing"})
-    return "'person_0'"
+def _layer_humans(doc):
+    # well formed, yet unknown: `map build` writes no human section
+    doc["humans"] = [{"id": "person_0", "name": None, "position": [1.0, 1.0, 0.0], "action": "sitting",
+                      "attributes": {}, "last_seen": 0}]
+    return "humans: unknown key"
 
 
-def _layer_human_position(doc):
-    doc["humans"].append({"id": "person_0", "position": [float("nan"), 1.0, 0.0]})
-    return "'person_0'"
+def _misspelt_stock_item(doc):
+    doc["world"]["stock"]["colaa"] = doc["world"]["stock"].pop("cola")
+    return "world.stock: ValueError: 'colaa' is not a menu item"
+
+
+def _kitchen_call(doc):
+    i = _first(doc["events"], "call")
+    kitchen = doc["events"][i]["table"] = doc["world"]["kitchen_table"]
+    return f"event {i}: call table {kitchen!r} is the kitchen table"
 
 
 def _layer_furniture(*path, value, named="'table_1'"):
@@ -462,12 +483,6 @@ def _layer_furniture(*path, value, named="'table_1'"):
         node[path[-1]] = value
         return named
     return mutate
-
-
-def _layer_duplicate_human(doc):
-    doc["humans"] = [{"id": "person_0", "position": [1.0, 1.0, 0.0]},
-                     {"id": "person_0", "position": [5.0, 5.0, 0.0]}]
-    return "id 'person_0' already used"
 
 
 def _log_repeated_frame(doc):
@@ -511,11 +526,6 @@ def _unknown_key(*path, key, named):
     return mutate
 
 
-def _layer_unknown_human_key(doc):
-    doc["humans"].append({"id": "person_0", "position": [1.0, 1.0, 0.0], "mood": "x"})
-    return "unknown key 'mood'"
-
-
 def _log_box(field, value):
     # the second box of the detection log's second entry
     def mutate(doc):
@@ -542,10 +552,13 @@ MALFORMED_INPUTS = {
     # restaurant_41's first fault is a wrong_item on detect, the one skill that mode applies to
     "wrong_item fault on grasp": ("run", _event("fault", "skill", "grasp")),
     "call to an untracked table": ("run", _event("call", "table", "table_99")),
+    "call from the kitchen table": ("run", _kitchen_call),
     "non-numeric zone corner": ("run", _world_at("zones", 0, "p1", value=["a", 1])),
     "zero-area zone": ("run", _zero_area_zone),
     "string stock count": ("run", _world_at("stock", "cola", value="x")),
     "negative stock count": ("run", _world_at("stock", "cola", value=-3)),
+    "stock item not on the menu": ("run", _misspelt_stock_item),
+    "list stock": ("run", _world_at("stock", value=[["cola", 3]])),
     "integer menu name": ("run", _world_at("menu", 0, "name", value=7)),
     "integer menu description": ("run", _world_at("menu", 0, "description", value=5)),
     "null menu description": ("run", _world_at("menu", 0, "description", value=None)),
@@ -581,13 +594,11 @@ MALFORMED_INPUTS = {
     "layer NaN pose x": ("layers", _layer_furniture("pose", "x", value=float("nan"))),
     "layer NaN dims w": ("layers", _layer_furniture("dims", "w", value=float("nan"))),
     "layer integer furniture id": ("layers", _layer_furniture("id", value=7, named="'id': 7")),
-    "layer NaN human position": ("layers", _layer_human_position),
-    "layer duplicate human id": ("layers", _layer_duplicate_human),
     "layer furniture dims of zero": ("layers", _layer_dims),
     "layer duplicate furniture id": ("layers", _layer_duplicate_id),
     "layer kitchen not in furniture": ("layers", _layer_kitchen),
-    "layer unknown human action": ("layers", _layer_human_action),
     "layer zones key": ("layers", _layer_zones),
+    "layer humans key": ("layers", _layer_humans),
     "unknown top-level key": ("run", _unknown_key(key="description", named="description: unknown key")),
     "unknown zone key": ("run", _unknown_key("world", "zones", 0, key="p3",
                                              named="world.zones: ValueError: unknown key 'p3'")),
@@ -599,7 +610,6 @@ MALFORMED_INPUTS = {
                                                            named="unknown key 'color'")),
     "layer unknown pose key": ("layers", _unknown_key("furniture", 1, "pose", key="z",
                                                       named="unknown key 'z'")),
-    "layer unknown human key": ("layers", _layer_unknown_human_key),
     "layer unknown top-level key": ("layers", _unknown_key(key="comment", named="comment: unknown key")),
 }
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from waiterbot.semantic import HumanEntity, HumanLayer, HumanObservation
+from waiterbot.semantic import HumanLayer, HumanObservation
 
 
 class TestHumanTracking:
@@ -44,14 +44,3 @@ class TestHumanTracking:
             layer.upsert(HumanObservation((1.0, 1.0, 0), 1, action="dancing"))
         assert [(h.id, h.action) for h in layer.humans()] == [("person_0", "sitting")]
         assert layer.last_frame == 0
-
-    def test_restore_keeps_auto_ids_and_frame_order(self):
-        layer = HumanLayer()
-        layer.restore(HumanEntity("person_4", (1.0, 1.0, 0.0), last_seen=7))
-        layer.restore(HumanEntity("guest", (5.0, 5.0, 0.0), last_seen=3))
-        assert [(h.id, h.position) for h in layer.humans()] == [("guest", (5.0, 5.0, 0.0)),
-                                                                 ("person_4", (1.0, 1.0, 0.0))]
-        assert layer.upsert(HumanObservation((9, 9, 0), 7)) == "person_5"
-        with pytest.raises(ValueError):
-            layer.upsert(HumanObservation((9, 9, 0), 6))
-
