@@ -457,11 +457,13 @@ def _layer_zones(doc):
     return "zones: unknown key"
 
 
-def _layer_humans(doc):
-    # well formed, yet unknown: `map build` writes no human section
-    doc["humans"] = [{"id": "person_0", "name": None, "position": [1.0, 1.0, 0.0], "action": "sitting",
-                      "attributes": {}, "last_seen": 0}]
-    return "humans: unknown key"
+def _layer_humans(*entries):
+    # `map build` writes no human section, so the key is refused before any
+    # entry in it, well formed or not, is read
+    def mutate(doc):
+        doc["humans"] = list(entries)
+        return "humans: unknown key"
+    return mutate
 
 
 def _misspelt_stock_item(doc):
@@ -598,7 +600,15 @@ MALFORMED_INPUTS = {
     "layer duplicate furniture id": ("layers", _layer_duplicate_id),
     "layer kitchen not in furniture": ("layers", _layer_kitchen),
     "layer zones key": ("layers", _layer_zones),
-    "layer humans key": ("layers", _layer_humans),
+    "layer humans key": ("layers", _layer_humans({"id": "person_0", "name": None, "position": [1.0, 1.0, 0.0],
+                                                  "action": "sitting", "attributes": {}, "last_seen": 0})),
+    "layer NaN human position": ("layers", _layer_humans({"id": "person_0", "position": [float("nan"), 1.0, 0.0]})),
+    "layer duplicate human id": ("layers", _layer_humans({"id": "person_0", "position": [1.0, 1.0, 0.0]},
+                                                          {"id": "person_0", "position": [5.0, 5.0, 0.0]})),
+    "layer unknown human action": ("layers", _layer_humans({"id": "person_0", "position": [1.0, 1.0, 0.0],
+                                                            "action": "dancing"})),
+    "layer unknown human key": ("layers", _layer_humans({"id": "person_0", "position": [1.0, 1.0, 0.0],
+                                                         "mood": "x"})),
     "unknown top-level key": ("run", _unknown_key(key="description", named="description: unknown key")),
     "unknown zone key": ("run", _unknown_key("world", "zones", 0, key="p3",
                                              named="world.zones: ValueError: unknown key 'p3'")),
