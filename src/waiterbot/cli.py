@@ -54,7 +54,7 @@ def _write(path: str, kind: str, text: str) -> None:
 
 def cmd_map_build(args) -> int:
     _load(args.grid, "grid", load_grid, GridFormatError)  # validates geometry early
-    log = _load(args.detections, "detection log", json.loads, json.JSONDecodeError)
+    log = _load(args.detections, "detection log", json.loads, ValueError)
     if not isinstance(log, list):
         raise CliError(f"bad detection log {args.detections}: top level must be a list", USAGE_EXIT)
     layer = FurnitureLayer()
@@ -180,7 +180,7 @@ def cmd_repl(args) -> int:
 
 
 def cmd_metrics_diff(args) -> int:
-    docs = [_load(path, "metrics file", json.loads, json.JSONDecodeError) for path in (args.a, args.b)]
+    docs = [_load(path, "metrics file", json.loads, ValueError) for path in (args.a, args.b)]
     for path, doc in zip((args.a, args.b), docs):
         if not isinstance(doc, dict):
             raise CliError(f"bad metrics file {path}: top level must be an object", USAGE_EXIT)

@@ -259,9 +259,9 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer of more digits than int() takes
         raise ScenarioError(f"{path} is not valid JSON: {e}") from None
     return parse_scenario(doc, path.parent)
 
@@ -288,7 +288,8 @@ def dump_layers(furniture: FurnitureLayer) -> str:
 
 def _furniture(entry) -> FurnitureInstance:
     def build(e):
-        pose = take_keys(e.pop("pose"), lambda p: Pose2D(p.pop("x"), p.pop("y"), p.pop("theta")))
+        xyt = take_keys(e.pop("pose"), lambda p: (p.pop("x"), p.pop("y"), p.pop("theta")))
+        pose = Pose2D(*finite_tuple(xyt, 3, "pose"))  # checked before Pose2D wraps theta
         dims = take_keys(e.pop("dims"), lambda d: (d.pop("w"), d.pop("d"), d.pop("h")))
         return FurnitureInstance(e.pop("id"), e.pop("class"), pose, e.pop("base_z"), dims, e.pop("last_seen", 0))
     return take_keys(entry, build)
@@ -298,7 +299,7 @@ def load_layers(text: str) -> FurnitureLayer:
     """Rebuild the furniture layer from a dump document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer of more digits than int() takes
         raise LayerFormatError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise LayerFormatError("top level must be an object")

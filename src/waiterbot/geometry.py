@@ -9,14 +9,17 @@ uses in its constructor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
 
 def is_finite(x) -> bool:
-    """A finite int or float; a bool is not a number here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite int or float; a bool is not a number here.  The bound compares
+    exactly, so an int too large for a float (JSON integers are unbounded) is
+    not finite, and NaN fails it like inf."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def finite_tuple(value, n: int, name: str) -> tuple:

@@ -12,12 +12,14 @@ thread of its own.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import time
 from dataclasses import dataclass
 from typing import Any
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 
 class BackendError(Exception):
@@ -86,20 +88,29 @@ class Menu:
 
 
 class HttpTransport:
-    """requests-backed transport; raises TransportError on retryable failures."""
+    """`urllib.request` transport: POSTs `body` as JSON and returns the JSON
+    reply to a 200.  A connection failure, a timeout, 429 or 5xx raises
+    TransportError, which `complete` retries; any other status, or a body that
+    is not JSON, raises ProtocolError."""
 
     def post(self, url: str, headers: dict[str, str], body: dict[str, Any],
              timeout: float) -> dict[str, Any]:
+        request = Request(url, data=json.dumps(body).encode(), headers=headers, method="POST")
         try:
-            resp = requests.post(url, headers=headers, json=body, timeout=timeout)
-        except requests.RequestException as e:
+            try:
+                with urlopen(request, timeout=timeout) as resp:
+                    status, raw = resp.status, resp.read()
+            except HTTPError as e:  # a status outside 2xx; caught before its base class URLError
+                with e:
+                    status, raw = e.code, e.read()
+        except (OSError, http.client.HTTPException) as e:  # URLError, timeouts, resets
             raise TransportError(str(e)) from e
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransportError(f"status {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProtocolError(f"status {resp.status_code}: {resp.text[:200]}")
+        if status == 429 or status >= 500:
+            raise TransportError(f"status {status}")
+        if status != 200:
+            raise ProtocolError(f"status {status}: {raw.decode(errors='replace')[:200]}")
         try:
-            return resp.json()
+            return json.loads(raw)
         except ValueError as e:
             raise ProtocolError(f"non-JSON body: {e}") from None
 

@@ -16,9 +16,10 @@ tie goes to the earliest draw.
 Placement then rasterizes the inlier hull at 2 cm, marks cells occupied where
 off-plane points project from the band above the surface, and picks, in one
 pass over the raster (`_best_cell`), the free cell with the largest distance
-to the nearest occupied cell or hull edge.  The hull is taken only over the
-inliers an Akl-Toussaint extreme-point test cannot rule out
-(`_hull_candidates`), which gives the same hull.
+to the nearest occupied cell or hull edge; the distance to an occupied cell is
+an exact Euclidean distance transform (`_distance_transform`).  The hull is
+taken only over the inliers an Akl-Toussaint extreme-point test cannot rule
+out (`_hull_candidates`), which gives the same hull.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import convex_hull, point_in_convex_polygon
 
@@ -249,6 +249,37 @@ def _raster(
     return s_lo, t_lo, occupied, in_hull, line_dist
 
 
+def _distance_transform(occupied: np.ndarray) -> np.ndarray:
+    """Euclidean distance, in cells, from each cell to the nearest occupied
+    one; `occupied` must hold at least one.
+
+    The exact separable transform (Saito & Toriwaki 1994; Felzenszwalb &
+    Huttenlocher 2012), run along the axis with fewer occupied lines: the
+    vertical distance g from each cell to the nearest occupied cell of each
+    occupied column, then the least g**2 + (column offset)**2 over those
+    columns, kept as a running minimum over one raster.  The squares are
+    integers, so the result equals `scipy.ndimage.distance_transform_edt` of
+    the free cells bit for bit.
+    """
+    if occupied.any(axis=1).sum() < occupied.any(axis=0).sum():
+        return _distance_transform(occupied.T).T
+    n_rows, n_cols = occupied.shape
+    cols = np.flatnonzero(occupied.any(axis=0))
+    occ = occupied[:, cols]
+    r = np.arange(n_rows)[:, None]
+    # the fill values -n_rows and 2 * n_rows lie farther than any row, so each
+    # column's nearest occupied cell, above or below, gives g
+    above = np.maximum.accumulate(np.where(occ, r, -n_rows), axis=0)  # nearest occupied row at or above
+    below = np.minimum.accumulate(np.where(occ, r, 2 * n_rows)[::-1], axis=0)[::-1]  # at or below
+    g2 = np.minimum(r - above, below - r) ** 2  # (rows, occupied columns)
+    dc2 = (np.arange(n_cols) - cols[:, None]) ** 2  # (occupied columns, columns)
+    sq = g2[:, :1] + dc2[0]
+    step = np.empty_like(sq)
+    for g, d in zip(g2.T[1:], dc2[1:]):
+        np.minimum(sq, np.add(g[:, None], d, out=step), out=sq)
+    return np.sqrt(sq)
+
+
 def _best_cell(
     hull: list[tuple[float, float]], s_occ: np.ndarray, t_occ: np.ndarray, pitch: float
 ) -> tuple[float, float, float]:
@@ -263,7 +294,7 @@ def _best_cell(
     """
     s_lo, t_lo, occupied, in_hull, line_dist = _raster(hull, s_occ, t_occ, pitch)
     if occupied.any():
-        obstacle_dist = ndimage.distance_transform_edt(~occupied) * pitch
+        obstacle_dist = _distance_transform(occupied) * pitch
     else:
         obstacle_dist = np.full(occupied.shape, np.inf)
     clearance = np.minimum(obstacle_dist, line_dist)

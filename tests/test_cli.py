@@ -81,6 +81,14 @@ class TestMapCommands:
         assert code == 2
         assert f"cannot read grid {bad}" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["run", "repl"])
+    def test_non_utf8_scenario_exits_2(self, capsys, monkeypatch, tmp_path, command):
+        bad = tmp_path / "s.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, [command, "--scenario", bad], stdin_text=":quit\n", monkeypatch=monkeypatch)
+        assert code == 2
+        assert err.startswith(f"error: cannot read {bad}: ") and out == ""
+
 
 class TestNavGoalCommand:
     def test_matches_golden(self, capsys, tmp_path):
@@ -285,7 +293,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("given", [["--endpoint", "http://llm.local"], ["--model", "demo"]])
     def test_remote_backend_without_endpoint_or_model_exits_2(self, capsys, monkeypatch, given):
         posts = []
-        monkeypatch.setattr(llm.requests, "post", lambda *args, **kwargs: posts.append(args))
+        monkeypatch.setattr(llm, "urlopen", lambda *args, **kwargs: posts.append(args))
         code, out, err = run_cli(
             capsys, ["run", "--scenario", SCENARIOS / "restaurant_41.json", "--backend", "remote", *given])
         assert code == 2
@@ -585,7 +593,12 @@ MALFORMED_INPUTS = {
     "misspelt world key": ("run", _misspelt_world_key),
     "misspelt fault mode key": ("run", _misspelt_fault_mode),
     "unknown box key": ("run", _box("score", 0.9)),
+    "integer too large for a float in an event time": ("run", _event("call", "t", 10**400)),
+    "integer too large for a float in a box center": ("run", _box("center", [10**400, 2.0, 0.36])),
+    "integer too large for a float in robot_start": ("run", _world_at("robot_start", value=[10**400, 4.0, 0.0])),
+    "integer too large for a float in nav_params.alpha": ("run", _world_at("nav_params", "alpha", value=10**400)),
     "log unknown box key": ("build", _log_box("score", 0.9)),
+    "log integer too large for a float in box dims": ("build", _log_box("dims", [10**400, 0.8, 0.72])),
     "log box center with NaN": ("build", _log_box("center", [float("nan"), 2.0, 0.36])),
     "log box center with two values": ("build", _log_box("center", [5.0, 2.0])),
     "log list box class": ("build", _log_box("class", ["table"])),
@@ -594,6 +607,8 @@ MALFORMED_INPUTS = {
     "log string frame with no boxes": ("build", _log_empty_entry("abc")),
     "log negative frame with no boxes": ("build", _log_empty_entry(-7)),
     "layer NaN pose x": ("layers", _layer_furniture("pose", "x", value=float("nan"))),
+    "layer integer too large for a float in pose x": ("layers", _layer_furniture("pose", "x", value=10**400)),
+    "layer integer too large for a float in pose theta": ("layers", _layer_furniture("pose", "theta", value=10**400)),
     "layer NaN dims w": ("layers", _layer_furniture("dims", "w", value=float("nan"))),
     "layer integer furniture id": ("layers", _layer_furniture("id", value=7, named="'id': 7")),
     "layer furniture dims of zero": ("layers", _layer_dims),
@@ -647,6 +662,25 @@ def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
     assert named in err
     assert out == ""
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command,kind", [
+    (["run", "--scenario"], "not valid JSON"),
+    (["map", "build", "--grid", SCENARIOS / "restaurant.grid", "--detections"], "bad detection log"),
+    (["map", "dump", "--layers"], "bad layer dump"),
+    (["nav-goal", "--map", SCENARIOS / "restaurant.grid", "--furniture", "table_0", "--robot", "6,4,0",
+      "--layers"], "bad layer dump"),
+    (["metrics", "diff", SCENARIOS / "restaurant_41.json"], "bad metrics file"),
+], ids=["run", "map build", "map dump", "nav-goal", "metrics diff"])
+def test_integer_of_too_many_digits_exits_2(capsys, tmp_path, command, kind):
+    """JSON integers are unbounded, yet `int()` refuses more than
+    `sys.get_int_max_str_digits()` digits with a ValueError that is no
+    JSONDecodeError: every JSON reader must still exit 2 naming the file."""
+    path = tmp_path / "input.json"
+    path.write_text('{"t": 1' + "0" * 5000 + "}")
+    code, out, err = run_cli(capsys, [*command, path])
+    assert code == 2
+    assert kind in err and str(path) in err and out == ""
 
 
 @pytest.mark.parametrize("argv,kind", [

@@ -23,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO_ROOT / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
 
-POOL = (None, True, -1, 2.5, math.nan, math.inf, -math.inf, "", "x", [], [1, 2], {})
+POOL = (None, True, -1, 2.5, math.nan, math.inf, -math.inf, 10**400, "", "x", [], [1, 2], {})
 DELETE = object()
 FUZZ = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 

@@ -1,4 +1,8 @@
+import http.client
+import io
+import json
 import threading
+from urllib.error import HTTPError, URLError
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +13,7 @@ from waiterbot import llm
 from waiterbot.llm import (
     MAX_RETRIES,
     BackendUnavailable,
+    HttpTransport,
     Menu,
     MenuItem,
     ProtocolError,
@@ -143,6 +148,42 @@ def sleeps(monkeypatch):
     return delays
 
 
+class Response:
+    """What `urlopen` returns: a context manager with a status and a body."""
+
+    def __init__(self, status, body=b""):
+        self.status, self.body = status, body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
+def http_error(code, body=b""):
+    return HTTPError(ENDPOINT, code, "reason", {}, io.BytesIO(body))
+
+
+def serving(monkeypatch, make):
+    """Patch `llm.urlopen` to return or raise a fresh `make()` on every call;
+    returns the (request, timeout) pairs it was handed.  No socket is opened."""
+    seen = []
+
+    def fake_urlopen(request, timeout):
+        seen.append((request, timeout))
+        outcome = make()
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(llm, "urlopen", fake_urlopen)
+    return seen
+
+
 class TestComplete:
     def test_stub_returns_scripted_content_and_records(self):
         stub = StubTransport([StubTransport.reply("task=serve_order; slots=item:cola")])
@@ -174,17 +215,14 @@ class TestComplete:
         assert sleeps == [0.25, 0.5, 1.0]  # doubling from 0.25 s, none after the last attempt
 
     def test_without_transport_posts_over_http(self, monkeypatch):
-        class Response:
-            status_code = 200
-
-            def json(self):
-                return StubTransport.reply("ok")
-
-        urls = []
-        monkeypatch.setattr(llm.requests, "post",
-                            lambda url, **kwargs: urls.append(url) or Response())
+        seen = serving(monkeypatch, lambda: Response(200, json.dumps(StubTransport.reply("ok")).encode()))
         assert complete(ENDPOINT, MODEL, []) == "ok"
-        assert urls == ["http://llm.local/v1/chat/completions"]
+        ((request, timeout),) = seen
+        assert request.full_url == "http://llm.local/v1/chat/completions"
+        assert request.get_method() == "POST"
+        assert request.get_header("Content-type") == "application/json"
+        assert json.loads(request.data) == {"model": MODEL, "messages": [], "temperature": llm.TEMPERATURE}
+        assert timeout == llm.TIMEOUT_S
 
     def test_bearer_token_from_env(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "sekrit")
@@ -193,12 +231,73 @@ class TestComplete:
         assert stub.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
 
 
+def post(timeout=1.0):
+    return HttpTransport().post(ENDPOINT, {"Content-Type": "application/json"}, {"k": 1}, timeout)
+
+
+class TestHttpTransport:
+    def test_200_returns_the_json_body(self, monkeypatch):
+        serving(monkeypatch, lambda: Response(200, b'{"a": [1, 2]}'))
+        assert post() == {"a": [1, 2]}
+
+    @pytest.mark.parametrize("code", [429, 503])
+    def test_retryable_status_raises_transport_error_and_is_retried(self, monkeypatch, sleeps, code):
+        seen = serving(monkeypatch, lambda: http_error(code, b"busy"))
+        with pytest.raises(TransportError, match=f"status {code}"):
+            post()
+        seen.clear()
+        with pytest.raises(BackendUnavailable, match=f"status {code}"):
+            complete(ENDPOINT, MODEL, [])
+        assert len(seen) == 1 + MAX_RETRIES
+        assert len(sleeps) == MAX_RETRIES
+
+    def test_client_error_status_raises_protocol_error_naming_it(self, monkeypatch):
+        serving(monkeypatch, lambda: http_error(404, b"no such route" + b"x" * 300))
+        with pytest.raises(ProtocolError) as info:
+            post()
+        assert str(info.value) == "status 404: no such route" + "x" * 187  # the first 200 characters
+
+    def test_non_200_success_status_raises_protocol_error_naming_it(self, monkeypatch):
+        seen = serving(monkeypatch, lambda: Response(204))
+        with pytest.raises(ProtocolError, match="^status 204: $"):
+            complete(ENDPOINT, MODEL, [])
+        assert len(seen) == 1  # not retried
+
+    @pytest.mark.parametrize("body", [b"<html>oops</html>", b"\xff\xfe", b""])
+    def test_non_json_200_body_raises_protocol_error(self, monkeypatch, body):
+        serving(monkeypatch, lambda: Response(200, body))
+        with pytest.raises(ProtocolError, match="non-JSON body"):
+            post()
+
+    @pytest.mark.parametrize("error", [URLError(ConnectionRefusedError(111, "refused")),
+                                       TimeoutError("timed out"),
+                                       http.client.BadStatusLine("garbage")],
+                             ids=["URLError", "TimeoutError", "HTTPException"])
+    def test_connection_failures_raise_transport_error(self, monkeypatch, sleeps, error):
+        seen = serving(monkeypatch, lambda: error)
+        with pytest.raises(TransportError):
+            post()
+        seen.clear()
+        with pytest.raises(BackendUnavailable):
+            complete(ENDPOINT, MODEL, [])
+        assert len(seen) == 1 + MAX_RETRIES
+
+    def test_timeout_reading_an_error_body_raises_transport_error(self, monkeypatch):
+        class SlowBody(io.RawIOBase):
+            def readinto(self, b):
+                raise TimeoutError("timed out")
+
+        serving(monkeypatch, lambda: HTTPError(ENDPOINT, 404, "reason", {}, SlowBody()))
+        with pytest.raises(TransportError, match="timed out"):
+            post()
+
+
 class TestRuleBackendOffline:
     def test_no_network_activity(self, menu, monkeypatch):
         def poisoned_post(*args, **kwargs):
             raise AssertionError("the rule backend and a stub transport must never touch the network")
 
-        monkeypatch.setattr(llm.requests, "post", poisoned_post)
+        monkeypatch.setattr(llm, "urlopen", poisoned_post)
         backend = RuleBackend(menu)
         backend.understand("bring me a cola")
         backend.respond("bring me a cola")

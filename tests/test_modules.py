@@ -16,3 +16,12 @@ def test_module_imports_on_its_own(name):
     result = subprocess.run([sys.executable, "-c", f"import waiterbot.{name}"], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_cli_imports_no_scipy_or_requests():
+    """numpy is the one runtime dependency: the command line imports neither
+    scipy (a test oracle only) nor requests."""
+    probe = "import sys, waiterbot.cli; print(sorted({'scipy', 'requests'} & {m.split('.')[0] for m in sys.modules}))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

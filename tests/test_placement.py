@@ -487,6 +487,44 @@ class TestArrayCodeMatchesLoops:
         assert drawn_both > 0 or iterations == 1
 
 
+def scipy_edt(occupied):
+    return ndimage.distance_transform_edt(~occupied)
+
+
+def single_column(n_rows, n_cols, col):
+    mask = np.zeros((n_rows, n_cols), dtype=bool)
+    mask[:, col] = True
+    return mask
+
+
+class TestDistanceTransform:
+    """`_distance_transform` against scipy's exact EDT, bit for bit."""
+
+    def test_random_masks_match_scipy(self):
+        rng = np.random.default_rng(26)
+        transposed = 0
+        for _ in range(2000):
+            n_rows, n_cols = rng.integers(1, 90, size=2)
+            occupancy = 10 ** rng.uniform(-3, math.log10(0.9))  # 0.1 % to 90 %
+            occupied = rng.random((n_rows, n_cols)) < occupancy
+            occupied[rng.integers(n_rows), rng.integers(n_cols)] = True
+            transposed += occupied.any(axis=1).sum() < occupied.any(axis=0).sum()
+            assert np.array_equal(placement._distance_transform(occupied), scipy_edt(occupied))
+        assert 500 < transposed < 1500  # both axes are exercised
+
+    @pytest.mark.parametrize("occupied", [
+        np.ones((1, 1), dtype=bool),
+        np.eye(1, 40, 17, dtype=bool),  # 1 x n
+        np.eye(40, 1, -23, dtype=bool),  # n x 1
+        np.pad(np.ones((1, 1), dtype=bool), ((13, 6), (4, 21))),  # one occupied cell
+        np.ones((7, 9), dtype=bool),  # fully occupied
+        single_column(60, 25, 24),  # more occupied rows than columns
+        single_column(60, 25, 0).T,  # more occupied columns than rows
+    ], ids=["1x1", "1xn", "nx1", "one cell", "full", "one column", "one row"])
+    def test_edge_masks_match_scipy(self, occupied):
+        assert np.array_equal(placement._distance_transform(occupied), scipy_edt(occupied))
+
+
 class TestSampleTriples:
     @pytest.mark.parametrize("n_pts", [3, 4, 5, 17, 1000])
     def test_rows_are_distinct_in_range_indices(self, n_pts):
