@@ -115,7 +115,7 @@ def cmd_place(args) -> int:
     cloud = _load(args.cloud, "cloud", load_cloud, PlacementError)
     try:
         plane, inliers = ransac_plane(cloud, args.seed)
-        spot = find_placement(cloud, plane, inliers, object_radius=args.radius)
+        spot = find_placement(cloud, plane, inliers, object_radius=args.radius, surfaces={})
     except NoSpaceError as e:
         raise CliError(f"no space: {e}", DOMAIN_EXIT) from None
     except PlacementError as e:

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Any
 
 from .furniture import Detection3D, FurnitureError, FurnitureInstance, FurnitureLayer
-from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite
+from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite, shown
 from .grid import BoundsError, GridFormatError, GridMap, cell_risk, load_grid, world_to_cell
 from .llm import Menu, MenuItem
 from .navgoal import NavGoalParams
@@ -36,11 +36,11 @@ def take_keys(entry, build):
     `build` takes out (pops) each key it reads; a key left over is unknown
     and a ValueError names it."""
     if not isinstance(entry, dict):
-        raise ValueError(f"must be an object, got {entry!r}")
+        raise ValueError(f"must be an object, got {shown(entry)}")
     rest = dict(entry)
     value = build(rest)
     if rest:
-        raise ValueError(f"unknown key {next(iter(rest))!r}")
+        raise ValueError(f"unknown key {shown(next(iter(rest)))}")
     return value
 
 
@@ -72,12 +72,12 @@ class Fault:
 
     def __post_init__(self) -> None:
         if self.skill not in SKILL_KINDS:
-            raise ValueError(f"unknown fault skill {self.skill!r}")
+            raise ValueError(f"unknown fault skill {shown(self.skill)}")
         check_count(self.trigger, "trigger")
         if self.mode not in FAULT_MODES:
-            raise ValueError(f"unknown fault mode {self.mode!r}")
+            raise ValueError(f"unknown fault mode {shown(self.mode)}")
         if self.mode == "wrong_item" and self.skill != "detect":
-            raise ValueError(f"fault mode 'wrong_item' applies to detect only, not {self.skill!r}")
+            raise ValueError(f"fault mode 'wrong_item' applies to detect only, not {shown(self.skill)}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ Record = DetectionFrame | HumanObservation | Fault | Call | Utterance
 def detections_from_json(boxes: list[dict]) -> tuple[Detection3D, ...]:
     """One frame of JSON boxes (`class`, `center`, `dims`, optional `yaw`) as detections."""
     if not isinstance(boxes, list):
-        raise ValueError(f"boxes must be a list, got {boxes!r}")
+        raise ValueError(f"boxes must be a list, got {shown(boxes)}")
     return tuple(take_keys(box, lambda b: Detection3D(b.pop("class"), b.pop("center"), b.pop("dims"),
                                                       b.pop("yaw", 0.0))) for box in boxes)
 
@@ -157,57 +157,57 @@ def _check_zone(entry: dict) -> None:
     corner pair).  No decision reads zones, so a valid one is dropped."""
     name, p1, p2 = entry.pop("name"), entry.pop("p1"), entry.pop("p2")
     check_string(name, "zone name")
-    p1 = finite_tuple(p1, 2, f"zone {name!r} corner")
-    p2 = finite_tuple(p2, 2, f"zone {name!r} corner")
+    p1 = finite_tuple(p1, 2, f"zone {shown(name)} corner")
+    p2 = finite_tuple(p2, 2, f"zone {shown(name)} corner")
     if p1[0] == p2[0] or p1[1] == p2[1]:
-        raise ValueError(f"zone {name!r} has zero area")
+        raise ValueError(f"zone {shown(name)} has zero area")
 
 
 def _robot_start(grid: GridMap, rs) -> Pose2D:
     if not (isinstance(rs, list) and len(rs) in (2, 3)):
-        raise ValueError(f"must be 2 or 3 finite numbers, got {rs!r}")
+        raise ValueError(f"must be 2 or 3 finite numbers, got {shown(rs)}")
     pose = Pose2D(*finite_tuple(rs, len(rs), "robot_start"))
     try:
         world_to_cell(grid, (pose.x, pose.y))
     except BoundsError:
-        raise ValueError(f"{rs!r} lies outside the grid") from None
+        raise ValueError(f"{shown(rs)} lies outside the grid") from None
     return pose
 
 
 def _stock(menu: Menu, doc) -> Mapping[str, int]:
     """A JSON object from menu item names to counts."""
     if not isinstance(doc, dict):
-        raise ValueError(f"must be an object, got {doc!r}")
+        raise ValueError(f"must be an object, got {shown(doc)}")
     names = set(menu.names())
     for item, count in doc.items():
         if item not in names:
-            raise ValueError(f"{item!r} is not a menu item")
-        check_count(count, f"{item!r} count")
+            raise ValueError(f"{shown(item)} is not a menu item")
+        check_count(count, f"{shown(item)} count")
     return MappingProxyType(dict(doc))
 
 
 def _events(events) -> tuple[tuple[float, Record], ...]:
     """Each event built once into its record, plus the checks that span events."""
     if not isinstance(events, list):
-        raise ScenarioError(f"events: must be a list, got {events!r}")
+        raise ScenarioError(f"events: must be a list, got {shown(events)}")
     out = []
     last_t = -math.inf
     last_detection_frame = last_human_frame = -1
     for i, ev in enumerate(events):
         try:
             if not isinstance(ev, dict):
-                raise ValueError(f"must be an object, got {ev!r}")
+                raise ValueError(f"must be an object, got {shown(ev)}")
             ev = dict(ev)  # the builder takes out the keys it reads; any left are unknown
             t, kind = ev.pop("t"), ev.pop("type")
             if not is_finite(t):
-                raise ValueError(f"t must be a finite number, got {t!r}")
+                raise ValueError(f"t must be a finite number, got {shown(t)}")
             if t < last_t:
                 raise ValueError("timestamps must be non-decreasing")
             if kind not in EVENT_BUILDERS:
-                raise ValueError(f"unknown type {kind!r}")
+                raise ValueError(f"unknown type {shown(kind)}")
             record = EVENT_BUILDERS[kind](ev)
             if ev:
-                raise ValueError(f"unknown key {next(iter(ev))!r}")
+                raise ValueError(f"unknown key {shown(next(iter(ev)))}")
             if kind == "detections":
                 if record.frame <= last_detection_frame:
                     raise ValueError(f"detection frame {record.frame} not newer than {last_detection_frame}")
@@ -308,18 +308,19 @@ def load_layers(text: str) -> FurnitureLayer:
     layer = FurnitureLayer()
     entries = doc.pop("furniture", [])
     if not isinstance(entries, list):
-        raise LayerFormatError(f"furniture must be a list, got {entries!r}")
-    for entry in entries:
+        raise LayerFormatError(f"furniture must be a list, got {shown(entries)}")
+    for i, entry in enumerate(entries):
         try:
             layer.restore(_furniture(entry))
         except (KeyError, TypeError, ValueError, FurnitureError) as e:
-            raise LayerFormatError(f"bad furniture entry {entry!r}: {e}") from None
+            name = shown(entry.get("id")) if isinstance(entry, dict) else "-"
+            raise LayerFormatError(f"bad furniture entry {i} (id {name}): {e}") from None
     kitchen = doc.pop("kitchen", None)
     if kitchen is not None:
         try:
             layer.set_kitchen(kitchen)
         except (FurnitureError, TypeError):
-            raise LayerFormatError(f"kitchen {kitchen!r} is not among the furniture entries") from None
+            raise LayerFormatError(f"kitchen {shown(kitchen)} is not among the furniture entries") from None
     if doc:
         raise LayerFormatError(f"{next(iter(doc))}: unknown key")
     return layer

@@ -29,6 +29,7 @@ from .geometry import (
     normalize_angle,
     point_in_convex_polygon,
     rect_corners,
+    shown,
 )
 from .grid import CellState, GridMap
 
@@ -66,7 +67,7 @@ class Detection3D:
         object.__setattr__(self, "center", finite_tuple(self.center, 3, "center"))
         object.__setattr__(self, "dims", _positive_dims(self.dims))
         if not is_finite(self.yaw):
-            raise ValueError(f"yaw must be a finite number, got {self.yaw!r}")
+            raise ValueError(f"yaw must be a finite number, got {shown(self.yaw)}")
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
     def footprint(self) -> list[tuple[float, float]]:

@@ -3,12 +3,13 @@
 Everything here is pure and deterministic; the tracker, the grid projection
 and the navigation-goal search all share these primitives.  The field checks
 at the top (finite numbers, counts, strings) are the ones every input record
-uses in its constructor.
+uses in its constructor; `shown` caps the value an input error echoes.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -22,24 +23,31 @@ def is_finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def shown(value) -> str:
+    """`value` as an error message echoes it: `reprlib.repr`, which shortens
+    long strings, numbers and containers, cut to at most 60 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def finite_tuple(value, n: int, name: str) -> tuple:
     """`value` as a tuple of `n` finite numbers; ValueError naming `name` otherwise."""
     v = tuple(value) if isinstance(value, (list, tuple)) else ()
     if len(v) != n or not all(map(is_finite, v)):
-        raise ValueError(f"{name} must be {n} finite numbers, got {value!r}")
+        raise ValueError(f"{name} must be {n} finite numbers, got {shown(value)}")
     return v
 
 
 def check_count(value, name: str) -> None:
     """ValueError naming `name` unless `value` is a non-negative integer (not a bool)."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {shown(value)}")
 
 
 def check_string(value, name: str) -> str:
     """`value` itself; ValueError naming `name` unless it is a non-empty string."""
     if not isinstance(value, str) or not value:
-        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+        raise ValueError(f"{name} must be a non-empty string, got {shown(value)}")
     return value
 
 

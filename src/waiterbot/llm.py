@@ -21,6 +21,8 @@ from typing import Any
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
+from .geometry import shown
+
 
 class BackendError(Exception):
     pass
@@ -54,7 +56,7 @@ class MenuItem:
 
     def __post_init__(self) -> None:
         if not isinstance(self.description, str):
-            raise ValueError(f"menu item description must be a string, got {self.description!r}")
+            raise ValueError(f"menu item description must be a string, got {shown(self.description)}")
 
 
 class Menu:
@@ -69,13 +71,13 @@ class Menu:
         for item in items:
             name = item.name
             if not isinstance(name, str):
-                raise ValueError(f"menu item name must be a string, got {name!r}")
+                raise ValueError(f"menu item name must be a string, got {shown(name)}")
             if name != name.strip() or "," in name or name.splitlines() != [name]:  # "" splits into no lines
                 raise ValueError(f"menu item name must be non-blank, with no comma, line break "
-                                 f"or leading or trailing whitespace, got {name!r}")
+                                 f"or leading or trailing whitespace, got {shown(name)}")
             key = _normalize(name)
             if key in seen:
-                raise ValueError(f"duplicate menu item {name!r}")
+                raise ValueError(f"duplicate menu item {shown(name)}")
             seen.add(key)
         self.items = list(items)
 

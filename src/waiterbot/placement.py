@@ -20,6 +20,14 @@ to the nearest occupied cell or hull edge; the distance to an occupied cell is
 an exact Euclidean distance transform (`_distance_transform`).  The hull is
 taken only over the inliers an Akl-Toussaint extreme-point test cannot rule
 out (`_hull_candidates`), which gives the same hull.
+
+The hull and its raster frame (`Surface`: the cells inside the hull and each
+cell's distance to the hull's edges) do not depend on the items on the table,
+so they are built once per surface and kept in a store the caller owns and
+passes to `find_placement`.  The key is the exact bytes of the projected
+inlier coordinates, everything a `Surface` is built from, so a stored surface
+equals a rebuilt one.  Each call redoes only the projection, the occupancy
+raster, the distance transform and the pick of the best cell.
 """
 
 from __future__ import annotations
@@ -210,28 +218,20 @@ def plane_basis(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, v, n
 
 
-def _raster(
-    hull: list[tuple[float, float]], s_occ: np.ndarray, t_occ: np.ndarray, pitch: float
-) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+def _hull_raster(hull: list[tuple[float, float]], pitch: float) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Cells of size `pitch` over the hull's bounding box, row = t, col = s.
 
-    Returns (s_lo, t_lo, occupied, in_hull, line_dist): `occupied` marks cells
-    holding any (s_occ, t_occ) point, `in_hull` cell centers inside the closed
-    CCW hull, and `line_dist` the least signed distance from a cell center to
-    an edge's supporting line, positive inside.  The masks keep the operand
-    order of the scalar formulas, so they match a per-cell loop exactly.
+    Returns (s_lo, t_lo, in_hull, line_dist): `in_hull` marks cell centers
+    inside the closed CCW hull, and `line_dist` holds the least signed
+    distance from a cell center to an edge's supporting line, positive inside.
+    The masks keep the operand order of the scalar formulas, so they match a
+    per-cell loop exactly.
     """
     s_lo, t_lo = min(p[0] for p in hull), min(p[1] for p in hull)
     n_cols = max(1, math.ceil((max(p[0] for p in hull) - s_lo) / pitch))
     n_rows = max(1, math.ceil((max(p[1] for p in hull) - t_lo) / pitch))
     if n_rows * n_cols > MAX_RASTER_CELLS:
         raise NoSpaceError(f"surface of {n_rows} x {n_cols} cells exceeds the {MAX_RASTER_CELLS}-cell budget")
-
-    occupied = np.zeros((n_rows, n_cols), dtype=bool)
-    cols = np.floor((s_occ - s_lo) / pitch)
-    rows = np.floor((t_occ - t_lo) / pitch)
-    keep = (cols >= 0) & (cols < n_cols) & (rows >= 0) & (rows < n_rows)
-    occupied[rows[keep].astype(np.intp), cols[keep].astype(np.intp)] = True
 
     cs = s_lo + (np.arange(n_cols) + 0.5) * pitch  # cell-center s of each column
     ct = t_lo + (np.arange(n_rows) + 0.5) * pitch  # cell-center t of each row
@@ -246,7 +246,21 @@ def _raster(
     edge_dist = np.empty_like(line_dist)  # a running minimum keeps memory at two rasters
     for r, c in zip(row_part[1:], col_part[1:]):
         np.minimum(line_dist, np.add(r[:, None], c, out=edge_dist), out=line_dist)
-    return s_lo, t_lo, occupied, in_hull, line_dist
+    return s_lo, t_lo, in_hull, line_dist
+
+
+def _occupancy(
+    s_lo: float, t_lo: float, shape: tuple[int, int], s_occ: np.ndarray, t_occ: np.ndarray, pitch: float
+) -> np.ndarray:
+    """Cells of the raster frame at (s_lo, t_lo) of `shape` that hold any
+    (s_occ, t_occ) point; points outside the frame are dropped."""
+    n_rows, n_cols = shape
+    occupied = np.zeros(shape, dtype=bool)
+    cols = np.floor((s_occ - s_lo) / pitch)
+    rows = np.floor((t_occ - t_lo) / pitch)
+    keep = (cols >= 0) & (cols < n_cols) & (rows >= 0) & (rows < n_rows)
+    occupied[rows[keep].astype(np.intp), cols[keep].astype(np.intp)] = True
+    return occupied
 
 
 def _distance_transform(occupied: np.ndarray) -> np.ndarray:
@@ -280,11 +294,10 @@ def _distance_transform(occupied: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _best_cell(
-    hull: list[tuple[float, float]], s_occ: np.ndarray, t_occ: np.ndarray, pitch: float
-) -> tuple[float, float, float]:
+def _best_cell(surface: Surface, s_occ: np.ndarray, t_occ: np.ndarray) -> tuple[float, float, float]:
     """Center (s, t) and clearance of the first cell, in row-major order, with
-    the largest clearance over the raster of `_raster`.
+    the largest clearance over the surface's raster frame, once the
+    (s_occ, t_occ) points mark their cells occupied.
 
     A free cell inside the hull has clearance min(obstacle distance,
     `line_dist`); every other cell has -1, so on a raster with no free cell
@@ -292,15 +305,16 @@ def _best_cell(
     distance to the boundary equals the least distance to an edge's supporting
     line: a disc that clears every line lies in every half-plane.
     """
-    s_lo, t_lo, occupied, in_hull, line_dist = _raster(hull, s_occ, t_occ, pitch)
+    pitch = GRID_PITCH_M
+    occupied = _occupancy(surface.s_lo, surface.t_lo, surface.in_hull.shape, s_occ, t_occ, pitch)
     if occupied.any():
         obstacle_dist = _distance_transform(occupied) * pitch
     else:
         obstacle_dist = np.full(occupied.shape, np.inf)
-    clearance = np.minimum(obstacle_dist, line_dist)
-    clearance[~in_hull | occupied] = -1.0
+    clearance = np.minimum(obstacle_dist, surface.line_dist)
+    clearance[~surface.in_hull | occupied] = -1.0
     row, col = divmod(int(np.argmax(clearance)), occupied.shape[1])  # first maximum
-    return s_lo + (col + 0.5) * pitch, t_lo + (row + 0.5) * pitch, float(clearance[row, col])
+    return surface.s_lo + (col + 0.5) * pitch, surface.t_lo + (row + 0.5) * pitch, float(clearance[row, col])
 
 
 def _hull_candidates(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -336,10 +350,43 @@ def _hull_candidates(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ~(depth > margin * length).all(axis=0)
 
 
+@dataclass(frozen=True)
+class Surface:
+    """A fitted top's inlier hull and the hull's raster frame at `GRID_PITCH_M`
+    (see `_hull_raster`): everything of a placement that the items on the
+    table do not change.  The arrays are read-only, since a run shares them."""
+
+    hull: tuple[tuple[float, float], ...]
+    s_lo: float
+    t_lo: float
+    in_hull: np.ndarray
+    line_dist: np.ndarray
+
+
+def _build_surface(s_in: np.ndarray, t_in: np.ndarray) -> Surface:
+    """The `Surface` of the inliers projected to (s_in, t_in); NoSpaceError
+    for a degenerate hull or a frame over `MAX_RASTER_CELLS`."""
+    keep = _hull_candidates(s_in, t_in)
+    hull = convex_hull(list(zip(s_in[keep].tolist(), t_in[keep].tolist())))
+    if len(hull) < 3:
+        raise NoSpaceError("inlier hull is degenerate")
+    s_lo, t_lo, in_hull, line_dist = _hull_raster(hull, GRID_PITCH_M)
+    in_hull.setflags(write=False)
+    line_dist.setflags(write=False)
+    return Surface(tuple(hull), s_lo, t_lo, in_hull, line_dist)
+
+
 def find_placement(
-    cloud: np.ndarray, plane: Plane, inliers: np.ndarray, object_radius: float
+    cloud: np.ndarray, plane: Plane, inliers: np.ndarray, object_radius: float,
+    surfaces: dict[tuple[bytes, bytes], Surface],
 ) -> tuple[float, float, float]:
-    """Free point on the plane with the largest clearance (>= radius + margin)."""
+    """Free point on the plane with the largest clearance (>= radius + margin).
+
+    `surfaces` is the caller's store of `Surface`s, keyed on the bytes of the
+    projected inlier coordinates, all that a `Surface` is built from: a
+    surface met before is read from it, a new one is built and added.  A
+    NoSpaceError from the build is raised again on every try, never stored.
+    """
     if not object_radius > 0:  # false for NaN too
         raise ValueError(f"object_radius must be positive, got {object_radius!r}")
     pts = np.asarray(cloud, dtype=np.float64)
@@ -354,13 +401,13 @@ def find_placement(
     inlier_mask = np.zeros(len(pts), dtype=bool)
     inlier_mask[np.asarray(inliers, dtype=int)] = True
     s_in, t_in = s[inlier_mask], t[inlier_mask]
-    keep = _hull_candidates(s_in, t_in)
-    hull = convex_hull(list(zip(s_in[keep].tolist(), t_in[keep].tolist())))
-    if len(hull) < 3:
-        raise NoSpaceError("inlier hull is degenerate")
+    key = (s_in.tobytes(), t_in.tobytes())
+    surface = surfaces.get(key)
+    if surface is None:
+        surface = surfaces[key] = _build_surface(s_in, t_in)
 
     above = ~inlier_mask & (h > 0) & (h <= OCCUPANCY_BAND_M)
-    cs, ct, clearance = _best_cell(hull, s[above], t[above], GRID_PITCH_M)
+    cs, ct, clearance = _best_cell(surface, s[above], t[above])
     required = object_radius + CLEARANCE_MARGIN_M
     if clearance < required:
         raise NoSpaceError(f"best clearance {clearance:.3f} m below required {required:.3f} m")

@@ -10,7 +10,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .geometry import check_count, check_string, finite_tuple
+from .geometry import check_count, check_string, finite_tuple, shown
 
 ACTIONS = ("sitting", "standing", "walking", "waving", "unknown")
 ASSOCIATION_GATE_M = 0.5
@@ -41,12 +41,12 @@ class HumanObservation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "position", finite_tuple(self.position, 3, "position"))
         if self.action not in ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}")
+            raise ValueError(f"unknown action {shown(self.action)}")
         if self.name is not None:
             check_string(self.name, "name")
         if not (isinstance(self.attributes, Mapping)
                 and all(isinstance(k, str) and isinstance(v, str) for k, v in self.attributes.items())):
-            raise ValueError(f"attributes must be an object of strings, got {self.attributes!r}")
+            raise ValueError(f"attributes must be an object of strings, got {shown(self.attributes)}")
         object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
         check_count(self.frame_id, "frame")
 

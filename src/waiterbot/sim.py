@@ -25,7 +25,8 @@ from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound
 from .grid import RISK_MAX, CellIndex, RiskField, inflate, world_to_cell
 from .llm import RuleBackend
 from .navgoal import NavGoal, NoGoalError, candidate_points, select_candidate, select_goal
-from .placement import GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, find_placement, ransac_plane
+from .placement import (GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, Surface, find_placement,
+                        ransac_plane)
 from .planner import PathError, plan_path
 from .semantic import HumanLayer, HumanObservation
 from .tasks import OK, Outcome, ParsedTask, Pipeline, SkillInvocation, SkillResult, TaskOutcome, execute, failed
@@ -121,9 +122,12 @@ class Simulation:
     """World state plus the skill machinery; one instance per run.
 
     Navigation makes one goal search per table side and map (`_goal`) and one
-    `plan_path` run per endpoint pair and map (`_plan`).  Both stores hold results
-    computed on the current risk field only: a detection frame, the one event
-    that changes the map, empties them.
+    `plan_path` run per endpoint pair and map (`_plan`), and counts a path's
+    collisions once, when it is planned.  Both stores hold results computed on
+    the current risk field only.  Placement builds each fitted top's hull and
+    hull raster once per map (`_surfaces`, keyed on the projected inliers; see
+    `find_placement`).  A detection frame, the one event that changes the map,
+    empties all three stores.
     """
 
     def __init__(self, scenario: Scenario, config: RunConfig, backend=None):
@@ -154,8 +158,10 @@ class Simulation:
         self.faults: list[Fault] = []  # armed and not yet fired
         self.t = 0.0
         self._risk: RiskField | None = None
-        self._paths: dict[tuple[CellIndex, CellIndex], list[CellIndex]] = {}  # planned on `_risk`
+        # planned on `_risk`: the path and its cells in the lethal region
+        self._paths: dict[tuple[CellIndex, CellIndex], tuple[list[CellIndex], int]] = {}
         self._goals: dict[tuple[str, tuple[float, float]], NavGoal] = {}  # selected on `_risk`
+        self._surfaces: dict[tuple[bytes, bytes], Surface] = {}  # the `find_placement` store
         self._placement_count = 0
 
     # --- logging ---------------------------------------------------------
@@ -192,8 +198,9 @@ class Simulation:
             goal = self._goals[key] = select_goal(risk, target, self.robot_pose, params)
         return goal
 
-    def _plan(self, risk: RiskField, start: CellIndex, goal: CellIndex) -> list[CellIndex]:
-        """`plan_path(risk, start, goal)`, run once per endpoint pair and map.
+    def _plan(self, risk: RiskField, start: CellIndex, goal: CellIndex) -> tuple[list[CellIndex], int]:
+        """`plan_path(risk, start, goal)`, run once per endpoint pair and map, with
+        the count of its cells at `RISK_MAX`, taken once when it is planned.
 
         A pair planned on this map returns its stored path, and its reverse
         pair that path reversed.  Moves and costs are symmetric (a diagonal
@@ -203,15 +210,20 @@ class Simulation:
         for either route of `plan_path`.  The reverse of an octile-length path
         has octile length, so a pair the DP answered has its reverse answered
         by the DP too; a pair A* answered has no octile-length path either way,
-        so A* would answer its reverse as well.  Like the goal store of `_goal`,
-        the path store is emptied by a detection frame.
+        so A* would answer its reverse as well.  The reverse holds the same
+        cells, so it keeps the count.  Like the goal store of `_goal`, the path
+        store is emptied by a detection frame.
         """
-        path = self._paths.get((start, goal))
-        if path is None:
+        route = self._paths.get((start, goal))
+        if route is None:
             back = self._paths.get((goal, start))
-            path = back[::-1] if back is not None else plan_path(risk, start, goal)
-            self._paths[start, goal] = path
-        return path
+            if back is not None:
+                route = (back[0][::-1], back[1])
+            else:
+                path = plan_path(risk, start, goal)
+                route = (path, sum(1 for c in path if risk.at(c) >= RISK_MAX))
+            self._paths[start, goal] = route
+        return route
 
     def _apply_detections(self, ev: DetectionFrame) -> None:
         results = self.layer.track_frame(ev.boxes, ev.frame)
@@ -223,6 +235,7 @@ class Simulation:
         self._risk = None
         self._paths.clear()
         self._goals.clear()
+        self._surfaces.clear()
         self._log(
             "detections",
             frame=ev.frame,
@@ -287,11 +300,10 @@ class Simulation:
         risk = self._ensure_risk()
         try:
             goal = self._goal(risk, target)
-            path = self._plan(risk, self.robot_cell, goal.cell)
+            path, collisions = self._plan(risk, self.robot_cell, goal.cell)
         except (NoGoalError, PathError) as e:
             return failed(str(e))
-        violations = sum(1 for c in path if risk.at(c) >= RISK_MAX)
-        self.metrics.collisions += violations
+        self.metrics.collisions += collisions
         self.robot_cell = goal.cell
         self.robot_pose = goal.pose
         self.location = table_id
@@ -375,7 +387,7 @@ class Simulation:
         try:
             cloud = tabletop_cloud(table, len(self.table_items.get(table.id, [])))
             plane, inliers = ransac_plane(cloud, seed)
-            spot = find_placement(cloud, plane, inliers, object_radius=0.05)
+            spot = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=self._surfaces)
         except PlacementError as e:
             return failed(str(e))
         self._log("placement", table=self.location, point=[round(v, 4) for v in spot])

@@ -247,9 +247,11 @@ def point_polygon_edge_distance(p: tuple[float, float], poly: list[tuple[float, 
 
 
 def scalar_raster(hull, s_occ, t_occ, pitch: float):
-    """Per-point and per-cell loop with the contract of `placement._raster`,
-    except that the last array is the point-segment distance to the boundary
-    (0.0 outside), which `line_dist` equals inside the hull."""
+    """Per-point and per-cell loop giving (s_lo, t_lo, occupied, in_hull,
+    edge_dist): the frame of `placement._hull_raster` and the cells of
+    `placement._occupancy`, except that `edge_dist` is the point-segment
+    distance to the boundary (0.0 outside), which `line_dist` equals inside
+    the hull."""
     s_lo, t_lo = min(p[0] for p in hull), min(p[1] for p in hull)
     n_cols = max(1, math.ceil((max(p[0] for p in hull) - s_lo) / pitch))
     n_rows = max(1, math.ceil((max(p[1] for p in hull) - t_lo) / pitch))

@@ -575,6 +575,7 @@ MALFORMED_INPUTS = {
     "blank menu name": ("run", _world_at("menu", 0, "name", value=" ")),
     "comma in menu name": ("run", _world_at("menu", 0, "name", value="fish, chips")),
     "line break in menu name": ("run", _world_at("menu", 0, "name", value="fish\nchips")),
+    "long menu name with a comma": ("run", _world_at("menu", 0, "name", value="fish, " + "chips " * 100)),
     "robot start on a wall": ("run", _world_at("robot_start", value=[0.02, 0.02])),
     "robot start within robot_radius of a wall": ("run", _world_at("robot_start", value=[0.15, 0.15])),
     "single-value robot start": ("run", _world_at("robot_start", value=[6.0])),
@@ -586,6 +587,8 @@ MALFORMED_INPUTS = {
     "NaN RANSAC inlier_eps": ("run", _world_at("ransac", value={"inlier_eps": float("nan")})),
     "RANSAC seed": ("run", _world_at("ransac", value={"seed": 12345})),
     "integer human attributes": ("run", _event("human", "attributes", 5)),
+    "long non-string human attributes": ("run", _event("human", "attributes",
+                                                       {"note": 1, **{f"k{n}": "x" * 50 for n in range(20)}})),
     "list box class": ("run", _box("class", ["table"])),
     "integer human name": ("run", _event("human", "name", 7)),
     "non-object event": ("run", _non_object_event),
@@ -610,7 +613,8 @@ MALFORMED_INPUTS = {
     "layer integer too large for a float in pose x": ("layers", _layer_furniture("pose", "x", value=10**400)),
     "layer integer too large for a float in pose theta": ("layers", _layer_furniture("pose", "theta", value=10**400)),
     "layer NaN dims w": ("layers", _layer_furniture("dims", "w", value=float("nan"))),
-    "layer integer furniture id": ("layers", _layer_furniture("id", value=7, named="'id': 7")),
+    "layer integer furniture id": ("layers", _layer_furniture("id", value=7,
+                                                             named="id must be a non-empty string, got 7")),
     "layer furniture dims of zero": ("layers", _layer_dims),
     "layer duplicate furniture id": ("layers", _layer_duplicate_id),
     "layer kitchen not in furniture": ("layers", _layer_kitchen),
@@ -639,12 +643,10 @@ MALFORMED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
-    """Each malformed scenario, detection log or layer dump ends with exit 2,
-    names the bad event or entry, and prints no traceback."""
+def write_malformed(case, path):
+    """Write the `MALFORMED_INPUTS` row `case` to `path`; returns the command
+    line that reads it and the text its error must contain."""
     target, mutate = MALFORMED_INPUTS[case]
-    path = tmp_path / "input.json"
     if target == "run":
         doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
         doc["world"]["grid_file"] = str(SCENARIOS / doc["world"]["grid_file"])
@@ -657,11 +659,33 @@ def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
         argv = ["map", "dump", "--layers", path]
     named = mutate(doc)
     path.write_text(json.dumps(doc))
+    return argv, named
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
+    """Each malformed scenario, detection log or layer dump ends with exit 2,
+    names the bad event or entry, and prints no traceback."""
+    argv, named = write_malformed(case, tmp_path / "input.json")
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert named in err
     assert out == ""
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_error_is_one_short_line(capsys, tmp_path, monkeypatch, case):
+    """Echoed values are capped (`reprlib.repr`), so even a 401-digit integer
+    gives an error line of at most 200 characters that still names its field.
+    The input is read by a relative name, so the bound does not hang on the
+    length of the test's temporary directory."""
+    monkeypatch.chdir(tmp_path)
+    argv, named = write_malformed(case, Path("input.json"))
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    line, = err.splitlines()
+    assert len(line) <= 200 and named in line
 
 
 @pytest.mark.parametrize("command,kind", [

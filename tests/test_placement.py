@@ -91,7 +91,7 @@ class TestRansac:
             cloud[:, 2] = 0.0
         with pytest.raises(NoSpaceError if flat else InsufficientSupportError):
             plane, inliers = ransac_plane(cloud, 0)  # a RuntimeWarning fails the test
-            find_placement(cloud, plane, inliers, object_radius=0.05)
+            find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
 
     def test_cloud_beyond_the_extent_bound_rejected(self):
         cloud = flat_cloud()
@@ -144,13 +144,13 @@ class TestFindPlacement:
     def test_point_lies_on_plane_with_clearance(self):
         cloud = flat_cloud()
         plane, inliers = ransac_plane(cloud, 0)
-        p = find_placement(cloud, plane, inliers, object_radius=0.05)
+        p = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
         assert abs(np.dot(plane.normal, p) + plane.d) <= 1e-6
 
     def test_empty_table_matches_naive_clearance_oracle(self):
         cloud = flat_cloud()
         plane, inliers = ransac_plane(cloud, 0)
-        p = find_placement(cloud, plane, inliers, object_radius=0.05)
+        p = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
 
         u, v, _ = plane_basis(plane)
         origin3 = -plane.d * np.asarray(plane.normal)
@@ -173,7 +173,7 @@ class TestFindPlacement:
         )
         cloud = np.vstack([surface, blob])
         plane, inliers = ransac_plane(cloud, 0)
-        p = find_placement(cloud, plane, inliers, object_radius=0.05)
+        p = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
         assert p[0] < 0.0  # west half
         # verify the promised clearance against the blob and the hull edge
         d_blob = min(math.dist(p[:2], q[:2]) for q in blob)
@@ -188,29 +188,29 @@ class TestFindPlacement:
         plane, inliers = ransac_plane(cloud, 0)
         assert abs(plane.d + 1.0) < 0.01  # fitted the table surface, not the lid
         with pytest.raises(NoSpaceError):
-            find_placement(cloud, plane, inliers, object_radius=0.05)
+            find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
 
     def test_points_below_plane_do_not_occupy(self):
         surface = flat_cloud(z=1.0)
         under = np.array([[0.0, 0.0, 0.5], [0.1, 0.1, 0.2]])  # table legs etc.
         cloud = np.vstack([surface, under])
         plane, inliers = ransac_plane(cloud, 0)
-        spot_with = find_placement(cloud, plane, inliers, object_radius=0.05)
+        spot_with = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
         plane2, inliers2 = ransac_plane(surface, 0)
-        spot_without = find_placement(surface, plane2, inliers2, object_radius=0.05)
+        spot_without = find_placement(surface, plane2, inliers2, object_radius=0.05, surfaces={})
         assert spot_with == pytest.approx(spot_without, abs=1e-9)
 
     def test_invalid_radius(self):
         cloud = flat_cloud()
         plane, inliers = ransac_plane(cloud, 0)
         with pytest.raises(ValueError):
-            find_placement(cloud, plane, inliers, object_radius=0.0)
+            find_placement(cloud, plane, inliers, object_radius=0.0, surfaces={})
 
     def test_nan_radius_rejected(self):
         cloud = flat_cloud()
         plane, inliers = ransac_plane(cloud, 0)
         with pytest.raises(ValueError, match="object_radius"):
-            find_placement(cloud, plane, inliers, object_radius=float("nan"))
+            find_placement(cloud, plane, inliers, object_radius=float("nan"), surfaces={})
 
 
 @st.composite
@@ -319,7 +319,7 @@ def placement_cases():
 def placed(cloud, plane, inliers, radius):
     """`find_placement`'s point, or its `NoSpaceError` message."""
     try:
-        return find_placement(cloud, plane, inliers, object_radius=radius)
+        return find_placement(cloud, plane, inliers, object_radius=radius, surfaces={})
     except NoSpaceError as e:
         return str(e)
 
@@ -344,25 +344,27 @@ class TestArrayCodeMatchesLoops:
             assert fast.tobytes() == slow.tobytes()
 
     def test_raster_and_point_match_scalar_loop(self, monkeypatch):
-        vectorised, one_pass = placement._raster, placement._best_cell
+        marked, one_pass = placement._occupancy, placement._best_cell
+        pitch = placement.GRID_PITCH_M
         cells = 0
         slow = None
 
-        def checked(hull, s_occ, t_occ, pitch):
-            nonlocal cells, slow
-            fast = vectorised(hull, s_occ, t_occ, pitch)
-            slow = oracles.scalar_raster(hull, s_occ, t_occ, pitch)
-            assert fast[:2] == slow[:2]
-            assert np.array_equal(fast[2], slow[2])  # occupied
-            assert np.array_equal(fast[3], slow[3])  # in_hull
-            assert (np.abs(fast[4] - slow[4])[fast[3]] <= 1e-12).all()  # line = edge distance inside
-            cells += fast[2].size
+        def checked(s_lo, t_lo, shape, s_occ, t_occ, pitch):
+            fast = marked(s_lo, t_lo, shape, s_occ, t_occ, pitch)
+            assert np.array_equal(fast, slow[2])  # occupied, over the frame's cells
             return fast
 
-        def best_is_largest(hull, s_occ, t_occ, pitch):
-            # the chosen cell's clearance, with the point-segment distance,
-            # is within rounding of the largest over all free cells in the hull
-            cs, ct, clearance = one_pass(hull, s_occ, t_occ, pitch)
+        def best_is_largest(surface, s_occ, t_occ):
+            # the surface's frame, from `_hull_raster`, matches the loop; then the
+            # chosen cell's clearance, with the point-segment distance, is within
+            # rounding of the largest over all free cells in the hull
+            nonlocal cells, slow
+            slow = oracles.scalar_raster(list(surface.hull), s_occ, t_occ, pitch)
+            assert (surface.s_lo, surface.t_lo) == slow[:2]
+            assert np.array_equal(surface.in_hull, slow[3])
+            assert (np.abs(surface.line_dist - slow[4])[surface.in_hull] <= 1e-12).all()  # line = edge distance
+            cells += surface.in_hull.size
+            cs, ct, clearance = one_pass(surface, s_occ, t_occ)
             s_lo, t_lo, occupied, in_hull, edge_dist = slow
             if occupied.any():
                 exact = np.minimum(ndimage.distance_transform_edt(~occupied) * pitch, edge_dist)
@@ -379,7 +381,7 @@ class TestArrayCodeMatchesLoops:
         outcomes = Counter()
         for cloud, radius, seed in placement_cases():
             plane, inliers = ransac_plane(cloud, seed)
-            monkeypatch.setattr(placement, "_raster", checked)
+            monkeypatch.setattr(placement, "_occupancy", checked)
             monkeypatch.setattr(placement, "_best_cell", best_is_largest)
             result = placed(cloud, plane, inliers, radius)
             monkeypatch.undo()
@@ -395,32 +397,33 @@ class TestArrayCodeMatchesLoops:
 
         # bit-equal to the (edges x rows x cols) block it replaces, here 60 x 60 x 60 cells
         hull = polygon(60, 0.6)
-        _, _, occupied, _, line_dist = placement._raster(hull, np.zeros(0), np.zeros(0), 0.02)
+        _, _, in_hull, line_dist = placement._hull_raster(hull, 0.02)
         a = np.asarray(hull)
         e = np.roll(a, -1, axis=0) - a
         nx, ny = -e[:, 1] / np.hypot(e[:, 0], e[:, 1]), e[:, 0] / np.hypot(e[:, 0], e[:, 1])
-        cs = a[:, 0].min() + (np.arange(occupied.shape[1]) + 0.5) * 0.02
-        ct = a[:, 1].min() + (np.arange(occupied.shape[0]) + 0.5) * 0.02
+        cs = a[:, 0].min() + (np.arange(in_hull.shape[1]) + 0.5) * 0.02
+        ct = a[:, 1].min() + (np.arange(in_hull.shape[0]) + 0.5) * 0.02
         row_part = ny[:, None] * ct - (nx * a[:, 0] + ny * a[:, 1])[:, None]
         block = row_part[:, :, None] + (nx[:, None] * cs)[:, None, :]
         assert line_dist.tobytes() == block.min(axis=0).tobytes()
         # a 400-gon over 200 x 200 cells: the block would take 400 rasters
         hull = polygon(400, 2.0)
         tracemalloc.start()
-        _, _, occupied, _, _ = placement._raster(hull, np.zeros(0), np.zeros(0), 0.02)
+        _, _, in_hull, _ = placement._hull_raster(hull, 0.02)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert len(hull) == 400 and occupied.size >= 199 * 199
-        assert peak < 8 * occupied.size * 8  # a few float rasters
+        assert len(hull) == 400 and in_hull.size >= 199 * 199
+        assert peak < 8 * in_hull.size * 8  # a few float rasters
 
     def test_raster_marks_occupied_cells_and_drops_outside_points(self):
         hull = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         s_occ = np.array([0.05, 0.5, -0.3, 1.5, 0.999])
         t_occ = np.array([0.05, 0.5, 0.5, 0.5, 0.999])
-        fast = placement._raster(hull, s_occ, t_occ, 0.1)
+        s_lo, t_lo, in_hull, _ = placement._hull_raster(hull, 0.1)
+        fast = placement._occupancy(s_lo, t_lo, in_hull.shape, s_occ, t_occ, 0.1)
         slow = oracles.scalar_raster(hull, s_occ, t_occ, 0.1)
-        assert np.array_equal(fast[2], slow[2])
-        assert np.flatnonzero(fast[2]).tolist() == [0, 55, 99]
+        assert np.array_equal(fast, slow[2])
+        assert np.flatnonzero(fast).tolist() == [0, 55, 99]
 
     def test_ransac_same_plane_and_inliers_as_loop(self):
         clouds = [(criterion_6_cloud(trial), trial) for trial in range(100)]
@@ -540,3 +543,54 @@ class TestSampleTriples:
         counts = Counter(map(tuple, triples.tolist()))
         assert set(counts) == set(itertools.permutations(range(4), 3))
         assert min(counts.values()) > 2000 / 24 / 2  # about 83 each if uniform
+
+
+class TestSurfaceStore:
+    """`find_placement` builds a fitted top's hull and hull raster once per
+    store, keyed on the projected inlier coordinates."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        build = placement._build_surface
+
+        def counted(s_in, t_in):
+            calls.append(len(s_in))
+            return build(s_in, t_in)
+
+        monkeypatch.setattr(placement, "_build_surface", counted)
+        return calls
+
+    def test_a_shared_store_gives_the_spots_of_a_fresh_one(self, built):
+        surfaces = {}
+        for seed in (0, 1):  # the second pass draws other triples and lands on the stored surfaces
+            for table_, n_items in tabletops():
+                cloud = tabletop_cloud(table_, n_items)
+                plane, inliers = ransac_plane(cloud, 100 * seed + n_items)
+                shared = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=surfaces)
+                assert shared == find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
+        assert len(surfaces) == 18
+        assert len(built) == 18 + 2 * 18  # the shared store's builds, then a fresh build per call
+
+    def test_stored_arrays_are_read_only(self):
+        surfaces = {}
+        cloud = flat_cloud()
+        plane, inliers = ransac_plane(cloud, 0)
+        find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=surfaces)
+        (surface,) = surfaces.values()
+        for array in (surface.in_hull, surface.line_dist):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
+    @pytest.mark.parametrize("cloud,message", [
+        (np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [1.0, 1.0, 0.0]]), "inlier hull is degenerate"),
+        (np.array([[0.0, 0.0, 0.0], [20.0, 0.0, 0.0], [20.0, 20.0, 0.0], [0.0, 20.0, 0.0]]),
+         "exceeds the 250000-cell budget"),
+    ], ids=["degenerate hull", "over budget"])
+    def test_a_surface_that_fails_is_never_stored(self, built, cloud, message):
+        surfaces = {}
+        plane = Plane((0.0, 0.0, 1.0), 0.0)
+        for _ in range(2):
+            with pytest.raises(NoSpaceError, match=message):
+                find_placement(cloud, plane, np.arange(len(cloud)), object_radius=0.05, surfaces=surfaces)
+        assert surfaces == {} and len(built) == 2

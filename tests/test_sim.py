@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from helpers import table
 from oracles import all_cells, path_cost, relaxation_path_cost
+from waiterbot import placement as placement_module
 from waiterbot import sim as sim_module
 from waiterbot.cli import dispatch
 from waiterbot.formats import DetectionFrame, ScenarioError, detections_from_json, load_scenario, parse_scenario
 from waiterbot.geometry import Pose2D
-from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, inflate, world_to_cell
+from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, RiskField, inflate, world_to_cell
 from waiterbot.navgoal import candidate_points, select_candidate, select_goal
 from waiterbot.planner import PathError, _astar, _octile_path, _step_costs, plan_path
 from waiterbot.sim import Metrics, RunConfig, Simulation
@@ -521,6 +522,71 @@ class TestGoalStore:
         assert not any('"event": "navigate"' in line for line in sim.log[logged:])
 
 
+class TestSurfaceStore:
+    """`Simulation` builds each fitted top's hull and hull raster once per map."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        build = placement_module._build_surface
+        monkeypatch.setattr(placement_module, "_build_surface",
+                            lambda s_in, t_in: calls.append(1) or build(s_in, t_in))
+        return calls
+
+    @pytest.mark.parametrize("workload,mode,surfaces,placements", [
+        ("restaurant_41", "parallel", 5, 41),
+        ("banquet", "sequential", 4, 16),
+        ("busy_floor", "parallel", 5, 5),
+    ])
+    def test_one_replay_builds_one_surface_per_top_and_map(self, built, monkeypatch, tmp_path,
+                                                           workload, mode, surfaces, placements):
+        # the benchmark's workloads at generator seed 3: the share of placements
+        # that repeat a surface is what the store saves
+        if workload == "restaurant_41":
+            path = SCENARIO_PATH
+        else:
+            gen = bench_gen(monkeypatch)
+            path = gen.write(gen.GENERATORS[workload](3), tmp_path)
+        calls = []
+        place = sim_module.find_placement
+        monkeypatch.setattr(sim_module, "find_placement", lambda *a, **kw: calls.append(1) or place(*a, **kw))
+        Simulation(load_scenario(path), RunConfig(mode=mode)).run()
+        assert (len(built), len(calls)) == (surfaces, placements)
+
+    def test_a_new_frame_empties_the_store(self, built):
+        sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
+        sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
+        sim.location = "table_1"
+        for _ in range(2):
+            assert sim.simulate_skill(SkillInvocation("find_placement")).ok
+        assert len(built) == 1 and len(sim._surfaces) == 1
+        first, again = (r["point"] for r in map(json.loads, sim.log) if r["event"] == "placement")
+        assert first == again
+        sim._apply_detections(DetectionFrame(1, detections_from_json(first_frame())))
+        assert sim._surfaces == {}
+        assert sim.simulate_skill(SkillInvocation("find_placement")).ok
+        assert len(built) == 2
+
+
+def test_collisions_count_on_every_walk_of_a_path_but_are_read_once(monkeypatch):
+    """A path through the lethal region adds its collisions on each walk, the
+    reversed and the stored walks too; its cells are read once, when planned."""
+    sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
+    sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
+    risk = sim._ensure_risk()
+    lethal = next(c for c in all_cells(sim.scenario.grid) if risk.at(c) >= RISK_MAX)
+    monkeypatch.setattr(sim_module, "plan_path", lambda risk, start, goal: [start, lethal, lethal, goal])
+    reads = []
+    at = RiskField.at
+    monkeypatch.setattr(RiskField, "at", lambda self, c: reads.append(c) or at(self, c))
+    walks = []
+    for table_id in ("table_1", "table_4", "table_1", "table_4"):  # planned, planned, reversed, stored
+        assert sim.simulate_skill(SkillInvocation("navigate", table_id)).ok
+        walks.append(sim.metrics.collisions)
+    assert walks == [2, 4, 6, 8]
+    assert reads.count(lethal) == 2 * 2  # two planned paths, each through the lethal cell twice
+
+
 @pytest.fixture(scope="module")
 def restaurant_risk():
     """The restaurant_41 map after every detection frame, and its risk field."""
@@ -673,12 +739,18 @@ GENERATED_LOG_SHA256 = {  # workload and mode -> generator seed -> log sha256
 }
 
 
-@pytest.mark.parametrize("workload,mode", sorted(GENERATED_LOG_SHA256))
-def test_generated_workload_log_bytes_are_pinned(workload, mode, tmp_path, monkeypatch):
+def bench_gen(monkeypatch):
+    """`bench/gen.py` as a module, read in place."""
     spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
     spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.mark.parametrize("workload,mode", sorted(GENERATED_LOG_SHA256))
+def test_generated_workload_log_bytes_are_pinned(workload, mode, tmp_path, monkeypatch):
+    gen = bench_gen(monkeypatch)
     for seed, expected in GENERATED_LOG_SHA256[workload, mode].items():
         scenario = load_scenario(gen.write(gen.GENERATORS[workload](seed), tmp_path / str(seed)))
         _, log = Simulation(scenario, RunConfig(mode=mode, seed=0)).run()
