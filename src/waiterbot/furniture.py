@@ -6,6 +6,16 @@ too, each newer than the last, and associates its detections to existing
 instances greedily by descending 3D IoU (threshold 0.1); unmatched detections
 get fresh `<class>_<k>` ids.  Instances are never removed, so an id names one
 piece of furniture for the whole run.
+
+Each instance computes its footprint corners, their shoelace area and its
+height interval when it is made and keeps them; a detection keeps nothing,
+and `match_pairs` computes each gated detection's once per frame.
+A frame's pairs pass one gate first: a same-class pair whose centres lie
+farther apart along x or along y than the sum of the boxes' disc radii (half
+the footprint diagonal) has disjoint discs, hence disjoint footprints and IoU
+0.  The gate may keep a pair whose discs are disjoint, never one whose discs
+meet; the exact `iou_3d` decides every pair it keeps, so the matches are
+those of an exact IoU on every pair.
 Navigation reads the layer only through `virtual_obstacles`, which marks the
 grid cells under each footprint occupied.
 """
@@ -13,9 +23,9 @@ grid cells under each footprint occupied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +38,7 @@ from .geometry import (
     is_finite,
     normalize_angle,
     point_in_convex_polygon,
+    polygon_area,
     rect_corners,
     shown,
 )
@@ -53,6 +64,18 @@ class TrackStatus(Enum):
     NEW = "new"
 
 
+Corners = tuple[tuple[float, float], ...]
+
+
+class Box(NamedTuple):
+    """A box as `iou_3d` reads it: CCW footprint corners, their shoelace area
+    and its height interval."""
+
+    footprint: Corners
+    area: float
+    z_interval: tuple[float, float]
+
+
 @dataclass(frozen=True)
 class Detection3D:
     """One detected box; the only place its fields are checked."""
@@ -70,8 +93,13 @@ class Detection3D:
             raise ValueError(f"yaw must be a finite number, got {shown(self.yaw)}")
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
-    def footprint(self) -> list[tuple[float, float]]:
-        return rect_corners(self.center[0], self.center[1], self.dims[0], self.dims[1], self.yaw)
+    @property
+    def footprint(self) -> Corners:
+        return tuple(rect_corners(self.center[0], self.center[1], self.dims[0], self.dims[1], self.yaw))
+
+    @property
+    def area(self) -> float:
+        return polygon_area(self.footprint)
 
     @property
     def z_interval(self) -> tuple[float, float]:
@@ -88,7 +116,12 @@ def _positive_dims(dims) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class FurnitureInstance:
-    """A tracked piece of furniture; the only place its fields are checked."""
+    """A tracked piece of furniture; the only place its fields are checked.
+
+    Its footprint corners (w x d at its pose), their shoelace area and its
+    height interval are computed when it is made, since the next frame's
+    gated pairs and every virtual-obstacle map read them.
+    """
 
     id: str
     class_name: str
@@ -96,6 +129,9 @@ class FurnitureInstance:
     base_z: float
     dims: tuple[float, float, float]
     last_seen: int
+    footprint: Corners = field(init=False, repr=False, compare=False)
+    area: float = field(init=False, repr=False, compare=False)
+    z_interval: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_string(self.id, "id")
@@ -103,16 +139,13 @@ class FurnitureInstance:
         finite_tuple((self.pose.x, self.pose.y, self.pose.theta, self.base_z), 4, "pose and base_z")
         object.__setattr__(self, "dims", _positive_dims(self.dims))
         check_count(self.last_seen, "last_seen")
-
-    def footprint(self) -> list[tuple[float, float]]:
-        """Full plan-view rectangle (w x d at the instance pose)."""
-        return rect_corners(self.pose.x, self.pose.y, self.dims[0], self.dims[1], self.pose.theta)
-
-    @property
-    def z_interval(self) -> tuple[float, float]:
+        w, d, h = self.dims
+        footprint = tuple(rect_corners(self.pose.x, self.pose.y, w, d, self.pose.theta))
+        object.__setattr__(self, "footprint", footprint)
+        object.__setattr__(self, "area", polygon_area(footprint))
         # through the box centre, as for a detection: (base_z, base_z + h) can differ by an ulp
-        cz = self.base_z + self.dims[2] / 2.0
-        return (cz - self.dims[2] / 2.0, cz + self.dims[2] / 2.0)
+        cz = self.base_z + h / 2.0
+        object.__setattr__(self, "z_interval", (cz - h / 2.0, cz + h / 2.0))
 
 
 def _instance_from(detection: Detection3D, instance_id: str, frame: int) -> FurnitureInstance:
@@ -131,23 +164,37 @@ def match_pairs(detections: Sequence[Detection3D],
     """Every same-class (-IoU, detection index, instance id) with IoU >= 0.1, sorted.
 
     Sorted ascending, the list is the greedy matching order: descending IoU,
-    then detection index, then id.  A pair whose plan-view discs (centred on
-    each box, radius half the footprint diagonal) are disjoint has disjoint
-    footprints and so IoU 0; the exact `iou_3d` runs only on the other pairs.
+    then detection index, then id.  One array pass gates every detection
+    against every instance: a same-class pair is kept when neither centre
+    offset, |dx| nor |dy|, exceeds the sum r of the two disc radii.  A pair
+    whose discs meet by the scalar test `math.hypot(dx, dy) <= r` is always
+    kept: `math.hypot` errs by under an ulp, so it never returns less than
+    max(|dx|, |dy|).  A pair whose discs are disjoint has disjoint footprints
+    and IoU 0, so dropping it changes no match.  The exact `iou_3d` runs only
+    on the kept pairs, with each kept detection's corners computed once here.
     """
-    by_class: dict[str, list] = {}
-    for inst in instances:
-        by_class.setdefault(inst.class_name, []).append((inst, inst.pose.x, inst.pose.y, _disc_radius(inst.dims)))
+    instances = list(instances)
+    if not detections or not instances:
+        return []
+    classes: dict[str, int] = {}
+    det = np.array([(d.center[0], d.center[1], _disc_radius(d.dims), classes.setdefault(d.class_name, len(classes)))
+                    for d in detections])
+    inst = np.array([(i.pose.x, i.pose.y, _disc_radius(i.dims), classes.get(i.class_name, -1)) for i in instances])
+    # an offset beyond the float range is inf, which fails the gate unless r is inf too, as in the scalar test
+    with np.errstate(over="ignore"):
+        reach = det[:, 2, None] + inst[:, 2]
+        near = (np.abs(det[:, 0, None] - inst[:, 0]) <= reach) & (np.abs(det[:, 1, None] - inst[:, 1]) <= reach)
+    near &= det[:, 3, None] == inst[:, 3]
     pairs = []
-    for di, det in enumerate(detections):
-        x, y = det.center[:2]
-        r = _disc_radius(det.dims)
-        for inst, ix, iy, ir in by_class.get(det.class_name, ()):
-            if math.hypot(x - ix, y - iy) > r + ir:
-                continue
-            v = iou_3d(det, inst)
-            if v >= IOU_MATCH_THRESHOLD:
-                pairs.append((-v, di, inst.id))
+    boxes: dict[int, Box] = {}
+    for di, ii in np.argwhere(near).tolist():
+        box = boxes.get(di)
+        if box is None:
+            footprint = detections[di].footprint
+            box = boxes[di] = Box(footprint, polygon_area(footprint), detections[di].z_interval)
+        v = iou_3d(box, instances[ii])
+        if v >= IOU_MATCH_THRESHOLD:
+            pairs.append((-v, di, instances[ii].id))
     pairs.sort()
     return pairs
 
@@ -235,7 +282,7 @@ class FurnitureLayer:
         """
         cells = grid.cells.copy()
         res, (ox, oy) = grid.resolution, grid.origin
-        corners = np.array([inst.footprint() for inst in self.instances()]).reshape(-1, 4, 2)
+        corners = np.array([inst.footprint for inst in self.instances()]).reshape(-1, 4, 2)
         edge = max(grid.width, grid.height) + 1
         lo = np.clip(np.floor((corners.min(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) - 1
         hi = np.clip(np.floor((corners.max(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) + 1

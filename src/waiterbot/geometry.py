@@ -11,16 +11,21 @@ from __future__ import annotations
 import math
 import reprlib
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+_FLOAT_MAX = sys.float_info.max
 
 
 def is_finite(x) -> bool:
     """A finite int or float; a bool is not a number here.  The bound compares
     exactly, so an int too large for a float (JSON integers are unbounded) is
-    not finite, and NaN fails it like inf."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    not finite, and NaN fails it like inf.  A plain float, the common case,
+    takes the same bound without the type checks."""
+    if type(x) is float:
+        return -_FLOAT_MAX <= x <= _FLOAT_MAX
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
 
 
 def shown(value) -> str:
@@ -81,7 +86,7 @@ def rect_corners(cx: float, cy: float, w: float, d: float, yaw: float) -> list[t
     return out
 
 
-def polygon_area(pts: list[tuple[float, float]]) -> float:
+def polygon_area(pts: Sequence[tuple[float, float]]) -> float:
     """Shoelace area (absolute value)."""
     n = len(pts)
     if n < 3:
@@ -94,8 +99,16 @@ def polygon_area(pts: list[tuple[float, float]]) -> float:
     return abs(acc) / 2.0
 
 
-def clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of a polygon against a convex CCW clip polygon."""
+def clip_polygon(subject: Sequence[tuple[float, float]],
+                 clip: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Sutherland-Hodgman clip of a polygon against a convex CCW clip polygon.
+
+    Each vertex's side of a clip edge (its cross product with the edge, >= 0
+    inside) is evaluated once.  An edge of the subject that crosses the clip
+    edge is cut at t = s_prev / (s_prev - s_cur) of its length: the two side
+    values differ in sign, so the denominator is never 0, even where the
+    subject edge runs parallel to the clip edge within rounding.
+    """
     out = list(subject)
     n = len(clip)
     for i in range(n):
@@ -104,27 +117,18 @@ def clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, flo
         ax, ay = clip[i]
         bx, by = clip[(i + 1) % n]
         ex, ey = bx - ax, by - ay
-        inp = out
-        out = []
-
-        def inside(p: tuple[float, float]) -> bool:
-            return ex * (p[1] - ay) - ey * (p[0] - ax) >= 0.0
-
-        def intersect(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, float]:
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            denom = ex * dy - ey * dx
-            t = (ex * (ay - p[1]) - ey * (ax - p[0])) / denom
-            return (p[0] + t * dx, p[1] + t * dy)
-
-        for j in range(len(inp)):
-            cur = inp[j]
-            prev = inp[j - 1]
-            if inside(cur):
-                if not inside(prev):
-                    out.append(intersect(prev, cur))
+        inp, out = out, []
+        px, py = inp[-1]
+        s_prev = ex * (py - ay) - ey * (px - ax)
+        for cur in inp:
+            cx, cy = cur
+            s_cur = ex * (cy - ay) - ey * (cx - ax)
+            if (s_cur >= 0.0) != (s_prev >= 0.0):
+                t = s_prev / (s_prev - s_cur)
+                out.append((px + t * (cx - px), py + t * (cy - py)))
+            if s_cur >= 0.0:
                 out.append(cur)
-            elif inside(prev):
-                out.append(intersect(prev, cur))
+            px, py, s_prev = cx, cy, s_cur
     return out
 
 
@@ -139,21 +143,21 @@ def point_in_convex_polygon(p, poly: list[tuple[float, float]]):
 
 
 def iou_3d(a, b) -> float:
-    """3D IoU of two yaw-oriented boxes, each a record with `footprint()` and
-    `z_interval` (a detection or a tracked instance): clipped footprint area x
-    vertical overlap."""
+    """3D IoU of two yaw-oriented boxes, each a record with `footprint` (its
+    CCW plan-view corners), `area` (their shoelace area) and `z_interval`
+    (a detection, a tracked instance or a `furniture.Box`): clipped footprint
+    area x vertical overlap."""
     alo, ahi = a.z_interval
     blo, bhi = b.z_interval
     dz = min(ahi, bhi) - max(alo, blo)
     if dz <= 0.0:
         return 0.0
-    fa, fb = a.footprint(), b.footprint()
-    inter = polygon_area(clip_polygon(fa, fb)) * dz
+    inter = polygon_area(clip_polygon(a.footprint, b.footprint)) * dz
     if inter <= 0.0:
         return 0.0
     # shoelace areas and interval-difference heights, so that identical boxes
     # give bit-equal intersection and union volumes (IoU == 1.0 exactly)
-    union = polygon_area(fa) * (ahi - alo) + polygon_area(fb) * (bhi - blo) - inter
+    union = a.area * (ahi - alo) + b.area * (bhi - blo) - inter
     return inter / union
 
 

@@ -1,5 +1,8 @@
 """Test doubles and fixtures-as-functions that the program itself never needs."""
 
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -7,6 +10,8 @@ import numpy as np
 from waiterbot.furniture import FurnitureInstance
 from waiterbot.geometry import Pose2D, normalize_angle
 from waiterbot.llm import TransportError
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class StubTransport:
@@ -44,3 +49,12 @@ def table(instance_id: str, center, dims, yaw: float = 0.0) -> FurnitureInstance
     pose = Pose2D(center[0], center[1], normalize_angle(yaw))
     return FurnitureInstance(instance_id, "table", pose,
                              center[2] - dims[2] / 2.0, dims, 0)
+
+
+def bench_gen(monkeypatch):
+    """`bench/gen.py` as a module, read in place."""
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
+    spec.loader.exec_module(gen)
+    return gen

@@ -51,7 +51,7 @@ def loop_virtual_obstacles(layer, grid):
     """`FurnitureLayer.virtual_obstacles` cell by cell over each footprint's window."""
     cells = grid.cells.copy()
     for inst in layer.instances():
-        poly = inst.footprint()
+        poly = inst.footprint
         xs = [p[0] for p in poly]
         ys = [p[1] for p in poly]
         c0 = max(0, math.floor((min(xs) - grid.origin[0]) / grid.resolution) - 1)
@@ -76,6 +76,20 @@ def loop_match_pairs(detections, instances) -> list[tuple[float, int, str]]:
             if v >= IOU_MATCH_THRESHOLD:
                 pairs.append((-v, di, inst.id))
     return sorted(pairs)
+
+
+def disc_pairs(detections, instances) -> int:
+    """How many same-class pairs the scalar disc test keeps: `math.hypot` of the
+    centre offset at most the sum of the discs' radii (half each footprint
+    diagonal)."""
+    return sum(
+        1
+        for det in detections
+        for inst in instances
+        if inst.class_name == det.class_name
+        and math.hypot(det.center[0] - inst.pose.x, det.center[1] - inst.pose.y)
+        <= 0.5 * math.hypot(*det.dims[:2]) + 0.5 * math.hypot(*inst.dims[:2])
+    )
 
 
 def naive_inflate(grid, radius: float) -> np.ndarray:
@@ -155,10 +169,10 @@ def exact_iou_3d(a, b) -> Fraction:
     dz = min(ahi, bhi) - max(alo, blo)
     if dz <= 0:
         return Fraction(0)
-    inter = exact_area(exact_clip(a.footprint(), b.footprint())) * dz
+    inter = exact_area(exact_clip(a.footprint, b.footprint)) * dz
     if inter == 0:
         return Fraction(0)
-    return inter / (exact_area(a.footprint()) * (ahi - alo) + exact_area(b.footprint()) * (bhi - blo) - inter)
+    return inter / (exact_area(a.footprint) * (ahi - alo) + exact_area(b.footprint) * (bhi - blo) - inter)
 
 
 def all_cells(grid) -> list[CellIndex]:

@@ -227,7 +227,7 @@ def test_criterion_5_tracking_stability(capsys):
         mine = iou_3d(a, b)
         worst = max(worst, abs(mine - float(exact_iou_3d(a, b))))
         if Polygon is not None:
-            pa, pb = Polygon(a.footprint()), Polygon(b.footprint())
+            pa, pb = Polygon(a.footprint), Polygon(b.footprint)
             dz = max(0.0, min(a.z_interval[1], b.z_interval[1]) - max(a.z_interval[0], b.z_interval[0]))
             inter = pa.intersection(pb).area * dz
             union = pa.area * a.dims[2] + pb.area * b.dims[2] - inter

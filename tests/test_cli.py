@@ -688,6 +688,31 @@ def test_malformed_input_error_is_one_short_line(capsys, tmp_path, monkeypatch, 
     assert len(line) <= 200 and named in line
 
 
+@pytest.mark.parametrize("command", ["run", "map build"])
+def test_table_seen_again_with_its_yaw_turned_by_pi_exits_0(capsys, tmp_path, command):
+    """A rectangle's yaw is ambiguous by pi, so a detector may report a table
+    seen again that way; here an edge of its new footprint lies along an edge
+    of the old one within rounding, which once divided by zero in the clip."""
+    doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
+    doc["world"]["grid_file"] = str(SCENARIOS / doc["world"]["grid_file"])
+    frames = [ev for ev in doc["events"] if ev["type"] == "detections"]
+    for ev, yaw in zip(frames, (-2.4791993075071974, 0.6623933460825957)):
+        ev["boxes"][0].update(center=[2.0, 2.0, 0.36], yaw=yaw)  # table_0, 1.2 x 0.8 x 0.72 m
+    path = tmp_path / "input.json"
+    if command == "run":
+        path.write_text(json.dumps(doc))
+        argv = ["run", "--scenario", path]
+    else:
+        path.write_text(json.dumps([{"frame": ev["frame"], "boxes": ev["boxes"]} for ev in frames]))
+        argv = ["map", "build", "--grid", SCENARIOS / "restaurant.grid", "--detections", path]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    if command == "run":
+        assert "orders_total" in out
+    else:
+        assert [e["id"] for e in json.loads(out)["furniture"]] == [f"table_{k}" for k in range(len(frames[0]["boxes"]))]
+
+
 @pytest.mark.parametrize("command,kind", [
     (["run", "--scenario"], "not valid JSON"),
     (["map", "build", "--grid", SCENARIOS / "restaurant.grid", "--detections"], "bad detection log"),

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import table
-from oracles import (all_cells, cell_to_world, exact_point_in_convex_polygon, loop_match_pairs,
-                     loop_virtual_obstacles)
+from helpers import bench_gen, table
+from oracles import (all_cells, cell_to_world, disc_pairs, exact_iou_3d, exact_point_in_convex_polygon,
+                     loop_match_pairs, loop_virtual_obstacles)
+from waiterbot import furniture as furniture_module
+from waiterbot.formats import detections_from_json
 from waiterbot.furniture import (
     Detection3D,
     FrameOrderError,
@@ -17,7 +19,7 @@ from waiterbot.furniture import (
     TrackStatus,
     match_pairs,
 )
-from waiterbot.geometry import Pose2D
+from waiterbot.geometry import Pose2D, iou_3d
 from waiterbot.grid import CellState, GridMap
 
 
@@ -112,9 +114,33 @@ class TestTracking:
         result = layer.track_frame([det(6, 6)], 1)
         assert result == [("table_1", TrackStatus.NEW)]
 
+    def test_box_seen_again_with_its_yaw_turned_keeps_its_id(self):
+        # a rectangle's yaw is ambiguous by pi, a square's by pi/2, so a detector may
+        # report either; an edge of the new footprint then lies along an edge of the
+        # old one within rounding, and with the first yaw two such edges come out exactly
+        # parallel in floats
+        rng = np.random.default_rng(28)
+        yaws = [-2.4791993075071974, *rng.uniform(-math.pi, math.pi, 2000).tolist()]
+        rectangle, square = (1.2, 0.8, 0.72), (0.8, 0.8, 0.72)
+        for yaw in yaws:
+            for dims, turn in ((rectangle, math.pi), (rectangle, -math.pi), (square, math.pi / 2)):
+                layer = FurnitureLayer()
+                layer.track_frame([Detection3D("table", (2.0, 2.0, 0.36), dims, yaw)], 0)
+                seen, again = layer.get("table_0"), Detection3D("table", (2.0, 2.0, 0.36), dims, yaw + turn)
+                assert layer.track_frame([again], 1) == [("table_0", TrackStatus.MATCHED)]
+                assert iou_3d(again, seen) == pytest.approx(float(exact_iou_3d(again, seen)), abs=1e-9)
+
+    def test_boxes_at_opposite_ends_of_the_float_range_track_silently(self):
+        # their centres differ by more than the largest float: the pair gate sees inf
+        layer = FurnitureLayer()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            layer.track_frame([det(1.5e308, 2.0)], 0)
+            assert layer.track_frame([det(-1.5e308, 2.0)], 1) == [("table_1", TrackStatus.NEW)]
+
 
 class TestMatchPairs:
-    """The disc broad phase leaves the pair list of the all-pairs loop unchanged."""
+    """The centre gate leaves the pair list of the all-pairs loop unchanged."""
 
     def test_random_rotated_layouts(self):
         rng = np.random.default_rng(41)
@@ -137,23 +163,92 @@ class TestMatchPairs:
 
     def test_touching_boxes_and_touching_discs(self):
         side = 0.8
-        instances = [
-            table("a", (1.0, 1.0, 0.36), (side, side, 0.72)),
-            # a square turned 45 degrees has its corners on the axes through its centre,
-            # so two such squares whose discs touch along an axis touch at one corner
-            table("b", (4.0, 1.0, 0.36), (side, side, 0.72), math.pi / 4),
-        ]
-        detections = [
-            det(1.0, 1.0, dims=(side, side, 0.72)),  # IoU 1
-            det(1.0 + side, 1.0, dims=(side, side, 0.72)),  # shares an edge with a
-            det(1.0 + side / 2, 1.0 + side, dims=(side, side, 0.72)),  # shares half an edge
-            det(4.0 + side * math.sqrt(2), 1.0, dims=(side, side, 0.72), yaw=math.pi / 4),
-            det(4.0, 1.0 - side * math.sqrt(2), dims=(side, side, 0.72), yaw=-math.pi / 4),
-            det(4.0 + side / 2, 1.0, dims=(side, side, 0.72), yaw=math.pi / 4),  # overlaps b
-        ]
-        got = match_pairs(detections, instances)
-        assert got == loop_match_pairs(detections, instances)
-        assert [(di, iid) for _, di, iid in got] == [(0, "a"), (5, "b")]
+        for shift in (0.0, 1e3, 1e5):  # the same layout moved by `shift` m, where corners round more coarsely
+            x, y = 1.0 + shift, 1.0 + shift
+            instances = [
+                table("a", (x, y, 0.36), (side, side, 0.72)),
+                # a square turned 45 degrees has its corners on the axes through its centre,
+                # so two such squares whose discs touch along an axis touch at one corner
+                table("b", (x + 3.0, y, 0.36), (side, side, 0.72), math.pi / 4),
+            ]
+            detections = [
+                det(x, y, dims=(side, side, 0.72)),  # IoU 1
+                det(x + side, y, dims=(side, side, 0.72)),  # shares an edge with a
+                det(x + side / 2, y + side, dims=(side, side, 0.72)),  # shares half an edge
+                det(x + 3.0 + side * math.sqrt(2), y, dims=(side, side, 0.72), yaw=math.pi / 4),
+                det(x + 3.0, y - side * math.sqrt(2), dims=(side, side, 0.72), yaw=-math.pi / 4),
+                det(x + 3.0 + side / 2, y, dims=(side, side, 0.72), yaw=math.pi / 4),  # overlaps b
+            ]
+            got = match_pairs(detections, instances)
+            assert got == loop_match_pairs(detections, instances)
+            assert [(di, iid) for _, di, iid in got] == [(0, "a"), (5, "b")]
+
+
+def busy_floor_frames(monkeypatch, seed):
+    """(frame id, detections) of each detection frame of `bench/gen.py`'s busy_floor."""
+    events = bench_gen(monkeypatch).busy_floor(seed).scenario["events"]
+    return [(ev["frame"], detections_from_json(ev["boxes"])) for ev in events if ev["type"] == "detections"]
+
+
+class TestFrameWork:
+    """A busy_floor replay's frames (40 tables, 17 frames) are tracked with each
+    box's corners computed once and the exact IoU only where the discs meet."""
+
+    SEEDS = [0, 3, 11, 42]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pairs_equal_the_all_pairs_loop_on_every_frame(self, monkeypatch, seed):
+        layer = FurnitureLayer()
+        for frame, detections in busy_floor_frames(monkeypatch, seed):
+            instances = layer.instances()
+            assert match_pairs(detections, instances) == loop_match_pairs(detections, instances)
+            layer.track_frame(detections, frame)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_corners_once_per_box_and_none_for_the_obstacles(self, monkeypatch, seed):
+        calls = []
+        corners = furniture_module.rect_corners
+        monkeypatch.setattr(furniture_module, "rect_corners", lambda *a: calls.append(a) or corners(*a))
+        grid = GridMap(0.1, (0.0, 0.0), np.zeros((240, 360), dtype=np.uint8))  # the 36 x 24 m hall
+        layer = FurnitureLayer()
+        boxes = []  # every box made, held so that no object id is reused
+        for frame, detections in busy_floor_frames(monkeypatch, seed):
+            layer.track_frame(detections, frame)
+            boxes += [*detections, *layer.instances()]
+            made = len(calls)
+            layer.virtual_obstacles(grid)
+            assert len(calls) == made
+        assert 0 < len(calls) <= len({id(box) for box in boxes})
+
+    def test_a_second_run_over_the_same_detections_does_the_same_work(self, monkeypatch):
+        # a parsed scenario's detections are replayed as they are, so tracking keeps
+        # nothing on them that would spare a later run its work
+        calls = []
+        corners = furniture_module.rect_corners
+        monkeypatch.setattr(furniture_module, "rect_corners", lambda *a: calls.append(a) or corners(*a))
+        frames = busy_floor_frames(monkeypatch, 3)
+        made = []
+        for _ in range(2):
+            layer = FurnitureLayer()
+            for frame, detections in frames:
+                layer.track_frame(detections, frame)
+            made.append(len(calls))
+        assert made[1] == 2 * made[0]
+        assert all(vars(d).keys() == {"class_name", "center", "dims", "yaw"} for _, ds in frames for d in ds)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_exact_iou_runs_on_no_more_pairs_than_the_disc_test(self, monkeypatch, seed):
+        calls = []
+        iou = furniture_module.iou_3d
+        monkeypatch.setattr(furniture_module, "iou_3d", lambda a, b: calls.append(1) or iou(a, b))
+        layer = FurnitureLayer()
+        discs = 0
+        for frame, detections in busy_floor_frames(monkeypatch, seed):
+            discs += disc_pairs(detections, layer.instances())
+            layer.track_frame(detections, frame)
+        assert len(calls) <= discs
+        if seed == 3:
+            assert len(calls) == 640  # 16 frames after the first, each table only against itself
 
 
 class TestQueries:
@@ -197,7 +292,7 @@ class TestVirtualObstacles:
         layer.track_frame([Detection3D("table", (2.03, 2.01, 0.5), (1.0, 1.0, 1.0), math.pi / 4)], 0)
         grid = empty_grid()
         out = layer.virtual_obstacles(grid)
-        footprint = layer.get("table_0").footprint()
+        footprint = layer.get("table_0").footprint
         for c in all_cells(grid):
             expected = exact_point_in_convex_polygon(cell_to_world(grid, c), footprint)
             assert (out.cells[c.row, c.col] == CellState.OCCUPIED) == expected

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,17 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_iou_3d, exact_point_in_convex_polygon, inside_convex, point_polygon_edge_distance
+from test_fuzz import POOL
 from waiterbot.furniture import Detection3D
 from waiterbot.geometry import (
     Pose2D,
     clip_polygon,
     convex_hull,
     iou_3d,
+    is_finite,
     normalize_angle,
     point_in_convex_polygon,
     polygon_area,
     rect_corners,
 )
+
+
+def test_is_finite_plain_float_path_keeps_the_rule():
+    def rule(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+    big = sys.float_info.max
+    values = [*POOL, np.float64(2.5), np.float64(math.inf), np.float64(math.nan), True, False, 0, -0.0, 5e-324,
+              math.nan, math.inf, -math.inf, big, -big, 10**400, -10**400, int(big)]
+    for value in values:
+        assert is_finite(value) == rule(value), value
 
 
 def test_normalize_angle_range():

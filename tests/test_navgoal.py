@@ -99,7 +99,7 @@ class TestSelectGoal:
         assert goal.pose.x < 1.0 - 0.5  # on the robot's side of the table
         assert risk.at(goal.cell) < RISK_MAX
         assert not point_in_convex_polygon((goal.pose.x, goal.pose.y),
-                                           layer.get("t").footprint())
+                                           layer.get("t").footprint)
 
     def test_alpha_zero_ties_break_toward_candidate(self):
         layer = table_layer(1.0, 1.0)
@@ -240,7 +240,7 @@ def test_goals_stay_off_every_footprint_in_multi_table_layouts(radius):
     checked = 0
     for _ in range(25):
         grid, risk, layer, robot, params = random_multi_table_layout(rng, radius)
-        footprints = [inst.footprint() for inst in layer.instances()]
+        footprints = [inst.footprint for inst in layer.instances()]
         for target in layer.instances():
             try:
                 fast = select_goal(risk, target, robot, params)

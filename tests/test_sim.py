@@ -1,9 +1,7 @@
 import hashlib
-import importlib.util
 import json
 import math
 import re
-import sys
 import threading
 from pathlib import Path
 
@@ -12,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import table
+from helpers import bench_gen, table
 from oracles import all_cells, path_cost, relaxation_path_cost
 from waiterbot import placement as placement_module
 from waiterbot import sim as sim_module
@@ -737,15 +735,6 @@ GENERATED_LOG_SHA256 = {  # workload and mode -> generator seed -> log sha256
         11: "0706c55d761b07f3a7718e6bdbf6cc4c78f2db135cc0a7a6b530beb63961976d",
     },
 }
-
-
-def bench_gen(monkeypatch):
-    """`bench/gen.py` as a module, read in place."""
-    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
-    spec.loader.exec_module(gen)
-    return gen
 
 
 @pytest.mark.parametrize("workload,mode", sorted(GENERATED_LOG_SHA256))
