@@ -114,7 +114,7 @@ def cmd_nav_goal(args) -> int:
 def cmd_place(args) -> int:
     cloud = _load(args.cloud, "cloud", load_cloud, PlacementError)
     try:
-        plane, inliers = ransac_plane(cloud, args.seed)
+        plane, inliers = ransac_plane(cloud, args.seed, refits={})
         spot = find_placement(cloud, plane, inliers, object_radius=args.radius, surfaces={})
     except NoSpaceError as e:
         raise CliError(f"no space: {e}", DOMAIN_EXIT) from None

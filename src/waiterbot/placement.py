@@ -21,13 +21,20 @@ an exact Euclidean distance transform (`_distance_transform`).  The hull is
 taken only over the inliers an Akl-Toussaint extreme-point test cannot rule
 out (`_hull_candidates`), which gives the same hull.
 
-The hull and its raster frame (`Surface`: the cells inside the hull and each
-cell's distance to the hull's edges) do not depend on the items on the table,
-so they are built once per surface and kept in a store the caller owns and
-passes to `find_placement`.  The key is the exact bytes of the projected
-inlier coordinates, everything a `Surface` is built from, so a stored surface
-equals a rebuilt one.  Each call redoes only the projection, the occupancy
-raster, the distance transform and the pick of the best cell.
+Every result that depends only on the table top, not on the items on it,
+is computed once per top and kept in a store the caller owns and passes in;
+each store's key is the exact bytes of everything its entry is computed from,
+so a stored entry equals a recomputed one bit for bit.  `ransac_plane` keeps
+the least-squares refit (`refits`, keyed on the inlier points): the seeded
+draw, the block scoring and the support check still run on every call, so
+the inlier set is found afresh each time.  `find_placement` keeps the
+`Surface` (`surfaces`): the basis of the plane, the hull and the hull's raster
+frame (the cells inside the hull and each cell's distance to the hull's
+edges), keyed on the bytes of the plane's four floats and of the inlier
+points -- bytes, not `Plane` equality, since `-0.0 == 0.0` would let two
+planes that differ in the sign of a zero share an entry.  Each call redoes
+only the projection, the occupancy raster, the distance transform and the
+pick of the best cell.
 """
 
 from __future__ import annotations
@@ -123,6 +130,15 @@ def _orient(n: np.ndarray) -> np.ndarray:
     return (-n if _flip(n) else n) + 0.0  # fold -0.0 into 0.0
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, each component as a1*b2 - a2*b1: the
+    per-component order of `np.cross`, with no fused multiply-add, so the
+    result equals it bit for bit in under half its time on a small block."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _refit(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares plane through points: smallest eigenvector of the covariance."""
     centroid = points.mean(axis=0)
@@ -157,13 +173,19 @@ def hypotheses_needed(best_count: int, n_pts: int) -> float:
     return math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-(w**3))
 
 
-def ransac_plane(cloud: np.ndarray, seed: int) -> tuple[Plane, np.ndarray]:
+def ransac_plane(cloud: np.ndarray, seed: int, refits: dict[bytes, Plane]) -> tuple[Plane, np.ndarray]:
     """Best plane and its inlier indices; deterministic for a fixed seed.
 
     Blocks of the draw are scored until `hypotheses_needed` are scored or the
     `RANSAC_ITERATIONS` triples run out.  The best hypothesis scored has the
     most inliers; among those, the lowest plane (largest `d` with `n_z >= 0`),
-    then the earliest draw."""
+    then the earliest draw.
+
+    `refits` is the caller's store of least-squares refits, keyed on the bytes
+    of the inlier points, the refit's whole input: an inlier set met before
+    reads its plane from it, a new one is refit and added.  A PlaneFitError or
+    InsufficientSupportError comes before the store and is raised on every try.
+    """
     pts = np.asarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("cloud must be an (n, 3) array")
@@ -179,7 +201,7 @@ def ransac_plane(cloud: np.ndarray, seed: int) -> tuple[Plane, np.ndarray]:
     best_inliers: np.ndarray | None = None
     for start in range(0, len(triples), HYPOTHESIS_BLOCK):
         a, b, c = (pts[triples[start : start + HYPOTHESIS_BLOCK, k]] for k in range(3))
-        n = np.cross(b - a, c - a)
+        n = _cross(b - a, c - a)
         norm = np.linalg.norm(n, axis=1)
         degenerate = norm < 1e-12
         n = n / np.where(degenerate, 1.0, norm)[:, None]
@@ -204,8 +226,13 @@ def ransac_plane(cloud: np.ndarray, seed: int) -> tuple[Plane, np.ndarray]:
             f"below fraction {MIN_INLIER_FRACTION}"
         )
     inlier_idx = np.flatnonzero(best_inliers)
-    n, d = _refit(pts[inlier_idx])
-    return Plane((float(n[0]), float(n[1]), float(n[2])), d), inlier_idx
+    inlier_pts = pts[inlier_idx]
+    key = inlier_pts.tobytes()
+    plane = refits.get(key)
+    if plane is None:
+        n, d = _refit(inlier_pts)
+        plane = refits[key] = Plane((float(n[0]), float(n[1]), float(n[2])), d)
+    return plane, inlier_idx
 
 
 def plane_basis(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,7 +241,7 @@ def plane_basis(plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     u = seed - (seed @ n) * n
     u = u / np.linalg.norm(u)
-    v = np.cross(n, u)
+    v = _cross(n, u)
     return u, v, n
 
 
@@ -352,10 +379,12 @@ def _hull_candidates(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Surface:
-    """A fitted top's inlier hull and the hull's raster frame at `GRID_PITCH_M`
-    (see `_hull_raster`): everything of a placement that the items on the
-    table do not change.  The arrays are read-only, since a run shares them."""
+    """A fitted top's plane basis (`plane_basis`), inlier hull and the hull's
+    raster frame at `GRID_PITCH_M` (see `_hull_raster`): everything of a
+    placement that the items on the table do not change.  The arrays are
+    read-only, since a run shares them."""
 
+    basis: tuple[np.ndarray, np.ndarray, np.ndarray]
     hull: tuple[tuple[float, float], ...]
     s_lo: float
     t_lo: float
@@ -363,17 +392,17 @@ class Surface:
     line_dist: np.ndarray
 
 
-def _build_surface(s_in: np.ndarray, t_in: np.ndarray) -> Surface:
-    """The `Surface` of the inliers projected to (s_in, t_in); NoSpaceError
-    for a degenerate hull or a frame over `MAX_RASTER_CELLS`."""
+def _build_surface(basis: tuple[np.ndarray, np.ndarray, np.ndarray], s_in: np.ndarray, t_in: np.ndarray) -> Surface:
+    """The `Surface` of the inliers projected on `basis` to (s_in, t_in);
+    NoSpaceError for a degenerate hull or a frame over `MAX_RASTER_CELLS`."""
     keep = _hull_candidates(s_in, t_in)
     hull = convex_hull(list(zip(s_in[keep].tolist(), t_in[keep].tolist())))
     if len(hull) < 3:
         raise NoSpaceError("inlier hull is degenerate")
     s_lo, t_lo, in_hull, line_dist = _hull_raster(hull, GRID_PITCH_M)
-    in_hull.setflags(write=False)
-    line_dist.setflags(write=False)
-    return Surface(tuple(hull), s_lo, t_lo, in_hull, line_dist)
+    for array in (*basis, in_hull, line_dist):
+        array.setflags(write=False)
+    return Surface(basis, tuple(hull), s_lo, t_lo, in_hull, line_dist)
 
 
 def find_placement(
@@ -383,28 +412,27 @@ def find_placement(
     """Free point on the plane with the largest clearance (>= radius + margin).
 
     `surfaces` is the caller's store of `Surface`s, keyed on the bytes of the
-    projected inlier coordinates, all that a `Surface` is built from: a
-    surface met before is read from it, a new one is built and added.  A
-    NoSpaceError from the build is raised again on every try, never stored.
+    plane's four floats and of the inlier points, all that a `Surface` is
+    built from: a surface met before is read from it, a new one is built and
+    added.  A NoSpaceError from the build is raised again on every try, never
+    stored.
     """
     if not object_radius > 0:  # false for NaN too
         raise ValueError(f"object_radius must be positive, got {object_radius!r}")
     pts = np.asarray(cloud, dtype=np.float64)
-    u, v, n = plane_basis(plane)
+    inlier_mask = np.zeros(len(pts), dtype=bool)
+    inlier_mask[np.asarray(inliers, dtype=int)] = True
+    key = (np.array([*plane.normal, plane.d]).tobytes(), pts[inlier_mask].tobytes())
+    surface = surfaces.get(key)
+    u, v, n = basis = plane_basis(plane) if surface is None else surface.basis
     origin3 = -plane.d * n  # a point on the plane
 
     rel = pts - origin3
     s = rel @ u
     t = rel @ v
     h = pts @ n + plane.d
-
-    inlier_mask = np.zeros(len(pts), dtype=bool)
-    inlier_mask[np.asarray(inliers, dtype=int)] = True
-    s_in, t_in = s[inlier_mask], t[inlier_mask]
-    key = (s_in.tobytes(), t_in.tobytes())
-    surface = surfaces.get(key)
     if surface is None:
-        surface = surfaces[key] = _build_surface(s_in, t_in)
+        surface = surfaces[key] = _build_surface(basis, s[inlier_mask], t[inlier_mask])
 
     above = ~inlier_mask & (h > 0) & (h <= OCCUPANCY_BAND_M)
     cs, ct, clearance = _best_cell(surface, s[above], t[above])

@@ -25,8 +25,8 @@ from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound
 from .grid import RISK_MAX, CellIndex, RiskField, inflate, world_to_cell
 from .llm import RuleBackend
 from .navgoal import NavGoal, NoGoalError, candidate_points, select_candidate, select_goal
-from .placement import (GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, Surface, find_placement,
-                        ransac_plane)
+from .placement import (GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, Plane, Surface,
+                        find_placement, ransac_plane)
 from .planner import PathError, plan_path
 from .semantic import HumanLayer, HumanObservation
 from .tasks import OK, Outcome, ParsedTask, Pipeline, SkillInvocation, SkillResult, TaskOutcome, execute, failed
@@ -84,13 +84,16 @@ class Metrics:
         )
 
 
-def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
+def tabletop_cloud(table: FurnitureInstance, n_items: int, tops: dict[bytes, np.ndarray]) -> np.ndarray:
     """Synthetic exact tabletop grid plus a 3 x 3 point cluster per item on the table.
 
     Points come i-major (then j), then item by item; the float expressions are
     those of the per-point loop in `tests/oracles.py`, so the cloud is bit-equal.
     A top whose sample grid, or whose 2 cm placement raster, would hold more
-    than `MAX_RASTER_CELLS` raises NoSpaceError before any point is drawn.
+    than `MAX_RASTER_CELLS` raises NoSpaceError before any point is drawn, on
+    every call.  `tops` is the caller's store of top grids, keyed on the bytes
+    of the pose, dims and base height the grid is drawn from; the item
+    clusters are drawn on every call.
     """
     w, d, h = table.dims
     top_z = table.base_z + h
@@ -108,14 +111,19 @@ def tabletop_cloud(table: FurnitureInstance, n_items: int) -> np.ndarray:
     if max(nx * ny, rows * cols) > MAX_RASTER_CELLS:
         raise NoSpaceError(f"tabletop of {nx} x {ny} samples and {rows} x {cols} cells "
                            f"exceeds the {MAX_RASTER_CELLS}-cell budget")
-    lx, ly = np.meshgrid(-w / 2 + (np.arange(nx) + 0.5) * w / nx,
-                         -d / 2 + (np.arange(ny) + 0.5) * d / ny, indexing="ij")
+    key = np.array([table.pose.x, table.pose.y, table.pose.theta, w, d, h, table.base_z]).tobytes()
+    grid = tops.get(key)
+    if grid is None:
+        lx, ly = np.meshgrid(-w / 2 + (np.arange(nx) + 0.5) * w / nx,
+                             -d / 2 + (np.arange(ny) + 0.5) * d / ny, indexing="ij")
+        grid = tops[key] = world(lx, ly, top_z)
+        grid.setflags(write=False)
     k = np.arange(n_items)[:, None, None]
     step = 0.02 * np.arange(3)
     item_lx = (-w / 2 + 0.12 + 0.18 * (k % 4)) + step[None, :, None]
     item_ly = (-d / 2 + 0.12 + 0.18 * (k // 4)) + step[None, None, :]
     item_lx, item_ly = np.broadcast_arrays(item_lx, item_ly)
-    return np.vstack([world(lx, ly, top_z), world(item_lx, item_ly, top_z + 0.06)])
+    return np.vstack([grid, world(item_lx, item_ly, top_z + 0.06)])
 
 
 class Simulation:
@@ -124,10 +132,15 @@ class Simulation:
     Navigation makes one goal search per table side and map (`_goal`) and one
     `plan_path` run per endpoint pair and map (`_plan`), and counts a path's
     collisions once, when it is planned.  Both stores hold results computed on
-    the current risk field only.  Placement builds each fitted top's hull and
-    hull raster once per map (`_surfaces`, keyed on the projected inliers; see
-    `find_placement`).  A detection frame, the one event that changes the map,
-    empties all three stores.
+    the current risk field only.  Placement computes what depends only on a
+    table top once per top and map, in three stores keyed on the exact bytes of
+    their inputs: the top's sample grid (`_tops`, keyed on the table's pose,
+    dims and base height; see `tabletop_cloud`), the plane refit (`_refits`,
+    keyed on the inlier points; see `ransac_plane`) and the plane basis, hull
+    and hull raster (`_surfaces`, keyed on the plane and the inlier points; see
+    `find_placement`).  Each placement still draws its item clusters, its
+    seeded RANSAC hypotheses and its occupancy raster afresh.  A detection
+    frame, the one event that changes the map, empties all five stores.
     """
 
     def __init__(self, scenario: Scenario, config: RunConfig, backend=None):
@@ -161,6 +174,8 @@ class Simulation:
         # planned on `_risk`: the path and its cells in the lethal region
         self._paths: dict[tuple[CellIndex, CellIndex], tuple[list[CellIndex], int]] = {}
         self._goals: dict[tuple[str, tuple[float, float]], NavGoal] = {}  # selected on `_risk`
+        self._tops: dict[bytes, np.ndarray] = {}  # the `tabletop_cloud` store
+        self._refits: dict[bytes, Plane] = {}  # the `ransac_plane` store
         self._surfaces: dict[tuple[bytes, bytes], Surface] = {}  # the `find_placement` store
         self._placement_count = 0
 
@@ -235,6 +250,8 @@ class Simulation:
         self._risk = None
         self._paths.clear()
         self._goals.clear()
+        self._tops.clear()
+        self._refits.clear()
         self._surfaces.clear()
         self._log(
             "detections",
@@ -385,8 +402,8 @@ class Simulation:
         seed = self.config.seed * 1_000_003 + self._placement_count
         self._placement_count += 1
         try:
-            cloud = tabletop_cloud(table, len(self.table_items.get(table.id, [])))
-            plane, inliers = ransac_plane(cloud, seed)
+            cloud = tabletop_cloud(table, len(self.table_items.get(table.id, [])), self._tops)
+            plane, inliers = ransac_plane(cloud, seed, self._refits)
             spot = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=self._surfaces)
         except PlacementError as e:
             return failed(str(e))

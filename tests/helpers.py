@@ -1,6 +1,7 @@
 """Test doubles and fixtures-as-functions that the program itself never needs."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -49,6 +50,16 @@ def table(instance_id: str, center, dims, yaw: float = 0.0) -> FurnitureInstance
     pose = Pose2D(center[0], center[1], normalize_angle(yaw))
     return FurnitureInstance(instance_id, "table", pose,
                              center[2] - dims[2] / 2.0, dims, 0)
+
+
+def tabletops():
+    """(table, n_items): banquet-size and restaurant-size tables, rotated, 0-8 items."""
+    rng = np.random.default_rng(11)
+    for dims in ((2.4, 1.4, 0.72), (1.2, 0.8, 0.72)):
+        for n_items in range(9):
+            center = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)), dims[2] / 2)
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            yield table("t", center, dims, yaw), n_items
 
 
 def bench_gen(monkeypatch):

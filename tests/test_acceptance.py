@@ -253,13 +253,13 @@ def test_criterion_6_ransac_quality(capsys):
             [rng.uniform(-1, 1, n_out), rng.uniform(-1, 1, n_out), rng.uniform(0, 1, n_out)]
         )
         cloud = np.vstack([inliers, outliers])
-        plane, got = ransac_plane(cloud, trial)
+        plane, got = ransac_plane(cloud, trial, {})
         angle = math.degrees(math.acos(min(1.0, abs(plane.normal[2]))))
         within += angle <= 2.0
         recall = len(set(got.tolist()) & set(range(n_in))) / n_in
         recall_ok += recall >= 0.95
-    a = ransac_plane(cloud, 99)
-    b = ransac_plane(cloud, 99)
+    a = ransac_plane(cloud, 99, {})
+    b = ransac_plane(cloud, 99, {})
     deterministic = a[0] == b[0] and np.array_equal(a[1], b[1])
     elapsed = time.time() - t0
     ok = within >= 99 and recall_ok == 100 and deterministic and elapsed < 10.0

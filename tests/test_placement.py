@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import oracles
-from helpers import save_cloud, table
+from helpers import save_cloud, table, tabletops
 from oracles import naive_clearance
 from waiterbot import placement
 from waiterbot.geometry import convex_hull
@@ -52,14 +52,14 @@ class TestRansac:
     def test_noiseless_plane_exact(self):
         rng = np.random.default_rng(1)
         pts = np.column_stack([rng.uniform(-1, 1, 500), rng.uniform(-0.5, 0.5, 500), np.ones(500)])
-        plane, inliers = ransac_plane(pts, 7)
+        plane, inliers = ransac_plane(pts, 7, {})
         assert plane.normal == (0.0, 0.0, 1.0)
         assert plane.d == -1.0
         assert len(inliers) == 500  # inlier set equals exact plane membership
 
     def test_noisy_scene_recovers_plane(self):
         cloud, n_in = noisy_scene(900)
-        plane, inliers = ransac_plane(cloud, 3)
+        plane, inliers = ransac_plane(cloud, 3, {})
         angle = math.degrees(math.acos(min(1.0, abs(plane.normal[2]))))
         assert angle <= 2.0
         recall = len(set(inliers.tolist()) & set(range(n_in))) / n_in
@@ -67,18 +67,18 @@ class TestRansac:
 
     def test_two_points_rejected(self):
         with pytest.raises(PlaneFitError):
-            ransac_plane(np.array([[0, 0, 0], [1, 0, 0]]), 0)
+            ransac_plane(np.array([[0, 0, 0], [1, 0, 0]]), 0, {})
 
     def test_collinear_cloud_rejected(self):
         pts = np.array([[float(i), 0.0, 0.0] for i in range(10)])
         with pytest.raises(PlaneFitError):
-            ransac_plane(pts, 0)
+            ransac_plane(pts, 0, {})
 
     def test_insufficient_support(self):
         rng = np.random.default_rng(2)
         scatter = rng.uniform(-1, 1, (200, 3))
         with pytest.raises(InsufficientSupportError):
-            ransac_plane(scatter, 0)
+            ransac_plane(scatter, 0, {})
 
     @pytest.mark.parametrize("flat", [True, False])
     def test_cloud_at_the_extent_bound_fits_without_overflow(self, flat):
@@ -90,19 +90,19 @@ class TestRansac:
         if flat:
             cloud[:, 2] = 0.0
         with pytest.raises(NoSpaceError if flat else InsufficientSupportError):
-            plane, inliers = ransac_plane(cloud, 0)  # a RuntimeWarning fails the test
+            plane, inliers = ransac_plane(cloud, 0, {})  # a RuntimeWarning fails the test
             find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
 
     def test_cloud_beyond_the_extent_bound_rejected(self):
         cloud = flat_cloud()
         cloud[0, 0] = -2 * placement.MAX_CLOUD_EXTENT_M
         with pytest.raises(PlaneFitError, match="cloud extent 2e"):
-            ransac_plane(cloud, 0)
+            ransac_plane(cloud, 0, {})
 
     def test_fixed_seed_bit_identical(self):
         cloud, _ = noisy_scene(31)
-        a = ransac_plane(cloud, 12)
-        b = ransac_plane(cloud, 12)
+        a = ransac_plane(cloud, 12, {})
+        b = ransac_plane(cloud, 12, {})
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
@@ -125,14 +125,14 @@ class TestRansac:
                     best = (count, n, d, dists <= 0.01)
             _, n, d, mask = best
             hyp_rms = float(np.sqrt(np.mean((pts[mask] @ n + d) ** 2)))
-            plane, inliers = ransac_plane(cloud, seed)
+            plane, inliers = ransac_plane(cloud, seed, {})
             nn = np.asarray(plane.normal)
             refit_rms = float(np.sqrt(np.mean((pts[inliers] @ nn + plane.d) ** 2)))
             assert refit_rms <= hyp_rms + 1e-12
 
     def test_normal_orientation_convention(self):
         pts = flat_cloud(z=0.5)
-        plane, _ = ransac_plane(pts, 4)
+        plane, _ = ransac_plane(pts, 4, {})
         assert plane.normal[2] >= 0
 
     def test_plane_normal_must_be_unit(self):
@@ -143,13 +143,13 @@ class TestRansac:
 class TestFindPlacement:
     def test_point_lies_on_plane_with_clearance(self):
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, 0)
+        plane, inliers = ransac_plane(cloud, 0, {})
         p = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
         assert abs(np.dot(plane.normal, p) + plane.d) <= 1e-6
 
     def test_empty_table_matches_naive_clearance_oracle(self):
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, 0)
+        plane, inliers = ransac_plane(cloud, 0, {})
         p = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
 
         u, v, _ = plane_basis(plane)
@@ -172,7 +172,7 @@ class TestFindPlacement:
             [[x, y, 1.06] for x in np.arange(0.1, 0.5, 0.03) for y in np.arange(-0.4, 0.41, 0.03)]
         )
         cloud = np.vstack([surface, blob])
-        plane, inliers = ransac_plane(cloud, 0)
+        plane, inliers = ransac_plane(cloud, 0, {})
         p = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
         assert p[0] < 0.0  # west half
         # verify the promised clearance against the blob and the hull edge
@@ -185,7 +185,7 @@ class TestFindPlacement:
         # surface plane still wins the hypothesis vote
         lid = surface[::2] + np.array([0.0, 0.0, 0.05])
         cloud = np.vstack([surface, lid])
-        plane, inliers = ransac_plane(cloud, 0)
+        plane, inliers = ransac_plane(cloud, 0, {})
         assert abs(plane.d + 1.0) < 0.01  # fitted the table surface, not the lid
         with pytest.raises(NoSpaceError):
             find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
@@ -194,21 +194,21 @@ class TestFindPlacement:
         surface = flat_cloud(z=1.0)
         under = np.array([[0.0, 0.0, 0.5], [0.1, 0.1, 0.2]])  # table legs etc.
         cloud = np.vstack([surface, under])
-        plane, inliers = ransac_plane(cloud, 0)
+        plane, inliers = ransac_plane(cloud, 0, {})
         spot_with = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
-        plane2, inliers2 = ransac_plane(surface, 0)
+        plane2, inliers2 = ransac_plane(surface, 0, {})
         spot_without = find_placement(surface, plane2, inliers2, object_radius=0.05, surfaces={})
         assert spot_with == pytest.approx(spot_without, abs=1e-9)
 
     def test_invalid_radius(self):
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, 0)
+        plane, inliers = ransac_plane(cloud, 0, {})
         with pytest.raises(ValueError):
             find_placement(cloud, plane, inliers, object_radius=0.0, surfaces={})
 
     def test_nan_radius_rejected(self):
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, 0)
+        plane, inliers = ransac_plane(cloud, 0, {})
         with pytest.raises(ValueError, match="object_radius"):
             find_placement(cloud, plane, inliers, object_radius=float("nan"), surfaces={})
 
@@ -251,7 +251,7 @@ class TestHullPrefilter:
 
     def test_drops_the_interior_of_a_banquet_table(self):
         table_, _ = next(tabletops())
-        cloud = tabletop_cloud(table_, 0)
+        cloud = tabletop_cloud(table_, 0, {})
         keep = placement._hull_candidates(cloud[:, 0], cloud[:, 1])
         assert len(cloud) > 1000 and keep.sum() < len(cloud) // 5  # the boundary rows stay
 
@@ -274,26 +274,16 @@ class TestCloudIO:
         assert "line 1" in str(err.value)
 
 
-def tabletops():
-    """(table, n_items): banquet-size and restaurant-size tables, rotated, 0-8 items."""
-    rng = np.random.default_rng(11)
-    for dims in ((2.4, 1.4, 0.72), (1.2, 0.8, 0.72)):
-        for n_items in range(9):
-            center = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)), dims[2] / 2)
-            yaw = float(rng.uniform(-math.pi, math.pi))
-            yield table("t", center, dims, yaw), n_items
-
-
 def placement_cases():
     """(cloud, object radius, seed): the `tabletops()` clouds, then a seeded
     sweep of small tilted, cluttered surfaces, some with no space (a large
     object radius) and some with every cell occupied (a lid over the top)."""
     for table_, n_items in tabletops():
-        yield tabletop_cloud(table_, n_items), 0.05, n_items
+        yield tabletop_cloud(table_, n_items, {}), 0.05, n_items
     rng = np.random.default_rng(13)
     for n_items in range(24):  # a square table at 45 degrees to the raster: exact clearance ties
         center = (float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)), 0.36)
-        yield tabletop_cloud(table("t", center, (0.6, 0.6, 0.72), math.pi / 4), n_items % 12), 0.05, n_items
+        yield tabletop_cloud(table("t", center, (0.6, 0.6, 0.72), math.pi / 4), n_items % 12, {}), 0.05, n_items
     for i in range(120):
         w, d = rng.uniform(0.2, 1.0, 2)
         n = int(rng.integers(30, 600))
@@ -338,7 +328,7 @@ class TestArrayCodeMatchesLoops:
 
     def test_tabletop_cloud_bit_identical(self):
         for table, n_items in tabletops():
-            fast = tabletop_cloud(table, n_items)
+            fast = tabletop_cloud(table, n_items, {})
             slow = oracles.loop_tabletop_cloud(table, n_items)
             assert fast.shape == slow.shape
             assert fast.tobytes() == slow.tobytes()
@@ -380,7 +370,7 @@ class TestArrayCodeMatchesLoops:
 
         outcomes = Counter()
         for cloud, radius, seed in placement_cases():
-            plane, inliers = ransac_plane(cloud, seed)
+            plane, inliers = ransac_plane(cloud, seed, {})
             monkeypatch.setattr(placement, "_occupancy", checked)
             monkeypatch.setattr(placement, "_best_cell", best_is_largest)
             result = placed(cloud, plane, inliers, radius)
@@ -425,11 +415,30 @@ class TestArrayCodeMatchesLoops:
         assert np.array_equal(fast, slow[2])
         assert np.flatnonzero(fast).tolist() == [0, 55, 99]
 
+    def test_cross_is_bit_equal_to_numpy_on_every_scored_block(self, monkeypatch):
+        cross = placement._cross
+        shapes = Counter()
+
+        def checked(a, b):
+            fast = cross(a, b)
+            assert fast.shape == np.cross(a, b).shape and fast.tobytes() == np.cross(a, b).tobytes()
+            shapes[fast.shape] += 1
+            return fast
+
+        monkeypatch.setattr(placement, "_cross", checked)
+        clouds = [(criterion_6_cloud(trial), trial) for trial in range(100)]
+        clouds += [(tabletop_cloud(table, n, {}), n) for table, n in tabletops()]
+        for cloud, seed in clouds:
+            plane, _ = ransac_plane(cloud, seed, {})
+            plane_basis(plane)
+        # each fit stops after one block at these inlier ratios, and makes one basis
+        assert shapes == {(placement.HYPOTHESIS_BLOCK, 3): len(clouds), (3,): len(clouds)}
+
     def test_ransac_same_plane_and_inliers_as_loop(self):
         clouds = [(criterion_6_cloud(trial), trial) for trial in range(100)]
-        clouds += [(tabletop_cloud(table, n), n) for table, n in tabletops()]
+        clouds += [(tabletop_cloud(table, n, {}), n) for table, n in tabletops()]
         for cloud, seed in clouds:
-            plane, inliers = ransac_plane(cloud, seed)
+            plane, inliers = ransac_plane(cloud, seed, {})
             loop_plane, loop_inliers = oracles.loop_ransac_plane(cloud, seed)
             assert plane == loop_plane
             assert np.array_equal(inliers, loop_inliers)
@@ -451,13 +460,13 @@ class TestArrayCodeMatchesLoops:
         for iterations, blocks in ((160, 5), (200, 6)):  # every block under the cap; 192 >= 168.3
             monkeypatch.setattr(placement, "RANSAC_ITERATIONS", iterations)
             best_counts.clear()
-            plane, inliers = ransac_plane(cloud, 1)
+            plane, inliers = ransac_plane(cloud, 1, {})
             assert inliers.tolist() == list(range(300))
             assert len(best_counts) == blocks and best_counts[-1] == 300
         assert 160 < needed(300, 1000) < 192
 
         best_counts.clear()
-        ransac_plane(flat_cloud(), 0)  # w = 1: one block
+        ransac_plane(flat_cloud(), 0, {})  # w = 1: one block
         assert best_counts == [len(flat_cloud())]
         assert needed(5, 5) == 0.0 and needed(-1, 5) == math.inf
 
@@ -476,9 +485,9 @@ class TestArrayCodeMatchesLoops:
                 loop = oracles.loop_ransac_plane(cloud, seed)
             except PlacementError as e:
                 with pytest.raises(type(e)):
-                    ransac_plane(cloud, seed)
+                    ransac_plane(cloud, seed, {})
                 continue
-            plane, inliers = ransac_plane(cloud, seed)
+            plane, inliers = ransac_plane(cloud, seed, {})
             assert plane == loop[0]
             assert np.array_equal(inliers, loop[1])
             if (upper_rows == 0).any():
@@ -546,41 +555,99 @@ class TestSampleTriples:
 
 
 class TestSurfaceStore:
-    """`find_placement` builds a fitted top's hull and hull raster once per
-    store, keyed on the projected inlier coordinates."""
+    """`ransac_plane` refits each inlier set and `find_placement` builds each
+    fitted top's basis, hull and hull raster once per store; every key is the
+    exact bytes of what its entry is computed from."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        calls = []
-        build = placement._build_surface
+        """The number of points behind each refit and each surface build."""
+        calls = {"refit": [], "surface": []}
+        refit, build = placement._refit, placement._build_surface
 
-        def counted(s_in, t_in):
-            calls.append(len(s_in))
-            return build(s_in, t_in)
+        def counted_refit(points):
+            calls["refit"].append(len(points))
+            return refit(points)
 
-        monkeypatch.setattr(placement, "_build_surface", counted)
+        def counted_build(basis, s_in, t_in):
+            calls["surface"].append(len(s_in))
+            return build(basis, s_in, t_in)
+
+        monkeypatch.setattr(placement, "_refit", counted_refit)
+        monkeypatch.setattr(placement, "_build_surface", counted_build)
         return calls
 
+    @staticmethod
+    def plane_bytes(plane):
+        return np.array([*plane.normal, plane.d]).tobytes()
+
+    def fit_and_place(self, cloud, seed, refits, surfaces):
+        """(plane bytes, inliers, spot or NoSpaceError message) over the given stores."""
+        plane, inliers = ransac_plane(cloud, seed, refits)
+        try:
+            spot = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=surfaces)
+        except NoSpaceError as e:
+            spot = str(e)
+        return self.plane_bytes(plane), inliers.tolist(), spot
+
     def test_a_shared_store_gives_the_spots_of_a_fresh_one(self, built):
+        # and the same plane and inliers, from a shared refit store
+        refits, surfaces = {}, {}
+        for table_, n_items in tabletops():
+            cloud = tabletop_cloud(table_, n_items, {})
+            for seed in range(4):  # each seed draws other triples and lands on the stored entries
+                shared = self.fit_and_place(cloud, 100 * seed + n_items, refits, surfaces)
+                assert shared == self.fit_and_place(cloud, 100 * seed + n_items, {}, {})
+        assert len(refits) == len(surfaces) == 18
+        # the shared stores' 18 entries, then a fresh refit and build on each of the 72 fresh calls
+        assert len(built["refit"]) == len(built["surface"]) == 18 + 72
+
+    def test_a_one_ulp_or_signed_zero_change_misses_the_store(self, built):
+        cloud = flat_cloud(z=0.0, nx=23)  # holds x = 0.0 and z = 0.0
+        nudged = cloud.copy()
+        nudged[5, 0] = np.nextafter(nudged[5, 0], np.inf)
+        signed = cloud.copy()
+        signed[0, 2] = -0.0
+        zero_x = cloud.copy()
+        (row,) = np.flatnonzero(cloud[:, 0] == 0.0)[:1]
+        zero_x[row, 0] = -0.0
+        refits, surfaces = {}, {}
+        variants = (cloud, nudged, signed, zero_x)
+        for k, points in enumerate(variants, start=1):
+            assert self.fit_and_place(points, 0, refits, surfaces) == self.fit_and_place(points, 0, {}, {})
+            assert len(refits) == len(surfaces) == k
+        # a plane equal to another under `==` but with d = -0.0 is another surface
+        plane, inliers = ransac_plane(cloud, 0, {})
+        zero_d = Plane((0.0, 0.0, 1.0), 0.0)
+        minus_d = Plane((0.0, 0.0, 1.0), -0.0)
+        assert zero_d == minus_d and self.plane_bytes(zero_d) != self.plane_bytes(minus_d)
         surfaces = {}
-        for seed in (0, 1):  # the second pass draws other triples and lands on the stored surfaces
-            for table_, n_items in tabletops():
-                cloud = tabletop_cloud(table_, n_items)
-                plane, inliers = ransac_plane(cloud, 100 * seed + n_items)
-                shared = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=surfaces)
-                assert shared == find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
-        assert len(surfaces) == 18
-        assert len(built) == 18 + 2 * 18  # the shared store's builds, then a fresh build per call
+        for k, plane in enumerate((zero_d, minus_d, zero_d), start=1):
+            spot = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=surfaces)
+            assert spot == find_placement(cloud, plane, inliers, object_radius=0.05, surfaces={})
+            assert len(surfaces) == min(k, 2)
 
     def test_stored_arrays_are_read_only(self):
         surfaces = {}
         cloud = flat_cloud()
-        plane, inliers = ransac_plane(cloud, 0)
+        plane, inliers = ransac_plane(cloud, 0, {})
         find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=surfaces)
         (surface,) = surfaces.values()
-        for array in (surface.in_hull, surface.line_dist):
+        for array in (*surface.basis, surface.in_hull, surface.line_dist):
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0
+                array[(0,) * array.ndim] = 0
+
+    @pytest.mark.parametrize("cloud,error,message", [
+        (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), PlaneFitError, "need at least 3 points"),
+        (np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]), PlaneFitError, "degenerate"),
+        (np.random.default_rng(2).uniform(-1, 1, (200, 3)), InsufficientSupportError, "below fraction"),
+    ], ids=["too few points", "collinear", "scatter"])
+    def test_a_fit_that_fails_is_never_stored(self, built, cloud, error, message):
+        refits = {}
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                ransac_plane(cloud, 0, refits)
+        assert refits == {} and built["refit"] == []
 
     @pytest.mark.parametrize("cloud,message", [
         (np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [1.0, 1.0, 0.0]]), "inlier hull is degenerate"),
@@ -593,4 +660,4 @@ class TestSurfaceStore:
         for _ in range(2):
             with pytest.raises(NoSpaceError, match=message):
                 find_placement(cloud, plane, np.arange(len(cloud)), object_radius=0.05, surfaces=surfaces)
-        assert surfaces == {} and len(built) == 2
+        assert surfaces == {} and built["surface"] == [len(cloud)] * 2

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bench_gen, table
+import oracles
+from helpers import bench_gen, table, tabletops
 from oracles import all_cells, path_cost, relaxation_path_cost
 from waiterbot import placement as placement_module
 from waiterbot import sim as sim_module
@@ -20,7 +23,8 @@ from waiterbot.geometry import Pose2D
 from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, RiskField, inflate, world_to_cell
 from waiterbot.navgoal import candidate_points, select_candidate, select_goal
 from waiterbot.planner import PathError, _astar, _octile_path, _step_costs, plan_path
-from waiterbot.sim import Metrics, RunConfig, Simulation
+from waiterbot.placement import NoSpaceError
+from waiterbot.sim import Metrics, RunConfig, Simulation, tabletop_cloud
 from waiterbot.tasks import SkillInvocation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -357,7 +361,7 @@ class TestSimulatedSkills:
 
 
 def test_a_table_beyond_the_raster_budget_fails_before_the_fit(monkeypatch):
-    def fit(cloud, seed):
+    def fit(cloud, seed, refits):
         raise AssertionError("ransac_plane ran")
 
     monkeypatch.setattr(sim_module, "ransac_plane", fit)
@@ -521,15 +525,33 @@ class TestGoalStore:
 
 
 class TestSurfaceStore:
-    """`Simulation` builds each fitted top's hull and hull raster once per map."""
+    """`Simulation` draws each top's sample grid, refits each top's plane and
+    builds each fitted top's basis, hull and hull raster once per map."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        calls = []
-        build = placement_module._build_surface
-        monkeypatch.setattr(placement_module, "_build_surface",
-                            lambda s_in, t_in: calls.append(1) or build(s_in, t_in))
-        return calls
+        """Per store, the entries the placements added."""
+        added = {"tops": 0, "refits": 0, "surfaces": 0}
+        cloud, refit, build = sim_module.tabletop_cloud, placement_module._refit, placement_module._build_surface
+
+        def counted_cloud(table_, n_items, tops):
+            before = len(tops)
+            result = cloud(table_, n_items, tops)
+            added["tops"] += len(tops) - before
+            return result
+
+        def counted_refit(points):
+            added["refits"] += 1
+            return refit(points)
+
+        def counted_build(basis, s_in, t_in):
+            added["surfaces"] += 1
+            return build(basis, s_in, t_in)
+
+        monkeypatch.setattr(sim_module, "tabletop_cloud", counted_cloud)
+        monkeypatch.setattr(placement_module, "_refit", counted_refit)
+        monkeypatch.setattr(placement_module, "_build_surface", counted_build)
+        return added
 
     @pytest.mark.parametrize("workload,mode,surfaces,placements", [
         ("restaurant_41", "parallel", 5, 41),
@@ -539,7 +561,7 @@ class TestSurfaceStore:
     def test_one_replay_builds_one_surface_per_top_and_map(self, built, monkeypatch, tmp_path,
                                                            workload, mode, surfaces, placements):
         # the benchmark's workloads at generator seed 3: the share of placements
-        # that repeat a surface is what the store saves
+        # that repeat a top is what the stores save
         if workload == "restaurant_41":
             path = SCENARIO_PATH
         else:
@@ -549,21 +571,44 @@ class TestSurfaceStore:
         place = sim_module.find_placement
         monkeypatch.setattr(sim_module, "find_placement", lambda *a, **kw: calls.append(1) or place(*a, **kw))
         Simulation(load_scenario(path), RunConfig(mode=mode)).run()
-        assert (len(built), len(calls)) == (surfaces, placements)
+        assert len(calls) == placements
+        # one top grid and one refit per surface
+        assert built == {"tops": surfaces, "refits": surfaces, "surfaces": surfaces}
 
     def test_a_new_frame_empties_the_store(self, built):
+        # every placement store: top grids, refits and surfaces
         sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
         sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
         sim.location = "table_1"
         for _ in range(2):
             assert sim.simulate_skill(SkillInvocation("find_placement")).ok
-        assert len(built) == 1 and len(sim._surfaces) == 1
+        stores = (sim._tops, sim._refits, sim._surfaces)
+        assert [len(store) for store in stores] == [1, 1, 1]
+        assert built == {"tops": 1, "refits": 1, "surfaces": 1}
         first, again = (r["point"] for r in map(json.loads, sim.log) if r["event"] == "placement")
         assert first == again
         sim._apply_detections(DetectionFrame(1, detections_from_json(first_frame())))
-        assert sim._surfaces == {}
+        assert [len(store) for store in stores] == [0, 0, 0]
         assert sim.simulate_skill(SkillInvocation("find_placement")).ok
-        assert len(built) == 2
+        assert built == {"tops": 2, "refits": 2, "surfaces": 2}
+
+    def test_tabletop_cloud_with_its_store_matches_the_loop(self):
+        tops = {}
+        tables = [table_ for table_, _ in tabletops()]  # 18 tables of two sizes, rotated
+        for table_ in tables:
+            for n_items in (*range(9), 0, 8):  # 0-8 items, then a repeat: every call after the first reads the store
+                fast = tabletop_cloud(table_, n_items, tops)
+                slow = oracles.loop_tabletop_cloud(table_, n_items)
+                assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+        assert len(tops) == len(tables) == 18
+
+    def test_an_over_budget_top_raises_on_every_call_and_stores_nothing(self):
+        tops = {}
+        hall = table("hall_0", (30.0, 30.0, 0.36), (24.0, 24.0, 0.72))
+        for _ in range(2):
+            with pytest.raises(NoSpaceError, match="exceeds the 250000-cell budget"):
+                tabletop_cloud(hall, 0, tops)
+        assert tops == {}
 
 
 def test_collisions_count_on_every_walk_of_a_path_but_are_read_once(monkeypatch):
@@ -745,6 +790,14 @@ def test_generated_workload_log_bytes_are_pinned(workload, mode, tmp_path, monke
         _, log = Simulation(scenario, RunConfig(mode=mode, seed=0)).run()
         digest = hashlib.sha256(("\n".join(log) + "\n").encode()).hexdigest()
         assert digest == expected, f"seed {seed}"
+
+
+def test_the_replay_digest_matrix_is_pinned():
+    # every log of `scripts/replay_digests.py`'s 36 replays (restaurant_41 and two
+    # generated workloads at several generator and run seeds, both modes) keeps its bytes
+    script = REPO_ROOT / "scripts" / "replay_digests.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == (GOLDEN / "replay_digests.txt").read_text().splitlines()
 
 
 @pytest.mark.parametrize("metrics,line", [
