@@ -45,6 +45,7 @@ from .geometry import (
 from .grid import CellState, GridMap
 
 IOU_MATCH_THRESHOLD = 0.1
+_HALF_FLOAT_MAX = 2.0**1023  # half the float range
 
 
 class FurnitureError(Exception):
@@ -92,6 +93,10 @@ class Detection3D:
         if not is_finite(self.yaw):
             raise ValueError(f"yaw must be a finite number, got {shown(self.yaw)}")
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+        (x, y, z), (w, d, h) = self.center, self.dims
+        if abs(x) + abs(y) + abs(z) + w + d + h > _HALF_FLOAT_MAX:
+            _check_extent(self, x, y, z)
+            _instance_from(self, "tracked", 0)  # and so must the instance tracking makes of it
 
     @property
     def footprint(self) -> Corners:
@@ -105,6 +110,16 @@ class Detection3D:
     def z_interval(self) -> tuple[float, float]:
         half = self.dims[2] / 2.0
         return (self.center[2] - half, self.center[2] + half)
+
+
+def _check_extent(box, x: float, y: float, z: float) -> None:
+    """ValueError naming the box's place (x, y, z) and dims unless its footprint
+    corners and height interval are finite.  A record calls it only when
+    |x| + |y| + |z| + w + d + h exceeds half the float range: below that bound
+    each corner coordinate and each end is finite with room for rounding."""
+    for what, ends in ("footprint corners", sum(box.footprint, ())), ("height interval", box.z_interval):
+        if not all(map(math.isfinite, ends)):
+            raise ValueError(f"{what} must be finite, got a box at {shown((x, y, z))} of dims {shown(box.dims)}")
 
 
 def _positive_dims(dims) -> tuple[float, float, float]:
@@ -146,6 +161,8 @@ class FurnitureInstance:
         # through the box centre, as for a detection: (base_z, base_z + h) can differ by an ulp
         cz = self.base_z + h / 2.0
         object.__setattr__(self, "z_interval", (cz - h / 2.0, cz + h / 2.0))
+        if abs(self.pose.x) + abs(self.pose.y) + abs(self.base_z) + w + d + h > _HALF_FLOAT_MAX:
+            _check_extent(self, self.pose.x, self.pose.y, self.base_z)
 
 
 def _instance_from(detection: Detection3D, instance_id: str, frame: int) -> FurnitureInstance:

@@ -14,27 +14,21 @@ points above an equally supported surface count as clutter on it; only a full
 tie goes to the earliest draw.
 
 Placement then rasterizes the inlier hull at 2 cm, marks cells occupied where
-off-plane points project from the band above the surface, and picks, in one
-pass over the raster (`_best_cell`), the free cell with the largest distance
-to the nearest occupied cell or hull edge; the distance to an occupied cell is
-an exact Euclidean distance transform (`_distance_transform`).  The hull is
-taken only over the inliers an Akl-Toussaint extreme-point test cannot rule
-out (`_hull_candidates`), which gives the same hull.
+off-plane points project from the band above the surface, and picks the free
+cell of largest clearance in one pass over the raster (`_best_cell`).  The
+hull is taken only over the inliers an Akl-Toussaint extreme-point test cannot
+rule out (`_hull_candidates`), which gives the same hull.
 
-Every result that depends only on the table top, not on the items on it,
-is computed once per top and kept in a store the caller owns and passes in;
-each store's key is the exact bytes of everything its entry is computed from,
-so a stored entry equals a recomputed one bit for bit.  `ransac_plane` keeps
-the least-squares refit (`refits`, keyed on the inlier points): the seeded
-draw, the block scoring and the support check still run on every call, so
-the inlier set is found afresh each time.  `find_placement` keeps the
-`Surface` (`surfaces`): the basis of the plane, the hull and the hull's raster
-frame (the cells inside the hull and each cell's distance to the hull's
-edges), keyed on the bytes of the plane's four floats and of the inlier
-points -- bytes, not `Plane` equality, since `-0.0 == 0.0` would let two
-planes that differ in the sign of a zero share an entry.  Each call redoes
-only the projection, the occupancy raster, the distance transform and the
-pick of the best cell.
+Every result that depends only on the table top, not on the items on it, is
+kept in a store the caller owns and passes in.  A store may only be shared by
+clouds that agree on every point index both of them hold, as the clouds of one
+simulated top do; then the inlier index set fixes the inlier points, and both
+stores key on it (`_index_key`).  `ransac_plane` keeps the least-squares refit
+(`refits`); the seeded draw, the block scoring and the support check run on
+every call.  `find_placement` keeps the `Surface` (`surfaces`), keyed also on
+the bytes of the plane's four floats, not on `Plane` equality, under which
+`-0.0 == 0.0`.  Each key holds all that its entry is computed from, so a stored
+entry equals a recomputed one bit for bit.
 """
 
 from __future__ import annotations
@@ -173,18 +167,20 @@ def hypotheses_needed(best_count: int, n_pts: int) -> float:
     return math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-(w**3))
 
 
+def _index_key(mask: np.ndarray) -> bytes:
+    """`mask` cut after its last set bit and packed 8 to a byte, which is the packed
+    mask without its trailing zero bytes: one key per index set."""
+    return np.packbits(mask).tobytes().rstrip(b"\0")
+
+
 def ransac_plane(cloud: np.ndarray, seed: int, refits: dict[bytes, Plane]) -> tuple[Plane, np.ndarray]:
-    """Best plane and its inlier indices; deterministic for a fixed seed.
+    """Best plane and its inlier indices, by the draw, stop and tie rule of the
+    module docstring; deterministic for a fixed seed.
 
-    Blocks of the draw are scored until `hypotheses_needed` are scored or the
-    `RANSAC_ITERATIONS` triples run out.  The best hypothesis scored has the
-    most inliers; among those, the lowest plane (largest `d` with `n_z >= 0`),
-    then the earliest draw.
-
-    `refits` is the caller's store of least-squares refits, keyed on the bytes
-    of the inlier points, the refit's whole input: an inlier set met before
-    reads its plane from it, a new one is refit and added.  A PlaneFitError or
-    InsufficientSupportError comes before the store and is raised on every try.
+    `refits` stores the least-squares refit of each inlier set; it may only be
+    shared by clouds that agree on every point index both of them hold.  A
+    PlaneFitError or InsufficientSupportError comes before the store and is
+    raised on every try.
     """
     pts = np.asarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -226,11 +222,10 @@ def ransac_plane(cloud: np.ndarray, seed: int, refits: dict[bytes, Plane]) -> tu
             f"below fraction {MIN_INLIER_FRACTION}"
         )
     inlier_idx = np.flatnonzero(best_inliers)
-    inlier_pts = pts[inlier_idx]
-    key = inlier_pts.tobytes()
+    key = _index_key(best_inliers)
     plane = refits.get(key)
     if plane is None:
-        n, d = _refit(inlier_pts)
+        n, d = _refit(pts[inlier_idx])
         plane = refits[key] = Plane((float(n[0]), float(n[1]), float(n[2])), d)
     return plane, inlier_idx
 
@@ -379,10 +374,9 @@ def _hull_candidates(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Surface:
-    """A fitted top's plane basis (`plane_basis`), inlier hull and the hull's
-    raster frame at `GRID_PITCH_M` (see `_hull_raster`): everything of a
-    placement that the items on the table do not change.  The arrays are
-    read-only, since a run shares them."""
+    """A fitted top's plane basis, inlier hull and the hull's raster frame (see
+    `_hull_raster`): all of a placement that the items on the table do not
+    change.  The arrays are read-only, since a run shares them."""
 
     basis: tuple[np.ndarray, np.ndarray, np.ndarray]
     hull: tuple[tuple[float, float], ...]
@@ -405,24 +399,20 @@ def _build_surface(basis: tuple[np.ndarray, np.ndarray, np.ndarray], s_in: np.nd
     return Surface(basis, tuple(hull), s_lo, t_lo, in_hull, line_dist)
 
 
-def find_placement(
-    cloud: np.ndarray, plane: Plane, inliers: np.ndarray, object_radius: float,
-    surfaces: dict[tuple[bytes, bytes], Surface],
-) -> tuple[float, float, float]:
+def find_placement(cloud: np.ndarray, plane: Plane, inliers: np.ndarray, object_radius: float,
+                   surfaces: dict[tuple[bytes, bytes], Surface]) -> tuple[float, float, float]:
     """Free point on the plane with the largest clearance (>= radius + margin).
 
-    `surfaces` is the caller's store of `Surface`s, keyed on the bytes of the
-    plane's four floats and of the inlier points, all that a `Surface` is
-    built from: a surface met before is read from it, a new one is built and
-    added.  A NoSpaceError from the build is raised again on every try, never
-    stored.
+    `surfaces` stores the `Surface` of each plane and inlier set; it may only
+    be shared by clouds that agree on every point index both of them hold.  A
+    NoSpaceError from the build is raised again on every try, never stored.
     """
     if not object_radius > 0:  # false for NaN too
         raise ValueError(f"object_radius must be positive, got {object_radius!r}")
     pts = np.asarray(cloud, dtype=np.float64)
     inlier_mask = np.zeros(len(pts), dtype=bool)
     inlier_mask[np.asarray(inliers, dtype=int)] = True
-    key = (np.array([*plane.normal, plane.d]).tobytes(), pts[inlier_mask].tobytes())
+    key = (np.array([*plane.normal, plane.d]).tobytes(), _index_key(inlier_mask))
     surface = surfaces.get(key)
     u, v, n = basis = plane_basis(plane) if surface is None else surface.basis
     origin3 = -plane.d * n  # a point on the plane

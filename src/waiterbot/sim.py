@@ -25,8 +25,7 @@ from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound
 from .grid import RISK_MAX, CellIndex, RiskField, inflate, world_to_cell
 from .llm import RuleBackend
 from .navgoal import NavGoal, NoGoalError, candidate_points, select_candidate, select_goal
-from .placement import (GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, Plane, Surface,
-                        find_placement, ransac_plane)
+from .placement import GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, find_placement, ransac_plane
 from .planner import PathError, plan_path
 from .semantic import HumanLayer, HumanObservation
 from .tasks import OK, Outcome, ParsedTask, Pipeline, SkillInvocation, SkillResult, TaskOutcome, execute, failed
@@ -84,46 +83,56 @@ class Metrics:
         )
 
 
-def tabletop_cloud(table: FurnitureInstance, n_items: int, tops: dict[bytes, np.ndarray]) -> np.ndarray:
-    """Synthetic exact tabletop grid plus a 3 x 3 point cluster per item on the table.
+class TableTop:
+    """A table top's entry in `Simulation`'s placement store: its points (the
+    sample grid, i-major then j, then a 3 x 3 cluster per item slot, added a
+    row of 4 slots at a time when an item needs one) and the stores its clouds
+    share.  The cloud of n items is the read-only prefix of the first G + 9n
+    points, G the grid's size, bit-equal to the per-point loop in
+    `tests/oracles.py`.  A top whose samples, or whose 2 cm raster, would
+    exceed `MAX_RASTER_CELLS` raises NoSpaceError before any point is drawn."""
 
-    Points come i-major (then j), then item by item; the float expressions are
-    those of the per-point loop in `tests/oracles.py`, so the cloud is bit-equal.
-    A top whose sample grid, or whose 2 cm placement raster, would hold more
-    than `MAX_RASTER_CELLS` raises NoSpaceError before any point is drawn, on
-    every call.  `tops` is the caller's store of top grids, keyed on the bytes
-    of the pose, dims and base height the grid is drawn from; the item
-    clusters are drawn on every call.
-    """
-    w, d, h = table.dims
-    top_z = table.base_z + h
-    c, s = math.cos(table.pose.theta), math.sin(table.pose.theta)
-
-    def world(lx, ly, z):
-        x = table.pose.x + c * lx - s * ly
-        y = table.pose.y + s * lx + c * ly
-        return np.column_stack([x.ravel(), y.ravel(), np.full(x.size, z)])
-
-    nx = max(4, int(w / 0.05))
-    ny = max(4, int(d / 0.05))
-    # the inlier hull spans the sample centres; at any yaw its raster holds at least this many cells
-    rows, cols = math.ceil((d - d / ny) / GRID_PITCH_M), math.ceil((w - w / nx) / GRID_PITCH_M)
-    if max(nx * ny, rows * cols) > MAX_RASTER_CELLS:
-        raise NoSpaceError(f"tabletop of {nx} x {ny} samples and {rows} x {cols} cells "
-                           f"exceeds the {MAX_RASTER_CELLS}-cell budget")
-    key = np.array([table.pose.x, table.pose.y, table.pose.theta, w, d, h, table.base_z]).tobytes()
-    grid = tops.get(key)
-    if grid is None:
+    def __init__(self, table: FurnitureInstance):
+        w, d, h = self.dims = table.dims
+        nx, ny = max(4, int(w / 0.05)), max(4, int(d / 0.05))
+        # the inlier hull spans the sample centres; at any yaw its raster holds at least this many cells
+        rows, cols = math.ceil((d - d / ny) / GRID_PITCH_M), math.ceil((w - w / nx) / GRID_PITCH_M)
+        if max(nx * ny, rows * cols) > MAX_RASTER_CELLS:
+            raise NoSpaceError(f"tabletop of {nx} x {ny} samples and {rows} x {cols} cells "
+                               f"exceeds the {MAX_RASTER_CELLS}-cell budget")
+        self.pose, self.top_z, self.grid_size, self.slots = table.pose, table.base_z + h, nx * ny, 0
+        self.refits, self.surfaces = {}, {}  # the two stores of `ransac_plane` and `find_placement`
         lx, ly = np.meshgrid(-w / 2 + (np.arange(nx) + 0.5) * w / nx,
                              -d / 2 + (np.arange(ny) + 0.5) * d / ny, indexing="ij")
-        grid = tops[key] = world(lx, ly, top_z)
-        grid.setflags(write=False)
-    k = np.arange(n_items)[:, None, None]
-    step = 0.02 * np.arange(3)
-    item_lx = (-w / 2 + 0.12 + 0.18 * (k % 4)) + step[None, :, None]
-    item_ly = (-d / 2 + 0.12 + 0.18 * (k // 4)) + step[None, None, :]
-    item_lx, item_ly = np.broadcast_arrays(item_lx, item_ly)
-    return np.vstack([grid, world(item_lx, item_ly, top_z + 0.06)])
+        self.points = self._world(lx, ly, self.top_z)
+
+    def _world(self, lx: np.ndarray, ly: np.ndarray, z: float) -> np.ndarray:
+        c, s = math.cos(self.pose.theta), math.sin(self.pose.theta)
+        x = self.pose.x + c * lx - s * ly
+        y = self.pose.y + s * lx + c * ly
+        return np.column_stack([x.ravel(), y.ravel(), np.full(x.size, z)])
+
+    def cloud(self, n_items: int) -> np.ndarray:
+        if n_items > self.slots:
+            w, d, _ = self.dims
+            k = np.arange(self.slots, -(-n_items // 4) * 4)[:, None, None]
+            step = 0.02 * np.arange(3)
+            item_lx = (-w / 2 + 0.12 + 0.18 * (k % 4)) + step[None, :, None]
+            item_ly = (-d / 2 + 0.12 + 0.18 * (k // 4)) + step[None, None, :]
+            clusters = self._world(*np.broadcast_arrays(item_lx, item_ly), self.top_z + 0.06)
+            self.points, self.slots = np.vstack([self.points, clusters]), self.slots + len(k)
+        view = self.points[: self.grid_size + 9 * n_items]
+        view.setflags(write=False)
+        return view
+
+
+def table_top(table: FurnitureInstance, tops: dict[bytes, TableTop]) -> TableTop:
+    """`table`'s entry in the store `tops`, made on first use, keyed on the
+    bytes of the pose, dims and base height its points are drawn from."""
+    key = np.array([table.pose.x, table.pose.y, table.pose.theta, *table.dims, table.base_z]).tobytes()
+    if key not in tops:
+        tops[key] = TableTop(table)
+    return tops[key]
 
 
 class Simulation:
@@ -131,16 +140,12 @@ class Simulation:
 
     Navigation makes one goal search per table side and map (`_goal`) and one
     `plan_path` run per endpoint pair and map (`_plan`), and counts a path's
-    collisions once, when it is planned.  Both stores hold results computed on
-    the current risk field only.  Placement computes what depends only on a
-    table top once per top and map, in three stores keyed on the exact bytes of
-    their inputs: the top's sample grid (`_tops`, keyed on the table's pose,
-    dims and base height; see `tabletop_cloud`), the plane refit (`_refits`,
-    keyed on the inlier points; see `ransac_plane`) and the plane basis, hull
-    and hull raster (`_surfaces`, keyed on the plane and the inlier points; see
-    `find_placement`).  Each placement still draws its item clusters, its
-    seeded RANSAC hypotheses and its occupancy raster afresh.  A detection
-    frame, the one event that changes the map, empties all five stores.
+    collisions once, when it is planned.  Placement keeps one `TableTop` per
+    top and map (`_tops`, see `table_top`): its points, each cloud a prefix of
+    them, and its refits and surfaces, keyed on the inlier index set, which
+    fixes the inlier points since point i is the same in each of its clouds.
+    A detection frame, the one event that changes the map, empties all three
+    stores, so each holds results computed on the current map only.
     """
 
     def __init__(self, scenario: Scenario, config: RunConfig, backend=None):
@@ -174,9 +179,7 @@ class Simulation:
         # planned on `_risk`: the path and its cells in the lethal region
         self._paths: dict[tuple[CellIndex, CellIndex], tuple[list[CellIndex], int]] = {}
         self._goals: dict[tuple[str, tuple[float, float]], NavGoal] = {}  # selected on `_risk`
-        self._tops: dict[bytes, np.ndarray] = {}  # the `tabletop_cloud` store
-        self._refits: dict[bytes, Plane] = {}  # the `ransac_plane` store
-        self._surfaces: dict[tuple[bytes, bytes], Surface] = {}  # the `find_placement` store
+        self._tops: dict[bytes, TableTop] = {}  # the placement store, see `table_top`
         self._placement_count = 0
 
     # --- logging ---------------------------------------------------------
@@ -236,7 +239,8 @@ class Simulation:
                 route = (back[0][::-1], back[1])
             else:
                 path = plan_path(risk, start, goal)
-                route = (path, sum(1 for c in path if risk.at(c) >= RISK_MAX))
+                cols, rows = zip(*path)
+                route = (path, int(np.count_nonzero(risk.risk[rows, cols] >= RISK_MAX)))
             self._paths[start, goal] = route
         return route
 
@@ -251,14 +255,8 @@ class Simulation:
         self._paths.clear()
         self._goals.clear()
         self._tops.clear()
-        self._refits.clear()
-        self._surfaces.clear()
-        self._log(
-            "detections",
-            frame=ev.frame,
-            tracks=[[iid, status.value] for iid, status in results],
-            kitchen=self.layer.kitchen_id,
-        )
+        self._log("detections", frame=ev.frame, tracks=[[iid, status.value] for iid, status in results],
+                  kitchen=self.layer.kitchen_id)
 
     def _apply_human(self, obs: HumanObservation) -> None:
         hid = self.humans.upsert(obs)
@@ -324,13 +322,8 @@ class Simulation:
         self.robot_cell = goal.cell
         self.robot_pose = goal.pose
         self.location = table_id
-        self._log(
-            "navigate",
-            table=table_id,
-            cell=[goal.cell.col, goal.cell.row],
-            cost=goal.cost,
-            steps=len(path) - 1,
-        )
+        self._log("navigate", table=table_id, cell=[goal.cell.col, goal.cell.row], cost=goal.cost,
+                  steps=len(path) - 1)
         return OK
 
     def _items_here(self) -> list[str]:
@@ -393,18 +386,17 @@ class Simulation:
         return OK
 
     def _skill_find_placement(self, inv: SkillInvocation) -> SkillResult:
-        if self.location is None:
-            return failed("nowhere to place")
         try:
-            table = self.layer.get(self.location)
+            table = self.layer.get(self.location)  # no table at a location of None either
         except FurnitureNotFound:
             return failed("nowhere to place")
         seed = self.config.seed * 1_000_003 + self._placement_count
         self._placement_count += 1
         try:
-            cloud = tabletop_cloud(table, len(self.table_items.get(table.id, [])), self._tops)
-            plane, inliers = ransac_plane(cloud, seed, self._refits)
-            spot = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=self._surfaces)
+            top = table_top(table, self._tops)
+            cloud = top.cloud(len(self.table_items.get(table.id, [])))
+            plane, inliers = ransac_plane(cloud, seed, top.refits)
+            spot = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=top.surfaces)
         except PlacementError as e:
             return failed(str(e))
         self._log("placement", table=self.location, point=[round(v, 4) for v in spot])

@@ -327,7 +327,7 @@ def loop_ransac_plane(cloud, seed):
 
 
 def loop_tabletop_cloud(table, n_items: int) -> np.ndarray:
-    """`sim.tabletop_cloud` point by point."""
+    """A cloud of `sim.TableTop`, point by point."""
     w, d, h = table.dims
     top_z = table.base_z + h
     c, s = math.cos(table.pose.theta), math.sin(table.pose.theta)

@@ -401,6 +401,16 @@ def _box(field, value):
     return mutate
 
 
+def _box_extent(center, dims, named):
+    # the box's x and z and its width and height; the others stay restaurant_41's
+    def mutate(doc):
+        box = doc["events"][0]["boxes"][1]
+        box["center"] = [center[0], box["center"][1], center[2]]
+        box["dims"] = [dims[0], box["dims"][1], dims[2]]
+        return f"event 0: ValueError: {named}"
+    return mutate
+
+
 def _event(kind, field, value):
     def mutate(doc):
         i = _first(doc["events"], kind)
@@ -446,6 +456,12 @@ def _zero_area_zone(doc):
 
 def _layer_dims(doc):
     doc["furniture"][1]["dims"]["w"] = 0.0
+    return "'table_1'"
+
+
+def _layer_extent(doc):
+    doc["furniture"][1]["pose"]["x"] = 1.7e308
+    doc["furniture"][1]["dims"]["w"] = 1.7e308
     return "'table_1'"
 
 
@@ -549,6 +565,10 @@ MALFORMED_INPUTS = {
     "box center with NaN": ("run", _box("center", [float("nan"), 2.0, 0.36])),
     "box dims of zero": ("run", _box("dims", [1.2, 0.0, 0.72])),
     "string box yaw": ("run", _box("yaw", "north")),
+    "box whose height interval overflows": ("run", _box_extent((5.0, 2.0, -1.7e308), (1.2, 0.8, 1.7e308),
+                                                               "height interval must be finite")),
+    "box whose footprint overflows": ("run", _box_extent((1.7e308, 2.0, 0.36), (1.7e308, 0.8, 0.72),
+                                                         "footprint corners must be finite")),
     "string detection frame": ("run", _event("detections", "frame", "0")),
     "unknown human action": ("run", _event("human", "action", "dancing")),
     "human position with two values": ("run", _event("human", "position", [2.8, 2.6])),
@@ -613,6 +633,7 @@ MALFORMED_INPUTS = {
     "layer integer too large for a float in pose x": ("layers", _layer_furniture("pose", "x", value=10**400)),
     "layer integer too large for a float in pose theta": ("layers", _layer_furniture("pose", "theta", value=10**400)),
     "layer NaN dims w": ("layers", _layer_furniture("dims", "w", value=float("nan"))),
+    "layer footprint that overflows": ("layers", _layer_extent),
     "layer integer furniture id": ("layers", _layer_furniture("id", value=7,
                                                              named="id must be a non-empty string, got 7")),
     "layer furniture dims of zero": ("layers", _layer_dims),

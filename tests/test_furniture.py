@@ -138,6 +138,43 @@ class TestTracking:
             layer.track_frame([det(1.5e308, 2.0)], 0)
             assert layer.track_frame([det(-1.5e308, 2.0)], 1) == [("table_1", TrackStatus.NEW)]
 
+    @pytest.mark.parametrize("center,dims,refused", [
+        ((1.7e308, 2.0, 0.36), (1.7e308, 0.8, 0.72), "footprint corners"),
+        ((2.0, -1.7e308, 0.36), (1.2, 1.7e308, 0.72), "footprint corners"),
+        ((2.0, 2.0, -1.7e308), (1.2, 0.8, 1.7e308), "height interval"),
+        ((2.0, 2.0, 1.7e308), (1.2, 0.8, 1.7e308), "height interval"),
+        ((1.5e308, 2.0, 0.36), (1.2, 0.8, 0.72), None),  # past the bound, yet all finite
+        ((1e308, -1e308, 1e308), (1e307, 1e307, 1e307), None),
+    ])
+    def test_a_box_is_refused_exactly_when_its_corners_or_height_overflow(self, center, dims, refused):
+        # a detection, and an instance as a layer dump builds it, whose top overflows where the detection's
+        # height interval does
+        base_z = 1.7e308 if refused == "height interval" else 0.0
+        for build in (lambda: Detection3D("table", center, dims, 0.3),
+                      lambda: FurnitureInstance("t", "table", Pose2D(center[0], center[1], 0.3), base_z, dims, 0)):
+            if refused is None:
+                box = build()
+                assert all(map(math.isfinite, (*sum(box.footprint, ()), *box.z_interval)))
+            else:
+                with pytest.raises(ValueError, match=f"{refused} must be finite"):
+                    build()
+
+    def test_a_box_whose_tracked_instance_would_overflow_is_refused(self):
+        # its own height interval, cz -+ h/2, is finite; the instance's, through base_z = cz - h/2, is not
+        center, dims = (1.0, 1.0, 1.753827608035712e308), (1.0, 1.0, 8.773105365320726e306)
+        assert all(map(math.isfinite, (center[2] - dims[2] / 2, center[2] + dims[2] / 2)))
+        with pytest.raises(ValueError, match="height interval must be finite"):
+            Detection3D("table", center, dims, 0.0)
+
+    def test_below_the_bound_every_corner_and_end_is_finite(self):
+        # the boxes whose |x| + |y| + |z| + w + d + h is at most half the float range skip the exact check
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            parts = rng.dirichlet(np.ones(6)) * furniture_module._HALF_FLOAT_MAX
+            center = tuple((parts[:3] * rng.choice([-1.0, 1.0], 3)).tolist())
+            box = Detection3D("table", center, tuple(parts[3:].tolist()), float(rng.uniform(-math.pi, math.pi)))
+            assert all(map(math.isfinite, (*sum(box.footprint, ()), *box.z_interval)))
+
 
 class TestMatchPairs:
     """The centre gate leaves the pair list of the all-pairs loop unchanged."""

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import oracles
 from helpers import save_cloud, table, tabletops
 from oracles import naive_clearance
 from waiterbot import placement
-from waiterbot.geometry import convex_hull
+from waiterbot.furniture import FurnitureInstance
+from waiterbot.geometry import Pose2D, convex_hull
 from waiterbot.placement import (
     InsufficientSupportError,
     NoSpaceError,
@@ -25,7 +27,7 @@ from waiterbot.placement import (
     plane_basis,
     ransac_plane,
 )
-from waiterbot.sim import tabletop_cloud
+from waiterbot.sim import TableTop, table_top
 
 
 def flat_cloud(z=1.0, nx=22, ny=18, half_w=0.55, half_d=0.45):
@@ -251,7 +253,7 @@ class TestHullPrefilter:
 
     def test_drops_the_interior_of_a_banquet_table(self):
         table_, _ = next(tabletops())
-        cloud = tabletop_cloud(table_, 0, {})
+        cloud = TableTop(table_).cloud(0)
         keep = placement._hull_candidates(cloud[:, 0], cloud[:, 1])
         assert len(cloud) > 1000 and keep.sum() < len(cloud) // 5  # the boundary rows stay
 
@@ -279,11 +281,11 @@ def placement_cases():
     sweep of small tilted, cluttered surfaces, some with no space (a large
     object radius) and some with every cell occupied (a lid over the top)."""
     for table_, n_items in tabletops():
-        yield tabletop_cloud(table_, n_items, {}), 0.05, n_items
+        yield TableTop(table_).cloud(n_items), 0.05, n_items
     rng = np.random.default_rng(13)
     for n_items in range(24):  # a square table at 45 degrees to the raster: exact clearance ties
         center = (float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)), 0.36)
-        yield tabletop_cloud(table("t", center, (0.6, 0.6, 0.72), math.pi / 4), n_items % 12, {}), 0.05, n_items
+        yield TableTop(table("t", center, (0.6, 0.6, 0.72), math.pi / 4)).cloud(n_items % 12), 0.05, n_items
     for i in range(120):
         w, d = rng.uniform(0.2, 1.0, 2)
         n = int(rng.integers(30, 600))
@@ -328,7 +330,7 @@ class TestArrayCodeMatchesLoops:
 
     def test_tabletop_cloud_bit_identical(self):
         for table, n_items in tabletops():
-            fast = tabletop_cloud(table, n_items, {})
+            fast = TableTop(table).cloud(n_items)
             slow = oracles.loop_tabletop_cloud(table, n_items)
             assert fast.shape == slow.shape
             assert fast.tobytes() == slow.tobytes()
@@ -427,7 +429,7 @@ class TestArrayCodeMatchesLoops:
 
         monkeypatch.setattr(placement, "_cross", checked)
         clouds = [(criterion_6_cloud(trial), trial) for trial in range(100)]
-        clouds += [(tabletop_cloud(table, n, {}), n) for table, n in tabletops()]
+        clouds += [(TableTop(table).cloud(n), n) for table, n in tabletops()]
         for cloud, seed in clouds:
             plane, _ = ransac_plane(cloud, seed, {})
             plane_basis(plane)
@@ -436,7 +438,7 @@ class TestArrayCodeMatchesLoops:
 
     def test_ransac_same_plane_and_inliers_as_loop(self):
         clouds = [(criterion_6_cloud(trial), trial) for trial in range(100)]
-        clouds += [(tabletop_cloud(table, n, {}), n) for table, n in tabletops()]
+        clouds += [(TableTop(table).cloud(n), n) for table, n in tabletops()]
         for cloud, seed in clouds:
             plane, inliers = ransac_plane(cloud, seed, {})
             loop_plane, loop_inliers = oracles.loop_ransac_plane(cloud, seed)
@@ -557,7 +559,8 @@ class TestSampleTriples:
 class TestSurfaceStore:
     """`ransac_plane` refits each inlier set and `find_placement` builds each
     fitted top's basis, hull and hull raster once per store; every key is the
-    exact bytes of what its entry is computed from."""
+    exact bytes of what its entry is computed from, among clouds that agree on
+    every point index both of them hold."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -591,32 +594,61 @@ class TestSurfaceStore:
         return self.plane_bytes(plane), inliers.tolist(), spot
 
     def test_a_shared_store_gives_the_spots_of_a_fresh_one(self, built):
-        # and the same plane and inliers, from a shared refit store
-        refits, surfaces = {}, {}
-        for table_, n_items in tabletops():
-            cloud = tabletop_cloud(table_, n_items, {})
-            for seed in range(4):  # each seed draws other triples and lands on the stored entries
-                shared = self.fit_and_place(cloud, 100 * seed + n_items, refits, surfaces)
-                assert shared == self.fit_and_place(cloud, 100 * seed + n_items, {}, {})
-        assert len(refits) == len(surfaces) == 18
-        # the shared stores' 18 entries, then a fresh refit and build on each of the 72 fresh calls
-        assert len(built["refit"]) == len(built["surface"]) == 18 + 72
+        # and the same plane and inliers, from the stores one top shares over its clouds of 0-8 items
+        for table_, _ in tabletops():
+            top = TableTop(table_)
+            for n_items in range(9):
+                cloud = top.cloud(n_items)
+                for seed in range(4):  # each seed draws other triples and lands on the stored entries
+                    shared = self.fit_and_place(cloud, 100 * seed + n_items, top.refits, top.surfaces)
+                    assert shared == self.fit_and_place(cloud, 100 * seed + n_items, {}, {})
+            # the items stand above the top, so every cloud of it has the grid as its inliers
+            assert len(top.refits) == len(top.surfaces) == 1
+        # the 18 tops' entries, then a fresh refit and build on each of the 18 x 9 x 4 fresh calls
+        assert len(built["refit"]) == len(built["surface"]) == 18 + 18 * 9 * 4
 
-    def test_a_one_ulp_or_signed_zero_change_misses_the_store(self, built):
-        cloud = flat_cloud(z=0.0, nx=23)  # holds x = 0.0 and z = 0.0
-        nudged = cloud.copy()
-        nudged[5, 0] = np.nextafter(nudged[5, 0], np.inf)
-        signed = cloud.copy()
-        signed[0, 2] = -0.0
-        zero_x = cloud.copy()
-        (row,) = np.flatnonzero(cloud[:, 0] == 0.0)[:1]
-        zero_x[row, 0] = -0.0
+    def test_index_sets_that_differ_past_the_shorter_sets_last_point_get_other_keys(self, built):
+        rng = np.random.default_rng(3)
+        for n in (*range(1, 20), *rng.integers(20, 700, 40)):
+            mask = rng.random(n) < 0.7
+            for tail in (0, 1, 7, 8, 9, 100):  # the same set in a longer cloud has the same key
+                assert placement._index_key(np.concatenate([mask, np.zeros(tail, bool)])) == placement._index_key(mask)
+            last = int(np.flatnonzero(mask)[-1]) if mask.any() else -1
+            for extra in {last + 1, last + 2, last + 8, last + 9, n + 5}:
+                longer = np.concatenate([mask, np.zeros(n + 10 - len(mask), bool)])
+                longer[extra] = True
+                assert placement._index_key(longer) != placement._index_key(mask)
+        # in a fit: a point on the plane after a flat cloud's last one joins the inliers, and misses
+        cloud = flat_cloud()
+        on_plane = np.vstack([cloud, [[0.01, 0.02, 1.0]]])
         refits, surfaces = {}, {}
-        variants = (cloud, nudged, signed, zero_x)
-        for k, points in enumerate(variants, start=1):
+        for k, points in enumerate((cloud, on_plane), start=1):
             assert self.fit_and_place(points, 0, refits, surfaces) == self.fit_and_place(points, 0, {}, {})
             assert len(refits) == len(surfaces) == k
+        assert built["refit"] == [len(cloud), len(cloud), len(on_plane), len(on_plane)]
+
+    def test_a_one_ulp_or_signed_zero_change_misses_the_store(self, built):
+        # a change to a table's pose, dims or base height lands in another top entry
+        base = FurnitureInstance("t", "table", Pose2D(0.0, 1.0, 0.3), 0.0, (1.2, 0.8, 0.72), 0)
+        up = lambda v: float(np.nextafter(v, np.inf))  # noqa: E731
+        w, d, h = base.dims
+        variants = [base, replace(base, base_z=-0.0), replace(base, base_z=up(0.0)),
+                    replace(base, pose=Pose2D(-0.0, 1.0, 0.3)), replace(base, pose=Pose2D(up(0.0), 1.0, 0.3)),
+                    replace(base, pose=Pose2D(0.0, up(1.0), 0.3)), replace(base, pose=Pose2D(0.0, 1.0, up(0.3))),
+                    replace(base, dims=(up(w), d, h)), replace(base, dims=(w, up(d), h)),
+                    replace(base, dims=(w, d, up(h)))]
+        tops = {}
+        for k, variant in enumerate(variants, start=1):
+            top = table_top(variant, tops)
+            assert len(tops) == k and top.refits == {} and top.surfaces == {}
+            for n_items in (0, 2):
+                cloud = top.cloud(n_items)
+                fresh = TableTop(variant).cloud(n_items)
+                assert cloud.tobytes() == fresh.tobytes()
+                assert self.fit_and_place(cloud, 0, top.refits, top.surfaces) == self.fit_and_place(fresh, 0, {}, {})
+        assert all(len(top.refits) == len(top.surfaces) == 1 for top in tops.values())
         # a plane equal to another under `==` but with d = -0.0 is another surface
+        cloud = flat_cloud(z=0.0, nx=23)
         plane, inliers = ransac_plane(cloud, 0, {})
         zero_d = Plane((0.0, 0.0, 1.0), 0.0)
         minus_d = Plane((0.0, 0.0, 1.0), -0.0)

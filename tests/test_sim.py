@@ -24,7 +24,7 @@ from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, RiskField, i
 from waiterbot.navgoal import candidate_points, select_candidate, select_goal
 from waiterbot.planner import PathError, _astar, _octile_path, _step_costs, plan_path
 from waiterbot.placement import NoSpaceError
-from waiterbot.sim import Metrics, RunConfig, Simulation, tabletop_cloud
+from waiterbot.sim import Metrics, RunConfig, Simulation, TableTop, table_top
 from waiterbot.tasks import SkillInvocation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -525,20 +525,20 @@ class TestGoalStore:
 
 
 class TestSurfaceStore:
-    """`Simulation` draws each top's sample grid, refits each top's plane and
-    builds each fitted top's basis, hull and hull raster once per map."""
+    """`Simulation` keeps one `TableTop` per top and map: its points, then the
+    refit of each inlier set and the basis, hull and hull raster of each
+    fitted surface, each made once."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Per store, the entries the placements added."""
+        """Per kind, the entries the placements added."""
         added = {"tops": 0, "refits": 0, "surfaces": 0}
-        cloud, refit, build = sim_module.tabletop_cloud, placement_module._refit, placement_module._build_surface
+        refit, build = placement_module._refit, placement_module._build_surface
 
-        def counted_cloud(table_, n_items, tops):
-            before = len(tops)
-            result = cloud(table_, n_items, tops)
-            added["tops"] += len(tops) - before
-            return result
+        class CountedTop(TableTop):
+            def __init__(self, table_):
+                super().__init__(table_)
+                added["tops"] += 1
 
         def counted_refit(points):
             added["refits"] += 1
@@ -548,7 +548,7 @@ class TestSurfaceStore:
             added["surfaces"] += 1
             return build(basis, s_in, t_in)
 
-        monkeypatch.setattr(sim_module, "tabletop_cloud", counted_cloud)
+        monkeypatch.setattr(sim_module, "TableTop", CountedTop)
         monkeypatch.setattr(placement_module, "_refit", counted_refit)
         monkeypatch.setattr(placement_module, "_build_surface", counted_build)
         return added
@@ -561,7 +561,7 @@ class TestSurfaceStore:
     def test_one_replay_builds_one_surface_per_top_and_map(self, built, monkeypatch, tmp_path,
                                                            workload, mode, surfaces, placements):
         # the benchmark's workloads at generator seed 3: the share of placements
-        # that repeat a top is what the stores save
+        # that repeat a top is what the store saves
         if workload == "restaurant_41":
             path = SCENARIO_PATH
         else:
@@ -572,42 +572,50 @@ class TestSurfaceStore:
         monkeypatch.setattr(sim_module, "find_placement", lambda *a, **kw: calls.append(1) or place(*a, **kw))
         Simulation(load_scenario(path), RunConfig(mode=mode)).run()
         assert len(calls) == placements
-        # one top grid and one refit per surface
+        # one top, one refit and one surface per fitted surface
         assert built == {"tops": surfaces, "refits": surfaces, "surfaces": surfaces}
 
     def test_a_new_frame_empties_the_store(self, built):
-        # every placement store: top grids, refits and surfaces
         sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
         sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
         sim.location = "table_1"
         for _ in range(2):
             assert sim.simulate_skill(SkillInvocation("find_placement")).ok
-        stores = (sim._tops, sim._refits, sim._surfaces)
-        assert [len(store) for store in stores] == [1, 1, 1]
+        (top,) = sim._tops.values()
+        assert (len(top.refits), len(top.surfaces)) == (1, 1)
         assert built == {"tops": 1, "refits": 1, "surfaces": 1}
         first, again = (r["point"] for r in map(json.loads, sim.log) if r["event"] == "placement")
         assert first == again
         sim._apply_detections(DetectionFrame(1, detections_from_json(first_frame())))
-        assert [len(store) for store in stores] == [0, 0, 0]
+        assert sim._tops == {}
         assert sim.simulate_skill(SkillInvocation("find_placement")).ok
         assert built == {"tops": 2, "refits": 2, "surfaces": 2}
 
     def test_tabletop_cloud_with_its_store_matches_the_loop(self):
-        tops = {}
+        # each cloud is a prefix of its top's points, also after they grow by a slot row or more
         tables = [table_ for table_, _ in tabletops()]  # 18 tables of two sizes, rotated
-        for table_ in tables:
-            for n_items in (*range(9), 0, 8):  # 0-8 items, then a repeat: every call after the first reads the store
-                fast = tabletop_cloud(table_, n_items, tops)
-                slow = oracles.loop_tabletop_cloud(table_, n_items)
-                assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
-        assert len(tops) == len(tables) == 18
+        for counts in ((*range(18), 5, 0, 17), tuple(range(17, -1, -1)), (0, 4, 5, 9, 16, 3)):
+            tops = {}
+            for table_ in tables:
+                top = table_top(table_, tops)
+                grid = len(oracles.loop_tabletop_cloud(table_, 0))
+                assert top.points.shape == (grid, 3)  # no item slot before a cloud asks for one
+                slots = 0
+                for n_items in counts:
+                    fast = table_top(table_, tops).cloud(n_items)
+                    slow = oracles.loop_tabletop_cloud(table_, n_items)
+                    assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+                    assert not fast.flags.writeable and fast.base is top.points
+                    slots = max(slots, -(-n_items // 4) * 4)  # up to the end of the next full row of 4
+                    assert top.points.shape == (grid + 9 * slots, 3)
+            assert len(tops) == len(tables) == 18
 
     def test_an_over_budget_top_raises_on_every_call_and_stores_nothing(self):
         tops = {}
         hall = table("hall_0", (30.0, 30.0, 0.36), (24.0, 24.0, 0.72))
         for _ in range(2):
             with pytest.raises(NoSpaceError, match="exceeds the 250000-cell budget"):
-                tabletop_cloud(hall, 0, tops)
+                table_top(hall, tops)
         assert tops == {}
 
 
@@ -618,16 +626,33 @@ def test_collisions_count_on_every_walk_of_a_path_but_are_read_once(monkeypatch)
     sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
     risk = sim._ensure_risk()
     lethal = next(c for c in all_cells(sim.scenario.grid) if risk.at(c) >= RISK_MAX)
-    monkeypatch.setattr(sim_module, "plan_path", lambda risk, start, goal: [start, lethal, lethal, goal])
-    reads = []
-    at = RiskField.at
-    monkeypatch.setattr(RiskField, "at", lambda self, c: reads.append(c) or at(self, c))
+    planned = []
+    monkeypatch.setattr(sim_module, "plan_path",
+                        lambda risk, start, goal: planned.append(start) or [start, lethal, lethal, goal])
     walks = []
     for table_id in ("table_1", "table_4", "table_1", "table_4"):  # planned, planned, reversed, stored
         assert sim.simulate_skill(SkillInvocation("navigate", table_id)).ok
         walks.append(sim.metrics.collisions)
     assert walks == [2, 4, 6, 8]
-    assert reads.count(lethal) == 2 * 2  # two planned paths, each through the lethal cell twice
+    assert len(planned) == 2  # the count is taken on the two planned paths only
+
+
+def test_a_planned_path_counts_the_cells_that_a_per_cell_read_counts(monkeypatch):
+    """`_plan` counts a path's lethal cells in one array read; on random
+    paths, repeats and single cells too, it gives the per-cell count."""
+    sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
+    sim.warm_up()
+    risk = sim._ensure_risk()
+    rng = np.random.default_rng(7)
+    cells = list(all_cells(sim.scenario.grid))
+    lethal = [c for c in cells if risk.at(c) >= RISK_MAX]
+    assert 0 < len(lethal) < len(cells)
+    for trial in range(200):
+        pool = lethal if trial % 4 == 0 else cells
+        path = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(1, 60)))]
+        monkeypatch.setattr(sim_module, "plan_path", lambda risk, start, goal: path)
+        sim._paths.clear()
+        assert sim._plan(risk, path[0], path[-1]) == (path, sum(1 for c in path if risk.at(c) >= RISK_MAX))
 
 
 @pytest.fixture(scope="module")
