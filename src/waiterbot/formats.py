@@ -2,7 +2,8 @@
 
 The one module that knows their keys.  Every object in them is a closed key
 set: a reader pops each key it reads from a copy (`take_keys`), and a key left
-over is named as unknown.  The records' constructors hold every validity rule.
+over is named as unknown.  The records' constructors hold every validity rule,
+but for the dump fields no box has (`_furniture`).
 `load_scenario` builds each event once into an immutable record (`DetectionFrame`,
 `HumanObservation`, `Fault`, `Call`, `Utterance`), so one `Scenario` can be
 replayed any number of times; a detection-log entry is a `detections` event
@@ -20,7 +21,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any
 
-from .furniture import Detection3D, FurnitureError, FurnitureInstance, FurnitureLayer
+from .furniture import Detection3D, FurnitureError, FurnitureInstance, FurnitureLayer, tracked
 from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite, shown
 from .grid import BoundsError, GridFormatError, GridMap, cell_risk, load_grid, world_to_cell
 from .llm import Menu, MenuItem
@@ -287,11 +288,20 @@ def dump_layers(furniture: FurnitureLayer) -> str:
 
 
 def _furniture(entry) -> FurnitureInstance:
+    """A dump entry as the instance of a detection centred at base_z + h/2,
+    so the entry is checked by a box's rules; `id`, `base_z` and `last_seen`,
+    which a box has not, are checked here."""
     def build(e):
-        xyt = take_keys(e.pop("pose"), lambda p: (p.pop("x"), p.pop("y"), p.pop("theta")))
-        pose = Pose2D(*finite_tuple(xyt, 3, "pose"))  # checked before Pose2D wraps theta
+        iid, base_z, last_seen = check_string(e.pop("id"), "id"), e.pop("base_z"), e.pop("last_seen", 0)
+        if not is_finite(base_z):
+            raise ValueError(f"base_z must be a finite number, got {shown(base_z)}")
+        check_count(last_seen, "last_seen")
+        x, y, theta = take_keys(e.pop("pose"), lambda p: (p.pop("x"), p.pop("y"), p.pop("theta")))
         dims = take_keys(e.pop("dims"), lambda d: (d.pop("w"), d.pop("d"), d.pop("h")))
-        return FurnitureInstance(e.pop("id"), e.pop("class"), pose, e.pop("base_z"), dims, e.pop("last_seen", 0))
+        h = dims[2]
+        # a bad h leaves the centre z unset; the detection names it, since it checks dims first
+        detection = Detection3D(e.pop("class"), (x, y, base_z + h / 2.0 if is_finite(h) else None), dims, theta)
+        return tracked(detection, iid, last_seen, base_z)
     return take_keys(entry, build)
 
 

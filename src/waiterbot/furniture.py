@@ -1,21 +1,19 @@
 """Semi-dynamic furniture layer: boxes tracked by 3D IoU, read as plan-view footprints.
 
-Detections carry a class label, a 3D center, dims and yaw; the frame id is
-the frame's.  `track_frame(detections, frame)` takes every frame, an empty one
-too, each newer than the last, and associates its detections to existing
-instances greedily by descending 3D IoU (threshold 0.1); unmatched detections
-get fresh `<class>_<k>` ids.  Instances are never removed, so an id names one
-piece of furniture for the whole run.
+A box has one record, `Detection3D`, the one place a box's fields are
+checked; scenario boxes, detection logs and layer dumps all come through it.
+A `FurnitureInstance` is a checked detection under an id, last seen in a
+frame, with no checks of its own.
 
-Each instance computes its footprint corners, their shoelace area and its
-height interval when it is made and keeps them; a detection keeps nothing,
-and `match_pairs` computes each gated detection's once per frame.
-A frame's pairs pass one gate first: a same-class pair whose centres lie
-farther apart along x or along y than the sum of the boxes' disc radii (half
-the footprint diagonal) has disjoint discs, hence disjoint footprints and IoU
-0.  The gate may keep a pair whose discs are disjoint, never one whose discs
-meet; the exact `iou_3d` decides every pair it keeps, so the matches are
-those of an exact IoU on every pair.
+`track_frame(detections, frame)` takes every frame, an empty one too, each
+newer than the last, and associates its detections to existing instances
+greedily by descending 3D IoU (threshold 0.1); unmatched detections get fresh
+`<class>_<k>` ids.  Instances are never removed, so an id names one piece of
+furniture for the whole run.  A detection keeps nothing derived: tracking
+computes each one's corners about its centre, their area and its height
+interval once per frame, and the instance made of it keeps them.  A frame's
+pairs pass one array gate on their centres (`match_pairs`) before the exact
+`iou_3d`, which decides every pair the gate keeps.
 Navigation reads the layer only through `virtual_obstacles`, which marks the
 grid cells under each footprint occupied.
 """
@@ -25,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import (
     Pose2D,
-    check_count,
     check_string,
     finite_tuple,
     iou_3d,
@@ -68,18 +66,23 @@ class TrackStatus(Enum):
 Corners = tuple[tuple[float, float], ...]
 
 
-class Box(NamedTuple):
-    """A box as `iou_3d` reads it: CCW footprint corners, their shoelace area
-    and its height interval."""
+def _height(base_z: float, h: float) -> tuple[float, float]:
+    """The height interval of a box of height h on base_z, through its centre base_z + h/2."""
+    cz = base_z + h / 2.0
+    return (cz - h / 2.0, cz + h / 2.0)
 
-    footprint: Corners
-    area: float
-    z_interval: tuple[float, float]
+
+def _placed(corners: Corners, center) -> Corners:
+    """Corners about a box's centre, moved to its plan-view `center`."""
+    return tuple((center[0] + x, center[1] + y) for x, y in corners)
 
 
 @dataclass(frozen=True)
 class Detection3D:
-    """One detected box; the only place its fields are checked."""
+    """One box, and the one place a box's fields are checked.  It keeps nothing
+    derived: its CCW footprint corners about its centre, their shoelace area,
+    its base z - h/2 and its height interval through that base are computed on
+    each read."""
 
     class_name: str
     center: tuple[float, float, float]
@@ -88,128 +91,103 @@ class Detection3D:
 
     def __post_init__(self) -> None:
         check_string(self.class_name, "class")
+        dims = finite_tuple(self.dims, 3, "dims")  # before the centre: a dump's centre z is derived from h
+        if min(dims) <= 0:
+            raise ValueError(f"dims must be positive, got {dims}")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "center", finite_tuple(self.center, 3, "center"))
-        object.__setattr__(self, "dims", _positive_dims(self.dims))
         if not is_finite(self.yaw):
             raise ValueError(f"yaw must be a finite number, got {shown(self.yaw)}")
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
-        (x, y, z), (w, d, h) = self.center, self.dims
+        # Below this bound each corner coordinate and each end is finite with room for
+        # rounding.  Above it the corners are checked, and both height intervals an
+        # instance may keep: through the base, as tracking makes it, and about the
+        # centre z, as a dump's base_z + h/2 gives it.
+        (x, y, z), (w, d, h) = self.center, dims
         if abs(x) + abs(y) + abs(z) + w + d + h > _HALF_FLOAT_MAX:
-            _check_extent(self, x, y, z)
-            _instance_from(self, "tracked", 0)  # and so must the instance tracking makes of it
+            for what, ends in (("footprint corners", sum(self.footprint, ())),
+                               ("height interval", (*self.z_interval, z - h / 2.0, z + h / 2.0))):
+                if not all(map(math.isfinite, ends)):
+                    raise ValueError(f"{what} must be finite, got a box at {shown(self.center)} "
+                                     f"of dims {shown(dims)}")
 
-    @property
-    def footprint(self) -> Corners:
-        return tuple(rect_corners(self.center[0], self.center[1], self.dims[0], self.dims[1], self.yaw))
-
-    @property
-    def area(self) -> float:
-        return polygon_area(self.footprint)
-
-    @property
-    def z_interval(self) -> tuple[float, float]:
-        half = self.dims[2] / 2.0
-        return (self.center[2] - half, self.center[2] + half)
-
-
-def _check_extent(box, x: float, y: float, z: float) -> None:
-    """ValueError naming the box's place (x, y, z) and dims unless its footprint
-    corners and height interval are finite.  A record calls it only when
-    |x| + |y| + |z| + w + d + h exceeds half the float range: below that bound
-    each corner coordinate and each end is finite with room for rounding."""
-    for what, ends in ("footprint corners", sum(box.footprint, ())), ("height interval", box.z_interval):
-        if not all(map(math.isfinite, ends)):
-            raise ValueError(f"{what} must be finite, got a box at {shown((x, y, z))} of dims {shown(box.dims)}")
-
-
-def _positive_dims(dims) -> tuple[float, float, float]:
-    dims = finite_tuple(dims, 3, "dims")
-    if min(dims) <= 0:
-        raise ValueError(f"dims must be positive, got {dims}")
-    return dims
+    corners = property(lambda self: tuple(rect_corners(0.0, 0.0, self.dims[0], self.dims[1], self.yaw)))
+    area = property(lambda self: polygon_area(self.corners))
+    base_z = property(lambda self: self.center[2] - self.dims[2] / 2.0)
+    z_interval = property(lambda self: _height(self.base_z, self.dims[2]))
+    footprint = property(lambda self: _placed(self.corners, self.center))
 
 
 @dataclass(frozen=True)
 class FurnitureInstance:
-    """A tracked piece of furniture; the only place its fields are checked.
+    """A tracked piece of furniture: a checked `detection` under an `id` (None
+    while `track_frame` still matches it), last seen in frame `last_seen`.  It
+    checks nothing itself.
 
-    Its footprint corners (w x d at its pose), their shoelace area and its
-    height interval are computed when it is made, since the next frame's
-    gated pairs and every virtual-obstacle map read them.
+    `base_z` is the detection's base, or the one a layer dump stored, from
+    which the dump reader derived the detection's centre z; it is kept as it
+    came, since deriving it back can move it by an ulp.  The corners about the
+    centre, their area and the height interval (through `base_z`) are computed
+    once, when the instance is made.
     """
 
-    id: str
-    class_name: str
-    pose: Pose2D
-    base_z: float
-    dims: tuple[float, float, float]
+    id: str | None
+    detection: Detection3D
     last_seen: int
-    footprint: Corners = field(init=False, repr=False, compare=False)
-    area: float = field(init=False, repr=False, compare=False)
-    z_interval: tuple[float, float] = field(init=False, repr=False, compare=False)
+    base_z: float
+    corners: Corners = field(repr=False, compare=False)
+    area: float = field(repr=False, compare=False)
+    z_interval: tuple[float, float] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        check_string(self.id, "id")
-        check_string(self.class_name, "class")
-        finite_tuple((self.pose.x, self.pose.y, self.pose.theta, self.base_z), 4, "pose and base_z")
-        object.__setattr__(self, "dims", _positive_dims(self.dims))
-        check_count(self.last_seen, "last_seen")
-        w, d, h = self.dims
-        footprint = tuple(rect_corners(self.pose.x, self.pose.y, w, d, self.pose.theta))
-        object.__setattr__(self, "footprint", footprint)
-        object.__setattr__(self, "area", polygon_area(footprint))
-        # through the box centre, as for a detection: (base_z, base_z + h) can differ by an ulp
-        cz = self.base_z + h / 2.0
-        object.__setattr__(self, "z_interval", (cz - h / 2.0, cz + h / 2.0))
-        if abs(self.pose.x) + abs(self.pose.y) + abs(self.base_z) + w + d + h > _HALF_FLOAT_MAX:
-            _check_extent(self, self.pose.x, self.pose.y, self.base_z)
+    class_name = property(lambda self: self.detection.class_name)
+    center = property(lambda self: self.detection.center)
+    dims = property(lambda self: self.detection.dims)
+    footprint = property(lambda self: _placed(self.corners, self.detection.center))
+
+    @cached_property
+    def pose(self) -> Pose2D:
+        return Pose2D(self.detection.center[0], self.detection.center[1], self.detection.yaw)
 
 
-def _instance_from(detection: Detection3D, instance_id: str, frame: int) -> FurnitureInstance:
-    return FurnitureInstance(
-        id=instance_id,
-        class_name=detection.class_name,
-        pose=Pose2D(detection.center[0], detection.center[1], detection.yaw),
-        base_z=detection.center[2] - detection.dims[2] / 2.0,
-        dims=detection.dims,
-        last_seen=frame,
-    )
+def tracked(detection: Detection3D, instance_id: str | None, frame: int,
+            base_z: float | None = None) -> FurnitureInstance:
+    """`detection` as an instance under `instance_id`, last seen in `frame`,
+    on `base_z` (by default the detection's own base)."""
+    corners, base_z = detection.corners, detection.base_z if base_z is None else base_z
+    return FurnitureInstance(instance_id, detection, frame, base_z, corners, polygon_area(corners),
+                             _height(base_z, detection.dims[2]))
 
 
-def match_pairs(detections: Sequence[Detection3D],
-                instances: Iterable[FurnitureInstance]) -> list[tuple[float, int, str]]:
-    """Every same-class (-IoU, detection index, instance id) with IoU >= 0.1, sorted.
+def match_pairs(boxes: Sequence, instances: Iterable[FurnitureInstance]) -> list[tuple[float, int, str]]:
+    """Every same-class (-IoU, box index, instance id) with IoU >= 0.1, sorted.
 
+    `boxes` are a frame's detections, or the instances tracking makes of them.
     Sorted ascending, the list is the greedy matching order: descending IoU,
-    then detection index, then id.  One array pass gates every detection
-    against every instance: a same-class pair is kept when neither centre
-    offset, |dx| nor |dy|, exceeds the sum r of the two disc radii.  A pair
-    whose discs meet by the scalar test `math.hypot(dx, dy) <= r` is always
-    kept: `math.hypot` errs by under an ulp, so it never returns less than
-    max(|dx|, |dy|).  A pair whose discs are disjoint has disjoint footprints
-    and IoU 0, so dropping it changes no match.  The exact `iou_3d` runs only
-    on the kept pairs, with each kept detection's corners computed once here.
+    then box index, then id.  One array pass gates every box against every
+    instance: a same-class pair is kept when neither centre offset, |dx| nor
+    |dy|, exceeds the sum r of the two disc radii.  A pair whose discs meet by
+    the scalar test `math.hypot(dx, dy) <= r` is always kept: `math.hypot`
+    errs by under an ulp, so it never returns less than max(|dx|, |dy|).  A
+    pair whose discs are disjoint has disjoint footprints and IoU 0, so
+    dropping it changes no match.  The exact `iou_3d` runs only on the kept
+    pairs.
     """
     instances = list(instances)
-    if not detections or not instances:
+    if not boxes or not instances:
         return []
     classes: dict[str, int] = {}
-    det = np.array([(d.center[0], d.center[1], _disc_radius(d.dims), classes.setdefault(d.class_name, len(classes)))
-                    for d in detections])
-    inst = np.array([(i.pose.x, i.pose.y, _disc_radius(i.dims), classes.get(i.class_name, -1)) for i in instances])
+    det = np.array([(b.center[0], b.center[1], _disc_radius(b.dims), classes.setdefault(b.class_name, len(classes)))
+                    for b in boxes])
+    inst = np.array([(i.center[0], i.center[1], _disc_radius(i.dims), classes.get(i.class_name, -1))
+                     for i in instances])
     # an offset beyond the float range is inf, which fails the gate unless r is inf too, as in the scalar test
     with np.errstate(over="ignore"):
         reach = det[:, 2, None] + inst[:, 2]
         near = (np.abs(det[:, 0, None] - inst[:, 0]) <= reach) & (np.abs(det[:, 1, None] - inst[:, 1]) <= reach)
     near &= det[:, 3, None] == inst[:, 3]
     pairs = []
-    boxes: dict[int, Box] = {}
     for di, ii in np.argwhere(near).tolist():
-        box = boxes.get(di)
-        if box is None:
-            footprint = detections[di].footprint
-            box = boxes[di] = Box(footprint, polygon_area(footprint), detections[di].z_interval)
-        v = iou_3d(box, instances[ii])
+        v = iou_3d(boxes[di], instances[ii])
         if v >= IOU_MATCH_THRESHOLD:
             pairs.append((-v, di, instances[ii].id))
     pairs.sort()
@@ -253,24 +231,26 @@ class FurnitureLayer:
         if frame <= self.last_frame:
             raise FrameOrderError(f"frame {frame} not newer than {self.last_frame}")
 
-        # greedy by descending IoU: each pair takes a still-free detection and instance
+        # each box's corners, area and height interval, once, on a record with no id
+        # yet; greedy by descending IoU, each pair takes a still-free box and instance
+        seen = [tracked(det, None, frame) for det in detections]
         assigned: dict[int, str] = {}
         taken: set[str] = set()
-        for _, di, iid in match_pairs(detections, self._instances.values()):
+        for _, di, iid in match_pairs(seen, self._instances.values()):
             if di in assigned or iid in taken:
                 continue
             assigned[di] = iid
             taken.add(iid)
 
         results: list[tuple[str, TrackStatus]] = []
-        for di, det in enumerate(detections):
+        for di, (det, box) in enumerate(zip(detections, seen)):
             iid = assigned.get(di)
             if iid is None:
                 iid = self._auto_id(det.class_name)
                 results.append((iid, TrackStatus.NEW))
             else:
                 results.append((iid, TrackStatus.MATCHED))
-            self._instances[iid] = _instance_from(det, iid, frame)
+            self._instances[iid] = FurnitureInstance(iid, det, frame, box.base_z, box.corners, box.area, box.z_interval)
         self.last_frame = frame
         return results
 
@@ -299,7 +279,10 @@ class FurnitureLayer:
         """
         cells = grid.cells.copy()
         res, (ox, oy) = grid.resolution, grid.origin
-        corners = np.array([inst.footprint for inst in self.instances()]).reshape(-1, 4, 2)
+        instances = self.instances()
+        # corners about each centre, moved there: bit-equal to each `footprint`, also for an int centre
+        corners = (np.array([inst.corners for inst in instances]).reshape(-1, 4, 2)
+                   + np.array([inst.center[:2] for inst in instances], dtype=np.float64).reshape(-1, 1, 2))
         edge = max(grid.width, grid.height) + 1
         lo = np.clip(np.floor((corners.min(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) - 1
         hi = np.clip(np.floor((corners.max(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) + 1

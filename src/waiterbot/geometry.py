@@ -143,20 +143,23 @@ def point_in_convex_polygon(p, poly: list[tuple[float, float]]):
 
 
 def iou_3d(a, b) -> float:
-    """3D IoU of two yaw-oriented boxes, each a record with `footprint` (its
-    CCW plan-view corners), `area` (their shoelace area) and `z_interval`
-    (a detection, a tracked instance or a `furniture.Box`): clipped footprint
-    area x vertical overlap."""
+    """3D IoU of two yaw-oriented boxes, each a record with `center` (plan-view
+    centre first), `corners` (CCW footprint corners about that centre), `area`
+    (their shoelace area) and `z_interval`: a detection or a tracked instance.
+    Clipped footprint area x vertical overlap, clipped near the origin (a's
+    corners against b's moved by the offset of b's centre from a's), so a box
+    however far from the origin keeps its corners' bits and matches itself."""
     alo, ahi = a.z_interval
     blo, bhi = b.z_interval
     dz = min(ahi, bhi) - max(alo, blo)
     if dz <= 0.0:
         return 0.0
-    inter = polygon_area(clip_polygon(a.footprint, b.footprint)) * dz
+    dx, dy = b.center[0] - a.center[0], b.center[1] - a.center[1]
+    inter = polygon_area(clip_polygon(a.corners, [(x + dx, y + dy) for x, y in b.corners])) * dz
     if inter <= 0.0:
         return 0.0
-    # shoelace areas and interval-difference heights, so that identical boxes
-    # give bit-equal intersection and union volumes (IoU == 1.0 exactly)
+    # shoelace areas and interval-difference heights, so that identical boxes (a
+    # zero offset) give bit-equal intersection and union volumes (IoU == 1.0 exactly)
     union = a.area * (ahi - alo) + b.area * (bhi - blo) - inter
     return inter / union
 

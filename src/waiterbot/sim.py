@@ -145,7 +145,9 @@ class Simulation:
     them, and its refits and surfaces, keyed on the inlier index set, which
     fixes the inlier points since point i is the same in each of its clouds.
     A detection frame, the one event that changes the map, empties all three
-    stores, so each holds results computed on the current map only.
+    stores, so each holds results computed on the current map only.  The goal
+    and path stores need it; a top's key holds every number its points are
+    drawn from, so emptying `_tops` only bounds memory.
     """
 
     def __init__(self, scenario: Scenario, config: RunConfig, backend=None):

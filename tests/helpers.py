@@ -8,8 +8,7 @@ from typing import Any
 
 import numpy as np
 
-from waiterbot.furniture import FurnitureInstance
-from waiterbot.geometry import Pose2D, normalize_angle
+from waiterbot.furniture import Detection3D, FurnitureInstance, tracked
 from waiterbot.llm import TransportError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -45,11 +44,8 @@ def save_cloud(points: np.ndarray) -> str:
 
 
 def table(instance_id: str, center, dims, yaw: float = 0.0) -> FurnitureInstance:
-    """A table under an explicit id, placed where a box detection at `center` puts it."""
-    # a detection normalizes its yaw and the pose normalizes it again
-    pose = Pose2D(center[0], center[1], normalize_angle(yaw))
-    return FurnitureInstance(instance_id, "table", pose,
-                             center[2] - dims[2] / 2.0, dims, 0)
+    """A table under an explicit id, as tracking makes it of a box detected at `center`."""
+    return tracked(Detection3D("table", center, dims, yaw), instance_id, 0)
 
 
 def tabletops():

@@ -65,30 +65,31 @@ def loop_virtual_obstacles(layer, grid):
     return grid.with_cells(cells)
 
 
-def loop_match_pairs(detections, instances) -> list[tuple[float, int, str]]:
-    """`furniture.match_pairs` with the exact IoU on every same-class pair."""
+def loop_match_pairs(boxes, instances) -> list[tuple[float, int, str]]:
+    """`furniture.match_pairs` with the exact IoU on every same-class pair; the
+    boxes may be detections or the instances tracking makes of them."""
     pairs = []
-    for di, det in enumerate(detections):
+    for di, box in enumerate(boxes):
         for inst in instances:
-            if inst.class_name != det.class_name:
+            if inst.class_name != box.class_name:
                 continue
-            v = iou_3d(det, inst)
+            v = iou_3d(box, inst)
             if v >= IOU_MATCH_THRESHOLD:
                 pairs.append((-v, di, inst.id))
     return sorted(pairs)
 
 
-def disc_pairs(detections, instances) -> int:
+def disc_pairs(boxes, instances) -> int:
     """How many same-class pairs the scalar disc test keeps: `math.hypot` of the
     centre offset at most the sum of the discs' radii (half each footprint
     diagonal)."""
     return sum(
         1
-        for det in detections
+        for box in boxes
         for inst in instances
-        if inst.class_name == det.class_name
-        and math.hypot(det.center[0] - inst.pose.x, det.center[1] - inst.pose.y)
-        <= 0.5 * math.hypot(*det.dims[:2]) + 0.5 * math.hypot(*inst.dims[:2])
+        if inst.class_name == box.class_name
+        and math.hypot(box.center[0] - inst.center[0], box.center[1] - inst.center[1])
+        <= 0.5 * math.hypot(*box.dims[:2]) + 0.5 * math.hypot(*inst.dims[:2])
     )
 
 

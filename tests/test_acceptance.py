@@ -233,11 +233,20 @@ def test_criterion_5_tracking_stability(capsys):
             union = pa.area * a.dims[2] + pb.area * b.dims[2] - inter
             shapely_worst = max(shapely_worst, abs(mine - (inter / union if inter > 0 else 0.0)))
 
-    ok = retained == 100 and fresh == 100 and worst <= 1e-9
+    # a rotated table seen twice where it stands far from the origin keeps its id
+    far = []
+    for shift in (1e5, 1e15, 1e17):
+        layer = FurnitureLayer()
+        box = Detection3D("table", (shift, 2.0, 0.36), (1.2, 0.8, 0.72), 0.3)
+        layer.track_frame([box], 0)
+        far.append(layer.track_frame([box], 1) == [("table_0", TrackStatus.MATCHED)])
+
+    ok = retained == 100 and fresh == 100 and worst <= 1e-9 and all(far)
     shapely_note = f"shapely dev {shapely_worst:.2e}" if Polygon is not None else "shapely not installed"
     with capsys.disabled():
-        report("criterion 5: ID retention/freshness 100%; IoU vs exact clipping oracle <=1e-9",
-               ok, f"retained {retained}/100, fresh {fresh}/100, worst dev {worst:.2e}, {shapely_note}")
+        report("criterion 5: ID retention/freshness 100%, also far from the origin; IoU vs exact clipping "
+               "oracle <=1e-9", ok, f"retained {retained}/100, fresh {fresh}/100, far self-matches "
+               f"{sum(far)}/3, worst dev {worst:.2e}, {shapely_note}")
 
 
 def test_criterion_6_ransac_quality(capsys):

@@ -465,6 +465,13 @@ def _layer_extent(doc):
     return "'table_1'"
 
 
+def _layer_height(doc):
+    # its centre base_z + h/2 is finite, its top is not
+    doc["furniture"][1]["base_z"] = 1e307
+    doc["furniture"][1]["dims"]["h"] = 1.7e308
+    return "'table_1'"
+
+
 def _layer_duplicate_id(doc):
     doc["furniture"][1]["id"] = "table_0"
     return "id 'table_0' already used"
@@ -634,6 +641,11 @@ MALFORMED_INPUTS = {
     "layer integer too large for a float in pose theta": ("layers", _layer_furniture("pose", "theta", value=10**400)),
     "layer NaN dims w": ("layers", _layer_furniture("dims", "w", value=float("nan"))),
     "layer footprint that overflows": ("layers", _layer_extent),
+    "layer height interval that overflows": ("layers", _layer_height),
+    "layer string base_z": ("layers", _layer_furniture("base_z", value="0.0")),
+    "layer boolean last_seen": ("layers", _layer_furniture("last_seen", value=True)),
+    "layer negative last_seen": ("layers", _layer_furniture("last_seen", value=-1)),
+    "layer string dims h": ("layers", _layer_furniture("dims", "h", value="0.72")),
     "layer integer furniture id": ("layers", _layer_furniture("id", value=7,
                                                              named="id must be a non-empty string, got 7")),
     "layer furniture dims of zero": ("layers", _layer_dims),

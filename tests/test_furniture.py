@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -8,18 +9,18 @@ from helpers import bench_gen, table
 from oracles import (all_cells, cell_to_world, disc_pairs, exact_iou_3d, exact_point_in_convex_polygon,
                      loop_match_pairs, loop_virtual_obstacles)
 from waiterbot import furniture as furniture_module
-from waiterbot.formats import detections_from_json
+from waiterbot.formats import LayerFormatError, detections_from_json, load_layers
 from waiterbot.furniture import (
     Detection3D,
     FrameOrderError,
     FurnitureError,
-    FurnitureInstance,
     FurnitureLayer,
     FurnitureNotFound,
     TrackStatus,
     match_pairs,
+    tracked,
 )
-from waiterbot.geometry import Pose2D, iou_3d
+from waiterbot.geometry import iou_3d
 from waiterbot.grid import CellState, GridMap
 
 
@@ -147,20 +148,24 @@ class TestTracking:
         ((1e308, -1e308, 1e308), (1e307, 1e307, 1e307), None),
     ])
     def test_a_box_is_refused_exactly_when_its_corners_or_height_overflow(self, center, dims, refused):
-        # a detection, and an instance as a layer dump builds it, whose top overflows where the detection's
-        # height interval does
-        base_z = 1.7e308 if refused == "height interval" else 0.0
-        for build in (lambda: Detection3D("table", center, dims, 0.3),
-                      lambda: FurnitureInstance("t", "table", Pose2D(center[0], center[1], 0.3), base_z, dims, 0)):
+        # a detection, and an instance as a layer dump gives it: its centre base_z + h/2 is finite, and its top
+        # overflows where the detection's height interval does
+        base_z = 1e307 if refused == "height interval" else 0.0
+        entry = {"id": "t", "class": "table", "pose": {"x": center[0], "y": center[1], "theta": 0.3},
+                 "base_z": base_z, "dims": dict(zip("wdh", dims)), "last_seen": 0}
+        dump = json.dumps({"furniture": [entry], "kitchen": None})
+        for build, error in ((lambda: Detection3D("table", center, dims, 0.3), ValueError),
+                             (lambda: load_layers(dump).get("t"), LayerFormatError)):
             if refused is None:
                 box = build()
                 assert all(map(math.isfinite, (*sum(box.footprint, ()), *box.z_interval)))
             else:
-                with pytest.raises(ValueError, match=f"{refused} must be finite"):
+                with pytest.raises(error, match=f"{refused} must be finite"):
                     build()
 
     def test_a_box_whose_tracked_instance_would_overflow_is_refused(self):
-        # its own height interval, cz -+ h/2, is finite; the instance's, through base_z = cz - h/2, is not
+        # its height interval about the centre, cz -+ h/2, is finite; the one through base_z = cz - h/2,
+        # which the instance tracking makes of it keeps, is not
         center, dims = (1.0, 1.0, 1.753827608035712e308), (1.0, 1.0, 8.773105365320726e306)
         assert all(map(math.isfinite, (center[2] - dims[2] / 2, center[2] + dims[2] / 2)))
         with pytest.raises(ValueError, match="height interval must be finite"):
@@ -179,15 +184,17 @@ class TestTracking:
 class TestMatchPairs:
     """The centre gate leaves the pair list of the all-pairs loop unchanged."""
 
+    @staticmethod
+    def instance(iid, cls, x, y, yaw, base_z, dims):
+        return tracked(Detection3D(cls, (x, y, base_z + dims[2] / 2), dims, yaw), iid, 0, base_z)
+
     def test_random_rotated_layouts(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
             instances = [
-                FurnitureInstance(f"{cls}_{k}", cls,
-                                  Pose2D(float(rng.uniform(0, 4)), float(rng.uniform(0, 3)),
-                                         float(rng.uniform(-math.pi, math.pi))),
-                                  float(rng.uniform(0.0, 0.3)),
-                                  (float(rng.uniform(0.2, 1.6)), float(rng.uniform(0.2, 1.2)), 0.72), 0)
+                self.instance(f"{cls}_{k}", str(cls), float(rng.uniform(0, 4)), float(rng.uniform(0, 3)),
+                              float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.0, 0.3)),
+                              (float(rng.uniform(0.2, 1.6)), float(rng.uniform(0.2, 1.2)), 0.72))
                 for k, cls in enumerate(rng.choice(["table", "chair"], size=int(rng.integers(0, 12))))
             ]
             detections = [
@@ -273,6 +280,18 @@ class TestFrameWork:
         assert made[1] == 2 * made[0]
         assert all(vars(d).keys() == {"class_name", "center", "dims", "yaw"} for _, ds in frames for d in ds)
 
+    def test_tracking_checks_no_field_again(self, monkeypatch):
+        # a box's fields are checked when its detection is made; the instances made of it check none again
+        frames = busy_floor_frames(monkeypatch, 3)
+        calls = []
+        for name in ("check_string", "finite_tuple", "is_finite"):
+            check = getattr(furniture_module, name)
+            monkeypatch.setattr(furniture_module, name, lambda *a, check=check: calls.append(a) or check(*a))
+        layer = FurnitureLayer()
+        for frame, detections in frames:
+            layer.track_frame(detections, frame)
+        assert calls == [] and len(layer.instances()) == 40
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exact_iou_runs_on_no_more_pairs_than_the_disc_test(self, monkeypatch, seed):
         calls = []
@@ -351,7 +370,8 @@ class TestVirtualObstacles:
         ((2.0, 2.0, 0.5), (1e19, 0.8, 1.0), 0.0),
         ((2.0, 2.0, 0.5), (1e19, 0.8, 1.0), 0.4),
         ((1e19, 2.0, 0.36), (1.2, 0.8, 0.72), 0.0),
-    ], ids=["wide", "wide and turned", "far away"])
+        ((10**20, 2, 0.36), (1.2, 0.8, 0.72), 0.3),  # a JSON integer past the int64 range
+    ], ids=["wide", "wide and turned", "far away", "far away at an integer centre"])
     def test_footprint_far_beyond_the_map_equals_cell_loop(self, center, dims, yaw):
         # a window bound past ~9.2e17 m at 0.1 m cells once overflowed its int64 cast
         layer = FurnitureLayer()

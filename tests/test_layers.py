@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from waiterbot.formats import LayerFormatError, dump_layers, load_layers
+from helpers import bench_gen
+from waiterbot.formats import LayerFormatError, detection_entry, detections_from_json, dump_layers, load_layers
 from waiterbot.furniture import Detection3D, FurnitureLayer
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def populated_layers():
@@ -36,6 +41,34 @@ def test_hand_written_base_z_and_height_survive_load():
             doc["furniture"][1]["dims"]["h"] = h
             text = json.dumps(doc, indent=2) + "\n"
             assert dump_layers(load_layers(text)) == text
+
+
+def tracked_layers(monkeypatch):
+    """The layers tracked from six_tables' detection log and from busy_floor's
+    frames (generator seed 3: 40 tables, 17 frames)."""
+    six = FurnitureLayer()
+    for entry in json.loads((SCENARIOS / "six_tables.json").read_text()):
+        frame = detection_entry(entry)
+        six.track_frame(frame.boxes, frame.frame)
+    busy = FurnitureLayer()
+    for ev in bench_gen(monkeypatch).busy_floor(3).scenario["events"]:
+        if ev["type"] == "detections":
+            busy.track_frame(detections_from_json(ev["boxes"]), ev["frame"])
+    return six, busy
+
+
+def test_a_layer_read_back_keeps_every_instances_geometry_bit_for_bit(monkeypatch):
+    # corners, area and height interval, which matching reads, are those of the live layer
+    def bits(values):
+        return np.array(values, dtype=np.float64).tobytes()
+
+    for layer in tracked_layers(monkeypatch):
+        live, loaded = layer.instances(), load_layers(dump_layers(layer)).instances()
+        assert [i.id for i in loaded] == [i.id for i in live] and len(live) in (6, 40)
+        for a, b in zip(live, loaded):
+            assert bits(a.footprint) == bits(b.footprint)
+            assert bits(a.area) == bits(b.area)
+            assert bits(a.z_interval) == bits(b.z_interval)
 
 
 def test_sections_present_and_ordered():

@@ -2,7 +2,6 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +13,8 @@ import oracles
 from helpers import save_cloud, table, tabletops
 from oracles import naive_clearance
 from waiterbot import placement
-from waiterbot.furniture import FurnitureInstance
-from waiterbot.geometry import Pose2D, convex_hull
+from waiterbot.furniture import Detection3D, tracked
+from waiterbot.geometry import convex_hull
 from waiterbot.placement import (
     InsufficientSupportError,
     NoSpaceError,
@@ -629,14 +628,14 @@ class TestSurfaceStore:
 
     def test_a_one_ulp_or_signed_zero_change_misses_the_store(self, built):
         # a change to a table's pose, dims or base height lands in another top entry
-        base = FurnitureInstance("t", "table", Pose2D(0.0, 1.0, 0.3), 0.0, (1.2, 0.8, 0.72), 0)
+        def top_table(x=0.0, y=1.0, yaw=0.3, dims=(1.2, 0.8, 0.72), base_z=0.0):
+            return tracked(Detection3D("table", (x, y, base_z + dims[2] / 2), dims, yaw), "t", 0, base_z)
+
         up = lambda v: float(np.nextafter(v, np.inf))  # noqa: E731
-        w, d, h = base.dims
-        variants = [base, replace(base, base_z=-0.0), replace(base, base_z=up(0.0)),
-                    replace(base, pose=Pose2D(-0.0, 1.0, 0.3)), replace(base, pose=Pose2D(up(0.0), 1.0, 0.3)),
-                    replace(base, pose=Pose2D(0.0, up(1.0), 0.3)), replace(base, pose=Pose2D(0.0, 1.0, up(0.3))),
-                    replace(base, dims=(up(w), d, h)), replace(base, dims=(w, up(d), h)),
-                    replace(base, dims=(w, d, up(h)))]
+        w, d, h = 1.2, 0.8, 0.72
+        variants = [top_table(), top_table(base_z=-0.0), top_table(base_z=up(0.0)), top_table(x=-0.0),
+                    top_table(x=up(0.0)), top_table(y=up(1.0)), top_table(yaw=up(0.3)),
+                    top_table(dims=(up(w), d, h)), top_table(dims=(w, up(d), h)), top_table(dims=(w, d, up(h)))]
         tops = {}
         for k, variant in enumerate(variants, start=1):
             top = table_top(variant, tops)

@@ -825,6 +825,49 @@ def test_the_replay_digest_matrix_is_pinned():
     assert out.splitlines() == (GOLDEN / "replay_digests.txt").read_text().splitlines()
 
 
+class Forgetful(dict):
+    """A store that never keeps an entry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def storeless_log(scenario, config: RunConfig, monkeypatch) -> list[str]:
+    """The replay log of `scenario` with every store made to forget: the goal and
+    path stores keep no entry, and each placement gets a fresh `TableTop`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sim_module, "table_top", lambda table_, tops: TableTop(table_))
+        simulation = Simulation(scenario, config)
+        simulation._goals, simulation._paths = Forgetful(), Forgetful()
+        return simulation.run()[1]
+
+
+def restaurant_with_a_crate():
+    """restaurant_41 with a crate set down at (8, 3) in a frame between its fifth
+    and sixth call: that frame changes goals and paths the replay has stored."""
+    doc = json.loads(SCENARIO_PATH.read_text())
+    events = doc["events"]
+    boxes = [*events[1]["boxes"], {"class": "crate", "center": [8.0, 3.0, 0.25], "dims": [0.4, 0.4, 0.5]}]
+    sixth = [i for i, ev in enumerate(events) if ev["type"] == "call"][5]
+    events.insert(sixth, {"t": events[sixth]["t"] - 1.0, "type": "detections", "frame": 2, "boxes": boxes})
+    return parse_scenario(doc, SCENARIO_PATH.parent)
+
+
+def test_no_store_changes_a_replay_log(monkeypatch, tmp_path):
+    # each store is exact: restaurant_41, the two generated workloads and a world
+    # whose map changes under stored goals and paths replay to the same bytes with
+    # every store forgetting (15 replays each way, about 1.3 s)
+    gen = bench_gen(monkeypatch)
+    replays = [(load_scenario(SCENARIO_PATH), RunConfig(mode="parallel", seed=seed)) for seed in (0, 3)]
+    replays.append((restaurant_with_a_crate(), RunConfig(mode="parallel")))
+    for workload, mode in (("busy_floor", "parallel"), ("banquet", "sequential")):
+        for seed in range(4):
+            path = gen.write(gen.GENERATORS[workload](seed), tmp_path / f"{workload}_{seed}")
+            replays.append((load_scenario(path), RunConfig(mode=mode, seed=0)))
+    for scenario, config in replays:
+        assert storeless_log(scenario, config, monkeypatch) == Simulation(scenario, config).run()[1]
+
+
 @pytest.mark.parametrize("metrics,line", [
     (Metrics(41, 41, 0, 0, 0), "accuracy         41/41 (1.0000)"),
     (Metrics(41, 0, 41, 0, 0), "accuracy         0/41 (0.0000)"),
