@@ -175,6 +175,12 @@ def _robot_start(grid: GridMap, rs) -> Pose2D:
     return pose
 
 
+def _nav_params(grid: GridMap, kw) -> NavGoalParams:
+    params = NavGoalParams(**kw)
+    params.check_map(grid)  # before any disc or window is built from it
+    return params
+
+
 def _stock(menu: Menu, doc) -> Mapping[str, int]:
     """A JSON object from menu item names to counts."""
     if not isinstance(doc, dict):
@@ -243,7 +249,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         kitchen_table=_world(world, "kitchen_table", lambda v: check_string(v, "kitchen_table")),
         robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
         stock=_world(world, "stock", lambda doc: _stock(menu, doc), {}),
-        nav_params=_world(world, "nav_params", lambda kw: NavGoalParams(**kw), {}),
+        nav_params=_world(world, "nav_params", lambda kw: _nav_params(grid, kw), {}),
     )
     if world:
         raise ScenarioError(f"world.{next(iter(world))}: unknown key")

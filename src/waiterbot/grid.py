@@ -6,7 +6,8 @@ and risk fields can be shared freely across threads.
 Cell convention: cells[row, col]; cell (0, 0) has its corner at the map
 origin and its center half a resolution further out.  The risk field keeps
 the exact geometry of its source map and holds 100 inside the inflation
-radius of any occupied/unknown cell, 0 elsewhere.
+radius of any occupied/unknown cell, 0 elsewhere.  Window sums are four
+slices of one summed-area table.
 """
 
 from __future__ import annotations
@@ -171,23 +172,17 @@ def cell_risk(grid: GridMap, c: CellIndex, radius: float) -> int:
     return 0
 
 
-def window_sum(sat: np.ndarray, col, row, r: int):
-    """Clipped square-window sums from a (h+1, w+1) summed-area table (Crow 1984).
-
-    `col` and `row` are indices or integer arrays that broadcast against each
-    other (e.g. shapes (1, n) and (m, 1) for an m x n block of windows).
+def window_sums(a: np.ndarray, r: int) -> np.ndarray:
+    """Sum of every (2r+1) x (2r+1) window of an integer array, as four slices
+    of its summed-area table (Crow 1984): entry [i, j] is `a[i : i+2r+1, j :
+    j+2r+1].sum()`.  Zero-pad `a` by r cells on each side to get, per cell,
+    the sum over its neighborhood clipped to the array.  The table wraps in
+    int64, and a window sum that fits int64 is still exact (sums mod 2**64).
     """
-    h, w = sat.shape[0] - 1, sat.shape[1] - 1
-    r0, r1 = np.maximum(0, row - r), np.minimum(h - 1, row + r) + 1
-    c0, c1 = np.maximum(0, col - r), np.minimum(w - 1, col + r) + 1
-    return sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]
-
-
-def integral_image(a: np.ndarray) -> np.ndarray:
-    """(h+1, w+1) summed-area table of an integer array."""
+    k = 2 * r + 1
     sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
     np.cumsum(np.cumsum(a, axis=0), axis=1, out=sat[1:, 1:])
-    return sat
+    return sat[k:, k:] - sat[:-k, k:] - sat[k:, :-k] + sat[:-k, :-k]
 
 
 def save_grid(grid: GridMap) -> str:

@@ -14,12 +14,16 @@ Precondition: `risk` is `inflate(layer.virtual_obstacles(grid), r)`, r >= 0.
 0.5) * res`) passes the closed footprint test, so those cells hold risk 100
 and no goal can land inside a piece of furniture.
 
-`select_goal` scores the whole window at once: one summed-area table of the
-weighted values gives every clipped neighborhood sum (Crow 1984), and one
-`lexsort` over (cost, distance, index) picks the goal.  The test suite checks
-it exhaustively against a plain nested-loop oracle (`tests/oracles.py`); keep
-the float expressions (`sqrt(dx*dx + dy*dy)`, half-even rounding) in sync
-with it.
+`select_goal` scores the whole window at once.  The window is one run of
+rows by one run of columns, and its weighted values, zero-padded by the
+neighborhood margin, have one summed-area table (Crow 1984): every clipped
+neighborhood sum is four slices of it, since a cell off the map adds 0.
+The goal is the lexicographic minimum over the admissible cells of (cost,
+distance, row-major index).  The test suite checks it exhaustively against a
+plain nested-loop oracle (`tests/oracles.py`); keep the float expressions
+(`sqrt(dx*dx + dy*dy)`, half-even rounding) in sync with it.
+`NavGoalParams.check_map` bounds the parameters by the map, so that every
+window sum fits int64.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .furniture import FurnitureInstance
-from .geometry import Pose2D, is_finite
-from .grid import RISK_MAX, CellIndex, RiskField, integral_image, window_sum
+from .geometry import Pose2D, is_finite, shown
+from .grid import RISK_MAX, CellIndex, GridMap, RiskField, window_sums
 
 
 class NoGoalError(Exception):
@@ -56,6 +60,23 @@ class NavGoalParams:
 
     def cell_neighborhood(self, resolution: float) -> int:
         return math.ceil(self.robot_radius / resolution)
+
+    def check_map(self, grid: GridMap) -> None:
+        """Refuse a robot wider than the map's shorter side, which also bounds
+        the inflation disc by the map, and an `alpha` for which a window sum
+        could overflow int64.  Every cell a window sum reads lies within
+        window_half_width + nr cells of the candidate point on each axis, up to
+        the rounding of cell centers, so its distance is below twice that."""
+        res, (w, h) = grid.resolution, (grid.width, grid.height)
+        if 2 * self.robot_radius > min(w, h) * res:
+            raise ValueError(f"robot_radius {shown(self.robot_radius)} m does not fit "
+                             f"the {w * res:g} x {h * res:g} m map")
+        nr = self.cell_neighborhood(res)
+        centers = abs(grid.origin[0]) + abs(grid.origin[1]) + (w + h) * res
+        reach = self.window_half_width + nr * res + 4 * math.ulp(centers)
+        if (2 * nr + 1) ** 2 * (RISK_MAX + self.alpha * 2 * reach) >= 2.0**63:
+            raise ValueError(f"alpha {shown(self.alpha)} over a window_half_width of "
+                             f"{shown(self.window_half_width)} m lets a goal's cost overflow 64-bit integers")
 
 
 @dataclass(frozen=True)
@@ -87,12 +108,22 @@ def select_candidate(points: list[tuple[float, float]], robot_pose: Pose2D) -> t
     return best
 
 
-def _axis_indices(center: float, half_width: float, origin: float, resolution: float,
-                  size: int) -> list[int]:
-    """Indices along one axis whose cell center lies within +-half_width of center."""
+def _axis_range(center: float, half_width: float, origin: float, resolution: float,
+                size: int) -> tuple[int, int]:
+    """First and last index along one axis whose cell center lies within
+    +-half_width of center (first > last when none does).  Cell centers rise
+    with the index, so those indices are one run: the floor estimate is
+    trimmed at both ends with the per-cell test."""
+    def inside(i: int) -> bool:
+        return abs(origin + (i + 0.5) * resolution - center) <= half_width
+
     lo = max(0, math.floor((center - half_width - origin) / resolution) - 1)
     hi = min(size - 1, math.floor((center + half_width - origin) / resolution) + 1)
-    return [i for i in range(lo, hi + 1) if abs(origin + (i + 0.5) * resolution - center) <= half_width]
+    while lo <= hi and not inside(lo):
+        lo += 1
+    while hi >= lo and not inside(hi):
+        hi -= 1
+    return lo, hi
 
 
 def select_goal(
@@ -101,7 +132,9 @@ def select_goal(
     robot_pose: Pose2D,
     params: NavGoalParams,
 ) -> NavGoal:
-    """Lowest-cost cell with risk < 100 near the candidate point (summed-area fast path).
+    """Lowest-cost cell with risk < 100 near the candidate point: the least
+    (cost, distance, row-major index) over the admissible cells of the window,
+    each cost four slices of one zero-padded summed-area table.
 
     `risk` must be `inflate(layer.virtual_obstacles(grid), r)` (see the module
     docstring): cells inside any furniture footprint are then at risk 100.
@@ -112,34 +145,34 @@ def select_goal(
     res = risk.resolution
     ox, oy = risk.origin
 
-    cols = _axis_indices(px, whw, ox, res, risk.width)
-    rows = _axis_indices(py, whw, oy, res, risk.height)
-    if not cols or not rows:
+    c0, c1 = _axis_range(px, whw, ox, res, risk.width)
+    r0, r1 = _axis_range(py, whw, oy, res, risk.height)
+    if c0 > c1 or r0 > r1:
         raise NoGoalError("candidate window misses the map")
 
-    # weighted totals over the window plus the neighborhood margin
-    r0, r1 = max(0, rows[0] - nr), min(risk.height - 1, rows[-1] + nr)
-    c0, c1 = max(0, cols[0] - nr), min(risk.width - 1, cols[-1] + nr)
-    xs = ox + (np.arange(c0, c1 + 1) + 0.5) * res
-    ys = oy + (np.arange(r0, r1 + 1) + 0.5) * res
+    # the window's totals with a margin of nr cells, 0 off the map: on it, columns a0..a1, rows b0..b1
+    a0, a1 = max(0, c0 - nr), min(risk.width - 1, c1 + nr)
+    b0, b1 = max(0, r0 - nr), min(risk.height - 1, r1 + nr)
+    xs = ox + (np.arange(a0, a1 + 1) + 0.5) * res
+    ys = oy + (np.arange(b0, b1 + 1) + 0.5) * res
     dx = xs[None, :] - px
     dy = ys[:, None] - py
     dists = np.sqrt(dx * dx + dy * dy)
-    totals = risk.risk[r0 : r1 + 1, c0 : c1 + 1] + np.rint(params.alpha * dists).astype(np.int64)
-    sat = integral_image(totals)
+    padded = np.zeros((r1 - r0 + 1 + 2 * nr, c1 - c0 + 1 + 2 * nr), dtype=np.int64)
+    pr, pc = b0 - r0 + nr, a0 - c0 + nr
+    padded[pr : pr + b1 - b0 + 1, pc : pc + a1 - a0 + 1] = (
+        risk.risk[b0 : b1 + 1, a0 : a1 + 1] + np.rint(params.alpha * dists).astype(np.int64))
+    costs = window_sums(padded, nr)
 
-    # every window cell at once: (m, 1) rows against (1, n) columns
-    wr = np.asarray(rows)[:, None]
-    wc = np.asarray(cols)[None, :]
-    costs = window_sum(sat, wc - c0, wr - r0, nr)
-    dist = dists[wr - r0, wc - c0]
-    idx = wr * risk.width + wc
-    ok = risk.risk[wr, wc] < RISK_MAX
+    ok = risk.risk[r0 : r1 + 1, c0 : c1 + 1] < RISK_MAX
     if not ok.any():
         raise NoGoalError("no admissible cell in the candidate window")
-    costs, dist, idx = costs[ok], dist[ok], idx[ok]
-    best = np.lexsort((idx, dist, costs))[0]
-    row, col = divmod(int(idx[best]), risk.width)
-    cx, cy = float(xs[col - c0]), float(ys[row - r0])
+    # masking keeps row-major order, so the first of equal keys has the least index
+    costs = costs[ok]
+    dist = dists[r0 - b0 : r1 - b0 + 1, c0 - a0 : c1 - a0 + 1][ok]
+    tied = np.flatnonzero(costs == costs.min())
+    dr, dc = divmod(int(np.flatnonzero(ok)[tied[np.argmin(dist[tied])]]), c1 - c0 + 1)
+    row, col = r0 + dr, c0 + dc
+    cx, cy = float(xs[col - a0]), float(ys[row - b0])
     heading = math.atan2(target.pose.y - cy, target.pose.x - cx)
-    return NavGoal(CellIndex(col, row), Pose2D(cx, cy, heading), int(costs[best]))
+    return NavGoal(CellIndex(col, row), Pose2D(cx, cy, heading), int(costs[tied[0]]))

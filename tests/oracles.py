@@ -355,6 +355,12 @@ def loop_tabletop_cloud(table, n_items: int) -> np.ndarray:
     return np.asarray(points, dtype=np.float64)
 
 
+def axis_indices(center: float, half_width: float, origin: float, resolution: float, size: int) -> list[int]:
+    """Every index along one axis whose cell center lies within +-half_width
+    of center, tested cell by cell over the whole axis."""
+    return [i for i in range(size) if abs(origin + (i + 0.5) * resolution - center) <= half_width]
+
+
 def brute_force_goal(risk, target, robot_pose, params) -> NavGoal:
     """`select_goal`'s contract as plain nested loops over the whole map.
 

@@ -437,6 +437,13 @@ def _world_at(*path, value):
     return mutate
 
 
+def _nav_radius(radius):
+    def mutate(doc):
+        doc["world"]["nav_params"].update(robot_radius=radius, window_half_width=radius)
+        return "world.nav_params: ValueError: robot_radius"
+    return mutate
+
+
 def _robot_start(doc):
     doc["world"]["robot_start"] = [60.0, 4.0, 0.0]  # the grid is 12 m wide
     return "world.robot_start"
@@ -608,6 +615,11 @@ MALFORMED_INPUTS = {
     "single-value robot start": ("run", _world_at("robot_start", value=[6.0])),
     "NaN robot radius": ("run", _world_at("nav_params", "robot_radius", value=float("nan"))),
     "boolean clearance": ("run", _world_at("nav_params", "clearance", value=True)),
+    # int64 window sums would wrap to a negative cost, or the cast from float be invalid
+    "nav_params alpha whose goal cost overflows": ("run", _world_at("nav_params", "alpha", value=1e17)),
+    "nav_params alpha far past the int64 range": ("run", _world_at("nav_params", "alpha", value=1e300)),
+    # the 12 x 8 m map cannot hold it, and its inflation disc would not fit in memory
+    "nav_params robot_radius wider than the map": ("run", _nav_radius(300.0)),
     "fractional RANSAC iterations": ("run", _world_at("ransac", value={"iterations": 2.5})),
     "list kitchen table": ("run", _world_at("kitchen_table", value=["table_5"])),
     "untracked kitchen table": ("run", _unknown_kitchen),

@@ -12,10 +12,9 @@ from waiterbot.grid import (
     GridMap,
     cell_risk,
     inflate,
-    integral_image,
     load_grid,
     save_grid,
-    window_sum,
+    window_sums,
     world_to_cell,
 )
 
@@ -129,36 +128,46 @@ class TestInflate:
 
 
 class TestNeighborhoodCost:
-    """Clipped square-window sums through `window_sum(integral_image(values), ...)`."""
+    """Square-window sums through `window_sums`, against `naive_window_sum`."""
 
     def test_uniform_window(self):
-        sat = integral_image(np.ones((5, 5), dtype=np.int64))
-        assert window_sum(sat, 2, 2, 1) == 9
+        assert window_sums(np.ones((5, 5), dtype=np.int64), 1).tolist() == [[9] * 3] * 3
 
     def test_zero_radius_is_cell_value(self):
-        sat = integral_image(np.arange(25).reshape(5, 5))
-        assert window_sum(sat, 3, 1, 0) == 8
+        values = np.arange(25).reshape(5, 5)
+        assert np.array_equal(window_sums(values, 0), values)
 
     def test_matches_naive_loops_exhaustively(self):
+        # zero-padded by r, each window sum is the neighborhood sum clipped to the array
         rng = np.random.default_rng(7)
         values = rng.integers(0, 100, size=(16, 16))
-        sat = integral_image(values)
         for r in (1, 2, 3):
+            sums = window_sums(np.pad(values, r), r)
+            assert sums.shape == values.shape
             for row in range(16):
                 for col in range(16):
-                    assert window_sum(sat, col, row, r) == naive_window_sum(values, col, row, r)
+                    assert sums[row, col] == naive_window_sum(values, col, row, r)
 
-    def test_index_arrays_broadcast_to_a_block_of_windows(self):
+    def test_a_rectangular_array_gives_one_sum_per_window(self):
         rng = np.random.default_rng(8)
         values = rng.integers(0, 100, size=(9, 13))
-        sat = integral_image(values)
-        rows = np.array([0, 2, 3, 8])[:, None]
-        cols = np.array([1, 5, 12])[None, :]
-        block = window_sum(sat, cols, rows, 2)
-        assert block.shape == (4, 3)
-        for i, row in enumerate(rows[:, 0]):
-            for j, col in enumerate(cols[0]):
-                assert block[i, j] == naive_window_sum(values, int(col), int(row), 2)
+        sums = window_sums(values, 2)
+        assert sums.shape == (5, 9)
+        for i in range(5):
+            for j in range(9):
+                assert sums[i, j] == naive_window_sum(values, j + 2, i + 2, 2)
+
+    def test_a_sum_that_fits_int64_is_exact_where_the_table_wraps(self):
+        # column 0 sums to 2**64, so the table's running sums wrap past it; the
+        # windows right of column 0 do not reach it and are exact all the same
+        rng = np.random.default_rng(9)
+        values = rng.integers(-100, 100, size=(4, 7))
+        values[:, 0] = 2**62
+        assert np.array_equal(window_sums(values, 0), values)
+        sums = window_sums(values, 1)
+        for i in range(2):
+            for j in range(1, 5):
+                assert sums[i, j] == naive_window_sum(values, j + 1, i + 1, 1)
 
 
 class TestSerialization:

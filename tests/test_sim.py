@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import bench_gen, table, tabletops
 from oracles import all_cells, path_cost, relaxation_path_cost
+from waiterbot import cli as cli_module
 from waiterbot import placement as placement_module
 from waiterbot import sim as sim_module
 from waiterbot.cli import dispatch
@@ -832,14 +834,36 @@ class Forgetful(dict):
         pass
 
 
+class Storeless(Simulation):
+    """A `Simulation` whose goal and path stores keep no entry."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._goals, self._paths = Forgetful(), Forgetful()
+
+
 def storeless_log(scenario, config: RunConfig, monkeypatch) -> list[str]:
     """The replay log of `scenario` with every store made to forget: the goal and
     path stores keep no entry, and each placement gets a fresh `TableTop`."""
     with monkeypatch.context() as patch:
         patch.setattr(sim_module, "table_top", lambda table_, tops: TableTop(table_))
-        simulation = Simulation(scenario, config)
-        simulation._goals, simulation._paths = Forgetful(), Forgetful()
-        return simulation.run()[1]
+        return Storeless(scenario, config).run()[1]
+
+
+def run_with_and_without_stores(scenario: Path, mode: str, seed: int, out: Path):
+    """`waiterbot run` on `scenario` with its stores, then with every store made
+    to forget (as in `storeless_log`): each side's exit code and log bytes."""
+    sides = []
+    for side, simulation, top in (("stored", Simulation, table_top),
+                                  ("storeless", Storeless, lambda table_, tops: TableTop(table_))):
+        log = out / f"{side}.log"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_module, "Simulation", simulation)
+            patch.setattr(sim_module, "table_top", top)
+            code = dispatch(["run", "--scenario", str(scenario), "--mode", mode, "--seed", str(seed),
+                             "--log", str(log)])
+        sides.append((code, log.read_bytes() if log.exists() else None))
+    return sides
 
 
 def restaurant_with_a_crate():
@@ -866,6 +890,59 @@ def test_no_store_changes_a_replay_log(monkeypatch, tmp_path):
             replays.append((load_scenario(path), RunConfig(mode=mode, seed=0)))
     for scenario, config in replays:
         assert storeless_log(scenario, config, monkeypatch) == Simulation(scenario, config).run()[1]
+
+
+GENERATED_MODES = {"busy_floor": "parallel", "banquet": "sequential"}
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(workload=st.sampled_from(sorted(GENERATED_MODES)), generator_seed=st.integers(0, 999),
+       run_seed=st.integers(0, 99))
+def test_no_store_changes_a_generated_replay_at_any_seed(workload, generator_seed, run_seed):
+    # the generated workloads beyond the fixed seeds above, through `waiterbot run`
+    # (8 examples, about 1 s)
+    with pytest.MonkeyPatch.context() as patch, TemporaryDirectory() as tmp:
+        gen = bench_gen(patch)
+        path = gen.write(gen.GENERATORS[workload](generator_seed), Path(tmp))
+        (code, log), storeless = run_with_and_without_stores(path, GENERATED_MODES[workload], run_seed, Path(tmp))
+    assert code in (0, 2) and (code, log) == storeless
+
+
+def perturbed_restaurant(turn: bool, table_: int, first: int, gap: int) -> dict:
+    """restaurant_41 with two more detection frames: before its `first` call,
+    table `table_` moved by one ulp in x (`turn` False) or turned by pi (`turn`
+    True); `gap` calls later, if there are that many, back as it was.  Both
+    change no cell of the map, so a stored goal or path stays right after
+    them only if its key is exact."""
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["world"]["grid_file"] = str(SCENARIO_PATH.parent / doc["world"]["grid_file"])
+    events = doc["events"]
+    boxes = events[1]["boxes"]
+    box = dict(boxes[table_])
+    if turn:
+        box["yaw"] = box["yaw"] + math.pi
+    else:
+        box["center"] = [math.nextafter(box["center"][0], math.inf), *box["center"][1:]]
+    calls = [i for i, ev in enumerate(events) if ev["type"] == "call"]
+    if first + gap < len(calls):
+        at = calls[first + gap]
+        events.insert(at, {"t": events[at]["t"], "type": "detections", "frame": 3, "boxes": boxes})
+    at = calls[first]
+    moved = [*boxes[:table_], box, *boxes[table_ + 1:]]
+    events.insert(at, {"t": events[at]["t"], "type": "detections", "frame": 2, "boxes": moved})
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(turn=st.booleans(), table_=st.integers(0, 5), first=st.integers(0, 43), gap=st.integers(1, 20),
+       run_seed=st.integers(0, 99))
+def test_no_store_changes_the_replay_of_a_perturbed_world(turn, table_, first, gap, run_seed):
+    # a table moved by one ulp, or turned by pi, between two frames (10 examples, about 1 s)
+    with TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(perturbed_restaurant(turn, table_, first, gap)))
+        (code, log), storeless = run_with_and_without_stores(path, "parallel", run_seed, Path(tmp))
+    assert code in (0, 2) and (code, log) == storeless
 
 
 @pytest.mark.parametrize("metrics,line", [
