@@ -7,19 +7,20 @@ recovered by a hand-over, everything else clean.  Running it must yield
 orders_total=41, served_correct=37, served_incorrect=4, assisted=7,
 collisions=0.  Regeneration is deterministic, so the written files are
 byte-stable and safe to diff in tests.
+
+The menu, order phrases, grid, box and `world` writers are the benchmark
+generator's (`bench/gen.py`); this script keeps only what restaurant_41 alone
+has: its tables, kitchen, faults, call script and demo cloud.
 """
 
 import json
+import sys
 from pathlib import Path
-
-import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = REPO_ROOT / "scenarios"
-
-RESOLUTION = 0.1
-ROOM_W, ROOM_H = 12.0, 8.0
-TABLE_DIMS = [1.2, 0.8, 0.72]
+sys.path.insert(0, str(REPO_ROOT / "bench"))
+import gen  # noqa: E402
 
 # six tables; the last one doubles as the kitchen pick-up table
 TABLE_CENTERS = [
@@ -31,21 +32,9 @@ TABLE_CENTERS = [
     (10.0, 6.0),
 ]
 KITCHEN_ID = "table_5"
-
-MENU = [
-    {"name": "orange juice", "description": "freshly squeezed juice"},
-    {"name": "cola", "description": "a chilled cola"},
-    {"name": "green tea", "description": "hot and fragrant tea"},
-    {"name": "coffee", "description": "a strong espresso"},
-    {"name": "sandwich", "description": "ham and cheese on rye"},
-    {"name": "pancake", "description": "with maple syrup"},
-]
-
-ORDER_PHRASES = [
-    "Could you bring me {item}?",
-    "Can I have {item}, please?",
-    "I'd like {item}.",
-    "Please serve me {item}.",
+ZONES = [
+    {"name": "dining area", "p1": [0.5, 0.5], "p2": [8.9, 7.5]},
+    {"name": "kitchen", "p1": [8.9, 4.5], "p2": [11.5, 7.5]},
 ]
 
 # 0-based order indices forced to a fault (one detect per order)
@@ -54,43 +43,26 @@ DETECT_FAIL_ORDERS = (2, 8, 14, 21, 27, 34, 39)
 
 
 def build_grid_text() -> str:
-    from waiterbot.grid import CellState, GridMap, save_grid
-
-    w = int(ROOM_W / RESOLUTION)
-    h = int(ROOM_H / RESOLUTION)
-    cells = np.zeros((h, w), dtype=np.uint8)
-    cells[0, :] = CellState.OCCUPIED
-    cells[-1, :] = CellState.OCCUPIED
-    cells[:, 0] = CellState.OCCUPIED
-    cells[:, -1] = CellState.OCCUPIED
-    return save_grid(GridMap(RESOLUTION, (0.0, 0.0), cells))
+    return gen.grid_text(12.0, 8.0)
 
 
-def table_boxes(frame: int, jitter: float = 0.0) -> list[dict]:
-    boxes = []
-    for cx, cy in TABLE_CENTERS:
-        boxes.append(
-            {
-                "class": "table",
-                "center": [round(cx + jitter, 3), round(cy + jitter, 3), TABLE_DIMS[2] / 2],
-                "dims": TABLE_DIMS,
-                "yaw": 0.0,
-            }
-        )
-    return boxes
+def table_boxes(jitter: float = 0.0) -> list[dict]:
+    """One detection frame: every table, moved by `jitter` in x and y."""
+    return gen.boxes([gen.Table(cx + jitter, cy + jitter, 0.0, (1.2, 0.8, gen.TABLE_H))
+                      for cx, cy in TABLE_CENTERS], None)
 
 
 def build_detection_log() -> list[dict]:
     return [
-        {"frame": 0, "boxes": table_boxes(0)},
-        {"frame": 1, "boxes": table_boxes(1, jitter=0.02)},
+        {"frame": 0, "boxes": table_boxes()},
+        {"frame": 1, "boxes": table_boxes(jitter=0.02)},
     ]
 
 
 def build_scenario() -> dict:
     events = [
-        {"t": 0.0, "type": "detections", "frame": 0, "boxes": table_boxes(0)},
-        {"t": 0.5, "type": "detections", "frame": 1, "boxes": table_boxes(1, jitter=0.02)},
+        {"t": 0.0, "type": "detections", "frame": 0, "boxes": table_boxes()},
+        {"t": 0.5, "type": "detections", "frame": 1, "boxes": table_boxes(jitter=0.02)},
     ]
     t = 1.0
     for k in WRONG_ITEM_ORDERS:
@@ -142,35 +114,16 @@ def build_scenario() -> dict:
             t += 2.0
             interactions += 1
             continue
-        item = MENU[order % len(MENU)]["name"]
+        item = gen.MENU[order % len(gen.MENU)]["name"]
         article = "an" if item[0] in "aeiou" else "a"
-        phrase = ORDER_PHRASES[order % len(ORDER_PHRASES)].format(item=f"{article} {item}")
+        phrase = gen.ORDER_PHRASES[order % len(gen.ORDER_PHRASES)].format(item=f"{article} {item}")
         events.append({"t": t, "type": "call", "table": table})
         events.append({"t": t + 0.5, "type": "utterance", "table": table, "text": phrase})
         t += 2.0
         order += 1
         interactions += 1
 
-    return {
-        "world": {
-            "grid_file": "restaurant.grid",
-            "zones": [
-                {"name": "dining area", "p1": [0.5, 0.5], "p2": [8.9, 7.5]},
-                {"name": "kitchen", "p1": [8.9, 4.5], "p2": [11.5, 7.5]},
-            ],
-            "menu": MENU,
-            "kitchen_table": KITCHEN_ID,
-            "robot_start": [6.0, 4.0, 0.0],
-            "stock": {entry["name"]: 12 for entry in MENU},
-            "nav_params": {
-                "robot_radius": 0.25,
-                "clearance": 0.2,
-                "alpha": 10.0,
-                "window_half_width": 1.5,
-            },
-        },
-        "events": events,
-    }
+    return {"world": gen.world("restaurant.grid", KITCHEN_ID, (6.0, 4.0), ZONES, 12), "events": events}
 
 
 def build_cloud_text() -> str:

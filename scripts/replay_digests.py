@@ -13,14 +13,15 @@ diffing the output tells whether a change kept every replay log byte-identical.
 """
 
 import hashlib
-import importlib.util
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 
+import gen  # noqa: E402
 from waiterbot.formats import load_scenario  # noqa: E402
 from waiterbot.sim import RunConfig, Simulation  # noqa: E402
 
@@ -29,22 +30,12 @@ RUN_SEEDS = (0, 3)
 MODES = ("parallel", "sequential")
 
 
-def load_gen():
-    """`bench/gen.py` as a module, read in place."""
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look the module up
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def digest(scenario_path: Path, run_seed: int, mode: str) -> str:
     _, log = Simulation(load_scenario(scenario_path), RunConfig(mode=mode, seed=run_seed)).run()
     return hashlib.sha256(("\n".join(log) + "\n").encode()).hexdigest()
 
 
 def main() -> None:
-    gen = load_gen()
     with tempfile.TemporaryDirectory() as tmp:
         scenarios = [("restaurant_41", "-", ROOT / "scenarios" / "restaurant_41.json")]
         for workload in ("busy_floor", "banquet"):

@@ -100,6 +100,10 @@ def cmd_nav_goal(args) -> int:
     except FurnitureNotFound:
         raise CliError(f"unknown furniture id {args.furniture!r}", DOMAIN_EXIT) from None
     params = NavGoalParams()
+    try:
+        params.check_map(grid)  # before any disc or window is built from it
+    except ValueError as e:
+        raise CliError(f"bad grid {args.map}: {e}", USAGE_EXIT) from None
     risk = inflate(layer.virtual_obstacles(grid), params.robot_radius)
     try:
         goal = select_goal(risk, target, robot, params)

@@ -275,7 +275,8 @@ class FurnitureLayer:
         largest one and tested in one broadcast, each against its own polygon;
         the padding, and a window that misses the map, mark nothing.  Window
         bounds are clipped to just beyond the map before the integer cast, so
-        a corner any distance away cannot overflow it.
+        a corner any distance away cannot overflow it; a quotient that
+        overflows is inf, and clipped the same way.
         """
         cells = grid.cells.copy()
         res, (ox, oy) = grid.resolution, grid.origin
@@ -284,8 +285,9 @@ class FurnitureLayer:
         corners = (np.array([inst.corners for inst in instances]).reshape(-1, 4, 2)
                    + np.array([inst.center[:2] for inst in instances], dtype=np.float64).reshape(-1, 1, 2))
         edge = max(grid.width, grid.height) + 1
-        lo = np.clip(np.floor((corners.min(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) - 1
-        hi = np.clip(np.floor((corners.max(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) + 1
+        with np.errstate(over="ignore"):  # a quotient past the float range is inf, which the clip bounds
+            lo = np.clip(np.floor((corners.min(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) - 1
+            hi = np.clip(np.floor((corners.max(axis=1) - (ox, oy)) / res), -2, edge).astype(np.int64) + 1
         c0, r0 = np.maximum(lo, 0).T[:, :, None, None]
         c1, r1 = np.minimum(hi, (grid.width - 1, grid.height - 1)).T[:, :, None, None]
         cols = c0 + np.arange(np.max(c1 - c0, initial=-1) + 1)  # (n, 1, window width)

@@ -99,8 +99,9 @@ class GridMap:
 
 def world_to_cell(grid: GridMap, p: tuple[float, float]) -> CellIndex:
     """Cell containing world point p (floor semantics); raises BoundsError outside."""
-    col = math.floor((p[0] - grid.origin[0]) / grid.resolution)
-    row = math.floor((p[1] - grid.origin[1]) / grid.resolution)
+    # a quotient beyond the map is clipped to just past it, so no distance overflows the floor
+    col = math.floor(min(max((p[0] - grid.origin[0]) / grid.resolution, -1.0), grid.width))
+    row = math.floor(min(max((p[1] - grid.origin[1]) / grid.resolution, -1.0), grid.height))
     c = CellIndex(col, row)
     if not grid.in_bounds(c):
         raise BoundsError(f"point {p} outside map extent")
@@ -215,6 +216,12 @@ def load_grid(text: str) -> GridMap:
         raise GridFormatError(f"bad header field: {e}", 1) from None
     if width < 1 or height < 1 or resolution <= 0:
         raise GridFormatError("non-positive dimensions or resolution", 1)
+    try:
+        far = (origin[0] + width * resolution, origin[1] + height * resolution)
+    except OverflowError:  # a size beyond the float range
+        far = (math.inf, math.inf)
+    if not all(map(math.isfinite, (resolution, *origin, *far))):
+        raise GridFormatError("resolution, origin and far map corner must be finite", 1)
     if len(lines) - 1 != height:
         raise GridFormatError(f"expected {height} rows, found {len(lines) - 1}", len(lines))
     rows = lines[1:]

@@ -113,12 +113,14 @@ def _axis_range(center: float, half_width: float, origin: float, resolution: flo
     """First and last index along one axis whose cell center lies within
     +-half_width of center (first > last when none does).  Cell centers rise
     with the index, so those indices are one run: the floor estimate is
-    trimmed at both ends with the per-cell test."""
+    trimmed at both ends with the per-cell test.  Each quotient is clipped to
+    just beyond the map first, so a center any distance away cannot overflow
+    the floor."""
     def inside(i: int) -> bool:
         return abs(origin + (i + 0.5) * resolution - center) <= half_width
 
-    lo = max(0, math.floor((center - half_width - origin) / resolution) - 1)
-    hi = min(size - 1, math.floor((center + half_width - origin) / resolution) + 1)
+    lo = max(0, math.floor(min(max((center - half_width - origin) / resolution, -2.0), size + 1)) - 1)
+    hi = min(size - 1, math.floor(min(max((center + half_width - origin) / resolution, -2.0), size + 1)) + 1)
     while lo <= hi and not inside(lo):
         lo += 1
     while hi >= lo and not inside(hi):

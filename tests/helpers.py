@@ -1,6 +1,5 @@
 """Test doubles and fixtures-as-functions that the program itself never needs."""
 
-import importlib.util
 import math
 import sys
 from pathlib import Path
@@ -12,6 +11,8 @@ from waiterbot.furniture import Detection3D, FurnitureInstance, tracked
 from waiterbot.llm import TransportError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "bench"))
+import gen  # noqa: E402,F401  bench/gen.py, the one scenario writer
 
 
 class StubTransport:
@@ -57,11 +58,3 @@ def tabletops():
             yaw = float(rng.uniform(-math.pi, math.pi))
             yield table("t", center, dims, yaw), n_items
 
-
-def bench_gen(monkeypatch):
-    """`bench/gen.py` as a module, read in place."""
-    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
-    spec.loader.exec_module(gen)
-    return gen

@@ -449,6 +449,41 @@ def _robot_start(doc):
     return "world.robot_start"
 
 
+def _grid_header(field, value):
+    # the shipped grid with header field `field` (4 resolution, 5 and 6 origin) set to `value`
+    def mutate(lines):
+        head = lines[0].split(" ")
+        head[field] = value
+        lines[0] = " ".join(head)
+        return "line 1"
+    return mutate
+
+
+def _coarse_grid(lines):
+    # a 4 x 4 map of 1e300 m cells, where a goal's distance term overflows int64:
+    # `nav-goal` once warned twice and then found an arbitrary "no admissible cell"
+    lines[:] = ["gridmap v1 4 4 1e300 0.0 0.0", *["...."] * 4]
+    return "alpha 10.0"
+
+
+def _run_over_grid(grid):
+    # restaurant_41 over the grid at `grid`
+    doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
+    doc["world"]["grid_file"] = grid.name
+    scenario = grid.with_name("scenario.json")
+    scenario.write_text(json.dumps(doc))
+    return ["run", "--scenario", scenario]
+
+
+# a command that reads a grid -> its command line over the grid at a path
+GRID_READERS = {
+    "run over grid": _run_over_grid,
+    "build over grid": lambda grid: ["map", "build", "--grid", grid, "--detections", SCENARIOS / "six_tables.json"],
+    "nav-goal over grid": lambda grid: ["nav-goal", "--map", grid, "--layers", GOLDEN / "six_tables_layers.json",
+                                        "--furniture", "table_0", "--robot", "6,4,0"],
+}
+
+
 def _unknown_kitchen(doc):
     # parses; the run stops at the first call, which has no kitchen to fetch from
     doc["world"]["kitchen_table"] = "sofa_9"
@@ -588,6 +623,20 @@ MALFORMED_INPUTS = {
     "human position with two values": ("run", _event("human", "position", [2.8, 2.6])),
     "integer utterance text": ("run", _event("utterance", "text", 42)),
     "robot start outside the grid": ("run", _robot_start),
+    # its cell's quotient is inf, which the floor would not take
+    "robot start at the end of the float range": ("run", _world_at("robot_start", value=[1e308, 4.0, 0.0])),
+    # once a run that abandoned every call
+    "grid of infinite resolution": ("run over grid", _grid_header(4, "inf")),
+    "grid of NaN resolution": ("run over grid", _grid_header(4, "nan")),
+    "grid of NaN origin": ("run over grid", _grid_header(5, "nan")),
+    "grid of infinite origin": ("run over grid", _grid_header(6, "inf")),
+    "grid whose far corner overflows": ("run over grid", _grid_header(4, "1e307")),
+    "nav-goal grid of NaN resolution": ("nav-goal over grid", _grid_header(4, "nan")),
+    "nav-goal grid of infinite origin": ("nav-goal over grid", _grid_header(5, "-inf")),
+    "nav-goal grid whose far corner overflows": ("nav-goal over grid", _grid_header(4, "3e306")),
+    "nav-goal grid too coarse for the goal costs": ("nav-goal over grid", _coarse_grid),
+    "map build grid of infinite resolution": ("build over grid", _grid_header(4, "inf")),
+    "map build grid of NaN origin": ("build over grid", _grid_header(6, "nan")),
     "repeated detection frame": ("run", _second_frame("detections", 0)),
     "human frame older than the previous one": ("run", _second_frame("human", 1)),
     "list call table": ("run", _event("call", "table", ["table_0"])),
@@ -689,9 +738,15 @@ MALFORMED_INPUTS = {
 
 
 def write_malformed(case, path):
-    """Write the `MALFORMED_INPUTS` row `case` to `path`; returns the command
-    line that reads it and the text its error must contain."""
+    """Write the `MALFORMED_INPUTS` row `case` to `path` (a grid row's grid,
+    beside the scenario that reads it); returns the command line that reads it
+    and the text its error must contain."""
     target, mutate = MALFORMED_INPUTS[case]
+    if target in GRID_READERS:
+        lines = (SCENARIOS / "restaurant.grid").read_text().splitlines()
+        named = mutate(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return GRID_READERS[target](path), named
     if target == "run":
         doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
         doc["world"]["grid_file"] = str(SCENARIOS / doc["world"]["grid_file"])
@@ -709,7 +764,7 @@ def write_malformed(case, path):
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2_naming_its_source(capsys, tmp_path, case):
-    """Each malformed scenario, detection log or layer dump ends with exit 2,
+    """Each malformed scenario, detection log, layer dump or grid ends with exit 2,
     names the bad event or entry, and prints no traceback."""
     argv, named = write_malformed(case, tmp_path / "input.json")
     code, out, err = run_cli(capsys, argv)
@@ -756,6 +811,26 @@ def test_table_seen_again_with_its_yaw_turned_by_pi_exits_0(capsys, tmp_path, co
         assert "orders_total" in out
     else:
         assert [e["id"] for e in json.loads(out)["furniture"]] == [f"table_{k}" for k in range(len(frames[0]["boxes"]))]
+
+
+def test_a_table_at_the_end_of_the_float_range_abandons_its_calls(capsys, tmp_path):
+    """table_4 is detected at x = 1e308 in both frames: its goal window's
+    quotient is inf, so each of its calls is abandoned, and the rest are served."""
+    doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
+    doc["world"]["grid_file"] = str(SCENARIOS / doc["world"]["grid_file"])
+    for ev in doc["events"]:
+        if ev["type"] == "detections":
+            ev["boxes"][4]["center"][0] = 1e308
+    path, log = tmp_path / "input.json", tmp_path / "run.log"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["run", "--scenario", path, "--log", log])
+    assert code == 0, err
+    abandoned = [json.loads(line) for line in log.read_text().splitlines() if "call_abandoned" in line]
+    calls = sum(1 for ev in doc["events"] if ev["type"] == "call" and ev["table"] == "table_4")
+    assert calls == len(abandoned) == 9
+    assert all(rec["table"] == "table_4" and rec["reason"] == "candidate window misses the map"
+               for rec in abandoned)
+    assert out.splitlines()[-1] == "accuracy         29/33 (0.8788)"
 
 
 @pytest.mark.parametrize("command,kind", [

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import bench_gen, table
+from helpers import gen, table
 from oracles import (all_cells, cell_to_world, disc_pairs, exact_iou_3d, exact_point_in_convex_polygon,
                      loop_match_pairs, loop_virtual_obstacles)
 from waiterbot import furniture as furniture_module
@@ -228,9 +228,9 @@ class TestMatchPairs:
             assert [(di, iid) for _, di, iid in got] == [(0, "a"), (5, "b")]
 
 
-def busy_floor_frames(monkeypatch, seed):
+def busy_floor_frames(seed):
     """(frame id, detections) of each detection frame of `bench/gen.py`'s busy_floor."""
-    events = bench_gen(monkeypatch).busy_floor(seed).scenario["events"]
+    events = gen.busy_floor(seed).scenario["events"]
     return [(ev["frame"], detections_from_json(ev["boxes"])) for ev in events if ev["type"] == "detections"]
 
 
@@ -241,9 +241,9 @@ class TestFrameWork:
     SEEDS = [0, 3, 11, 42]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_pairs_equal_the_all_pairs_loop_on_every_frame(self, monkeypatch, seed):
+    def test_pairs_equal_the_all_pairs_loop_on_every_frame(self, seed):
         layer = FurnitureLayer()
-        for frame, detections in busy_floor_frames(monkeypatch, seed):
+        for frame, detections in busy_floor_frames(seed):
             instances = layer.instances()
             assert match_pairs(detections, instances) == loop_match_pairs(detections, instances)
             layer.track_frame(detections, frame)
@@ -256,7 +256,7 @@ class TestFrameWork:
         grid = GridMap(0.1, (0.0, 0.0), np.zeros((240, 360), dtype=np.uint8))  # the 36 x 24 m hall
         layer = FurnitureLayer()
         boxes = []  # every box made, held so that no object id is reused
-        for frame, detections in busy_floor_frames(monkeypatch, seed):
+        for frame, detections in busy_floor_frames(seed):
             layer.track_frame(detections, frame)
             boxes += [*detections, *layer.instances()]
             made = len(calls)
@@ -270,7 +270,7 @@ class TestFrameWork:
         calls = []
         corners = furniture_module.rect_corners
         monkeypatch.setattr(furniture_module, "rect_corners", lambda *a: calls.append(a) or corners(*a))
-        frames = busy_floor_frames(monkeypatch, 3)
+        frames = busy_floor_frames(3)
         made = []
         for _ in range(2):
             layer = FurnitureLayer()
@@ -282,7 +282,7 @@ class TestFrameWork:
 
     def test_tracking_checks_no_field_again(self, monkeypatch):
         # a box's fields are checked when its detection is made; the instances made of it check none again
-        frames = busy_floor_frames(monkeypatch, 3)
+        frames = busy_floor_frames(3)
         calls = []
         for name in ("check_string", "finite_tuple", "is_finite"):
             check = getattr(furniture_module, name)
@@ -299,7 +299,7 @@ class TestFrameWork:
         monkeypatch.setattr(furniture_module, "iou_3d", lambda a, b: calls.append(1) or iou(a, b))
         layer = FurnitureLayer()
         discs = 0
-        for frame, detections in busy_floor_frames(monkeypatch, seed):
+        for frame, detections in busy_floor_frames(seed):
             discs += disc_pairs(detections, layer.instances())
             layer.track_frame(detections, frame)
         assert len(calls) <= discs
@@ -381,6 +381,16 @@ class TestVirtualObstacles:
             warnings.simplefilter("error", RuntimeWarning)
             out = layer.virtual_obstacles(grid)
         assert out == loop_virtual_obstacles(layer, grid)
+
+    @pytest.mark.parametrize("x", [1e308, -1.7e308])
+    def test_footprint_at_the_end_of_the_float_range_marks_nothing(self, x):
+        # its window bounds divide to inf, which is clipped like any far bound, with no overflow warning
+        layer = FurnitureLayer()
+        layer.restore(table("counter", (x, 2.0, 0.36), (1.2, 0.8, 0.72), 0.3))
+        grid = empty_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert layer.virtual_obstacles(grid) == grid
 
     def test_idempotent_and_monotone(self):
         layer = FurnitureLayer()

@@ -41,6 +41,13 @@ class TestTransforms:
         with pytest.raises(BoundsError):
             world_to_cell(m, (-0.01, 0.1))
 
+    @pytest.mark.parametrize("point", [(1e308, 0.1), (-1.7e308, 0.1), (0.1, 1.7e308), (1.7e308, -1.7e308)])
+    def test_a_point_any_distance_away_is_out_of_bounds(self, point):
+        # the quotient is clipped before the floor, which would overflow on inf
+        m = make_grid(["....."] * 5, origin=(-1e308, 0.0))
+        with pytest.raises(BoundsError):
+            world_to_cell(m, point)
+
     def test_cell_center(self):
         m = make_grid(["....."] * 5)
         assert cell_to_world(m, CellIndex(0, 0)) == (0.025, 0.025)
@@ -215,6 +222,26 @@ class TestSerialization:
     def test_malformed_header(self):
         with pytest.raises(GridFormatError) as err:
             load_grid("gridmap v2 1 1 0.1 0 0\n.\n")
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("header", [
+        "gridmap v1 3 2 nan 0.0 0.0",
+        "gridmap v1 3 2 inf 0.0 0.0",
+        "gridmap v1 3 2 0.1 nan 0.0",
+        "gridmap v1 3 2 0.1 0.0 -inf",
+        # the far corner, origin + size * resolution, overflows
+        "gridmap v1 3 2 1e308 0.0 0.0",
+        "gridmap v1 3 2 1e307 1.7e308 0.0",
+        "gridmap v1 3 2 1e308 0.0 -1e308",
+    ])
+    def test_a_header_that_is_not_a_finite_map_names_line_1(self, header):
+        with pytest.raises(GridFormatError) as err:
+            load_grid(f"{header}\n...\n...\n")
+        assert err.value.line == 1 and "must be finite" in str(err.value)
+
+    def test_a_width_beyond_the_float_range_names_line_1(self):
+        with pytest.raises(GridFormatError) as err:
+            load_grid(f"gridmap v1 {10**400} 1 0.1 0.0 0.0\n.\n")
         assert err.value.line == 1
 
     def test_row_count_mismatch(self):

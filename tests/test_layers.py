@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import bench_gen
+from helpers import gen
 from waiterbot.formats import LayerFormatError, detection_entry, detections_from_json, dump_layers, load_layers
 from waiterbot.furniture import Detection3D, FurnitureLayer
 
@@ -43,7 +43,7 @@ def test_hand_written_base_z_and_height_survive_load():
             assert dump_layers(load_layers(text)) == text
 
 
-def tracked_layers(monkeypatch):
+def tracked_layers():
     """The layers tracked from six_tables' detection log and from busy_floor's
     frames (generator seed 3: 40 tables, 17 frames)."""
     six = FurnitureLayer()
@@ -51,18 +51,18 @@ def tracked_layers(monkeypatch):
         frame = detection_entry(entry)
         six.track_frame(frame.boxes, frame.frame)
     busy = FurnitureLayer()
-    for ev in bench_gen(monkeypatch).busy_floor(3).scenario["events"]:
+    for ev in gen.busy_floor(3).scenario["events"]:
         if ev["type"] == "detections":
             busy.track_frame(detections_from_json(ev["boxes"]), ev["frame"])
     return six, busy
 
 
-def test_a_layer_read_back_keeps_every_instances_geometry_bit_for_bit(monkeypatch):
+def test_a_layer_read_back_keeps_every_instances_geometry_bit_for_bit():
     # corners, area and height interval, which matching reads, are those of the live layer
     def bits(values):
         return np.array(values, dtype=np.float64).tobytes()
 
-    for layer in tracked_layers(monkeypatch):
+    for layer in tracked_layers():
         live, loaded = layer.instances(), load_layers(dump_layers(layer)).instances()
         assert [i.id for i in loaded] == [i.id for i in live] and len(live) in (6, 40)
         for a, b in zip(live, loaded):

@@ -377,6 +377,18 @@ def test_a_window_off_the_map_and_one_with_no_admissible_cell_raise_no_goal():
     assert_same_goal(risk, near.get("t"), Pose2D(0.0, 1.0), params)
 
 
+@pytest.mark.parametrize("x", [1e308, -1.7e308, 1.7976931348623157e308])
+def test_a_table_at_the_end_of_the_float_range_misses_the_map(x):
+    # the window's quotient is inf there; it is clipped before the floor, which would overflow
+    params = NavGoalParams()
+    far = table_layer(x, 1.0)
+    _, risk = world(layer=None)
+    with pytest.raises(NoGoalError, match="^candidate window misses the map$"):
+        select_goal(risk, far.get("t"), Pose2D(1.0, 1.0), params)
+    lo, hi = _axis_range(x, params.window_half_width, 0.0, 0.1, 20)
+    assert lo > hi
+
+
 @pytest.mark.parametrize("candidate,cell", [
     ((1.0, 1.0), (3, 3)),    # on a cell corner: four cells at one distance, the lowest row then column wins
     ((1.0, 1.125), (3, 4)),  # on a vertical cell edge: two cells in one row, the lower column wins

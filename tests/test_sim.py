@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import bench_gen, table, tabletops
+from helpers import gen, table, tabletops
 from oracles import all_cells, path_cost, relaxation_path_cost
 from waiterbot import cli as cli_module
 from waiterbot import placement as placement_module
@@ -567,7 +567,6 @@ class TestSurfaceStore:
         if workload == "restaurant_41":
             path = SCENARIO_PATH
         else:
-            gen = bench_gen(monkeypatch)
             path = gen.write(gen.GENERATORS[workload](3), tmp_path)
         calls = []
         place = sim_module.find_placement
@@ -767,9 +766,13 @@ def test_metrics_dict_keeps_the_denominator(metrics, accuracy):
     assert metrics.render().splitlines()[-1].split()[1] == accuracy
 
 
-def pinned_log_digests() -> dict[str, str]:
-    lines = (GOLDEN / "restaurant_41_log.sha256").read_text().splitlines()
-    return dict(line.split() for line in lines)
+def pinned_log_digest(workload: str, generator_seed: str, run_seed: int, mode: str) -> str:
+    """The log sha256 that `tests/golden/replay_digests.txt` pins for one replay."""
+    for line in (GOLDEN / "replay_digests.txt").read_text().splitlines():
+        *replay, digest = line.split()
+        if replay == [workload, generator_seed, str(run_seed), mode]:
+            return digest
+    raise KeyError(f"{workload} {generator_seed} {run_seed} {mode} is not pinned")
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])
@@ -778,7 +781,7 @@ def test_replay_log_bytes_are_pinned(mode, tmp_path, capsys):
     log = tmp_path / "run.log"
     args = ["run", "--scenario", str(SCENARIO_PATH), "--mode", mode, "--seed", "0", "--log", str(log)]
     assert dispatch(args) == 0
-    assert hashlib.sha256(log.read_bytes()).hexdigest() == pinned_log_digests()[mode]
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == pinned_log_digest("restaurant_41", "-", 0, mode)
 
 
 def test_parallel_replay_with_the_rule_backend_starts_no_thread(monkeypatch):
@@ -793,30 +796,6 @@ def test_parallel_replay_with_the_rule_backend_starts_no_thread(monkeypatch):
     assert metrics.orders_total == 41 and seen
     assert all(threads == before for threads in seen)
     assert set(threading.enumerate()) == before
-
-
-# the sha256 that `bench/run.py --seed 3` prints for the generated workloads,
-# replayed in the pipeline mode the benchmark gives each of them
-GENERATED_LOG_SHA256 = {  # workload and mode -> generator seed -> log sha256
-    ("busy_floor", "parallel"): {
-        3: "a05efd06d8aa4f312a27e1673487a60fae292d87367f47e1292c4fbe265dedca",
-        11: "e963a53f346f196fc87f238d75bcb2625adaf88c62bf429406ec9986c0a6b4de",
-    },
-    ("banquet", "sequential"): {
-        3: "fcfe9d2c10e8114207a64d3cf9d4f647acdc9f28e6791622ab8abc2d95b93a1b",
-        11: "0706c55d761b07f3a7718e6bdbf6cc4c78f2db135cc0a7a6b530beb63961976d",
-    },
-}
-
-
-@pytest.mark.parametrize("workload,mode", sorted(GENERATED_LOG_SHA256))
-def test_generated_workload_log_bytes_are_pinned(workload, mode, tmp_path, monkeypatch):
-    gen = bench_gen(monkeypatch)
-    for seed, expected in GENERATED_LOG_SHA256[workload, mode].items():
-        scenario = load_scenario(gen.write(gen.GENERATORS[workload](seed), tmp_path / str(seed)))
-        _, log = Simulation(scenario, RunConfig(mode=mode, seed=0)).run()
-        digest = hashlib.sha256(("\n".join(log) + "\n").encode()).hexdigest()
-        assert digest == expected, f"seed {seed}"
 
 
 def test_the_replay_digest_matrix_is_pinned():
@@ -881,7 +860,6 @@ def test_no_store_changes_a_replay_log(monkeypatch, tmp_path):
     # each store is exact: restaurant_41, the two generated workloads and a world
     # whose map changes under stored goals and paths replay to the same bytes with
     # every store forgetting (15 replays each way, about 1.3 s)
-    gen = bench_gen(monkeypatch)
     replays = [(load_scenario(SCENARIO_PATH), RunConfig(mode="parallel", seed=seed)) for seed in (0, 3)]
     replays.append((restaurant_with_a_crate(), RunConfig(mode="parallel")))
     for workload, mode in (("busy_floor", "parallel"), ("banquet", "sequential")):
@@ -901,11 +879,21 @@ GENERATED_MODES = {"busy_floor": "parallel", "banquet": "sequential"}
 def test_no_store_changes_a_generated_replay_at_any_seed(workload, generator_seed, run_seed):
     # the generated workloads beyond the fixed seeds above, through `waiterbot run`
     # (8 examples, about 1 s)
-    with pytest.MonkeyPatch.context() as patch, TemporaryDirectory() as tmp:
-        gen = bench_gen(patch)
+    with TemporaryDirectory() as tmp:
         path = gen.write(gen.GENERATORS[workload](generator_seed), Path(tmp))
         (code, log), storeless = run_with_and_without_stores(path, GENERATED_MODES[workload], run_seed, Path(tmp))
     assert code in (0, 2) and (code, log) == storeless
+
+
+def restaurant_doc() -> dict:
+    """restaurant_41's document, its grid named by an absolute path."""
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["world"]["grid_file"] = str(SCENARIO_PATH.parent / doc["world"]["grid_file"])
+    return doc
+
+
+def call_indices(events: list[dict]) -> list[int]:
+    return [i for i, ev in enumerate(events) if ev["type"] == "call"]
 
 
 def perturbed_restaurant(turn: bool, table_: int, first: int, gap: int) -> dict:
@@ -914,8 +902,7 @@ def perturbed_restaurant(turn: bool, table_: int, first: int, gap: int) -> dict:
     True); `gap` calls later, if there are that many, back as it was.  Both
     change no cell of the map, so a stored goal or path stays right after
     them only if its key is exact."""
-    doc = json.loads(SCENARIO_PATH.read_text())
-    doc["world"]["grid_file"] = str(SCENARIO_PATH.parent / doc["world"]["grid_file"])
+    doc = restaurant_doc()
     events = doc["events"]
     boxes = events[1]["boxes"]
     box = dict(boxes[table_])
@@ -923,7 +910,7 @@ def perturbed_restaurant(turn: bool, table_: int, first: int, gap: int) -> dict:
         box["yaw"] = box["yaw"] + math.pi
     else:
         box["center"] = [math.nextafter(box["center"][0], math.inf), *box["center"][1:]]
-    calls = [i for i, ev in enumerate(events) if ev["type"] == "call"]
+    calls = call_indices(events)
     if first + gap < len(calls):
         at = calls[first + gap]
         events.insert(at, {"t": events[at]["t"], "type": "detections", "frame": 3, "boxes": boxes})
@@ -941,6 +928,63 @@ def test_no_store_changes_the_replay_of_a_perturbed_world(turn, table_, first, g
     with TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(perturbed_restaurant(turn, table_, first, gap)))
+        (code, log), storeless = run_with_and_without_stores(path, "parallel", run_seed, Path(tmp))
+    assert code in (0, 2) and (code, log) == storeless
+
+
+def restaurant_with_a_twin(table_: int, first: int, served: int) -> dict:
+    """restaurant_41 with a frame before its `first` call that sees table
+    `table_` twice at one pose.  The twin is tracked as `table_6`, and the
+    `served` calls from the `first` on go to it.  The two share one top store
+    entry, while their items differ."""
+    doc = restaurant_doc()
+    events = doc["events"]
+    calls = call_indices(events)
+    for i in calls[first : first + served]:
+        events[i]["table"] = events[i + 1]["table"] = "table_6"  # the call and its utterance
+    boxes = events[1]["boxes"]
+    at = calls[first]
+    events.insert(at, {"t": events[at]["t"], "type": "detections", "frame": 2, "boxes": [*boxes, boxes[table_]]})
+    return doc
+
+
+# a 1.2 x 0.8 m table's approach points, E W N S: half the table plus robot_radius + clearance out
+APPROACHES = ((1.05, 0.0), (-1.05, 0.0), (0.0, 0.85), (0.0, -0.85))
+
+
+def restaurant_with_a_frame_inside_a_call(call: int, table_: int, side: int) -> dict:
+    """restaurant_41 with a frame between its `call`-th call and that call's
+    utterance, which sets a crate down on approach point `side` of table
+    `table_`.  A call takes its utterance when it is served, so the frame comes
+    after the whole task and changes the map under the goals and paths the
+    task stored."""
+    doc = restaurant_doc()
+    events = doc["events"]
+    x, y, _ = events[1]["boxes"][table_]["center"]
+    dx, dy = APPROACHES[side]
+    crate = {"class": "crate", "center": [x + dx, y + dy, 0.25], "dims": [0.4, 0.4, 0.5]}
+    boxes = [*events[1]["boxes"], crate]
+    at = call_indices(events)[call] + 1
+    events.insert(at, {"t": events[at]["t"], "type": "detections", "frame": 2, "boxes": boxes})
+    return doc
+
+
+WORLDS = st.one_of(
+    st.builds(restaurant_with_a_twin, table_=st.integers(0, 5), first=st.integers(0, 43),
+              served=st.integers(1, 10)),
+    st.builds(restaurant_with_a_frame_inside_a_call, call=st.integers(0, 43), table_=st.integers(0, 5),
+              side=st.integers(0, 3)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(doc=WORLDS, run_seed=st.integers(0, 99))
+def test_no_store_changes_the_replay_of_a_twin_or_a_frame_inside_a_call(doc, run_seed):
+    # two equal tables at one pose, or a crate set down between a call and its
+    # utterance (12 examples, about 1.5 s)
+    with TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
         (code, log), storeless = run_with_and_without_stores(path, "parallel", run_seed, Path(tmp))
     assert code in (0, 2) and (code, log) == storeless
 
