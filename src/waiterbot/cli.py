@@ -16,12 +16,12 @@ from pathlib import Path
 from .furniture import FrameOrderError, FurnitureError, FurnitureLayer, FurnitureNotFound
 from .formats import LayerFormatError, ScenarioError, detection_entry, dump_layers, load_layers, load_scenario
 from .geometry import Pose2D, finite_tuple
-from .grid import GridFormatError, inflate, load_grid
+from .grid import GridFormatError, load_grid
 from .llm import RemoteBackend
-from .navgoal import NavGoalParams, NoGoalError, select_goal
+from .navgoal import NavGoalParams, NoGoalError
 from .placement import NoSpaceError, PlacementError, find_placement, load_cloud, ransac_plane
 from .planner import PathError
-from .sim import RunConfig, Simulation
+from .sim import MapView, RunConfig, Simulation
 from .tasks import build_prompts, render_trace
 
 USAGE_EXIT = 2
@@ -104,9 +104,8 @@ def cmd_nav_goal(args) -> int:
         params.check_map(grid)  # before any disc or window is built from it
     except ValueError as e:
         raise CliError(f"bad grid {args.map}: {e}", USAGE_EXIT) from None
-    risk = inflate(layer.virtual_obstacles(grid), params.robot_radius)
     try:
-        goal = select_goal(risk, target, robot, params)
+        goal = MapView(grid, layer, params).goal(target, robot)
     except NoGoalError as e:
         raise CliError(f"no goal: {e}", DOMAIN_EXIT) from None
     print(f"cell: ({goal.cell.col}, {goal.cell.row})")

@@ -222,6 +222,9 @@ def load_grid(text: str) -> GridMap:
         far = (math.inf, math.inf)
     if not all(map(math.isfinite, (resolution, *origin, *far))):
         raise GridFormatError("resolution, origin and far map corner must be finite", 1)
+    # above that bound each cell centre, origin + (i + 0.5) * resolution, is off by under a tenth of a cell
+    if resolution <= 16 * math.ulp(max(map(abs, (*origin, *far)))):
+        raise GridFormatError(f"resolution {resolution:g} is not above 16 ulps of the map's largest coordinate", 1)
     if len(lines) - 1 != height:
         raise GridFormatError(f"expected {height} rows, found {len(lines) - 1}", len(lines))
     rows = lines[1:]

@@ -9,10 +9,10 @@ cell (risk < 100) with the lowest sum wins; ties go to the cell closer to the
 candidate point, then to the lower row-major index.
 
 The risk field is the only map read and the only admissibility rule.
-Precondition: `risk` is `inflate(layer.virtual_obstacles(grid), r)`, r >= 0.
-`virtual_obstacles` marks OCCUPIED every cell whose center (`origin + (i +
-0.5) * res`) passes the closed footprint test, so those cells hold risk 100
-and no goal can land inside a piece of furniture.
+Precondition: `risk` is `sim.MapView.risk`, the grid with every footprint
+marked by `virtual_obstacles`, inflated by a radius r >= 0.  A cell whose
+center (`origin + (i + 0.5) * res`) passes the closed footprint test is then
+at risk 100, so no goal can land inside a piece of furniture.
 
 `select_goal` scores the whole window at once.  The window is one run of
 rows by one run of columns, and its weighted values, zero-padded by the
@@ -138,8 +138,7 @@ def select_goal(
     (cost, distance, row-major index) over the admissible cells of the window,
     each cost four slices of one zero-padded summed-area table.
 
-    `risk` must be `inflate(layer.virtual_obstacles(grid), r)` (see the module
-    docstring): cells inside any furniture footprint are then at risk 100.
+    `risk` must be a `MapView`'s, where every footprint cell is at risk 100 (see above).
     """
     px, py = select_candidate(candidate_points(target, params), robot_pose)
     nr = params.cell_neighborhood(risk.resolution)

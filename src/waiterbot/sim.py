@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -22,9 +23,10 @@ import numpy as np
 from .formats import Call, DetectionFrame, Fault, Scenario, ScenarioError, Utterance
 from .formats import load_scenario  # noqa: F401  (the benchmark reads it as `sim.load_scenario`)
 from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound
-from .grid import RISK_MAX, CellIndex, RiskField, inflate, world_to_cell
+from .geometry import Pose2D
+from .grid import RISK_MAX, CellIndex, GridMap, RiskField, inflate, world_to_cell
 from .llm import RuleBackend
-from .navgoal import NavGoal, NoGoalError, candidate_points, select_candidate, select_goal
+from .navgoal import NavGoal, NavGoalParams, NoGoalError, candidate_points, select_candidate, select_goal
 from .placement import GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, find_placement, ransac_plane
 from .planner import PathError, plan_path
 from .semantic import HumanLayer, HumanObservation
@@ -84,7 +86,7 @@ class Metrics:
 
 
 class TableTop:
-    """A table top's entry in `Simulation`'s placement store: its points (the
+    """A table top's entry in a `MapView`'s placement store: its points (the
     sample grid, i-major then j, then a 3 x 3 cluster per item slot, added a
     row of 4 slots at a time when an item needs one) and the stores its clouds
     share.  The cloud of n items is the read-only prefix of the first G + 9n
@@ -126,29 +128,80 @@ class TableTop:
         return view
 
 
-def table_top(table: FurnitureInstance, tops: dict[bytes, TableTop]) -> TableTop:
-    """`table`'s entry in the store `tops`, made on first use, keyed on the
-    bytes of the pose, dims and base height its points are drawn from."""
-    key = np.array([table.pose.x, table.pose.y, table.pose.theta, *table.dims, table.base_z]).tobytes()
-    if key not in tops:
-        tops[key] = TableTop(table)
-    return tops[key]
+class MapView:
+    """One map's grid, furniture layer and `nav_params`, and all derived from
+    them: the risk field and the goal, path and table-top stores.  `Simulation`
+    drops its view on each detection frame, the one event that changes the map,
+    so no result outlives its map; a layer added later must drop it on each
+    change.  A top's refits and surfaces are keyed on the inlier index set,
+    which fixes the inlier points: point i is the same in each of its clouds."""
+
+    def __init__(self, grid: GridMap, layer: FurnitureLayer, params: NavGoalParams):
+        self.grid, self.layer, self.params = grid, layer, params
+        self._goals: dict[tuple[str, tuple[float, float]], NavGoal] = {}
+        self._paths: dict[tuple[CellIndex, CellIndex], tuple[list[CellIndex], int]] = {}  # path, lethal cells
+        self._tops: dict[str, TableTop] = {}
+
+    @cached_property
+    def risk(self) -> RiskField:
+        """The layers combined: the grid with every furniture footprint marked,
+        inflated by the robot radius, on first read (a map no call reads costs none)."""
+        return inflate(self.layer.virtual_obstacles(self.grid), self.params.robot_radius)
+
+    def goal(self, target: FurnitureInstance, pose: Pose2D) -> NavGoal:
+        """`select_goal(risk, target, pose, params)`, run once per table side.
+
+        The store is keyed on the table and the candidate point that
+        `select_candidate` picks for the robot pose.  It is exact because the
+        pose enters `select_goal` only through that candidate: the rest it
+        reads (the risk field, the table's instance and `params`) is fixed for
+        the life of the view.  A `NoGoalError` is raised again on every try,
+        never stored.
+        """
+        key = (target.id, select_candidate(candidate_points(target, self.params), pose))
+        goal = self._goals.get(key)
+        if goal is None:
+            goal = self._goals[key] = select_goal(self.risk, target, pose, self.params)
+        return goal
+
+    def path(self, start: CellIndex, goal: CellIndex) -> tuple[list[CellIndex], int]:
+        """`plan_path(risk, start, goal)`, run once per endpoint pair, with the
+        count of its cells at `RISK_MAX`, taken once when it is planned.
+
+        A pair planned on this view returns its stored path, and its reverse
+        pair that path reversed.  Moves and costs are symmetric (a diagonal
+        needs only its target cell free), so the reverse of an optimal path is
+        optimal, and every optimal path has the same straight and diagonal step
+        counts (see `plan_path`): the logged steps cannot change.  This holds
+        for either route of `plan_path`.  The reverse of an octile-length path
+        has octile length, so a pair the DP answered has its reverse answered
+        by the DP too; a pair A* answered has no octile-length path either way,
+        so A* would answer its reverse as well.  The reverse holds the same
+        cells, so it keeps the count.
+        """
+        route = self._paths.get((start, goal))
+        if route is None:
+            back = self._paths.get((goal, start))
+            if back is not None:
+                route = (back[0][::-1], back[1])
+            else:
+                risk = self.risk
+                path = plan_path(risk, start, goal)
+                cols, rows = zip(*path)
+                route = (path, int(np.count_nonzero(risk.risk[rows, cols] >= RISK_MAX)))
+            self._paths[start, goal] = route
+        return route
+
+    def top(self, table: FurnitureInstance) -> TableTop:
+        """`table`'s `TableTop`, made on first use; within a view an id names one instance."""
+        top = self._tops.get(table.id)
+        if top is None:
+            top = self._tops[table.id] = TableTop(table)
+        return top
 
 
 class Simulation:
-    """World state plus the skill machinery; one instance per run.
-
-    Navigation makes one goal search per table side and map (`_goal`) and one
-    `plan_path` run per endpoint pair and map (`_plan`), and counts a path's
-    collisions once, when it is planned.  Placement keeps one `TableTop` per
-    top and map (`_tops`, see `table_top`): its points, each cloud a prefix of
-    them, and its refits and surfaces, keyed on the inlier index set, which
-    fixes the inlier points since point i is the same in each of its clouds.
-    A detection frame, the one event that changes the map, empties all three
-    stores, so each holds results computed on the current map only.  The goal
-    and path stores need it; a top's key holds every number its points are
-    drawn from, so emptying `_tops` only bounds memory.
-    """
+    """World state plus the skill machinery; one instance per run."""
 
     def __init__(self, scenario: Scenario, config: RunConfig, backend=None):
         self.scenario = scenario
@@ -177,11 +230,7 @@ class Simulation:
         self.skill_counts: dict[str, int] = {}
         self.faults: list[Fault] = []  # armed and not yet fired
         self.t = 0.0
-        self._risk: RiskField | None = None
-        # planned on `_risk`: the path and its cells in the lethal region
-        self._paths: dict[tuple[CellIndex, CellIndex], tuple[list[CellIndex], int]] = {}
-        self._goals: dict[tuple[str, tuple[float, float]], NavGoal] = {}  # selected on `_risk`
-        self._tops: dict[bytes, TableTop] = {}  # the placement store, see `table_top`
+        self._view: MapView | None = None
         self._placement_count = 0
 
     # --- logging ---------------------------------------------------------
@@ -192,59 +241,12 @@ class Simulation:
 
     # --- map bookkeeping --------------------------------------------------
 
-    def _ensure_risk(self) -> RiskField:
-        if self._risk is None:
-            self._risk = inflate(self.layer.virtual_obstacles(self.scenario.grid),
-                                 self.scenario.nav_params.robot_radius)
-        return self._risk
-
-    def _goal(self, risk: RiskField, target: FurnitureInstance) -> NavGoal:
-        """`select_goal(risk, target, robot_pose, nav_params)`, run once per table
-        side and map.
-
-        The store is keyed on the table and the candidate point that
-        `select_candidate` picks for the robot pose.  It is exact because the
-        pose enters `select_goal` only through that candidate: the rest it reads
-        (the risk field, the table's instance and `nav_params`) is fixed until
-        the next detection frame, which empties the store.  A `NoGoalError` is
-        raised again on every try, never stored.  A new map layer that
-        `select_goal` comes to read (human costs, say) must empty the store
-        whenever that layer changes.
-        """
-        params = self.scenario.nav_params
-        key = (target.id, select_candidate(candidate_points(target, params), self.robot_pose))
-        goal = self._goals.get(key)
-        if goal is None:
-            goal = self._goals[key] = select_goal(risk, target, self.robot_pose, params)
-        return goal
-
-    def _plan(self, risk: RiskField, start: CellIndex, goal: CellIndex) -> tuple[list[CellIndex], int]:
-        """`plan_path(risk, start, goal)`, run once per endpoint pair and map, with
-        the count of its cells at `RISK_MAX`, taken once when it is planned.
-
-        A pair planned on this map returns its stored path, and its reverse
-        pair that path reversed.  Moves and costs are symmetric (a diagonal
-        needs only its target cell free), so the reverse of an optimal path is
-        optimal, and every optimal path has the same straight and diagonal step
-        counts (see `plan_path`): the logged steps cannot change.  This holds
-        for either route of `plan_path`.  The reverse of an octile-length path
-        has octile length, so a pair the DP answered has its reverse answered
-        by the DP too; a pair A* answered has no octile-length path either way,
-        so A* would answer its reverse as well.  The reverse holds the same
-        cells, so it keeps the count.  Like the goal store of `_goal`, the path
-        store is emptied by a detection frame.
-        """
-        route = self._paths.get((start, goal))
-        if route is None:
-            back = self._paths.get((goal, start))
-            if back is not None:
-                route = (back[0][::-1], back[1])
-            else:
-                path = plan_path(risk, start, goal)
-                cols, rows = zip(*path)
-                route = (path, int(np.count_nonzero(risk.risk[rows, cols] >= RISK_MAX)))
-            self._paths[start, goal] = route
-        return route
+    @property
+    def view(self) -> MapView:
+        """The current map's `MapView`, made on first read after each detection frame."""
+        if self._view is None:
+            self._view = MapView(self.scenario.grid, self.layer, self.scenario.nav_params)
+        return self._view
 
     def _apply_detections(self, ev: DetectionFrame) -> None:
         results = self.layer.track_frame(ev.boxes, ev.frame)
@@ -253,10 +255,7 @@ class Simulation:
                 self.layer.set_kitchen(self.scenario.kitchen_table)
             except FurnitureNotFound:
                 pass
-        self._risk = None
-        self._paths.clear()
-        self._goals.clear()
-        self._tops.clear()
+        self._view = None
         self._log("detections", frame=ev.frame, tracks=[[iid, status.value] for iid, status in results],
                   kitchen=self.layer.kitchen_id)
 
@@ -314,10 +313,9 @@ class Simulation:
             target = self.layer.get(table_id)
         except FurnitureNotFound:
             return failed(f"unknown table {table_id!r}")
-        risk = self._ensure_risk()
         try:
-            goal = self._goal(risk, target)
-            path, collisions = self._plan(risk, self.robot_cell, goal.cell)
+            goal = self.view.goal(target, self.robot_pose)
+            path, collisions = self.view.path(self.robot_cell, goal.cell)
         except (NoGoalError, PathError) as e:
             return failed(str(e))
         self.metrics.collisions += collisions
@@ -395,7 +393,7 @@ class Simulation:
         seed = self.config.seed * 1_000_003 + self._placement_count
         self._placement_count += 1
         try:
-            top = table_top(table, self._tops)
+            top = self.view.top(table)
             cloud = top.cloud(len(self.table_items.get(table.id, [])))
             plane, inliers = ransac_plane(cloud, seed, top.refits)
             spot = find_placement(cloud, plane, inliers, object_radius=0.05, surfaces=top.surfaces)

@@ -466,6 +466,13 @@ def _coarse_grid(lines):
     return "alpha 10.0"
 
 
+def _far_grid(lines):
+    # origin y = 1.7e308, where one ulp is about 2e292 m, so no two cell centres
+    # are distinct floats: `run` and `nav-goal` once blamed `alpha` for it
+    _grid_header(6, "1.7e308")(lines)
+    return "line 1: resolution 0.1 is not above 16 ulps of the map's largest coordinate"
+
+
 def _run_over_grid(grid):
     # restaurant_41 over the grid at `grid`
     doc = json.loads((SCENARIOS / "restaurant_41.json").read_text())
@@ -635,6 +642,9 @@ MALFORMED_INPUTS = {
     "nav-goal grid of infinite origin": ("nav-goal over grid", _grid_header(5, "-inf")),
     "nav-goal grid whose far corner overflows": ("nav-goal over grid", _grid_header(4, "3e306")),
     "nav-goal grid too coarse for the goal costs": ("nav-goal over grid", _coarse_grid),
+    "grid too far out for distinct cell centres": ("run over grid", _far_grid),
+    "nav-goal grid too far out for distinct cell centres": ("nav-goal over grid", _far_grid),
+    "map build grid too far out for distinct cell centres": ("build over grid", _far_grid),
     "map build grid of infinite resolution": ("build over grid", _grid_header(4, "inf")),
     "map build grid of NaN origin": ("build over grid", _grid_header(6, "nan")),
     "repeated detection frame": ("run", _second_frame("detections", 0)),

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +246,19 @@ class TestSerialization:
         with pytest.raises(GridFormatError) as err:
             load_grid(f"gridmap v1 {10**400} 1 0.1 0.0 0.0\n.\n")
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("origin", [2.0**60, -(2.0**60), 2.0**1019, 1.7e308])
+    def test_a_resolution_not_above_16_ulps_of_the_largest_coordinate_names_line_1(self, origin):
+        bound = 16 * math.ulp(origin)  # the far corner of these 3 x 2 maps lies in the same binade
+        with pytest.raises(GridFormatError) as err:
+            load_grid(f"gridmap v1 3 2 {bound!r} {origin!r} 0.0\n...\n...\n")
+        assert err.value.line == 1 and "16 ulps" in str(err.value)
+        # just above it, each cell centre rounds by less than a tenth of a cell
+        res = math.nextafter(bound, math.inf)
+        grid = load_grid(f"gridmap v1 3 2 {res!r} {origin!r} 0.0\n...\n...\n")
+        for i in range(3):
+            exact = Fraction(origin) + (i + Fraction(1, 2)) * Fraction(res)
+            assert abs(Fraction(grid.origin[0] + (i + 0.5) * res) - exact) < Fraction(res) / 10
 
     def test_row_count_mismatch(self):
         with pytest.raises(GridFormatError):

@@ -13,7 +13,6 @@ import oracles
 from helpers import save_cloud, table, tabletops
 from oracles import naive_clearance
 from waiterbot import placement
-from waiterbot.furniture import Detection3D, tracked
 from waiterbot.geometry import convex_hull
 from waiterbot.placement import (
     InsufficientSupportError,
@@ -26,7 +25,7 @@ from waiterbot.placement import (
     plane_basis,
     ransac_plane,
 )
-from waiterbot.sim import TableTop, table_top
+from waiterbot.sim import TableTop
 
 
 def flat_cloud(z=1.0, nx=22, ny=18, half_w=0.55, half_d=0.45):
@@ -626,26 +625,7 @@ class TestSurfaceStore:
             assert len(refits) == len(surfaces) == k
         assert built["refit"] == [len(cloud), len(cloud), len(on_plane), len(on_plane)]
 
-    def test_a_one_ulp_or_signed_zero_change_misses_the_store(self, built):
-        # a change to a table's pose, dims or base height lands in another top entry
-        def top_table(x=0.0, y=1.0, yaw=0.3, dims=(1.2, 0.8, 0.72), base_z=0.0):
-            return tracked(Detection3D("table", (x, y, base_z + dims[2] / 2), dims, yaw), "t", 0, base_z)
-
-        up = lambda v: float(np.nextafter(v, np.inf))  # noqa: E731
-        w, d, h = 1.2, 0.8, 0.72
-        variants = [top_table(), top_table(base_z=-0.0), top_table(base_z=up(0.0)), top_table(x=-0.0),
-                    top_table(x=up(0.0)), top_table(y=up(1.0)), top_table(yaw=up(0.3)),
-                    top_table(dims=(up(w), d, h)), top_table(dims=(w, up(d), h)), top_table(dims=(w, d, up(h)))]
-        tops = {}
-        for k, variant in enumerate(variants, start=1):
-            top = table_top(variant, tops)
-            assert len(tops) == k and top.refits == {} and top.surfaces == {}
-            for n_items in (0, 2):
-                cloud = top.cloud(n_items)
-                fresh = TableTop(variant).cloud(n_items)
-                assert cloud.tobytes() == fresh.tobytes()
-                assert self.fit_and_place(cloud, 0, top.refits, top.surfaces) == self.fit_and_place(fresh, 0, {}, {})
-        assert all(len(top.refits) == len(top.surfaces) == 1 for top in tops.values())
+    def test_a_plane_with_a_signed_zero_d_misses_the_store(self):
         # a plane equal to another under `==` but with d = -0.0 is another surface
         cloud = flat_cloud(z=0.0, nx=23)
         plane, inliers = ransac_plane(cloud, 0, {})

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import oracles
 from helpers import gen, table, tabletops
 from oracles import all_cells, path_cost, relaxation_path_cost
-from waiterbot import cli as cli_module
 from waiterbot import placement as placement_module
 from waiterbot import sim as sim_module
 from waiterbot.cli import dispatch
@@ -26,7 +25,7 @@ from waiterbot.grid import RISK_MAX, CellIndex, CellState, GridMap, RiskField, i
 from waiterbot.navgoal import candidate_points, select_candidate, select_goal
 from waiterbot.planner import PathError, _astar, _octile_path, _step_costs, plan_path
 from waiterbot.placement import NoSpaceError
-from waiterbot.sim import Metrics, RunConfig, Simulation, TableTop, table_top
+from waiterbot.sim import MapView, Metrics, RunConfig, Simulation, TableTop
 from waiterbot.tasks import SkillInvocation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -447,6 +446,10 @@ class TestRouteStore:
         assert back["cell"] == at_a["cell"]
         assert len(calls) == 1
         assert back["steps"] == out["steps"] > 0
+        # no log line shows a path's direction, so read the stored return leg's ends
+        there, here = CellIndex(*out["cell"]), CellIndex(*at_a["cell"])
+        path, _ = sim.view.path(there, here)
+        assert (path[0], path[-1]) == (there, here) and len(calls) == 1
 
     def test_a_new_frame_empties_the_store(self, counted):
         sim, calls = counted
@@ -527,9 +530,9 @@ class TestGoalStore:
 
 
 class TestSurfaceStore:
-    """`Simulation` keeps one `TableTop` per top and map: its points, then the
-    refit of each inlier set and the basis, hull and hull raster of each
-    fitted surface, each made once."""
+    """A map's view keeps one `TableTop` per table: its points, then the refit
+    of each inlier set and the basis, hull and hull raster of each fitted
+    surface, each made once."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -576,19 +579,20 @@ class TestSurfaceStore:
         # one top, one refit and one surface per fitted surface
         assert built == {"tops": surfaces, "refits": surfaces, "surfaces": surfaces}
 
-    def test_a_new_frame_empties_the_store(self, built):
+    def test_a_new_frame_replaces_the_view(self, built):
         sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
         sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
         sim.location = "table_1"
         for _ in range(2):
             assert sim.simulate_skill(SkillInvocation("find_placement")).ok
-        (top,) = sim._tops.values()
+        view = sim.view
+        top = view.top(sim.layer.get("table_1"))
         assert (len(top.refits), len(top.surfaces)) == (1, 1)
         assert built == {"tops": 1, "refits": 1, "surfaces": 1}
         first, again = (r["point"] for r in map(json.loads, sim.log) if r["event"] == "placement")
         assert first == again
         sim._apply_detections(DetectionFrame(1, detections_from_json(first_frame())))
-        assert sim._tops == {}
+        assert sim.view is not view
         assert sim.simulate_skill(SkillInvocation("find_placement")).ok
         assert built == {"tops": 2, "refits": 2, "surfaces": 2}
 
@@ -596,28 +600,26 @@ class TestSurfaceStore:
         # each cloud is a prefix of its top's points, also after they grow by a slot row or more
         tables = [table_ for table_, _ in tabletops()]  # 18 tables of two sizes, rotated
         for counts in ((*range(18), 5, 0, 17), tuple(range(17, -1, -1)), (0, 4, 5, 9, 16, 3)):
-            tops = {}
             for table_ in tables:
-                top = table_top(table_, tops)
+                top = TableTop(table_)
                 grid = len(oracles.loop_tabletop_cloud(table_, 0))
                 assert top.points.shape == (grid, 3)  # no item slot before a cloud asks for one
                 slots = 0
                 for n_items in counts:
-                    fast = table_top(table_, tops).cloud(n_items)
+                    fast = top.cloud(n_items)
                     slow = oracles.loop_tabletop_cloud(table_, n_items)
                     assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
                     assert not fast.flags.writeable and fast.base is top.points
                     slots = max(slots, -(-n_items // 4) * 4)  # up to the end of the next full row of 4
                     assert top.points.shape == (grid + 9 * slots, 3)
-            assert len(tops) == len(tables) == 18
 
     def test_an_over_budget_top_raises_on_every_call_and_stores_nothing(self):
-        tops = {}
+        # a stored top would be returned by the second call, not raised again
+        view = Simulation(load_scenario(SCENARIO_PATH), RunConfig()).view
         hall = table("hall_0", (30.0, 30.0, 0.36), (24.0, 24.0, 0.72))
         for _ in range(2):
             with pytest.raises(NoSpaceError, match="exceeds the 250000-cell budget"):
-                table_top(hall, tops)
-        assert tops == {}
+                view.top(hall)
 
 
 def test_collisions_count_on_every_walk_of_a_path_but_are_read_once(monkeypatch):
@@ -625,7 +627,7 @@ def test_collisions_count_on_every_walk_of_a_path_but_are_read_once(monkeypatch)
     reversed and the stored walks too; its cells are read once, when planned."""
     sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
     sim._apply_detections(DetectionFrame(0, detections_from_json(first_frame())))
-    risk = sim._ensure_risk()
+    risk = sim.view.risk
     lethal = next(c for c in all_cells(sim.scenario.grid) if risk.at(c) >= RISK_MAX)
     planned = []
     monkeypatch.setattr(sim_module, "plan_path",
@@ -639,11 +641,11 @@ def test_collisions_count_on_every_walk_of_a_path_but_are_read_once(monkeypatch)
 
 
 def test_a_planned_path_counts_the_cells_that_a_per_cell_read_counts(monkeypatch):
-    """`_plan` counts a path's lethal cells in one array read; on random
+    """`MapView.path` counts a path's lethal cells in one array read; on random
     paths, repeats and single cells too, it gives the per-cell count."""
     sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
     sim.warm_up()
-    risk = sim._ensure_risk()
+    risk = sim.view.risk
     rng = np.random.default_rng(7)
     cells = list(all_cells(sim.scenario.grid))
     lethal = [c for c in cells if risk.at(c) >= RISK_MAX]
@@ -652,8 +654,8 @@ def test_a_planned_path_counts_the_cells_that_a_per_cell_read_counts(monkeypatch
         pool = lethal if trial % 4 == 0 else cells
         path = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(1, 60)))]
         monkeypatch.setattr(sim_module, "plan_path", lambda risk, start, goal: path)
-        sim._paths.clear()
-        assert sim._plan(risk, path[0], path[-1]) == (path, sum(1 for c in path if risk.at(c) >= RISK_MAX))
+        view = MapView(sim.scenario.grid, sim.layer, sim.scenario.nav_params)  # one with no stored path
+        assert view.path(path[0], path[-1]) == (path, sum(1 for c in path if risk.at(c) >= RISK_MAX))
 
 
 @pytest.fixture(scope="module")
@@ -661,7 +663,7 @@ def restaurant_risk():
     """The restaurant_41 map after every detection frame, and its risk field."""
     sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig())
     sim.warm_up()
-    return sim, sim._ensure_risk()
+    return sim, sim.view.risk
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -813,32 +815,33 @@ class Forgetful(dict):
         pass
 
 
-class Storeless(Simulation):
-    """A `Simulation` whose goal and path stores keep no entry."""
+class ForgetfulView(MapView):
+    """A `MapView` that keeps nothing: it builds its risk field again on every
+    read, from the layer as it is then, its goal and path stores keep no entry,
+    and each placement gets a fresh `TableTop`."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._goals, self._paths = Forgetful(), Forgetful()
+    risk = property(MapView.risk.func)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._goals, self._paths, self._tops = Forgetful(), Forgetful(), Forgetful()
 
 
 def storeless_log(scenario, config: RunConfig, monkeypatch) -> list[str]:
-    """The replay log of `scenario` with every store made to forget: the goal and
-    path stores keep no entry, and each placement gets a fresh `TableTop`."""
+    """The replay log of `scenario` with a `ForgetfulView` for every map."""
     with monkeypatch.context() as patch:
-        patch.setattr(sim_module, "table_top", lambda table_, tops: TableTop(table_))
-        return Storeless(scenario, config).run()[1]
+        patch.setattr(sim_module, "MapView", ForgetfulView)
+        return Simulation(scenario, config).run()[1]
 
 
 def run_with_and_without_stores(scenario: Path, mode: str, seed: int, out: Path):
-    """`waiterbot run` on `scenario` with its stores, then with every store made
-    to forget (as in `storeless_log`): each side's exit code and log bytes."""
+    """`waiterbot run` on `scenario` with its views, then with a `ForgetfulView`
+    for every map (as in `storeless_log`): each side's exit code and log bytes."""
     sides = []
-    for side, simulation, top in (("stored", Simulation, table_top),
-                                  ("storeless", Storeless, lambda table_, tops: TableTop(table_))):
+    for side, view in (("stored", MapView), ("storeless", ForgetfulView)):
         log = out / f"{side}.log"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli_module, "Simulation", simulation)
-            patch.setattr(sim_module, "table_top", top)
+            patch.setattr(sim_module, "MapView", view)
             code = dispatch(["run", "--scenario", str(scenario), "--mode", mode, "--seed", str(seed),
                              "--log", str(log)])
         sides.append((code, log.read_bytes() if log.exists() else None))
@@ -856,12 +859,25 @@ def restaurant_with_a_crate():
     return parse_scenario(doc, SCENARIO_PATH.parent)
 
 
+def restaurant_with_a_cleared_table():
+    """restaurant_41 with table_0's seventh and eighth utterances asking to
+    clear the table: its top, grown to two rows of item slots for six items,
+    then serves the cloud of four."""
+    doc = json.loads(SCENARIO_PATH.read_text())
+    asked = [ev for ev in doc["events"] if ev["type"] == "utterance" and ev["table"] == "table_0"]
+    for ev in asked[6:8]:
+        ev["text"] = "Please clear the table."
+    return parse_scenario(doc, SCENARIO_PATH.parent)
+
+
 def test_no_store_changes_a_replay_log(monkeypatch, tmp_path):
-    # each store is exact: restaurant_41, the two generated workloads and a world
-    # whose map changes under stored goals and paths replay to the same bytes with
-    # every store forgetting (15 replays each way, about 1.3 s)
+    # each store is exact: restaurant_41, the two generated workloads, a world
+    # whose map changes under stored goals and paths and one whose table loses
+    # items replay to the same bytes with a view that keeps nothing (16 replays
+    # each way, about 2.6 s)
     replays = [(load_scenario(SCENARIO_PATH), RunConfig(mode="parallel", seed=seed)) for seed in (0, 3)]
-    replays.append((restaurant_with_a_crate(), RunConfig(mode="parallel")))
+    replays += [(restaurant_with_a_crate(), RunConfig(mode="parallel")),
+                (restaurant_with_a_cleared_table(), RunConfig(mode="parallel"))]
     for workload, mode in (("busy_floor", "parallel"), ("banquet", "sequential")):
         for seed in range(4):
             path = gen.write(gen.GENERATORS[workload](seed), tmp_path / f"{workload}_{seed}")
@@ -878,7 +894,7 @@ GENERATED_MODES = {"busy_floor": "parallel", "banquet": "sequential"}
        run_seed=st.integers(0, 99))
 def test_no_store_changes_a_generated_replay_at_any_seed(workload, generator_seed, run_seed):
     # the generated workloads beyond the fixed seeds above, through `waiterbot run`
-    # (8 examples, about 1 s)
+    # (8 examples, about 1.3 s)
     with TemporaryDirectory() as tmp:
         path = gen.write(gen.GENERATORS[workload](generator_seed), Path(tmp))
         (code, log), storeless = run_with_and_without_stores(path, GENERATED_MODES[workload], run_seed, Path(tmp))
@@ -924,7 +940,7 @@ def perturbed_restaurant(turn: bool, table_: int, first: int, gap: int) -> dict:
 @given(turn=st.booleans(), table_=st.integers(0, 5), first=st.integers(0, 43), gap=st.integers(1, 20),
        run_seed=st.integers(0, 99))
 def test_no_store_changes_the_replay_of_a_perturbed_world(turn, table_, first, gap, run_seed):
-    # a table moved by one ulp, or turned by pi, between two frames (10 examples, about 1 s)
+    # a table moved by one ulp, or turned by pi, between two frames (10 examples, about 2 s)
     with TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(perturbed_restaurant(turn, table_, first, gap)))
@@ -935,8 +951,8 @@ def test_no_store_changes_the_replay_of_a_perturbed_world(turn, table_, first, g
 def restaurant_with_a_twin(table_: int, first: int, served: int) -> dict:
     """restaurant_41 with a frame before its `first` call that sees table
     `table_` twice at one pose.  The twin is tracked as `table_6`, and the
-    `served` calls from the `first` on go to it.  The two share one top store
-    entry, while their items differ."""
+    `served` calls from the `first` on go to it.  The two stand at one pose,
+    while their ids, their tops and their items differ."""
     doc = restaurant_doc()
     events = doc["events"]
     calls = call_indices(events)
@@ -981,7 +997,7 @@ WORLDS = st.one_of(
 @given(doc=WORLDS, run_seed=st.integers(0, 99))
 def test_no_store_changes_the_replay_of_a_twin_or_a_frame_inside_a_call(doc, run_seed):
     # two equal tables at one pose, or a crate set down between a call and its
-    # utterance (12 examples, about 1.5 s)
+    # utterance (12 examples, about 2.4 s)
     with TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc))
