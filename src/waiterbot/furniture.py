@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -282,7 +283,8 @@ class FurnitureLayer:
         res, (ox, oy) = grid.resolution, grid.origin
         instances = self.instances()
         # corners about each centre, moved there: bit-equal to each `footprint`, also for an int centre
-        corners = (np.array([inst.corners for inst in instances]).reshape(-1, 4, 2)
+        flat = chain.from_iterable(chain.from_iterable(inst.corners for inst in instances))
+        corners = (np.fromiter(flat, dtype=np.float64, count=8 * len(instances)).reshape(-1, 4, 2)
                    + np.array([inst.center[:2] for inst in instances], dtype=np.float64).reshape(-1, 1, 2))
         edge = max(grid.width, grid.height) + 1
         with np.errstate(over="ignore"):  # a quotient past the float range is inf, which the clip bounds

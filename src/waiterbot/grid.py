@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -110,14 +111,22 @@ def world_to_cell(grid: GridMap, p: tuple[float, float]) -> CellIndex:
 
 @dataclass(frozen=True, eq=False)
 class RiskField:
-    """Per-cell risk on the same geometry as the source grid (0 or 100 here)."""
+    """Per-cell risk on the same geometry as the source grid, one byte per
+    cell: a read-only, C-contiguous uint8 array of values in 0..`RISK_MAX`
+    (`inflate` writes 0 or 100).  An array that is not of integers, or holds a
+    value outside that range, is refused, never cast."""
 
     resolution: float
     origin: tuple[float, float]
     risk: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.ascontiguousarray(self.risk, dtype=np.int64)
+        r = np.asarray(self.risk)
+        if r.dtype.kind not in "iu":
+            raise ValueError(f"risk must be an integer array, got dtype {r.dtype}")
+        if r.size and (r.min() < 0 or r.max() > RISK_MAX):
+            raise ValueError(f"risk values must lie in 0..{RISK_MAX}, got {r.min()}..{r.max()}")
+        r = np.ascontiguousarray(r, dtype=np.uint8)
         r.setflags(write=False)
         object.__setattr__(self, "risk", r)
 
@@ -133,32 +142,53 @@ class RiskField:
         return int(self.risk[c.row, c.col])
 
 
-def _disc(resolution: float, radius: float) -> tuple[int, list[tuple[int, int]]]:
+@lru_cache(maxsize=None)
+def _disc(resolution: float, radius: float) -> tuple[int, tuple[tuple[int, int], ...]]:
     """`reach`, and the offsets (dr, dc), each in 0..2 reach, of the cells whose
-    center lies within `radius` of the center of cell (reach, reach)."""
+    center lies within `radius` of the center of cell (reach, reach), in row-major order.
+
+    The disc is symmetric, and the distance grows with |x| along a row, so each
+    row of it is one run of columns centred on column `reach`."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     reach = math.floor(radius / resolution) + 1
     d = [k * resolution for k in range(-reach, reach + 1)]
-    return reach, [(i, j) for i, y in enumerate(d) for j, x in enumerate(d) if math.sqrt(y * y + x * x) <= radius]
+    return reach, tuple((i, j) for i, y in enumerate(d) for j, x in enumerate(d) if math.sqrt(y * y + x * x) <= radius)
 
 
 def inflate(grid: GridMap, radius: float) -> RiskField:
-    """Risk field with 100 within `radius` of any OCCUPIED/UNKNOWN cell center.
+    """Risk field, one byte per cell, with 100 within `radius` of any
+    OCCUPIED/UNKNOWN cell center and 0 elsewhere.
 
-    The dilation ORs, per offset of the disc, the view of the occupancy
-    (padded with `reach` free cells on each side) shifted by that offset.  The
-    disc is symmetric and the border free, so this equals
-    `scipy.ndimage.binary_dilation` of the occupancy by the disc, cell for cell.
+    The dilation runs over the disc's rows, each a run of columns of
+    half-width k about column `reach`.  The occupancy is laid out flat, its
+    rows end to end with `reach` free cells between two rows and `reach` free
+    rows above and below.  It is widened sideways one k at a time (two
+    shifted ORs per step), and on reaching a row's k its view shifted by that
+    row is ORed into the hit mask.  A shift by k <= `reach` moves a map cell
+    at most onto the free cells between rows, whose hits are dropped at the
+    end.  The disc is symmetric and the border free, so this equals
+    `scipy.ndimage.binary_dilation` of the occupancy by the disc, cell for
+    cell.
     """
     reach, disc = _disc(grid.resolution, radius)
-    h, w = grid.cells.shape
-    occupied = np.zeros((h + 2 * reach, w + 2 * reach), dtype=bool)
-    occupied[reach : reach + h, reach : reach + w] = grid.cells != CellState.FREE
-    hit = np.zeros((h, w), dtype=bool)
+    half: dict[int, int] = {}  # disc row -> half-width of its run
     for dr, dc in disc:
-        hit |= occupied[dr : dr + h, dc : dc + w]
-    risk = np.multiply(hit, RISK_MAX, dtype=np.int64)
+        half.setdefault(dr, reach - dc)  # a row's first offset is its leftmost
+    h, w = grid.cells.shape
+    pw = w + reach  # padded width: the free cells left of a row are those right of the row before
+    occupied = np.zeros((h + 2 * reach, pw), dtype=bool)
+    np.not_equal(grid.cells, CellState.FREE.value, out=occupied[reach : reach + h, reach : reach + w])
+    occupied = occupied.reshape(-1)
+    wide, k = occupied.copy(), 0  # wide[i]: the OR of occupied[i-k : i+k+1]
+    hit = np.zeros(h * pw, dtype=bool)
+    for dr in sorted(half, key=half.__getitem__):
+        while k < half[dr]:
+            k += 1
+            wide[k:] |= occupied[:-k]
+            wide[:-k] |= occupied[k:]
+        hit |= wide[dr * pw : (dr + h) * pw]
+    risk = np.multiply(hit.reshape(h, pw)[:, reach : reach + w], RISK_MAX, dtype=np.uint8)
     return RiskField(grid.resolution, grid.origin, risk)
 
 

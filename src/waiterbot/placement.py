@@ -285,34 +285,42 @@ def _occupancy(
     return occupied
 
 
+def _gaps2(occ: np.ndarray) -> np.ndarray:
+    """Squared distance, along each row of `occ`, from each cell to the
+    nearest True cell of its row; every row must hold one."""
+    n = occ.shape[1]
+    i = np.arange(n)
+    # the fill values -n and 2 * n lie farther than any column, so each row's
+    # nearest True cell, before or after, gives the gap
+    before = np.maximum.accumulate(np.where(occ, i, -n), axis=1)
+    after = np.minimum.accumulate(np.where(occ, i, 2 * n)[:, ::-1], axis=1)[:, ::-1]
+    return np.minimum(i - before, after - i) ** 2
+
+
 def _distance_transform(occupied: np.ndarray) -> np.ndarray:
     """Euclidean distance, in cells, from each cell to the nearest occupied
     one; `occupied` must hold at least one.
 
     The exact separable transform (Saito & Toriwaki 1994; Felzenszwalb &
-    Huttenlocher 2012), run along the axis with fewer occupied lines: the
-    vertical distance g from each cell to the nearest occupied cell of each
-    occupied column, then the least g**2 + (column offset)**2 over those
-    columns, kept as a running minimum over one raster.  The squares are
-    integers, so the result equals `scipy.ndimage.distance_transform_edt` of
-    the free cells bit for bit.
+    Huttenlocher 2012), run over the axis with fewer occupied lines: per
+    occupied column, the vertical distance g from each cell to the column's
+    nearest occupied cell, then the least g**2 + (column offset)**2 over those
+    columns, kept as a running minimum over one raster; per occupied row the
+    same with the axes swapped.  The raster is written in (rows, columns)
+    order either way.  The squares are integers, so the result equals
+    `scipy.ndimage.distance_transform_edt` of the free cells bit for bit.
     """
-    if occupied.any(axis=1).sum() < occupied.any(axis=0).sum():
-        return _distance_transform(occupied.T).T
     n_rows, n_cols = occupied.shape
-    cols = np.flatnonzero(occupied.any(axis=0))
-    occ = occupied[:, cols]
-    r = np.arange(n_rows)[:, None]
-    # the fill values -n_rows and 2 * n_rows lie farther than any row, so each
-    # column's nearest occupied cell, above or below, gives g
-    above = np.maximum.accumulate(np.where(occ, r, -n_rows), axis=0)  # nearest occupied row at or above
-    below = np.minimum.accumulate(np.where(occ, r, 2 * n_rows)[::-1], axis=0)[::-1]  # at or below
-    g2 = np.minimum(r - above, below - r) ** 2  # (rows, occupied columns)
-    dc2 = (np.arange(n_cols) - cols[:, None]) ** 2  # (occupied columns, columns)
-    sq = g2[:, :1] + dc2[0]
+    rows, cols = np.flatnonzero(occupied.any(axis=1)), np.flatnonzero(occupied.any(axis=0))
+    # per occupied line: the squared vertical part of the distance of each row, and horizontal of each column
+    if len(rows) < len(cols):
+        vert, horiz = (np.arange(n_rows) - rows[:, None]) ** 2, _gaps2(occupied[rows])
+    else:
+        vert, horiz = _gaps2(occupied[:, cols].T), (np.arange(n_cols) - cols[:, None]) ** 2
+    sq = vert[0][:, None] + horiz[0]
     step = np.empty_like(sq)
-    for g, d in zip(g2.T[1:], dc2[1:]):
-        np.minimum(sq, np.add(g[:, None], d, out=step), out=sq)
+    for v, h in zip(vert[1:], horiz[1:]):
+        np.minimum(sq, np.add(v[:, None], h, out=step), out=sq)
     return np.sqrt(sq)
 
 

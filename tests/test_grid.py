@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from oracles import all_cells, cell_to_world, naive_inflate, naive_window_sum
 from waiterbot.grid import (
+    RISK_MAX,
     BoundsError,
     CellIndex,
     CellState,
     GridFormatError,
     GridMap,
+    RiskField,
+    _disc,
     cell_risk,
     inflate,
     load_grid,
@@ -68,6 +72,20 @@ class TestTransforms:
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             GridMap(0.0, (0, 0), np.zeros((2, 2), dtype=np.uint8))
+
+
+_RNG = np.random.default_rng(12)
+# grids on which the disc's rows overhang the map, or whose occupancy is uniform
+RUN_GRIDS = {
+    "1x1 free": np.zeros((1, 1), dtype=np.uint8),
+    "1x1 occupied": np.ones((1, 1), dtype=np.uint8),
+    "1xn": (_RNG.random((1, 17)) < 0.2).astype(np.uint8),
+    "nx1": (_RNG.random((17, 1)) < 0.2).astype(np.uint8) * 2,
+    "one cell": np.pad(np.ones((1, 1), dtype=np.uint8), ((4, 6), (7, 3))),
+    "random": (_RNG.random((11, 14)) < 0.08).astype(np.uint8) * _RNG.integers(1, 3, (11, 14)),
+    "all free": np.zeros((9, 12), dtype=np.uint8),
+    "all occupied": np.ones((9, 12), dtype=np.uint8),
+}
 
 
 class TestInflate:
@@ -135,6 +153,41 @@ class TestInflate:
         for radius in (0.0, 0.05, 0.12, 0.25):
             field = inflate(m, radius)
             assert all(cell_risk(m, c, radius) == field.at(c) for c in all_cells(m))
+
+    @pytest.mark.parametrize("resolution", [0.1, 0.05, 1 / 3], ids=["0.1", "0.05", "1/3"])
+    @pytest.mark.parametrize("cells", list(RUN_GRIDS.values()), ids=list(RUN_GRIDS))
+    def test_row_runs_match_both_oracles(self, cells, resolution):
+        """The row-run dilation against the all-pairs check and against scipy's
+        dilation by the `_disc` footprint, and `cell_risk` at every cell."""
+        m = GridMap(resolution, (0, 0), cells)
+        # in cells: none, below one, exactly 1, 2 and 3 (the `<=` boundary), between two, 5 and more
+        for n_cells in (0, 0.4, 1, 1.5, 2, 2.7, 3, 5, 6.3):
+            radius = n_cells * resolution
+            field = inflate(m, radius)
+            reach, disc = _disc(resolution, radius)
+            footprint = np.zeros((2 * reach + 1, 2 * reach + 1), dtype=bool)
+            footprint[tuple(np.array(disc).T)] = True
+            dilated = ndimage.binary_dilation(m.cells != CellState.FREE, structure=footprint)
+            assert np.array_equal(field.risk, naive_inflate(m, radius))
+            assert np.array_equal(field.risk, dilated * RISK_MAX)
+            assert all(cell_risk(m, c, radius) == field.at(c) for c in all_cells(m))
+
+
+class TestRiskField:
+    @pytest.mark.parametrize("risk", [
+        np.array([[0, 101]]), np.array([[-1, 0]]), np.array([[300, 0]]),
+        np.array([[0.0, 0.5]]), np.array([[0.0, np.nan]]),
+    ], ids=["101", "-1", "300", "0.5", "nan"])
+    def test_a_value_a_byte_cannot_hold_is_refused(self, risk):
+        with pytest.raises(ValueError):
+            RiskField(0.1, (0.0, 0.0), risk)
+
+    def test_an_integer_array_in_range_becomes_read_only_c_ordered_bytes(self):
+        values = np.asfortranarray(np.array([[0, 100, 7], [RISK_MAX, 1, 0]], dtype=np.int64))
+        field = RiskField(0.1, (0.0, 0.0), values)
+        assert field.risk.dtype == np.uint8 and field.risk.flags.c_contiguous and not field.risk.flags.writeable
+        assert np.array_equal(field.risk, values) and field.at(CellIndex(2, 0)) == 7
+        assert type(field.at(CellIndex(1, 0))) is int
 
 
 class TestNeighborhoodCost:

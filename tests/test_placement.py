@@ -534,7 +534,9 @@ class TestDistanceTransform:
         single_column(60, 25, 0).T,  # more occupied columns than rows
     ], ids=["1x1", "1xn", "nx1", "one cell", "full", "one column", "one row"])
     def test_edge_masks_match_scipy(self, occupied):
-        assert np.array_equal(placement._distance_transform(occupied), scipy_edt(occupied))
+        dist = placement._distance_transform(occupied)
+        assert np.array_equal(dist, scipy_edt(occupied))
+        assert dist.flags.c_contiguous  # in the raster's own order, also when run over the rows
 
 
 class TestSampleTriples:

@@ -666,6 +666,13 @@ def restaurant_risk():
     return sim, sim.view.risk
 
 
+def test_the_view_risk_field_is_one_byte_per_cell(restaurant_risk):
+    sim, risk = restaurant_risk
+    grid = sim.scenario.grid
+    assert risk.risk.dtype == np.uint8 and risk.risk.nbytes == grid.width * grid.height
+    assert set(np.unique(risk.risk).tolist()) == {0, RISK_MAX}
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(table=st.integers(0, 5), x=st.floats(0.0, 12.0), y=st.floats(0.0, 8.0),
        theta=st.floats(-math.pi, math.pi))
