@@ -78,8 +78,6 @@ def build_scenario() -> dict:
             "frame": 2,
             "position": [2.8, 2.6, 0.0],
             "action": "sitting",
-            "attributes": {"clothing": "T-shirt", "gender": "male"},
-            "name": "Smith",
         }
     )
     events.append(
@@ -89,7 +87,6 @@ def build_scenario() -> dict:
             "frame": 3,
             "position": [5.8, 5.9, 0.0],
             "action": "waving",
-            "attributes": {"clothing": "red sweater"},
         }
     )
 

@@ -114,8 +114,7 @@ def detections_from_json(boxes: list[dict]) -> tuple[Detection3D, ...]:
 # each record's constructor checks its own fields
 EVENT_BUILDERS = {
     "detections": lambda ev: DetectionFrame(ev.pop("frame"), detections_from_json(ev.pop("boxes"))),
-    "human": lambda ev: HumanObservation(ev.pop("position"), ev.pop("frame"), ev.pop("action", "unknown"),
-                                         ev.pop("name", None), ev.pop("attributes", {})),
+    "human": lambda ev: HumanObservation(ev.pop("position"), ev.pop("frame"), ev.pop("action", "unknown")),
     "fault": lambda ev: Fault(ev.pop("skill"), ev.pop("trigger"), ev.pop("mode", "fail")),
     "call": lambda ev: Call(ev.pop("table")),
     "utterance": lambda ev: Utterance(ev.pop("table"), ev.pop("text")),

@@ -206,12 +206,8 @@ def test_criterion_5_tracking_stability(capsys):
             seen.add(iid)
         fresh += ok
 
-    try:  # optional extra cross-check; the exact oracle alone decides the result
-        from shapely.geometry import Polygon
-    except ImportError:
-        Polygon = None
     rng2 = np.random.default_rng(78)
-    worst = shapely_worst = 0.0
+    worst = 0.0
     for _ in range(1000):
         boxes = []
         for _ in range(2):
@@ -224,14 +220,7 @@ def test_criterion_5_tracking_stability(capsys):
                 )
             )
         a, b = boxes
-        mine = iou_3d(a, b)
-        worst = max(worst, abs(mine - float(exact_iou_3d(a, b))))
-        if Polygon is not None:
-            pa, pb = Polygon(a.footprint), Polygon(b.footprint)
-            dz = max(0.0, min(a.z_interval[1], b.z_interval[1]) - max(a.z_interval[0], b.z_interval[0]))
-            inter = pa.intersection(pb).area * dz
-            union = pa.area * a.dims[2] + pb.area * b.dims[2] - inter
-            shapely_worst = max(shapely_worst, abs(mine - (inter / union if inter > 0 else 0.0)))
+        worst = max(worst, abs(iou_3d(a, b) - float(exact_iou_3d(a, b))))
 
     # a rotated table seen twice where it stands far from the origin keeps its id
     far = []
@@ -242,11 +231,10 @@ def test_criterion_5_tracking_stability(capsys):
         far.append(layer.track_frame([box], 1) == [("table_0", TrackStatus.MATCHED)])
 
     ok = retained == 100 and fresh == 100 and worst <= 1e-9 and all(far)
-    shapely_note = f"shapely dev {shapely_worst:.2e}" if Polygon is not None else "shapely not installed"
     with capsys.disabled():
         report("criterion 5: ID retention/freshness 100%, also far from the origin; IoU vs exact clipping "
                "oracle <=1e-9", ok, f"retained {retained}/100, fresh {fresh}/100, far self-matches "
-               f"{sum(far)}/3, worst dev {worst:.2e}, {shapely_note}")
+               f"{sum(far)}/3, worst dev {worst:.2e}")
 
 
 def test_criterion_6_ransac_quality(capsys):

@@ -419,6 +419,13 @@ def _event(kind, field, value):
     return mutate
 
 
+def _unknown_event_key(kind, key, value):
+    # a key the reader of `kind` events does not take
+    def mutate(doc):
+        return _event(kind, key, value)(doc) + f": ValueError: unknown key {key!r}"
+    return mutate
+
+
 def _second_frame(kind, frame):
     def mutate(doc):
         i = [j for j, ev in enumerate(doc["events"]) if ev["type"] == kind][1]
@@ -684,11 +691,9 @@ MALFORMED_INPUTS = {
     "untracked kitchen table": ("run", _unknown_kitchen),
     "NaN RANSAC inlier_eps": ("run", _world_at("ransac", value={"inlier_eps": float("nan")})),
     "RANSAC seed": ("run", _world_at("ransac", value={"seed": 12345})),
-    "integer human attributes": ("run", _event("human", "attributes", 5)),
-    "long non-string human attributes": ("run", _event("human", "attributes",
-                                                       {"note": 1, **{f"k{n}": "x" * 50 for n in range(20)}})),
+    "human name key": ("run", _unknown_event_key("human", "name", "Smith")),
+    "human attributes key": ("run", _unknown_event_key("human", "attributes", {"clothing": "red sweater"})),
     "list box class": ("run", _box("class", ["table"])),
-    "integer human name": ("run", _event("human", "name", 7)),
     "non-object event": ("run", _non_object_event),
     "empty menu": ("run", _world_at("menu", value=[])),
     "misspelt world key": ("run", _misspelt_world_key),

@@ -12,9 +12,9 @@ class TestHumanTracking:
     def test_nearby_observation_updates(self):
         layer = HumanLayer()
         layer.upsert(HumanObservation((1.0, 1.0, 0), 0))
-        hid = layer.upsert(HumanObservation((1.1, 1.0, 0), 1, action="sitting"))
-        assert hid == "person_0"
-        assert [(h.id, h.action) for h in layer.humans()] == [("person_0", "sitting")]
+        assert layer.upsert(HumanObservation((1.1, 1.0, 0), 1, action="sitting")) == "person_0"
+        # 0.45 m from the moved record, 0.55 m from where it was
+        assert layer.upsert(HumanObservation((1.55, 1.0, 0), 2)) == "person_0"
 
     def test_far_observation_creates_new_person(self):
         layer = HumanLayer()
@@ -42,5 +42,15 @@ class TestHumanTracking:
         layer.upsert(HumanObservation((1.0, 1.0, 0), 0, action="sitting"))
         with pytest.raises(ValueError):
             layer.upsert(HumanObservation((1.0, 1.0, 0), 1, action="dancing"))
-        assert [(h.id, h.action) for h in layer.humans()] == [("person_0", "sitting")]
         assert layer.last_frame == 0
+        assert layer.upsert(HumanObservation((1.0, 1.0, 0), 1)) == "person_0"
+
+    def test_gate_boundary_matches_and_a_tie_goes_to_the_later_record(self):
+        layer = HumanLayer()
+        layer.upsert(HumanObservation((0.0, 0.0, 0), 0))
+        assert layer.upsert(HumanObservation((0.5, 0.0, 0), 1)) == "person_0"  # exactly at the gate
+        layer = HumanLayer()
+        layer.upsert(HumanObservation((0.0, 0.0, 0), 0))
+        assert layer.upsert(HumanObservation((1.0, 0.0, 0), 0)) == "person_1"
+        # 0.5 m from both records: the log's ids depend on which one wins
+        assert layer.upsert(HumanObservation((0.5, 0.0, 0), 1)) == "person_1"
