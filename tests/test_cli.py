@@ -693,7 +693,11 @@ MALFORMED_INPUTS = {
     "RANSAC seed": ("run", _world_at("ransac", value={"seed": 12345})),
     "human name key": ("run", _unknown_event_key("human", "name", "Smith")),
     "human attributes key": ("run", _unknown_event_key("human", "attributes", {"clothing": "red sweater"})),
+    "integer human attributes": ("run", _unknown_event_key("human", "attributes", 5)),
+    "long non-string human attributes": ("run", _unknown_event_key(
+        "human", "attributes", {"note": 1, **{f"k{n}": "x" * 50 for n in range(20)}})),
     "list box class": ("run", _box("class", ["table"])),
+    "integer human name": ("run", _unknown_event_key("human", "name", 7)),
     "non-object event": ("run", _non_object_event),
     "empty menu": ("run", _world_at("menu", value=[])),
     "misspelt world key": ("run", _misspelt_world_key),
