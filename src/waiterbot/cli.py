@@ -18,7 +18,7 @@ from .formats import LayerFormatError, ScenarioError, detection_entry, dump_laye
 from .geometry import Pose2D, finite_tuple
 from .grid import GridFormatError, load_grid
 from .llm import RemoteBackend
-from .navgoal import NavGoalParams, NoGoalError
+from .navgoal import NoGoalError, check_map
 from .placement import NoSpaceError, PlacementError, find_placement, load_cloud, ransac_plane
 from .planner import PathError
 from .sim import MapView, RunConfig, Simulation
@@ -65,7 +65,7 @@ def cmd_map_build(args) -> int:
         except (KeyError, TypeError, ValueError, FrameOrderError) as e:
             raise CliError(f"bad detection log {args.detections}: entry {i}: {type(e).__name__}: {e}",
                            USAGE_EXIT) from None
-    if args.kitchen:
+    if args.kitchen is not None:
         try:
             layer.set_kitchen(args.kitchen)
         except FurnitureNotFound:
@@ -99,13 +99,12 @@ def cmd_nav_goal(args) -> int:
         target = layer.get(args.furniture)
     except FurnitureNotFound:
         raise CliError(f"unknown furniture id {args.furniture!r}", DOMAIN_EXIT) from None
-    params = NavGoalParams()
     try:
-        params.check_map(grid)  # before any disc or window is built from it
+        check_map(grid)  # before any disc or window is built from it
     except ValueError as e:
         raise CliError(f"bad grid {args.map}: {e}", USAGE_EXIT) from None
     try:
-        goal = MapView(grid, layer, params).goal(target, robot)
+        goal = MapView(grid, layer).goal(target, robot)
     except NoGoalError as e:
         raise CliError(f"no goal: {e}", DOMAIN_EXIT) from None
     print(f"cell: ({goal.cell.col}, {goal.cell.row})")

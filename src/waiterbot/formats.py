@@ -25,7 +25,7 @@ from .furniture import Detection3D, FurnitureError, FurnitureInstance, Furniture
 from .geometry import Pose2D, check_count, check_string, finite_tuple, is_finite, shown
 from .grid import BoundsError, GridFormatError, GridMap, cell_risk, load_grid, world_to_cell
 from .llm import Menu, MenuItem
-from .navgoal import NavGoalParams
+from .navgoal import ALPHA, CLEARANCE_M, ROBOT_RADIUS_M, WINDOW_HALF_WIDTH_M, check_map
 from .semantic import HumanObservation
 from .tasks import SKILL_KINDS
 
@@ -133,7 +133,6 @@ class Scenario:
     kitchen_table: str
     robot_start: Pose2D
     stock: Mapping[str, int]
-    nav_params: NavGoalParams
     events: tuple[tuple[float, Record], ...]  # (t, record), t non-decreasing
 
 
@@ -174,10 +173,23 @@ def _robot_start(grid: GridMap, rs) -> Pose2D:
     return pose
 
 
-def _nav_params(grid: GridMap, kw) -> NavGoalParams:
-    params = NavGoalParams(**kw)
-    params.check_map(grid)  # before any disc or window is built from it
-    return params
+def _grid(path: Path) -> GridMap:
+    grid = load_grid(path.read_text())
+    check_map(grid)  # before any disc or window is built from it
+    return grid
+
+
+# the navigation settings `navgoal` fixes; `world.nav_params` is read so that a
+# scenario stating them (as `bench/gen.py` writes them) still loads
+NAV_PARAMS = {"robot_radius": ROBOT_RADIUS_M, "clearance": CLEARANCE_M, "alpha": ALPHA,
+              "window_half_width": WINDOW_HALF_WIDTH_M}
+
+
+def _nav_params(kw: dict) -> None:
+    for key, fixed in NAV_PARAMS.items():
+        value = kw.pop(key)
+        if value != fixed:
+            raise ValueError(f"{key} is fixed at {fixed!r}, got {shown(value)}")
 
 
 def _stock(menu: Menu, doc) -> Mapping[str, int]:
@@ -239,7 +251,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     if not isinstance(world, dict):
         raise ScenarioError("world: missing or not an object")
     world = dict(world)  # `_world` takes out each key it reads; any left are unknown
-    grid = _world(world, "grid_file", lambda f: load_grid((base_dir / f).read_text()))
+    grid = _world(world, "grid_file", lambda f: _grid(base_dir / f))
     menu = _world(world, "menu", _menu)
     _world(world, "zones", lambda zs: [take_keys(z, _check_zone) for z in zs], [])
     settings = dict(
@@ -248,16 +260,16 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         kitchen_table=_world(world, "kitchen_table", lambda v: check_string(v, "kitchen_table")),
         robot_start=_world(world, "robot_start", lambda rs: _robot_start(grid, rs)),
         stock=_world(world, "stock", lambda doc: _stock(menu, doc), {}),
-        nav_params=_world(world, "nav_params", lambda kw: _nav_params(grid, kw), {}),
     )
+    _world(world, "nav_params", lambda kw: take_keys(kw, _nav_params), NAV_PARAMS)
     if world:
         raise ScenarioError(f"world.{next(iter(world))}: unknown key")
     # a start inside the static risk region would abandon every call; only the
     # disc around the start cell is read, not a whole inflated map
-    start, radius = settings["robot_start"], settings["nav_params"].robot_radius
-    if cell_risk(grid, world_to_cell(grid, (start.x, start.y)), radius):
+    start = settings["robot_start"]
+    if cell_risk(grid, world_to_cell(grid, (start.x, start.y)), ROBOT_RADIUS_M):
         raise ScenarioError(f"world.robot_start: ({start.x!r}, {start.y!r}) lies within "
-                            f"robot_radius {radius!r} m of a cell that is not free")
+                            f"robot_radius {ROBOT_RADIUS_M!r} m of a cell that is not free")
     return Scenario(**settings, events=_events(events))
 
 

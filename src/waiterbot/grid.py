@@ -216,18 +216,6 @@ def window_sums(a: np.ndarray, r: int) -> np.ndarray:
     return sat[k:, k:] - sat[:-k, k:] - sat[k:, :-k] + sat[:-k, :-k]
 
 
-def save_grid(grid: GridMap) -> str:
-    """Canonical text form: header line, then one glyph row per grid row."""
-    lines = [
-        f"gridmap v1 {grid.width} {grid.height} {grid.resolution!r} "
-        f"{grid.origin[0]!r} {grid.origin[1]!r}"
-    ]
-    glyphs = np.array([GLYPHS[CellState.FREE], GLYPHS[CellState.OCCUPIED], GLYPHS[CellState.UNKNOWN]])
-    for row in range(grid.height):
-        lines.append("".join(glyphs[grid.cells[row]]))
-    return "\n".join(lines) + "\n"
-
-
 def load_grid(text: str) -> GridMap:
     """Parse the grid text format; raises GridFormatError naming the bad line."""
     lines = text.split("\n")

@@ -22,8 +22,8 @@ The goal is the lexicographic minimum over the admissible cells of (cost,
 distance, row-major index).  The test suite checks it exhaustively against a
 plain nested-loop oracle (`tests/oracles.py`); keep the float expressions
 (`sqrt(dx*dx + dy*dy)`, half-even rounding) in sync with it.
-`NavGoalParams.check_map` bounds the parameters by the map, so that every
-window sum fits int64.
+`check_map` refuses a map on which a window sum could overflow int64, and
+one narrower than the robot.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .furniture import FurnitureInstance
-from .geometry import Pose2D, is_finite, shown
+from .geometry import Pose2D
 from .grid import RISK_MAX, CellIndex, GridMap, RiskField, window_sums
 
 
@@ -42,41 +42,31 @@ class NoGoalError(Exception):
     """No admissible cell in the candidate window."""
 
 
-@dataclass(frozen=True)
-class NavGoalParams:
-    robot_radius: float = 0.25
-    clearance: float = 0.2
-    alpha: float = 10.0  # risk units added per meter of distance to the candidate
-    window_half_width: float = 1.5
+ROBOT_RADIUS_M = 0.25
+CLEARANCE_M = 0.2  # kept between the robot and the furniture edge at a candidate point
+ALPHA = 10.0  # risk units added per meter of distance to the candidate
+WINDOW_HALF_WIDTH_M = 1.5
 
-    def __post_init__(self) -> None:
-        if not all(map(is_finite, (self.robot_radius, self.clearance, self.alpha,
-                                   self.window_half_width))):
-            raise ValueError("parameters must be finite numbers")
-        if min(self.robot_radius, self.clearance, self.alpha, self.window_half_width) < 0:
-            raise ValueError("parameters must be non-negative")
-        if self.window_half_width < self.robot_radius:
-            raise ValueError("window_half_width must cover the robot radius")
 
-    def cell_neighborhood(self, resolution: float) -> int:
-        return math.ceil(self.robot_radius / resolution)
+def cell_neighborhood(resolution: float) -> int:
+    return math.ceil(ROBOT_RADIUS_M / resolution)
 
-    def check_map(self, grid: GridMap) -> None:
-        """Refuse a robot wider than the map's shorter side, which also bounds
-        the inflation disc by the map, and an `alpha` for which a window sum
-        could overflow int64.  Every cell a window sum reads lies within
-        window_half_width + nr cells of the candidate point on each axis, up to
-        the rounding of cell centers, so its distance is below twice that."""
-        res, (w, h) = grid.resolution, (grid.width, grid.height)
-        if 2 * self.robot_radius > min(w, h) * res:
-            raise ValueError(f"robot_radius {shown(self.robot_radius)} m does not fit "
-                             f"the {w * res:g} x {h * res:g} m map")
-        nr = self.cell_neighborhood(res)
-        centers = abs(grid.origin[0]) + abs(grid.origin[1]) + (w + h) * res
-        reach = self.window_half_width + nr * res + 4 * math.ulp(centers)
-        if (2 * nr + 1) ** 2 * (RISK_MAX + self.alpha * 2 * reach) >= 2.0**63:
-            raise ValueError(f"alpha {shown(self.alpha)} over a window_half_width of "
-                             f"{shown(self.window_half_width)} m lets a goal's cost overflow 64-bit integers")
+
+def check_map(grid: GridMap) -> None:
+    """Refuse a map narrower than the robot, which also bounds the inflation
+    disc by the map, and one on which a window sum could overflow int64.
+    Every cell a window sum reads lies within WINDOW_HALF_WIDTH_M + nr cells
+    of the candidate point on each axis, up to the rounding of cell centers,
+    so its distance is below twice that."""
+    res, (w, h) = grid.resolution, (grid.width, grid.height)
+    if 2 * ROBOT_RADIUS_M > min(w, h) * res:
+        raise ValueError(f"the robot's {ROBOT_RADIUS_M:g} m radius does not fit "
+                         f"the {w * res:g} x {h * res:g} m map")
+    nr = cell_neighborhood(res)
+    centers = abs(grid.origin[0]) + abs(grid.origin[1]) + (w + h) * res
+    reach = WINDOW_HALF_WIDTH_M + nr * res + 4 * math.ulp(centers)
+    if (2 * nr + 1) ** 2 * (RISK_MAX + ALPHA * 2 * reach) >= 2.0**63:
+        raise ValueError(f"cells of {res:g} m let a goal's cost overflow 64-bit integers")
 
 
 @dataclass(frozen=True)
@@ -86,9 +76,9 @@ class NavGoal:
     cost: int
 
 
-def candidate_points(instance: FurnitureInstance, params: NavGoalParams) -> list[tuple[float, float]]:
+def candidate_points(instance: FurnitureInstance) -> list[tuple[float, float]]:
     """Four approach points (E, W, N, S edge midpoints pushed out by radius+clearance)."""
-    off = params.robot_radius + params.clearance
+    off = ROBOT_RADIUS_M + CLEARANCE_M
     w, d = instance.dims[0], instance.dims[1]
     c, s = math.cos(instance.pose.theta), math.sin(instance.pose.theta)
     out = []
@@ -128,21 +118,17 @@ def _axis_range(center: float, half_width: float, origin: float, resolution: flo
     return lo, hi
 
 
-def select_goal(
-    risk: RiskField,
-    target: FurnitureInstance,
-    robot_pose: Pose2D,
-    params: NavGoalParams,
-) -> NavGoal:
-    """Lowest-cost cell with risk < 100 near the candidate point: the least
-    (cost, distance, row-major index) over the admissible cells of the window,
-    each cost four slices of one zero-padded summed-area table.
+def select_goal(risk: RiskField, target: FurnitureInstance, candidate: tuple[float, float]) -> NavGoal:
+    """Lowest-cost cell with risk < 100 near the candidate point (one of
+    `candidate_points(target)`): the least (cost, distance, row-major index)
+    over the admissible cells of the window, each cost four slices of one
+    zero-padded summed-area table.
 
     `risk` must be a `MapView`'s, where every footprint cell is at risk 100 (see above).
     """
-    px, py = select_candidate(candidate_points(target, params), robot_pose)
-    nr = params.cell_neighborhood(risk.resolution)
-    whw = params.window_half_width
+    px, py = candidate
+    nr = cell_neighborhood(risk.resolution)
+    whw = WINDOW_HALF_WIDTH_M
     res = risk.resolution
     ox, oy = risk.origin
 
@@ -162,7 +148,7 @@ def select_goal(
     padded = np.zeros((r1 - r0 + 1 + 2 * nr, c1 - c0 + 1 + 2 * nr), dtype=np.int64)
     pr, pc = b0 - r0 + nr, a0 - c0 + nr
     padded[pr : pr + b1 - b0 + 1, pc : pc + a1 - a0 + 1] = (
-        risk.risk[b0 : b1 + 1, a0 : a1 + 1] + np.rint(params.alpha * dists).astype(np.int64))
+        risk.risk[b0 : b1 + 1, a0 : a1 + 1] + np.rint(ALPHA * dists).astype(np.int64))
     costs = window_sums(padded, nr)
 
     ok = risk.risk[r0 : r1 + 1, c0 : c1 + 1] < RISK_MAX

@@ -26,7 +26,7 @@ from .furniture import FurnitureInstance, FurnitureLayer, FurnitureNotFound
 from .geometry import Pose2D
 from .grid import RISK_MAX, CellIndex, GridMap, RiskField, inflate, world_to_cell
 from .llm import RuleBackend
-from .navgoal import NavGoal, NavGoalParams, NoGoalError, candidate_points, select_candidate, select_goal
+from .navgoal import ROBOT_RADIUS_M, NavGoal, NoGoalError, candidate_points, select_candidate, select_goal
 from .placement import GRID_PITCH_M, MAX_RASTER_CELLS, NoSpaceError, PlacementError, find_placement, ransac_plane
 from .planner import PathError, plan_path
 from .semantic import HumanLayer, HumanObservation
@@ -129,15 +129,15 @@ class TableTop:
 
 
 class MapView:
-    """One map's grid, furniture layer and `nav_params`, and all derived from
-    them: the risk field and the goal, path and table-top stores.  `Simulation`
-    drops its view on each detection frame, the one event that changes the map,
-    so no result outlives its map; a layer added later must drop it on each
+    """One map's grid and furniture layer, and all derived from them: the
+    risk field and the goal, path and table-top stores.  `Simulation` drops
+    its view on each detection frame, the one event that changes the map, so
+    no result outlives its map; a layer added later must drop it on each
     change.  A top's refits and surfaces are keyed on the inlier index set,
     which fixes the inlier points: point i is the same in each of its clouds."""
 
-    def __init__(self, grid: GridMap, layer: FurnitureLayer, params: NavGoalParams):
-        self.grid, self.layer, self.params = grid, layer, params
+    def __init__(self, grid: GridMap, layer: FurnitureLayer):
+        self.grid, self.layer = grid, layer
         self._goals: dict[tuple[str, tuple[float, float]], NavGoal] = {}
         self._paths: dict[tuple[CellIndex, CellIndex], tuple[list[CellIndex], int]] = {}  # path, lethal cells
         self._tops: dict[str, TableTop] = {}
@@ -146,22 +146,18 @@ class MapView:
     def risk(self) -> RiskField:
         """The layers combined: the grid with every furniture footprint marked,
         inflated by the robot radius, on first read (a map no call reads costs none)."""
-        return inflate(self.layer.virtual_obstacles(self.grid), self.params.robot_radius)
+        return inflate(self.layer.virtual_obstacles(self.grid), ROBOT_RADIUS_M)
 
     def goal(self, target: FurnitureInstance, pose: Pose2D) -> NavGoal:
-        """`select_goal(risk, target, pose, params)`, run once per table side.
-
-        The store is keyed on the table and the candidate point that
-        `select_candidate` picks for the robot pose.  It is exact because the
-        pose enters `select_goal` only through that candidate: the rest it
-        reads (the risk field, the table's instance and `params`) is fixed for
-        the life of the view.  A `NoGoalError` is raised again on every try,
-        never stored.
+        """`select_goal` from the candidate point that `select_candidate`
+        picks for the robot pose, run once per table side: the store is keyed
+        on the table and that point, and a table id names one instance within
+        a view.  A `NoGoalError` is raised again on every try, never stored.
         """
-        key = (target.id, select_candidate(candidate_points(target, self.params), pose))
+        key = (target.id, select_candidate(candidate_points(target), pose))
         goal = self._goals.get(key)
         if goal is None:
-            goal = self._goals[key] = select_goal(self.risk, target, pose, self.params)
+            goal = self._goals[key] = select_goal(self.risk, target, key[1])
         return goal
 
     def path(self, start: CellIndex, goal: CellIndex) -> tuple[list[CellIndex], int]:
@@ -245,7 +241,7 @@ class Simulation:
     def view(self) -> MapView:
         """The current map's `MapView`, made on first read after each detection frame."""
         if self._view is None:
-            self._view = MapView(self.scenario.grid, self.layer, self.scenario.nav_params)
+            self._view = MapView(self.scenario.grid, self.layer)
         return self._view
 
     def _apply_detections(self, ev: DetectionFrame) -> None:

@@ -7,7 +7,9 @@ from typing import Any
 
 import numpy as np
 
+from waiterbot import navgoal
 from waiterbot.furniture import Detection3D, FurnitureInstance, tracked
+from waiterbot.grid import GLYPHS, CellState, GridMap
 from waiterbot.llm import TransportError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +36,26 @@ class StubTransport:
     @staticmethod
     def reply(content: str) -> dict[str, Any]:
         return {"choices": [{"message": {"content": content}}]}
+
+
+def save_grid(grid: GridMap) -> str:
+    """The canonical text form `grid.load_grid` reads: header line, then one
+    glyph row per grid row."""
+    lines = [
+        f"gridmap v1 {grid.width} {grid.height} {grid.resolution!r} "
+        f"{grid.origin[0]!r} {grid.origin[1]!r}"
+    ]
+    glyphs = np.array([GLYPHS[CellState.FREE], GLYPHS[CellState.OCCUPIED], GLYPHS[CellState.UNKNOWN]])
+    for row in range(grid.height):
+        lines.append("".join(glyphs[grid.cells[row]]))
+    return "\n".join(lines) + "\n"
+
+
+def set_nav(monkeypatch, **constants) -> None:
+    """Patch `navgoal`'s navigation settings by name (`ROBOT_RADIUS_M`,
+    `CLEARANCE_M`, `ALPHA`, `WINDOW_HALF_WIDTH_M`) until the test ends."""
+    for name, value in constants.items():
+        monkeypatch.setattr(navgoal, name, value)
 
 
 def save_cloud(points: np.ndarray) -> str:

@@ -10,11 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from waiterbot import placement
+from waiterbot import navgoal, placement
 from waiterbot.furniture import IOU_MATCH_THRESHOLD
 from waiterbot.geometry import Pose2D, iou_3d
 from waiterbot.grid import RISK_MAX, BoundsError, CellIndex, CellState
-from waiterbot.navgoal import NavGoal, NoGoalError, candidate_points, select_candidate
+from waiterbot.navgoal import NavGoal, NoGoalError
 from waiterbot.placement import (
     HYPOTHESIS_BLOCK,
     RANSAC_CONFIDENCE,
@@ -361,14 +361,15 @@ def axis_indices(center: float, half_width: float, origin: float, resolution: fl
     return [i for i in range(size) if abs(origin + (i + 0.5) * resolution - center) <= half_width]
 
 
-def brute_force_goal(risk, target, robot_pose, params) -> NavGoal:
-    """`select_goal`'s contract as plain nested loops over the whole map.
+def brute_force_goal(risk, target, candidate) -> NavGoal:
+    """`select_goal`'s contract as plain nested loops over the whole map,
+    under `navgoal`'s navigation settings as they are at the call.
 
     Same precondition: `risk` must be `inflate(layer.virtual_obstacles(grid), r)`.
     """
-    px, py = select_candidate(candidate_points(target, params), robot_pose)
-    nr = params.cell_neighborhood(risk.resolution)
-    whw = params.window_half_width
+    px, py = candidate
+    nr = math.ceil(navgoal.ROBOT_RADIUS_M / risk.resolution)
+    whw = navgoal.WINDOW_HALF_WIDTH_M
     res = risk.resolution
     ox, oy = risk.origin
 
@@ -376,7 +377,7 @@ def brute_force_goal(risk, target, robot_pose, params) -> NavGoal:
         cx = ox + (col + 0.5) * res
         cy = oy + (row + 0.5) * res
         dx, dy = cx - px, cy - py
-        return int(risk.risk[row, col]) + round(params.alpha * math.sqrt(dx * dx + dy * dy))
+        return int(risk.risk[row, col]) + round(navgoal.ALPHA * math.sqrt(dx * dx + dy * dy))
 
     best = None
     best_cell = best_center = None

@@ -15,15 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import save_cloud, table
+from helpers import save_cloud, save_grid, set_nav, table
 from oracles import brute_force_goal, exact_iou_3d, naive_inflate
 from waiterbot.cli import dispatch
 from waiterbot.formats import dump_layers, load_layers, load_scenario
 from waiterbot.furniture import Detection3D, FurnitureLayer, TrackStatus
 from waiterbot.geometry import Pose2D, iou_3d
-from waiterbot.grid import GridMap, inflate, load_grid, save_grid
+from waiterbot.grid import GridMap, inflate, load_grid
 from waiterbot.llm import Menu, MenuItem
-from waiterbot.navgoal import NavGoalParams, NoGoalError, select_goal
+from waiterbot.navgoal import NoGoalError, candidate_points, select_candidate, select_goal
 from waiterbot.placement import load_cloud, ransac_plane
 from waiterbot.sim import Metrics, RunConfig, Simulation
 from waiterbot.tasks import OK, Outcome, ParsedTask, Pipeline, execute, failed, render_trace
@@ -95,38 +95,40 @@ def _random_nav_instance(rng):
     combined = layer.virtual_obstacles(grid)
     risk = inflate(combined, 0.2)
     robot = Pose2D(float(rng.uniform(0, w * res)), float(rng.uniform(0, h * res)))
-    params = NavGoalParams(
-        robot_radius=0.2,
-        clearance=float(rng.uniform(0.0, 0.3)),
-        alpha=float(rng.uniform(0.0, 20.0)),
-        window_half_width=float(rng.uniform(0.5, 1.2)),
+    nav = dict(
+        ROBOT_RADIUS_M=0.2,
+        CLEARANCE_M=float(rng.uniform(0.0, 0.3)),
+        ALPHA=float(rng.uniform(0.0, 20.0)),
+        WINDOW_HALF_WIDTH_M=float(rng.uniform(0.5, 1.2)),
     )
-    return combined, risk, layer, robot, params
+    return combined, risk, layer, robot, nav
 
 
-def _goals_agree(grid, risk, layer, robot, params) -> bool:
+def _goals_agree(grid, risk, layer, robot) -> bool:
     target = layer.get("t")
+    candidate = select_candidate(candidate_points(target), robot)
     try:
-        fast = select_goal(risk, target, robot, params)
+        fast = select_goal(risk, target, candidate)
     except NoGoalError:
         try:
-            brute_force_goal(risk, target, robot, params)
+            brute_force_goal(risk, target, candidate)
             return False
         except NoGoalError:
             return True
-    slow = brute_force_goal(risk, target, robot, params)
+    slow = brute_force_goal(risk, target, candidate)
     return fast.cell == slow.cell and fast.cost == slow.cost
 
 
-def test_criterion_3_nav_goal_oracle_equivalence(capsys):
+def test_criterion_3_nav_goal_oracle_equivalence(capsys, monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(2024)
     agreements = 0
     total = 0
     for _ in range(200):
-        grid, risk, layer, robot, params = _random_nav_instance(rng)
+        grid, risk, layer, robot, nav = _random_nav_instance(rng)
+        set_nav(monkeypatch, **nav)
         total += 1
-        agreements += _goals_agree(grid, risk, layer, robot, params)
+        agreements += _goals_agree(grid, risk, layer, robot)
 
     # exhaustive sweep: every free cell as a robot position on a 12x12 map
     cells = (np.random.default_rng(7).random((12, 12)) < 0.1).astype(np.uint8)
@@ -135,12 +137,12 @@ def test_criterion_3_nav_goal_oracle_equivalence(capsys):
     layer12.restore(table("t", (0.6, 0.6, 0.36), (0.6, 0.5, 0.72), 0.3))
     combined12 = layer12.virtual_obstacles(grid12)
     risk12 = inflate(combined12, 0.1)
-    params12 = NavGoalParams(robot_radius=0.1, clearance=0.1, alpha=7.0, window_half_width=0.5)
+    set_nav(monkeypatch, ROBOT_RADIUS_M=0.1, CLEARANCE_M=0.1, ALPHA=7.0, WINDOW_HALF_WIDTH_M=0.5)
     for row in range(12):
         for col in range(12):
             robot = Pose2D(0.05 + 0.1 * col, 0.05 + 0.1 * row)
             total += 1
-            agreements += _goals_agree(combined12, risk12, layer12, robot, params12)
+            agreements += _goals_agree(combined12, risk12, layer12, robot)
     elapsed = time.time() - t0
     ok = agreements == total and elapsed < 30.0
     with capsys.disabled():

@@ -44,6 +44,16 @@ class TestMapCommands:
         doc = json.loads(out_file.read_text())
         assert [e["id"] for e in doc["furniture"]] == [f"table_{k}" for k in range(6)]
 
+    @pytest.mark.parametrize("kitchen", ["sofa_9", ""], ids=["unknown", "empty"])
+    def test_build_with_a_kitchen_id_not_in_the_layer_exits_1(self, capsys, kitchen):
+        code, out, err = run_cli(
+            capsys,
+            ["map", "build", "--grid", SCENARIOS / "restaurant.grid",
+             "--detections", SCENARIOS / "six_tables.json", "--kitchen", kitchen],
+        )
+        assert code == 1
+        assert err == f"error: kitchen id {kitchen!r} not in the layer\n" and out == ""
+
     def test_dump_keeps_hand_written_base_z(self, capsys, tmp_path):
         doc = json.loads((GOLDEN / "six_tables_layers.json").read_text())
         doc["furniture"][0]["base_z"] = 1.49  # 1.49 + 1.87 / 2 - 1.87 / 2 != 1.49 in floats
@@ -444,10 +454,30 @@ def _world_at(*path, value):
     return mutate
 
 
+def _nav_value(key, value):
+    # `world.nav_params` with `key` set to `value`, which is not its fixed value
+    def mutate(doc):
+        fixed = doc["world"]["nav_params"][key]
+        doc["world"]["nav_params"][key] = value
+        return f"world.nav_params: ValueError: {key} is fixed at {fixed!r}, got "
+    return mutate
+
+
 def _nav_radius(radius):
     def mutate(doc):
         doc["world"]["nav_params"].update(robot_radius=radius, window_half_width=radius)
-        return "world.nav_params: ValueError: robot_radius"
+        return f"world.nav_params: ValueError: robot_radius is fixed at 0.25, got {radius!r}"
+    return mutate
+
+
+def _nav_key(key, value=None):
+    # `world.nav_params` with `key` left out, or set to `value`
+    def mutate(doc):
+        if value is None:
+            del doc["world"]["nav_params"][key]
+            return f"world.nav_params: KeyError: {key!r}"
+        doc["world"]["nav_params"][key] = value
+        return f"world.nav_params: ValueError: unknown key {key!r}"
     return mutate
 
 
@@ -470,7 +500,15 @@ def _coarse_grid(lines):
     # a 4 x 4 map of 1e300 m cells, where a goal's distance term overflows int64:
     # `nav-goal` once warned twice and then found an arbitrary "no admissible cell"
     lines[:] = ["gridmap v1 4 4 1e300 0.0 0.0", *["...."] * 4]
-    return "alpha 10.0"
+    return "cells of 1e+300 m let a goal's cost overflow 64-bit integers"
+
+
+def _narrow_grid(named):
+    # a 0.4 m square map, which the 0.5 m wide robot does not fit
+    def mutate(lines):
+        lines[:] = ["gridmap v1 4 4 0.1 0.0 0.0", *["...."] * 4]
+        return named
+    return mutate
 
 
 def _far_grid(lines):
@@ -649,6 +687,9 @@ MALFORMED_INPUTS = {
     "nav-goal grid of infinite origin": ("nav-goal over grid", _grid_header(5, "-inf")),
     "nav-goal grid whose far corner overflows": ("nav-goal over grid", _grid_header(4, "3e306")),
     "nav-goal grid too coarse for the goal costs": ("nav-goal over grid", _coarse_grid),
+    "grid narrower than the robot": ("run over grid", _narrow_grid("world.grid_file: ValueError: the robot's "
+                                                                   "0.25 m radius does not fit the 0.4 x 0.4 m map")),
+    "nav-goal grid narrower than the robot": ("nav-goal over grid", _narrow_grid("does not fit the 0.4 x 0.4 m map")),
     "grid too far out for distinct cell centres": ("run over grid", _far_grid),
     "nav-goal grid too far out for distinct cell centres": ("nav-goal over grid", _far_grid),
     "map build grid too far out for distinct cell centres": ("build over grid", _far_grid),
@@ -679,13 +720,16 @@ MALFORMED_INPUTS = {
     "robot start on a wall": ("run", _world_at("robot_start", value=[0.02, 0.02])),
     "robot start within robot_radius of a wall": ("run", _world_at("robot_start", value=[0.15, 0.15])),
     "single-value robot start": ("run", _world_at("robot_start", value=[6.0])),
-    "NaN robot radius": ("run", _world_at("nav_params", "robot_radius", value=float("nan"))),
-    "boolean clearance": ("run", _world_at("nav_params", "clearance", value=True)),
+    "NaN robot radius": ("run", _nav_value("robot_radius", float("nan"))),
+    "boolean clearance": ("run", _nav_value("clearance", True)),
     # int64 window sums would wrap to a negative cost, or the cast from float be invalid
-    "nav_params alpha whose goal cost overflows": ("run", _world_at("nav_params", "alpha", value=1e17)),
-    "nav_params alpha far past the int64 range": ("run", _world_at("nav_params", "alpha", value=1e300)),
+    "nav_params alpha whose goal cost overflows": ("run", _nav_value("alpha", 1e17)),
+    "nav_params alpha far past the int64 range": ("run", _nav_value("alpha", 1e300)),
     # the 12 x 8 m map cannot hold it, and its inflation disc would not fit in memory
     "nav_params robot_radius wider than the map": ("run", _nav_radius(300.0)),
+    "nav_params without alpha": ("run", _nav_key("alpha")),
+    "nav_params with an extra key": ("run", _nav_key("max_speed", 0.5)),
+    "list nav_params": ("run", _world_at("nav_params", value=[0.25, 0.2, 10.0, 1.5])),
     "fractional RANSAC iterations": ("run", _world_at("ransac", value={"iterations": 2.5})),
     "list kitchen table": ("run", _world_at("kitchen_table", value=["table_5"])),
     "untracked kitchen table": ("run", _unknown_kitchen),
@@ -706,7 +750,7 @@ MALFORMED_INPUTS = {
     "integer too large for a float in an event time": ("run", _event("call", "t", 10**400)),
     "integer too large for a float in a box center": ("run", _box("center", [10**400, 2.0, 0.36])),
     "integer too large for a float in robot_start": ("run", _world_at("robot_start", value=[10**400, 4.0, 0.0])),
-    "integer too large for a float in nav_params.alpha": ("run", _world_at("nav_params", "alpha", value=10**400)),
+    "integer too large for a float in nav_params.alpha": ("run", _nav_value("alpha", 10**400)),
     "log unknown box key": ("build", _log_box("score", 0.9)),
     "log integer too large for a float in box dims": ("build", _log_box("dims", [10**400, 0.8, 0.72])),
     "log box center with NaN": ("build", _log_box("center", [float("nan"), 2.0, 0.36])),

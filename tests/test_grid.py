@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from helpers import save_grid
 from oracles import all_cells, cell_to_world, naive_inflate, naive_window_sum
 from waiterbot.grid import (
     RISK_MAX,
@@ -20,7 +21,6 @@ from waiterbot.grid import (
     cell_risk,
     inflate,
     load_grid,
-    save_grid,
     window_sums,
     world_to_cell,
 )

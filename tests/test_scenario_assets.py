@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import gen
+from waiterbot import navgoal
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -36,6 +37,14 @@ def test_detection_log_matches_generator(script):
 def test_scenario_matches_generator(script):
     expected = json.dumps(script.build_scenario(), indent=2) + "\n"
     assert (SCENARIOS / "restaurant_41.json").read_text() == expected
+
+
+def test_scenarios_state_the_fixed_navigation_settings():
+    # a scenario's `world.nav_params` loads only when it states `navgoal`'s settings
+    fixed = {"robot_radius": navgoal.ROBOT_RADIUS_M, "clearance": navgoal.CLEARANCE_M,
+             "alpha": navgoal.ALPHA, "window_half_width": navgoal.WINDOW_HALF_WIDTH_M}
+    assert gen.NAV_PARAMS == fixed
+    assert json.loads((SCENARIOS / "restaurant_41.json").read_text())["world"]["nav_params"] == fixed
 
 
 def test_cloud_matches_generator(script):

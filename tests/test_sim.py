@@ -282,6 +282,19 @@ class TestScenarioLoading:
         assert scenario.kitchen_table == "table_5"
         assert len(scenario.menu.items) == 6
 
+    @pytest.mark.parametrize("nav_params", [
+        {"window_half_width": 1.5, "alpha": 10.0, "clearance": 0.2, "robot_radius": 0.25},
+        {"robot_radius": 0.25, "clearance": 0.2, "alpha": 10, "window_half_width": 1.5},
+        None,
+    ], ids=["reordered", "integer alpha", "absent"])
+    def test_nav_params_stating_the_fixed_settings_load(self, nav_params):
+        doc = json.loads(SCENARIO_PATH.read_text())
+        if nav_params is None:
+            del doc["world"]["nav_params"]
+        else:
+            doc["world"]["nav_params"] = nav_params
+        parse_scenario(doc, SCENARIO_PATH.parent)  # a refused key raises ScenarioError
+
     def test_decreasing_timestamps_rejected(self):
         doc = json.loads(SCENARIO_PATH.read_text())
         doc["events"][1]["t"] = -1.0
@@ -473,9 +486,9 @@ class TestGoalStore:
     def counted(self, monkeypatch):
         calls = []
 
-        def select(risk, target, robot_pose, params):
+        def select(risk, target, candidate):
             calls.append(target.id)
-            return select_goal(risk, target, robot_pose, params)
+            return select_goal(risk, target, candidate)
 
         monkeypatch.setattr(sim_module, "select_goal", select)
         sim = Simulation(load_scenario(SCENARIO_PATH), RunConfig(mode="sequential"))
@@ -496,7 +509,7 @@ class TestGoalStore:
         sim, calls = counted
         first = self.navigate(sim, "table_1")
         target = sim.layer.get("table_1")
-        points = candidate_points(target, sim.scenario.nav_params)
+        points = candidate_points(target)
         side = select_candidate(points, sim.robot_pose)
         other = next(p for p in points if p != side)
         sim.robot_pose = Pose2D(*other, 0.0)
@@ -654,7 +667,7 @@ def test_a_planned_path_counts_the_cells_that_a_per_cell_read_counts(monkeypatch
         pool = lethal if trial % 4 == 0 else cells
         path = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(1, 60)))]
         monkeypatch.setattr(sim_module, "plan_path", lambda risk, start, goal: path)
-        view = MapView(sim.scenario.grid, sim.layer, sim.scenario.nav_params)  # one with no stored path
+        view = MapView(sim.scenario.grid, sim.layer)  # one with no stored path
         assert view.path(path[0], path[-1]) == (path, sum(1 for c in path if risk.at(c) >= RISK_MAX))
 
 
@@ -671,22 +684,6 @@ def test_the_view_risk_field_is_one_byte_per_cell(restaurant_risk):
     grid = sim.scenario.grid
     assert risk.risk.dtype == np.uint8 and risk.risk.nbytes == grid.width * grid.height
     assert set(np.unique(risk.risk).tolist()) == {0, RISK_MAX}
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(table=st.integers(0, 5), x=st.floats(0.0, 12.0), y=st.floats(0.0, 8.0),
-       theta=st.floats(-math.pi, math.pi))
-def test_goal_depends_on_the_pose_only_through_its_candidate(restaurant_risk, table, x, y, theta):
-    """The goal store's precondition: two robot poses that pick the same
-    candidate point of a table get equal goals."""
-    sim, risk = restaurant_risk
-    target = sim.layer.get(f"table_{table}")
-    params = sim.scenario.nav_params
-    pose = Pose2D(x, y, theta)
-    side = select_candidate(candidate_points(target, params), pose)
-    at_side = Pose2D(*side, 0.0)
-    assert select_candidate(candidate_points(target, params), at_side) == side
-    assert select_goal(risk, target, pose, params) == select_goal(risk, target, at_side, params)
 
 
 @pytest.fixture(scope="module")
