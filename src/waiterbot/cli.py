@@ -22,7 +22,7 @@ from .navgoal import NoGoalError, check_map
 from .placement import NoSpaceError, PlacementError, find_placement, load_cloud, ransac_plane
 from .planner import PathError
 from .sim import MapView, RunConfig, Simulation
-from .tasks import build_prompts, render_trace
+from .tasks import render_trace
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -133,7 +133,7 @@ def _backend_for(args, menu):
         return None  # Simulation builds the rule backend over its menu
     if not args.endpoint or not args.model:
         raise CliError("the remote backend requires endpoint and model", USAGE_EXIT)
-    return RemoteBackend(args.endpoint, args.model, build_prompts(menu))
+    return RemoteBackend(args.endpoint, args.model, menu)
 
 
 def _simulation(args) -> Simulation:
@@ -176,7 +176,7 @@ def cmd_repl(args) -> int:
         parsed, response, outcome = sim.handle_utterance(line)
         print(f"robot> {response}")
         slots = ", ".join(f"{k}={parsed.slots[k]}" for k in sorted(parsed.slots))
-        print(f"task: {parsed.name}({slots}) confidence={parsed.confidence:.2f}")
+        print(f"task: {parsed.name}({slots})")
         print(render_trace(outcome))
     return 0
 

@@ -2,12 +2,14 @@
 
 Two interchangeable backends: `RuleBackend` (deterministic pattern table, no
 network) and `RemoteBackend` (OpenAI-style chat-completions endpoint, reached
-through `HttpTransport` or any object with the same `post` method).  All parse
-output flows through one line grammar, `task=<name>; slots=<k:v,...>`, so the
-remote and rule paths are drop-in replacements for each other.  Each backend
-states in its class constant `BLOCKING` whether its calls wait on something
-outside the process; the pipeline reads it to decide whether respond needs a
-thread of its own.
+through `HttpTransport` or any object with the same `post` method).  Both are
+total: `understand` returns a `ParsedTask` and `respond` a line.  The remote
+backend owns its protocol: it builds its prompts from the menu, decodes the
+one-line reply grammar `task=<name>; slots=<k:v,...>`, and on a failed call
+falls back to the rule parse or to `APOLOGY_LINE`.  Each backend states in its
+class constant `BLOCKING` whether its calls wait on something outside the
+process; the pipeline reads it to decide whether respond needs a thread of its
+own.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
 from .geometry import shown
+from .tasks import REGISTRY, ParsedTask, build_prompts
 
 
 class BackendError(Exception):
@@ -47,6 +50,8 @@ TIMEOUT_S = 10.0
 MAX_RETRIES = 3
 BACKOFF_S = 0.25
 API_KEY_ENV = "LLM_API_KEY"  # the bearer token, when set
+
+APOLOGY_LINE = "Sorry, I am having trouble speaking right now."  # a respond call that failed
 
 
 @dataclass(frozen=True)
@@ -170,32 +175,30 @@ def _match_item(normalized: str, menu: Menu) -> str | None:
     return best
 
 
-def rule_parse(utterance: str, menu: Menu) -> "ParsedTask":
+def rule_parse(utterance: str, menu: Menu) -> ParsedTask:
     """Deterministic pattern-table parser; total (falls back to casual_chat)."""
-    from .tasks import ParsedTask
-
     u = _normalize(utterance)
     if any(t in u for t in SERVE_TRIGGERS):
         item = _match_item(u, menu)
         if item is not None:
-            return ParsedTask("serve_order", {"item": item}, 1.0)
+            return ParsedTask("serve_order", {"item": item})
     if any(t in u for t in CLEAN_TRIGGERS):
-        return ParsedTask("clean_table", {}, 1.0)
+        return ParsedTask("clean_table", {})
     if any(t in u for t in MENU_TRIGGERS):
-        return ParsedTask("describe_menu", {}, 1.0)
-    return ParsedTask("casual_chat", {}, 0.5)
+        return ParsedTask("describe_menu", {})
+    return ParsedTask("casual_chat", {})
 
 
-def format_understand_line(parsed: "ParsedTask") -> str:
+def format_understand_line(parsed: ParsedTask) -> str:
     slots = ",".join(f"{k}:{v}" for k, v in sorted(parsed.slots.items()))
     return f"task={parsed.name}; slots={slots}"
 
 
-def parse_understand_line(text: str) -> "ParsedTask":
-    """Decode `task=<name>; slots=<k:v,...>`; anything malformed -> casual_chat."""
-    from .tasks import REGISTRY, ParsedTask
-
-    fallback = ParsedTask("casual_chat", {}, 0.0)
+def parse_understand_line(text: str, menu: Menu) -> ParsedTask:
+    """Decode `task=<name>; slots=<k:v,...>`; anything malformed -> casual_chat.
+    An item the menu does not list by exactly that name is malformed: the
+    prompt lists the exact names."""
+    fallback = ParsedTask("casual_chat", {})
     line = text.strip().splitlines()[0].strip() if text.strip() else ""
     if not line.startswith("task="):
         return fallback
@@ -218,9 +221,9 @@ def parse_understand_line(text: str) -> "ParsedTask":
         slots[key.strip()] = value.strip()
     schema = REGISTRY[name].param_schema
     slots = {k: v for k, v in slots.items() if k in schema}
-    if set(slots) != set(schema):
+    if set(slots) != set(schema) or ("item" in slots and slots["item"] not in menu.names()):
         return fallback
-    return ParsedTask(name, slots, 1.0)
+    return ParsedTask(name, slots)
 
 
 # --- backends ---------------------------------------------------------------
@@ -233,8 +236,8 @@ class RuleBackend:
     def __init__(self, menu: Menu):
         self.menu = menu
 
-    def understand(self, utterance: str) -> str:
-        return format_understand_line(rule_parse(utterance, self.menu))
+    def understand(self, utterance: str) -> ParsedTask:
+        return rule_parse(utterance, self.menu)
 
     def respond(self, utterance: str, parsed=None) -> str:
         if parsed is not None:
@@ -255,29 +258,34 @@ class RuleBackend:
 
 
 class RemoteBackend:
-    """Chat-completions backend built on a prompt pair with a shared base."""
+    """Chat-completions backend over a prompt pair with a shared base; a call
+    that fails falls back to the rule parse or to `APOLOGY_LINE`."""
 
     BLOCKING = True  # each call waits on the endpoint
 
-    def __init__(self, endpoint: str, model: str, prompts, transport=None):
+    def __init__(self, endpoint: str, model: str, menu: Menu, transport=None):
         self.endpoint = endpoint
         self.model = model
-        self.prompts = prompts
+        self.menu = menu
+        self.prompts = build_prompts(menu)
         self.transport = transport
 
-    def understand(self, utterance: str) -> str:
-        messages = [
-            {"role": "system", "content": self.prompts.understand_prompt},
-            {"role": "user", "content": utterance},
-        ]
+    def _complete(self, system: str, user: str) -> str:
+        messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
         return complete(self.endpoint, self.model, messages, transport=self.transport)
+
+    def understand(self, utterance: str) -> ParsedTask:
+        try:
+            reply = self._complete(self.prompts.understand_prompt, utterance)
+        except BackendError:
+            return rule_parse(utterance, self.menu)
+        return parse_understand_line(reply, self.menu)
 
     def respond(self, utterance: str, parsed=None) -> str:
         content = utterance
         if parsed is not None:
             content += "\n[understood: " + format_understand_line(parsed) + "]"
-        messages = [
-            {"role": "system", "content": self.prompts.respond_prompt},
-            {"role": "user", "content": content},
-        ]
-        return complete(self.endpoint, self.model, messages, transport=self.transport)
+        try:
+            return self._complete(self.prompts.respond_prompt, content)
+        except BackendError:
+            return APOLOGY_LINE

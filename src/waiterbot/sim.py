@@ -72,17 +72,9 @@ class Metrics:
         }
 
     def render(self) -> str:
-        acc = float(self.accuracy)
-        return "\n".join(
-            [
-                f"orders_total     {self.orders_total}",
-                f"served_correct   {self.served_correct}",
-                f"served_incorrect {self.served_incorrect}",
-                f"assisted         {self.assisted}",
-                f"collisions       {self.collisions}",
-                f"accuracy         {self.to_dict()['accuracy']} ({acc:.4f})",
-            ]
-        )
+        lines = [f"{key:<16} {value}" for key, value in self.to_dict().items()]
+        lines[-1] += f" ({float(self.accuracy):.4f})"  # accuracy comes last
+        return "\n".join(lines)
 
 
 class TableTop:
@@ -203,7 +195,7 @@ class Simulation:
         self.scenario = scenario
         self.config = config
         backend = backend if backend is not None else RuleBackend(scenario.menu)
-        self.pipeline = Pipeline(scenario.menu, backend, mode=config.mode)
+        self.pipeline = Pipeline(backend, mode=config.mode)
 
         self.layer = FurnitureLayer()
         self.humans = HumanLayer()

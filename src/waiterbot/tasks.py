@@ -3,12 +3,14 @@
 A task representation is a named, fixed skill sequence with slot parameters
 and optional per-skill recovery splices; the four of them (serving, cleaning,
 menu, chat) are fixed in the read-only `REGISTRY`.  The pipeline turns an
-utterance into a parsed task and a spoken response, either in parallel
-(response never sees the parse; it gets a thread of its own for the call only
-over a backend that blocks) or sequentially (response is conditioned on the
-parse).  The executor runs skills in order; a failed skill with a recovery
-entry splices the replacement subsequence instead of aborting, and the speak
-that opens every recovery is the help request.
+utterance into a parsed task and a spoken response by ordering a backend's two
+total calls, either in parallel (response never sees the parse; it gets a
+thread of its own for the call only over a backend that blocks) or
+sequentially (response is conditioned on the parse).  This module imports
+nothing from `llm`: the backends there build on it.  The executor runs skills
+in order; a failed skill with a recovery entry splices the replacement
+subsequence instead of aborting, and the speak that opens every recovery is
+the help request.
 """
 
 from __future__ import annotations
@@ -19,11 +21,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .llm import BackendError, Menu, parse_understand_line, rule_parse
-
 SKILL_KINDS = ("navigate", "detect", "grasp", "place", "find_placement", "speak", "hand_over")
-
-APOLOGY_LINE = "Sorry, I am having trouble speaking right now."
 
 
 class TaskError(Exception):
@@ -100,7 +98,6 @@ class TaskRepresentation:
 class ParsedTask:
     name: str
     slots: dict[str, str]
-    confidence: float
 
 
 class Outcome(Enum):
@@ -177,8 +174,8 @@ RESPOND_SUFFIX = (
 )
 
 
-def build_prompts(menu: Menu) -> PromptPair:
-    """Shared base prompt + per-role output-format suffixes."""
+def build_prompts(menu) -> PromptPair:
+    """Shared base prompt + per-role output-format suffixes over an `llm.Menu`."""
     lines = ["You are a service robot working as a waiter.", "", "Environment:",
              ENVIRONMENT, "", "Menu:"]
     for i, item in enumerate(menu.items, start=1):
@@ -241,47 +238,36 @@ def render_trace(outcome: TaskOutcome) -> str:
 class Pipeline:
     """Understand + respond over one backend, in parallel or sequentially.
 
-    In parallel mode respond gets the utterance only, never the parse, and has
-    finished before `handle` returns.  Over a backend whose calls block (its
-    `BLOCKING` is true, or it does not say), respond runs on a thread started
-    for that call and joined before it returns, while understand runs on the
-    caller's: the two waits overlap.  Over a backend that says it does not
-    block, there is no wait to hide, so both run on the caller's thread,
-    respond first; a thread hand-off would cost more than the calls."""
+    Every backend is total: `understand` returns a `ParsedTask` and `respond`
+    a line, each with its own fallback, and each states in `BLOCKING` whether
+    its calls wait on something outside the process.  In parallel mode
+    respond gets the utterance only, never the parse, and has finished before
+    `handle` returns.  Over a backend that blocks, respond runs on a thread
+    started for that call and joined before it returns, while understand runs
+    on the caller's: the two waits overlap.  Over one that does not block,
+    there is no wait to hide, so both run on the caller's thread, respond
+    first; a thread hand-off would cost more than the calls."""
 
-    def __init__(self, menu: Menu, backend, mode: str = "parallel"):
+    def __init__(self, backend, mode: str):
         if mode not in ("parallel", "sequential"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.menu = menu
         self.backend = backend
         self.mode = mode
 
-    def _understand(self, utterance: str) -> ParsedTask:
-        try:
-            line = self.backend.understand(utterance)
-        except BackendError:
-            return rule_parse(utterance, self.menu)
-        return parse_understand_line(line)
-
-    def _respond(self, utterance: str, parsed: ParsedTask | None) -> str:
-        try:
-            return self.backend.respond(utterance, parsed)
-        except BackendError:
-            return APOLOGY_LINE
-
     def handle(self, utterance: str) -> tuple[ParsedTask, str]:
         """Returns (parsed task, response line); total for any utterance."""
+        backend = self.backend
         if self.mode == "sequential":
-            parsed = self._understand(utterance)
-            return parsed, self._respond(utterance, parsed)
+            parsed = backend.understand(utterance)
+            return parsed, backend.respond(utterance, parsed)
         # parallel: the respond branch gets the utterance only, never the parse
-        if not getattr(self.backend, "BLOCKING", True):
-            response = self._respond(utterance, None)
-            return self._understand(utterance), response
+        if not backend.BLOCKING:
+            response = backend.respond(utterance, None)
+            return backend.understand(utterance), response
         with ThreadPoolExecutor(1, "respond") as pool:  # one respond thread, joined on leaving
-            respond_future = pool.submit(self._respond, utterance, None)
+            respond_future = pool.submit(backend.respond, utterance, None)
             try:
-                parsed = self._understand(utterance)
+                parsed = backend.understand(utterance)
             finally:
                 response = respond_future.result()  # waited for even when understand raises
         return parsed, response

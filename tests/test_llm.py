@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from helpers import StubTransport
 from waiterbot import llm
 from waiterbot.llm import (
+    APOLOGY_LINE,
     MAX_RETRIES,
     BackendUnavailable,
     HttpTransport,
     Menu,
     MenuItem,
     ProtocolError,
+    RemoteBackend,
     RuleBackend,
     TransportError,
     complete,
@@ -24,7 +26,7 @@ from waiterbot.llm import (
     parse_understand_line,
     rule_parse,
 )
-from waiterbot.tasks import REGISTRY, ParsedTask
+from waiterbot.tasks import REGISTRY, ParsedTask, Pipeline, build_prompts
 
 
 @pytest.fixture
@@ -54,11 +56,11 @@ class TestMenu:
     @settings(derandomize=True, max_examples=300)
     def test_every_accepted_name_survives_the_line(self, name):
         try:
-            Menu([MenuItem(name, "")])
+            menu = Menu([MenuItem(name, "")])
         except ValueError:
             assume(False)
-        parsed = ParsedTask("serve_order", {"item": name}, 1.0)
-        assert parse_understand_line(format_understand_line(parsed)) == parsed
+        parsed = ParsedTask("serve_order", {"item": name})
+        assert parse_understand_line(format_understand_line(parsed), menu) == parsed
 
     def test_description_text_lists_items(self, menu):
         text = menu.description_text()
@@ -69,7 +71,7 @@ class TestMenu:
 class TestRuleParse:
     def test_bring_with_item(self, menu):
         parsed = rule_parse("Could you bring me an orange juice?", menu)
-        assert parsed == ParsedTask("serve_order", {"item": "orange juice"}, 1.0)
+        assert parsed == ParsedTask("serve_order", {"item": "orange juice"})
 
     def test_longest_menu_match_wins(self, menu):
         parsed = rule_parse("I'd like orange juice please", menu)
@@ -87,7 +89,7 @@ class TestRuleParse:
 
     def test_fallback_to_casual_chat(self, menu):
         parsed = rule_parse("Nice weather today", menu)
-        assert parsed == ParsedTask("casual_chat", {}, 0.5)
+        assert parsed == ParsedTask("casual_chat", {})
 
     def test_serve_trigger_without_item_falls_through(self, menu):
         parsed = rule_parse("bring me happiness", menu)
@@ -100,7 +102,7 @@ class TestRuleParse:
     def test_typographic_apostrophe_in_item_name(self):
         menu = Menu([MenuItem("chef’s salad", ""), MenuItem("cola", "")])
         for text in ("bring me chef’s salad", "bring me chef's salad"):
-            assert rule_parse(text, menu) == ParsedTask("serve_order", {"item": "chef’s salad"}, 1.0)
+            assert rule_parse(text, menu) == ParsedTask("serve_order", {"item": "chef’s salad"})
 
     def test_total_over_arbitrary_text(self, menu):
         for text in ("", "???", "br1ng c0la", "   "):
@@ -108,32 +110,32 @@ class TestRuleParse:
 
 
 class TestUnderstandLine:
-    def test_round_trip(self):
-        parsed = ParsedTask("serve_order", {"item": "cola"}, 1.0)
+    def test_round_trip(self, menu):
+        parsed = ParsedTask("serve_order", {"item": "cola"})
         line = format_understand_line(parsed)
         assert line == "task=serve_order; slots=item:cola"
-        assert parse_understand_line(line) == parsed
+        assert parse_understand_line(line, menu) == parsed
 
-    def test_unknown_task_falls_back(self):
-        parsed = parse_understand_line("task=fly_to_moon; slots=")
-        assert parsed == ParsedTask("casual_chat", {}, 0.0)
+    def test_unknown_task_falls_back(self, menu):
+        parsed = parse_understand_line("task=fly_to_moon; slots=", menu)
+        assert parsed == ParsedTask("casual_chat", {})
 
-    def test_garbage_falls_back(self):
-        assert parse_understand_line("complete nonsense").name == "casual_chat"
-        assert parse_understand_line("").name == "casual_chat"
+    def test_garbage_falls_back(self, menu):
+        assert parse_understand_line("complete nonsense", menu).name == "casual_chat"
+        assert parse_understand_line("", menu).name == "casual_chat"
 
-    def test_missing_required_slot_falls_back(self):
-        parsed = parse_understand_line("task=serve_order; slots=")
-        assert parsed == ParsedTask("casual_chat", {}, 0.0)
+    def test_missing_required_slot_falls_back(self, menu):
+        parsed = parse_understand_line("task=serve_order; slots=", menu)
+        assert parsed == ParsedTask("casual_chat", {})
 
-    def test_extra_slots_dropped(self):
-        parsed = parse_understand_line("task=serve_order; slots=item:cola,mood:happy")
+    def test_extra_slots_dropped(self, menu):
+        parsed = parse_understand_line("task=serve_order; slots=item:cola,mood:happy", menu)
         assert parsed.slots == {"item": "cola"}
 
-    def test_never_raises(self):
+    def test_never_raises(self, menu):
         for text in ("task=", "task=serve_order", "task=serve_order; slots=item",
                      "task=serve_order; slots=:cola", "slots=item:cola"):
-            parsed = parse_understand_line(text)
+            parsed = parse_understand_line(text, menu)
             assert parsed.name == "casual_chat"
 
 
@@ -304,21 +306,18 @@ class TestRuleBackendOffline:
         stub = StubTransport([StubTransport.reply("ok")])
         complete(ENDPOINT, MODEL, [], transport=stub)
 
-    def test_understand_emits_wire_line(self, menu):
-        line = RuleBackend(menu).understand("bring me a cola")
-        assert line == "task=serve_order; slots=item:cola"
+    def test_understand_returns_the_rule_parse(self, menu):
+        parsed = RuleBackend(menu).understand("bring me a cola")
+        assert parsed == ParsedTask("serve_order", {"item": "cola"})
 
     def test_respond_with_parse_names_item(self, menu):
         backend = RuleBackend(menu)
-        parsed = ParsedTask("serve_order", {"item": "cola"}, 1.0)
+        parsed = ParsedTask("serve_order", {"item": "cola"})
         assert "cola" in backend.respond("bring me a cola", parsed)
 
 
 class TestRemoteBackendIntegration:
     def test_pipeline_over_stubbed_wire(self, menu):
-        from waiterbot.llm import RemoteBackend
-        from waiterbot.tasks import Pipeline, build_prompts
-
         stub = StubTransport(
             [
                 StubTransport.reply("task=serve_order; slots=item:cola"),
@@ -326,10 +325,9 @@ class TestRemoteBackendIntegration:
             ]
         )
         prompts = build_prompts(menu)
-        backend = RemoteBackend(ENDPOINT, MODEL, prompts, transport=stub)
-        pipe = Pipeline(menu, backend, mode="sequential")
+        pipe = Pipeline(RemoteBackend(ENDPOINT, MODEL, menu, transport=stub), mode="sequential")
         parsed, response = pipe.handle("bring me a cola")
-        assert parsed == ParsedTask("serve_order", {"item": "cola"}, 1.0)
+        assert parsed == ParsedTask("serve_order", {"item": "cola"})
         assert response == "One cola, coming right up!"
         bodies = [r["body"] for r in stub.requests]
         assert bodies[0]["messages"][0]["content"] == prompts.understand_prompt
@@ -339,9 +337,6 @@ class TestRemoteBackendIntegration:
         assert bodies[0]["model"] == "demo"
 
     def test_parallel_respond_completes_while_understand_is_held(self, menu):
-        from waiterbot.llm import RemoteBackend
-        from waiterbot.tasks import Pipeline, build_prompts
-
         prompts = build_prompts(menu)
 
         class LatchedTransport(StubTransport):
@@ -365,7 +360,7 @@ class TestRemoteBackendIntegration:
                 return self.reply("One moment, please.")
 
         stub = LatchedTransport()
-        pipe = Pipeline(menu, RemoteBackend(ENDPOINT, MODEL, prompts, transport=stub), mode="parallel")
+        pipe = Pipeline(RemoteBackend(ENDPOINT, MODEL, menu, transport=stub), mode="parallel")
         out = {}
         caller = threading.Thread(target=lambda: out.setdefault("r", pipe.handle("bring me a cola")))
         caller.start()
@@ -375,20 +370,38 @@ class TestRemoteBackendIntegration:
         finally:
             stub.latch.set()
             caller.join(timeout=10)
-        assert out["r"] == (ParsedTask("serve_order", {"item": "cola"}, 1.0), "One moment, please.")
+        assert out["r"] == (ParsedTask("serve_order", {"item": "cola"}), "One moment, please.")
         respond_body = next(r["body"] for r in stub.requests
                             if r["body"]["messages"][0]["content"] == prompts.respond_prompt)
         assert respond_body["messages"][1]["content"] == "bring me a cola"  # no [understood: ...]
 
-    def test_understand_failure_falls_back_to_rules(self, menu, sleeps):
-        from waiterbot.llm import RemoteBackend
-        from waiterbot.tasks import Pipeline, build_prompts
+    @pytest.mark.parametrize("item", ["pizza", "Cola", "cola zero"])
+    def test_reply_naming_an_item_off_the_menu_is_chat(self, menu, item):
+        """The prompt lists the exact names, so any other name is a malformed reply."""
+        stub = StubTransport([StubTransport.reply(f"task=serve_order; slots=item:{item}")])
+        parsed = RemoteBackend(ENDPOINT, MODEL, menu, transport=stub).understand(f"bring me a {item}")
+        assert parsed == ParsedTask("casual_chat", {})
 
-        stub = StubTransport([TransportError("down")] * 8)
-        backend = RemoteBackend(ENDPOINT, MODEL, build_prompts(menu), transport=stub)
-        pipe = Pipeline(menu, backend, mode="sequential")
+
+class TestRemoteBackendFallback:
+    """A failed call never reaches the pipeline: understand gives the rule
+    parse and respond gives `APOLOGY_LINE`."""
+
+    @pytest.mark.parametrize("mode", ["parallel", "sequential"])
+    def test_unavailable_endpoint(self, menu, sleeps, mode):
+        stub = StubTransport([TransportError("down")] * (2 * (1 + MAX_RETRIES)))
+        pipe = Pipeline(RemoteBackend(ENDPOINT, MODEL, menu, transport=stub), mode=mode)
         parsed, response = pipe.handle("bring me a cola")
-        assert parsed.name == "serve_order"  # rule fallback parsed it
-        from waiterbot.tasks import APOLOGY_LINE
-
+        assert parsed == rule_parse("bring me a cola", menu) == ParsedTask("serve_order", {"item": "cola"})
         assert response == APOLOGY_LINE
+        assert len(stub.requests) == 2 * (1 + MAX_RETRIES) and stub.script == []  # both calls gave up
+        assert sorted(sleeps) == [0.25, 0.25, 0.5, 0.5, 1.0, 1.0]  # the two calls may interleave
+
+    @pytest.mark.parametrize("mode", ["parallel", "sequential"])
+    def test_unusable_reply(self, menu, mode):
+        stub = StubTransport([{"no_choices": True}] * 2)
+        pipe = Pipeline(RemoteBackend(ENDPOINT, MODEL, menu, transport=stub), mode=mode)
+        parsed, response = pipe.handle("please clear the table")
+        assert parsed == rule_parse("please clear the table", menu) == ParsedTask("clean_table", {})
+        assert response == APOLOGY_LINE
+        assert len(stub.requests) == 2  # a ProtocolError is not retried

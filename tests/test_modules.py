@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -16,6 +17,24 @@ def test_module_imports_on_its_own(name):
     result = subprocess.run([sys.executable, "-c", f"import waiterbot.{name}"], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_imports_sit_at_module_level_and_tasks_needs_no_llm():
+    """No `src/` module imports inside a function, so the fresh-interpreter
+    import above meets every cycle; and the language modules depend one way:
+    `llm` builds on `tasks`, never the reverse."""
+    nested, tasks_to_llm = [], []
+    for path in sorted((SRC / "waiterbot").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in ast.walk(tree) if path.stem == "tasks" else ():
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                tasks_to_llm += [f"tasks.py:{node.lineno}" for name in names if "llm" in name.split(".")]
+    assert (sorted(set(nested)), tasks_to_llm) == ([], [])
 
 
 def test_cli_imports_no_scipy_or_requests():

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waiterbot.llm import BackendError, Menu, MenuItem, RuleBackend, _normalize
+from waiterbot.llm import Menu, MenuItem, RuleBackend, _normalize
 from waiterbot.formats import Utterance, load_scenario
 from waiterbot.tasks import (
-    APOLOGY_LINE,
     OK,
     REGISTRY,
     Outcome,
@@ -129,7 +128,7 @@ class TestExecute:
             ran.append(inv.kind)
             return OK
 
-        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), runner)
+        out = execute(ParsedTask("serve_order", {"item": "cola"}), runner)
         assert out.state is Outcome.COMPLETED
         assert ran == ["navigate", "detect", "grasp", "navigate", "find_placement", "place", "speak"]
         assert out.help_messages == []
@@ -140,7 +139,7 @@ class TestExecute:
                 return failed("not found")
             return OK
 
-        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), runner)
+        out = execute(ParsedTask("serve_order", {"item": "cola"}), runner)
         assert out.state is Outcome.COMPLETED_WITH_ASSIST
         kinds = [inv.kind for inv, _ in out.trace]
         assert kinds == ["navigate", "detect", "speak", "hand_over", "grasp", "navigate",
@@ -153,7 +152,7 @@ class TestExecute:
         def runner(inv):
             return failed("not found") if inv.kind == "detect" else OK
 
-        out = execute(ParsedTask("serve_order", {"item": "{x}"}, 1.0), runner)
+        out = execute(ParsedTask("serve_order", {"item": "{x}"}), runner)
         assert out.state is Outcome.COMPLETED_WITH_ASSIST
         assert out.help_messages == ["I could not find the {x}. Could you place it in my hand?"]
         assert [inv.arg for inv, _ in out.trace[1:4]] == ["{x}", out.help_messages[0], "{x}"]
@@ -164,7 +163,7 @@ class TestExecute:
                 return failed("blocked")
             return OK
 
-        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), runner)
+        out = execute(ParsedTask("serve_order", {"item": "cola"}), runner)
         assert out.state is Outcome.FAILED
         assert [inv.kind for inv, _ in out.trace] == ["navigate"]
 
@@ -174,23 +173,23 @@ class TestExecute:
                 return failed("nope")
             return OK
 
-        out = execute(ParsedTask("serve_order", {"item": "cola"}, 1.0), runner)
+        out = execute(ParsedTask("serve_order", {"item": "cola"}), runner)
         assert out.state is Outcome.FAILED
         assert [inv.kind for inv, _ in out.trace][-1] == "hand_over"
 
     def test_missing_slot_rejected(self):
         with pytest.raises(TaskError):
-            execute(ParsedTask("serve_order", {}, 1.0), lambda inv: OK)
+            execute(ParsedTask("serve_order", {}), lambda inv: OK)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(TaskError):
-            execute(ParsedTask("moonwalk", {}, 1.0), lambda inv: OK)
+            execute(ParsedTask("moonwalk", {}), lambda inv: OK)
 
     def test_render_trace_shape(self):
         def runner(inv):
             return failed("not found") if inv.kind == "detect" else OK
 
-        out = execute(ParsedTask("serve_order", {"item": "green tea"}, 1.0), runner)
+        out = execute(ParsedTask("serve_order", {"item": "green tea"}), runner)
         text = render_trace(out)
         lines = text.splitlines()
         assert lines[0] == "navigate(kitchen_table) -> OK"
@@ -202,6 +201,8 @@ class TestExecute:
 class LatchBackend:
     """understand() blocks on a latch; respond() records completion."""
 
+    BLOCKING = True
+
     def __init__(self):
         self.latch = threading.Event()
         self.respond_done = threading.Event()
@@ -211,7 +212,7 @@ class LatchBackend:
     def understand(self, utterance):
         self.latch.wait(timeout=10)
         self.call_order.append("understand")
-        return "task=casual_chat; slots="
+        return ParsedTask("casual_chat", {})
 
     def respond(self, utterance, parsed=None):
         self.respond_inputs.append((utterance, parsed))
@@ -220,9 +221,11 @@ class LatchBackend:
         return "on my way"
 
 
-class UndeclaredRuleBackend:
-    """The rule backend's answers from a backend that does not say whether it
-    blocks, so the pipeline gives respond a thread of its own."""
+class BlockingRuleBackend:
+    """The rule backend's answers from a backend that says it blocks, so the
+    pipeline gives respond a thread of its own."""
+
+    BLOCKING = True
 
     def __init__(self, menu):
         self.rules = RuleBackend(menu)
@@ -250,18 +253,10 @@ class RecordingRuleBackend(RuleBackend):
         return super().respond(utterance, parsed)
 
 
-class FailingBackend:
-    def understand(self, utterance):
-        raise BackendError("understand down")
-
-    def respond(self, utterance, parsed=None):
-        raise BackendError("respond down")
-
-
 class TestPipeline:
-    def test_parallel_respond_completes_while_understand_blocked(self, menu):
+    def test_parallel_respond_completes_while_understand_blocked(self):
         backend = LatchBackend()
-        pipe = Pipeline(menu, backend, mode="parallel")
+        pipe = Pipeline(backend, mode="parallel")
         result = {}
         worker = threading.Thread(target=lambda: result.setdefault("out", pipe.handle("hi")))
         worker.start()
@@ -273,29 +268,23 @@ class TestPipeline:
         assert result["out"][1] == "on my way"
         assert backend.respond_inputs[0][1] is None  # respond never sees the parse
 
-    def test_sequential_respond_sees_parse(self, menu):
+    def test_sequential_respond_sees_parse(self):
         backend = LatchBackend()
         backend.latch.set()
-        pipe = Pipeline(menu, backend, mode="sequential")
+        pipe = Pipeline(backend, mode="sequential")
         pipe.handle("bring me a cola")
         utterance, parsed = backend.respond_inputs[0]
         assert parsed is not None
         assert backend.call_order == ["understand", "respond"]
 
-    def test_both_backends_failing_still_returns(self, menu):
-        pipe = Pipeline(menu, FailingBackend(), mode="parallel")
-        parsed, response = pipe.handle("bring me a cola")
-        assert parsed.name == "serve_order"  # rule fallback on understanding
-        assert response == APOLOGY_LINE
-
     def test_every_utterance_yields_exactly_one_task(self, menu):
-        pipe = Pipeline(menu, RuleBackend(menu), mode="parallel")
+        pipe = Pipeline(RuleBackend(menu), mode="parallel")
         for text in ("bring me a cola", "what's on the menu", "hello", ""):
             parsed, _ = pipe.handle(text)
             assert parsed.name in REGISTRY
 
     def test_parallel_respond_thread_lives_for_one_call(self, menu):
-        pipe = Pipeline(menu, UndeclaredRuleBackend(menu), mode="parallel")
+        pipe = Pipeline(BlockingRuleBackend(menu), mode="parallel")
         before = set(threading.enumerate())
         respond_threads, wrong = [], []
 
@@ -326,7 +315,7 @@ class TestPipeline:
         assert 1 <= max(respond_threads) <= len(callers)  # at most one respond thread per caller
         assert set(threading.enumerate()) == before  # every respond thread was joined
 
-    def test_parallel_respond_is_awaited_when_understand_raises(self, menu):
+    def test_parallel_respond_is_awaited_when_understand_raises(self):
         class Broken(LatchBackend):
             def understand(self, utterance):
                 raise RuntimeError("parser bug")
@@ -336,7 +325,7 @@ class TestPipeline:
                 return super().respond(utterance, parsed)
 
         backend = Broken()
-        pipe = Pipeline(menu, backend, mode="parallel")
+        pipe = Pipeline(backend, mode="parallel")
         threading.Timer(0.05, backend.latch.set).start()
         with pytest.raises(RuntimeError, match="parser bug"):
             pipe.handle("hi")
@@ -347,12 +336,12 @@ class TestPipeline:
         texts = [ev.text for _, ev in scenario.events if isinstance(ev, Utterance)]
         assert len(texts) == 44
         inline = RecordingRuleBackend(scenario.menu)
-        worker = UndeclaredRuleBackend(scenario.menu)
-        inline_pipe = Pipeline(scenario.menu, inline, mode="parallel")
-        worker_pipe = Pipeline(scenario.menu, worker, mode="parallel")
+        worker = BlockingRuleBackend(scenario.menu)
+        inline_pipe = Pipeline(inline, mode="parallel")
+        worker_pipe = Pipeline(worker, mode="parallel")
         assert [inline_pipe.handle(t) for t in texts] == [worker_pipe.handle(t) for t in texts]
         assert inline.respond_parses == worker.respond_parses == [None] * 44
 
     def test_unknown_mode_rejected(self, menu):
         with pytest.raises(ValueError):
-            Pipeline(menu, RuleBackend(menu), mode="sideways")
+            Pipeline(RuleBackend(menu), mode="sideways")
